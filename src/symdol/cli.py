@@ -3,7 +3,8 @@
 Subcommands: roots, irrep, spectrum, distinguish, cp1, index.  Formats:
 table (human, with an approximate decimal column), json (compact, exact
 rationals as "p/q" strings), csv (fixed header per command).  Identical
-invocations produce byte-identical output, warm or cold cache alike.
+invocations produce byte-identical output; nothing is persisted between
+runs.
 
 Exit codes: 0 success, 1 usage error, 2 computation-contract violation.
 """
@@ -12,14 +13,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
 from . import cp1, flagspec, reps, rootsys, surface
 from .errors import ContractViolation
-
-CACHE_ENV_VAR = "SYMDOL_CACHE_DIR"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -27,20 +25,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _default_cache_dir() -> str:
-    env = os.environ.get(CACHE_ENV_VAR)
-    if env:
-        return env
-    base = os.environ.get("XDG_CACHE_HOME", os.path.join(os.path.expanduser("~"), ".cache"))
-    return os.path.join(base, "symdol")
-
-
-def _resolve_cache(args):
-    if getattr(args, "no_cache", False):
-        return None
-    return getattr(args, "cache_dir", None) or _default_cache_dir()
 
 
 def _parse_weight(text: str, rank: int) -> tuple[int, ...]:
@@ -167,7 +151,7 @@ def _cmd_spectrum(args) -> int:
     rs = rootsys.build_root_system(args.family, args.rank)
     mu = _parse_weight(args.mu, rs.rank)
     cutoff = _parse_cutoff(args.cutoff)
-    table = flagspec.p_spectrum(rs, mu, cutoff, cache_dir=_resolve_cache(args))
+    table = flagspec.p_spectrum(rs, mu, cutoff)
     if args.format == "json":
         _emit_json(flagspec.spectrum_to_jsonable(table))
     elif args.format == "csv":
@@ -197,11 +181,10 @@ def _distinguish_jsonable(report) -> dict:
 
 def _cmd_distinguish(args) -> int:
     cutoff = _parse_cutoff(args.cutoff) if args.cutoff is not None else None
-    cache = _resolve_cache(args)
     if args.rank1_sanity:
-        report = flagspec.rank_one_sanity(cutoff=cutoff, cache_dir=cache)
+        report = flagspec.rank_one_sanity(cutoff=cutoff)
     else:
-        report = flagspec.distinguish(args.n, cutoff=cutoff, cache_dir=cache)
+        report = flagspec.distinguish(args.n, cutoff=cutoff)
     if args.format == "json":
         _emit_json(_distinguish_jsonable(report))
     elif args.format == "csv":
@@ -372,11 +355,9 @@ def _add_format(p: argparse.ArgumentParser):
 
 
 def _add_cache_flags(p: argparse.ArgumentParser):
-    p.add_argument("--cache-dir", default=None,
-                   help=f"weight-system cache directory (default: ${CACHE_ENV_VAR} "
-                        "or the user cache dir)")
-    p.add_argument("--no-cache", action="store_true",
-                   help="bypass cache reads and writes")
+    # accepted for compatibility with existing scripts; there is no cache
+    p.add_argument("--cache-dir", help="ignored: nothing is cached")
+    p.add_argument("--no-cache", action="store_true", help="ignored: nothing is cached")
 
 
 def build_parser() -> argparse.ArgumentParser:

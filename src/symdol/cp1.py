@@ -96,10 +96,6 @@ def sl2_casimir_matrix(rep: Sl2Irrep) -> Mat:
     return mat_add(hh, mixed)
 
 
-def sl2_casimir_value(k: int) -> Fraction:
-    return Fraction(-((k + 1) ** 2 - 1), 8)
-
-
 def lambda_lj(l: int, j: int) -> Fraction:
     """Closed-form eigenvalue (1/8)(4(l+j+1)^2 - 3(2l+1)^2 - 1)."""
     if l < 0 or j < 0:

@@ -25,11 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import ContractViolation
 from .reps import (
+    _dominant_weights_below,
     dominant_weights_with_norm_bound,
     weight_multiplicity,
     weight_system,
@@ -143,12 +143,7 @@ class SpectrumTable:
         return f"{self.family}{self.rank}"
 
 
-def p_spectrum(
-    rs: RootSystem,
-    mu: Sequence[int],
-    cutoff,
-    cache_dir: Optional[str | Path] = None,
-) -> SpectrumTable:
+def p_spectrum(rs: RootSystem, mu: Sequence[int], cutoff) -> SpectrumTable:
     """Complete spectrum of the vacuum operator twisted to L_mu, up to cutoff.
 
     Inclusive cutoff on the eigenvalue itself.  Eigenvalue coincidences
@@ -180,7 +175,7 @@ def p_spectrum(
             )
         if lam > cutoff:
             continue
-        dim = weight_system(rs, gamma, cache_dir=cache_dir).dim
+        dim = weight_system(rs, gamma).dim
         rows.setdefault(lam, []).append(Constituent(gamma, mult, dim))
 
     table_rows = []
@@ -279,9 +274,7 @@ class DistinguishReport:
         return "spectra differ"
 
 
-def first_positive_eigenvalue(
-    rs: RootSystem, mu: Optional[Sequence[int]] = None, cache_dir=None
-) -> Fraction:
+def first_positive_eigenvalue(rs: RootSystem, mu: Optional[Sequence[int]] = None) -> Fraction:
     """Smallest nonzero eigenvalue of the vacuum operator twisted to L_mu."""
     m = (0,) * rs.rank if mu is None else as_weight(rs, mu)
     r = rho(rs)
@@ -313,7 +306,7 @@ def _compare_tables(b: SpectrumTable, c: SpectrumTable) -> Optional[RowCompariso
     return None
 
 
-def distinguish(n: int, cutoff=None, cache_dir=None) -> DistinguishReport:
+def distinguish(n: int, cutoff=None) -> DistinguishReport:
     """Compare the untwisted vacuum spectra of B_n and C_n.
 
     The automatic cutoff is twice the larger of the two first positive
@@ -330,18 +323,18 @@ def distinguish(n: int, cutoff=None, cache_dir=None) -> DistinguishReport:
         cutoff = 2 * max(first_positive_eigenvalue(b), first_positive_eigenvalue(c))
     cutoff = Fraction(cutoff)
     zero_b, zero_c = (0,) * n, (0,) * n
-    tb = p_spectrum(b, zero_b, cutoff, cache_dir=cache_dir)
-    tc = p_spectrum(c, zero_c, cutoff, cache_dir=cache_dir)
+    tb = p_spectrum(b, zero_b, cutoff)
+    tc = p_spectrum(c, zero_c, cutoff)
     return DistinguishReport(n, cutoff, tb, tc, _compare_tables(tb, tc))
 
 
-def rank_one_sanity(cutoff=None, cache_dir=None) -> DistinguishReport:
+def rank_one_sanity(cutoff=None) -> DistinguishReport:
     """The rank-1 control: sp(1) = su(2), so the 'B_1 vs C_1' spectra coincide."""
     a1 = build_root_system("A", 1)
     if cutoff is None:
         cutoff = 2 * first_positive_eigenvalue(a1)
     cutoff = Fraction(cutoff)
-    t = p_spectrum(a1, (0,), cutoff, cache_dir=cache_dir)
+    t = p_spectrum(a1, (0,), cutoff)
     return DistinguishReport(1, cutoff, t, t, _compare_tables(t, t))
 
 
@@ -352,24 +345,10 @@ def rank_one_sanity(cutoff=None, cache_dir=None) -> DistinguishReport:
 def small_irrep_inventory(rs: RootSystem, dim_bound: int) -> list[tuple[Weight, int]]:
     """All dominant gamma with dim V_gamma <= dim_bound.
 
-    Breadth-first search along gamma -> gamma + omega_i; complete because
-    the Weyl dimension strictly increases along every such step.
+    Complete because the Weyl dimension strictly increases along every
+    step gamma -> gamma + omega_i.
     """
     if dim_bound < 1:
         raise ValueError("dimension bound must be >= 1")
-    zero = (0,) * rs.rank
-    found = {zero: 1}
-    frontier = [zero]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for i in range(rs.rank):
-                cand = tuple(c + 1 if j == i else c for j, c in enumerate(w))
-                if cand in found:
-                    continue
-                d = weyl_dimension(rs, cand)
-                if d <= dim_bound:
-                    found[cand] = d
-                    nxt.append(cand)
-        frontier = nxt
+    found = _dominant_weights_below(rs, lambda w: weyl_dimension(rs, w), dim_bound)
     return sorted(found.items(), key=lambda item: (item[1], item[0]))

@@ -18,11 +18,10 @@ so [sigma(u), sigma(w)] = -i omega_0(u, w) on the symplectic basis
 
 which carries the factorial forced by adjointness (sigma(Z)* = -sigma(Zbar));
 normalizations omitting the factorial fail that relation, as the
-Gauss-Hermite quadrature oracle below confirms via
+Gauss-Hermite quadrature oracle in the test suite confirms via
 integral(h_m^2) = sqrt(pi) 2^m m!.
 
-Coefficients are exact Gaussian rationals; the quadrature oracle is the
-only floating-point code and exists to cross-check the exact tables.
+Coefficients are exact Gaussian rationals; there is no floating-point code.
 """
 
 from __future__ import annotations
@@ -32,9 +31,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Mapping, Optional, Sequence
-
-import numpy as np
-from numpy.polynomial import hermite as nph
 
 from .gaussian import GaussianRational, ZERO, gq, gq_str
 
@@ -261,12 +257,6 @@ def compose(second: FockOperator, first: FockOperator) -> FockOperator:
     return FockOperator(first.n, first.source_level, second.target_level, entries)
 
 
-def identity_operator(n: int, level: int) -> FockOperator:
-    return FockOperator(
-        n, level, level, {(b, b): gq(1) for b in level_indices(n, level)}
-    )
-
-
 def h0_operator(n: int, l_max: int) -> FockOperator:
     """H_0 materialized through level l_max, as a level-preserving operator
     (source and target level None, meaning all materialized levels)."""
@@ -387,34 +377,3 @@ def symbol_product(n: int, l: int, v: Sequence) -> FockOperator:
     down = symbol_lower_operator(n, l + 1, v)
     return compose(down, up)
 
-
-# ---------------------------------------------------------------------------
-# Gauss-Hermite quadrature oracle (float; tests only)
-# ---------------------------------------------------------------------------
-
-_QUAD_NODES = 64
-
-
-def _hermite_function_inner(c1: np.ndarray, c2: np.ndarray) -> float:
-    """integral of (p1 e^{-t^2/2})(p2 e^{-t^2/2}) with p_i in the physicists'
-    Hermite basis, by Gauss-Hermite quadrature (exact to machine precision
-    for the degrees used here)."""
-    x, w = nph.hermgauss(_QUAD_NODES)
-    return float(np.sum(w * nph.hermval(x, c1) * nph.hermval(x, c2)))
-
-
-def hermite_coefficients(m: int) -> np.ndarray:
-    """h_m in the basis {H_k e^{-t^2/2}}: h_m = (-1)^m H_m e^{-t^2/2}."""
-    c = np.zeros(m + 1)
-    c[m] = (-1.0) ** m
-    return c
-
-
-def hermite_quadrature_oracle(m: int, mp: int) -> float:
-    """Numerical integral of h_m h_mp over R.
-
-    On the diagonal this is sqrt(pi) * 2^m * m!, factorial included.
-    """
-    if not (0 <= m <= 12 and 0 <= mp <= 12):
-        raise ValueError("oracle supports 0 <= m, m' <= 12")
-    return _hermite_function_inner(hermite_coefficients(m), hermite_coefficients(mp))

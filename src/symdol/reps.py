@@ -3,20 +3,16 @@
 Weight multiplicities come from Freudenthal's recursion, run over the
 dominant weights below the highest weight and expanded along Weyl orbits.
 Dimensions come independently from the Weyl dimension formula, and both
-routes are reconciled on every call.  A small versioned text cache makes
-repeated spectrum runs cheap; its records round-trip bit-exactly.
+routes are reconciled on every call; a mismatch is a ContractViolation.
 """
 
 from __future__ import annotations
 
-import os
-import tempfile
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Sequence
 
+from .errors import ContractViolation
 from .rootsys import (
     RootSystem,
     Weight,
@@ -30,8 +26,6 @@ from .rootsys import (
     weyl_orbit,
 )
 
-CACHE_FORMAT_VERSION = 1
-
 
 @dataclass(frozen=True)
 class WeightSystem:
@@ -40,13 +34,6 @@ class WeightSystem:
     highest: Weight
     mults: dict[Weight, int]
     dim: int
-
-
-@dataclass(frozen=True)
-class CacheRecord:
-    key: tuple[str, int, Weight]          # (family, rank, highest weight)
-    value: WeightSystem
-    format_version: int = CACHE_FORMAT_VERSION
 
 
 # in-process memo of dominant-weight multiplicity tables
@@ -69,7 +56,9 @@ def weyl_dimension(rs: RootSystem, gamma: Sequence[int]) -> int:
     for alpha in rs.positive_roots_fw:
         result *= killing_dual_form(rs, top, alpha) / killing_dual_form(rs, r, alpha)
     if result.denominator != 1:
-        raise ArithmeticError(f"Weyl dimension for {g} is not an integer: {result}")
+        raise ContractViolation(
+            f"{rs.name()}: Weyl dimension of V_{g} is not an integer: {result}"
+        )
     return int(result)
 
 
@@ -149,8 +138,9 @@ def _dominant_multiplicities(rs: RootSystem, gamma: Weight) -> dict[Weight, int]
                         acc += m * killing_dual_form(rs, nu, alpha)
             value = 2 * acc / denom
             if value.denominator != 1 or value <= 0:
-                raise ArithmeticError(
-                    f"Freudenthal recursion broke at {mu} in V_{gamma}: {value}"
+                raise ContractViolation(
+                    f"{rs.name()}: Freudenthal multiplicity of {mu} in V_{gamma} "
+                    f"is not a positive integer: {value}"
                 )
             mults[mu] = int(value)
 
@@ -168,22 +158,9 @@ def weight_multiplicity(rs: RootSystem, gamma: Sequence[int], mu: Sequence[int])
     return _dominant_multiplicities(rs, g).get(dom, 0)
 
 
-def weight_system(
-    rs: RootSystem,
-    gamma: Sequence[int],
-    cache_dir: Optional[str | Path] = None,
-) -> WeightSystem:
-    """Full weight system of V_gamma, reconciled against the Weyl dimension.
-
-    With ``cache_dir`` set, a stored record is used when present and the
-    computed system is persisted otherwise.
-    """
+def weight_system(rs: RootSystem, gamma: Sequence[int]) -> WeightSystem:
+    """Full weight system of V_gamma, reconciled against the Weyl dimension."""
     g = _require_dominant(rs, gamma)
-    if cache_dir is not None:
-        rec = cache_load(cache_dir, rs.family, rs.rank, g)
-        if rec is not None:
-            return rec.value
-
     dom_mults = _dominant_multiplicities(rs, g)
     mults: dict[Weight, int] = {}
     for mu, m in dom_mults.items():
@@ -192,38 +169,30 @@ def weight_system(
     dim = sum(mults.values())
     expected = weyl_dimension(rs, g)
     if dim != expected:
-        raise ArithmeticError(
-            f"weight system of {g} sums to {dim}, Weyl formula gives {expected}"
+        raise ContractViolation(
+            f"{rs.name()}: weight system of V_{g} sums to {dim}, "
+            f"Weyl dimension formula gives {expected}"
         )
-    ws = WeightSystem(highest=g, mults=mults, dim=dim)
-    if cache_dir is not None:
-        cache_store(cache_dir, CacheRecord(key=(rs.family, rs.rank, g), value=ws))
-    return ws
+    return WeightSystem(highest=g, mults=mults, dim=dim)
 
 
 # ---------------------------------------------------------------------------
 # bounded enumeration of dominant weights
 # ---------------------------------------------------------------------------
 
-def dominant_weights_with_norm_bound(rs: RootSystem, bound) -> list[Weight]:
-    """All dominant gamma with K(gamma+rho, gamma+rho) <= bound.
+def _dominant_weights_below(
+    rs: RootSystem, key: Callable[[Weight], object], bound
+) -> dict[Weight, object]:
+    """Every dominant gamma with key(gamma) <= bound, mapped to key(gamma).
 
-    Breadth-first search along gamma -> gamma + omega_i; complete because
-    K(gamma + omega_i + rho) > K(gamma + rho) whenever gamma is dominant
-    (K(omega_i, x) > 0 for strictly dominant x).  Sorted by norm, then
-    lexicographically.
+    Breadth-first search along gamma -> gamma + omega_i from gamma = 0;
+    complete whenever key strictly increases along every such step.
     """
-    bound = Fraction(bound)
-    r = rho(rs)
-
-    def norm(w: Weight) -> Fraction:
-        t = tuple(a + b for a, b in zip(w, r))
-        return killing_dual_form(rs, t, t)
-
     zero = (0,) * rs.rank
-    if norm(zero) > bound:
-        return []
-    found = {zero: norm(zero)}
+    zero_key = key(zero)
+    if zero_key > bound:
+        return {}
+    found = {zero: zero_key}
     frontier = [zero]
     while frontier:
         nxt = []
@@ -232,123 +201,27 @@ def dominant_weights_with_norm_bound(rs: RootSystem, bound) -> list[Weight]:
                 cand = tuple(c + 1 if j == i else c for j, c in enumerate(w))
                 if cand in found:
                     continue
-                nv = norm(cand)
-                if nv <= bound:
-                    found[cand] = nv
+                value = key(cand)
+                if value <= bound:
+                    found[cand] = value
                     nxt.append(cand)
         frontier = nxt
+    return found
+
+
+def dominant_weights_with_norm_bound(rs: RootSystem, bound) -> list[Weight]:
+    """All dominant gamma with K(gamma+rho, gamma+rho) <= bound.
+
+    Complete because K(gamma + omega_i + rho) > K(gamma + rho) whenever
+    gamma is dominant (K(omega_i, x) > 0 for strictly dominant x).  Sorted
+    by norm, then lexicographically.
+    """
+    r = rho(rs)
+
+    def norm(w: Weight) -> Fraction:
+        t = tuple(a + b for a, b in zip(w, r))
+        return killing_dual_form(rs, t, t)
+
+    found = _dominant_weights_below(rs, norm, Fraction(bound))
     return sorted(found, key=lambda w: (found[w], w))
 
-
-# ---------------------------------------------------------------------------
-# persistent cache: versioned, line-oriented, atomic replacement
-# ---------------------------------------------------------------------------
-
-def _cache_path(cache_dir: str | Path, family: str, rank: int) -> Path:
-    return Path(cache_dir) / f"{family}{rank}.wsv"
-
-
-def _fmt_weight(w: Weight) -> str:
-    return ",".join(str(c) for c in w)
-
-
-def _parse_weight(text: str) -> Weight:
-    return tuple(int(c) for c in text.split(","))
-
-
-def _record_lines(record: CacheRecord) -> list[str]:
-    family, rank, highest = record.key
-    ws = record.value
-    lines = [f"record v{record.format_version} {family} {rank} {_fmt_weight(highest)}"]
-    lines.append(f"dim {ws.dim}")
-    for w in sorted(ws.mults):
-        lines.append(f"mult {_fmt_weight(w)} {ws.mults[w]}")
-    lines.append("end")
-    return lines
-
-
-def _parse_cache_text(text: str) -> dict[tuple[str, int, Weight], CacheRecord]:
-    records: dict[tuple[str, int, Weight], CacheRecord] = {}
-    lines = text.splitlines()
-    i = 0
-    n = len(lines)
-    while i < n:
-        line = lines[i].strip()
-        i += 1
-        if not line:
-            continue
-        head = line.split()
-        if len(head) != 5 or head[0] != "record" or not head[1].startswith("v"):
-            raise ValueError(f"malformed record header: {line!r}")
-        version = int(head[1][1:])
-        family, rank, highest = head[2], int(head[3]), _parse_weight(head[4])
-        dim = None
-        mults: dict[Weight, int] = {}
-        closed = False
-        while i < n:
-            body = lines[i].strip()
-            i += 1
-            if body == "end":
-                closed = True
-                break
-            if body.startswith("dim "):
-                dim = int(body[4:])
-            elif body.startswith("mult "):
-                _, wtext, mtext = body.split()
-                mults[_parse_weight(wtext)] = int(mtext)
-            else:
-                raise ValueError(f"malformed record line: {body!r}")
-        if not closed or dim is None:
-            raise ValueError("truncated record")
-        if version != CACHE_FORMAT_VERSION:
-            continue  # stale format: ignored, not an error
-        ws = WeightSystem(highest=highest, mults=mults, dim=dim)
-        records[(family, rank, highest)] = CacheRecord(
-            key=(family, rank, highest), value=ws, format_version=version
-        )
-    return records
-
-
-def _load_all(path: Path) -> dict[tuple[str, int, Weight], CacheRecord]:
-    if not path.exists():
-        return {}
-    try:
-        return _parse_cache_text(path.read_text())
-    except (ValueError, OSError) as exc:
-        warnings.warn(f"ignoring corrupt weight-system cache {path}: {exc}")
-        return {}
-
-
-def cache_load(
-    cache_dir: str | Path, family: str, rank: int, highest: Sequence[int]
-) -> Optional[CacheRecord]:
-    """Load one record; any corruption or version skew is a cache miss."""
-    path = _cache_path(cache_dir, family, rank)
-    return _load_all(path).get((family, rank, tuple(int(c) for c in highest)))
-
-
-def cache_store(cache_dir: str | Path, record: CacheRecord) -> Path:
-    """Insert or replace one record, rewriting the file atomically.
-
-    Readers concurrent with a store see either the old or the new file,
-    never a torn one (single-writer contract).
-    """
-    family, rank, _ = record.key
-    path = _cache_path(cache_dir, family, rank)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    records = _load_all(path)
-    records[record.key] = record
-    lines: list[str] = []
-    for key in sorted(records):
-        lines.extend(_record_lines(records[key]))
-    payload = "\n".join(lines) + "\n"
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-    return path

@@ -2,13 +2,19 @@
 
 These deliberately avoid the code paths they check: positive roots are
 regenerated by reflection closure instead of the explicit family tables,
-and weight multiplicities come from decomposing tensor powers of hand-coded
-fundamental characters instead of the Freudenthal recursion.
+weight multiplicities come from decomposing tensor powers of hand-coded
+fundamental characters instead of the Freudenthal recursion, and Hermite
+inner products come from floating-point Gauss-Hermite quadrature instead
+of the exact Fock-space tables.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+
+import numpy as np
+from numpy.polynomial import hermite as nph
+
 from symdol.rootsys import (
     RootSystem,
     is_nonneg_root_combination,
@@ -121,3 +127,35 @@ def oracle_weight_system(rs: RootSystem, gamma: tuple[int, ...]) -> dict:
     assert all(m > 0 for m in result.values())
     _IRREP_MEMO[key] = result
     return dict(result)
+
+
+# ---------------------------------------------------------------------------
+# Gauss-Hermite quadrature oracle (float)
+# ---------------------------------------------------------------------------
+
+_QUAD_NODES = 64
+
+
+def _hermite_function_inner(c1: np.ndarray, c2: np.ndarray) -> float:
+    """integral of (p1 e^{-t^2/2})(p2 e^{-t^2/2}) with p_i in the physicists'
+    Hermite basis, by Gauss-Hermite quadrature (exact to machine precision
+    for the degrees used here)."""
+    x, w = nph.hermgauss(_QUAD_NODES)
+    return float(np.sum(w * nph.hermval(x, c1) * nph.hermval(x, c2)))
+
+
+def hermite_coefficients(m: int) -> np.ndarray:
+    """h_m in the basis {H_k e^{-t^2/2}}: h_m = (-1)^m H_m e^{-t^2/2}."""
+    c = np.zeros(m + 1)
+    c[m] = (-1.0) ** m
+    return c
+
+
+def hermite_quadrature_oracle(m: int, mp: int) -> float:
+    """Numerical integral of h_m h_mp over R.
+
+    On the diagonal this is sqrt(pi) * 2^m * m!, factorial included.
+    """
+    if not (0 <= m <= 12 and 0 <= mp <= 12):
+        raise ValueError("oracle supports 0 <= m, m' <= 12")
+    return _hermite_function_inner(hermite_coefficients(m), hermite_coefficients(mp))

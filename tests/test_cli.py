@@ -1,8 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from symdol import reps
 from symdol.cli import main
+from symdol.reps import weight_system
+from symdol.rootsys import build_root_system
 
 
 def run_cli(capsys, *argv):
@@ -203,12 +210,45 @@ def test_cp1_byte_identical_repeat(capsys):
     assert first == second
 
 
-def test_cache_env_var_override(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("SYMDOL_CACHE_DIR", str(tmp_path / "envcache"))
-    code, out, _ = run_cli(capsys, "spectrum", "--family", "A", "--rank", "1",
-                           "--mu", "0", "--cutoff", "1", "--format", "json")
-    assert code == 0
-    assert (tmp_path / "envcache" / "A1.wsv").exists()
+def _tree(root):
+    return {
+        str(p.relative_to(root)): p.read_bytes() if p.is_file() else None
+        for p in root.rglob("*")
+    }
+
+
+def test_cache_flags_and_env_var_are_inert(tmp_path, capsys, monkeypatch):
+    # a well-formed record of the old cache format with dim 7 -> 8; read
+    # back, it would turn the B3 row 3/5,7 into 3/5,8
+    ws = weight_system(build_root_system("B", 3), (1, 0, 0))
+    lines = ["record v1 B 3 1,0,0", "dim 8"]
+    lines += [f"mult {','.join(map(str, w))} {m}" for w, m in sorted(ws.mults.items())]
+    lines.append("end")
+    flag_dir, env_dir = tmp_path / "flag", tmp_path / "env"
+    for d in (flag_dir, env_dir):
+        d.mkdir()
+        (d / "B3.wsv").write_text("\n".join(lines) + "\n")
+    monkeypatch.setenv("SYMDOL_CACHE_DIR", str(env_dir))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    before = _tree(tmp_path)
+    args = ("spectrum", "--family", "B", "--rank", "3", "--mu", "0,0,0",
+            "--cutoff", "1", "--format", "json")
+    _, reference, _ = run_cli(capsys, *args, "--no-cache")
+    _, via_flag, _ = run_cli(capsys, *args, "--cache-dir", str(flag_dir))
+    _, via_env, _ = run_cli(capsys, *args)
+    assert '{"lambda":"3/5","total":7,' in reference
+    assert via_flag == via_env == reference
+    assert _tree(tmp_path) == before
+
+
+def test_cli_import_does_not_load_numpy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c", "import symdol.cli, sys; print('numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "False"
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +262,17 @@ def test_contract_violation_exits_2(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert code == 2
     assert "contract violation" in captured.err
+
+
+def test_broken_weight_system_invariant_exits_2(capsys, monkeypatch):
+    true_dimension = reps.weyl_dimension
+    monkeypatch.setattr(reps, "weyl_dimension",
+                        lambda rs, gamma: true_dimension(rs, gamma) + 1)
+    code, _, err = run_cli(capsys, "irrep", "--family", "A", "--rank", "2",
+                           "--weight", "1,1")
+    assert code == 2
+    assert "contract violation" in err
+    assert "A2: weight system of V_(1, 1) sums to 8" in err and "gives 9" in err
 
 
 def test_cp1_bad_parity_is_usage_error(capsys):

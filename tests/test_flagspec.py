@@ -160,10 +160,8 @@ def test_spectrum_rejects_non_dominant_mu():
         p_spectrum(A2, (-1, 0), 1)
 
 
-def test_spectrum_deterministic_and_cache_neutral(tmp_path):
-    t1 = p_spectrum(B3, (0, 0, 0), Fraction(6, 5))
-    t2 = p_spectrum(B3, (0, 0, 0), Fraction(6, 5), cache_dir=tmp_path)   # cold cache
-    t3 = p_spectrum(B3, (0, 0, 0), Fraction(6, 5), cache_dir=tmp_path)   # warm cache
+def test_spectrum_deterministic_and_cache_neutral():
+    t1, t2, t3 = (p_spectrum(B3, (0, 0, 0), Fraction(6, 5)) for _ in range(3))
     s1, s2, s3 = (json.dumps(spectrum_to_jsonable(t)) for t in (t1, t2, t3))
     assert s1 == s2 == s3
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import hermite as nph
 
+import oracles
 from symdol import fock
 from symdol.gaussian import gq
 
@@ -230,14 +231,14 @@ def test_sigma_z_matrix_adjoint_is_minus_sigma_zbar():
 # ---------------------------------------------------------------------------
 
 def test_quadrature_oracle_values():
-    assert close(fock.hermite_quadrature_oracle(0, 0), math.sqrt(math.pi))
-    assert close(fock.hermite_quadrature_oracle(1, 2), 0.0)
-    assert close(fock.hermite_quadrature_oracle(3, 3), math.sqrt(math.pi) * 8 * 6)
+    assert close(oracles.hermite_quadrature_oracle(0, 0), math.sqrt(math.pi))
+    assert close(oracles.hermite_quadrature_oracle(1, 2), 0.0)
+    assert close(oracles.hermite_quadrature_oracle(3, 3), math.sqrt(math.pi) * 8 * 6)
 
 
 def test_quadrature_oracle_range_checked():
     with pytest.raises(ValueError):
-        fock.hermite_quadrature_oracle(13, 0)
+        oracles.hermite_quadrature_oracle(13, 0)
 
 
 @pytest.mark.parametrize("m", range(0, 9))
@@ -245,7 +246,7 @@ def test_inner_product_matches_quadrature(m):
     for mp in range(0, 9):
         exact = fock.inner_product(fock.basis_vector(1, (m,)), fock.basis_vector(1, (mp,)))
         assert exact.is_real()
-        scaled = fock.hermite_quadrature_oracle(m, mp) / (2 * math.sqrt(math.pi))
+        scaled = oracles.hermite_quadrature_oracle(m, mp) / (2 * math.sqrt(math.pi))
         assert close(float(exact.re), scaled), (m, mp)
 
 
@@ -261,22 +262,22 @@ def _padded_sum(c1, c2):
 def test_hermite_recurrences_weakly(m):
     # (t - d/dt) h_m = -h_{m+1} and (t + d/dt) h_m = -2m h_{m-1},
     # tested via quadrature inner products against h_0 ... h_12
-    cm = fock.hermite_coefficients(m)
+    cm = oracles.hermite_coefficients(m)
     up = _padded_sum(2 * nph.hermmulx(cm), -nph.hermder(cm))  # (t - d/dt) h_m
     down = nph.hermder(cm)                                    # (t + d/dt) h_m
-    up_expected = -fock.hermite_coefficients(m + 1)
+    up_expected = -oracles.hermite_coefficients(m + 1)
     down_expected = (
-        -2 * m * fock.hermite_coefficients(m - 1) if m >= 1 else np.zeros(1)
+        -2 * m * oracles.hermite_coefficients(m - 1) if m >= 1 else np.zeros(1)
     )
     for k in range(0, 13):
-        ck = fock.hermite_coefficients(k)
+        ck = oracles.hermite_coefficients(k)
         assert close(
-            fock._hermite_function_inner(up, ck),
-            fock._hermite_function_inner(up_expected, ck),
+            oracles._hermite_function_inner(up, ck),
+            oracles._hermite_function_inner(up_expected, ck),
         )
         assert close(
-            fock._hermite_function_inner(down, ck),
-            fock._hermite_function_inner(down_expected, ck),
+            oracles._hermite_function_inner(down, ck),
+            oracles._hermite_function_inner(down_expected, ck),
         )
 
 

@@ -1,15 +1,9 @@
 import random
-import threading
-import time
 from fractions import Fraction
 
 import pytest
 
-from symdol import reps
 from symdol.reps import (
-    CacheRecord,
-    cache_load,
-    cache_store,
     casimir_value,
     dominant_weights_with_norm_bound,
     weight_multiplicity,
@@ -192,80 +186,6 @@ def test_enumeration_complete_against_box_scan():
             t = (a + 1, b + 1)
             inside = killing_dual_form(rs, t, t) <= bound
             assert ((a, b) in out) == inside
-
-
-# ---------------------------------------------------------------------------
-# cache
-# ---------------------------------------------------------------------------
-
-def test_cache_round_trip(tmp_path):
-    ws = weight_system(A2, (1, 1), cache_dir=tmp_path)
-    rec = cache_load(tmp_path, "A", 2, (1, 1))
-    assert rec is not None
-    assert rec.value == ws
-    assert rec.format_version == reps.CACHE_FORMAT_VERSION
-    # second call is served from disk and identical
-    assert weight_system(A2, (1, 1), cache_dir=tmp_path) == ws
-
-
-def test_cache_stale_version_is_a_miss(tmp_path):
-    ws = weight_system(A2, (2, 0))
-    cache_store(tmp_path, CacheRecord(key=("A", 2, (2, 0)), value=ws, format_version=0))
-    assert cache_load(tmp_path, "A", 2, (2, 0)) is None
-
-
-def test_cache_corrupt_file_reported_and_recomputed(tmp_path):
-    path = tmp_path / "A2.wsv"
-    path.write_text("record v1 A 2 1,1\ndim 8\ngarbage line\n")
-    with pytest.warns(UserWarning, match="corrupt"):
-        assert cache_load(tmp_path, "A", 2, (1, 1)) is None
-    with pytest.warns(UserWarning, match="corrupt"):
-        ws = weight_system(A2, (1, 1), cache_dir=tmp_path)
-    assert ws.dim == 8
-
-
-def test_cache_concurrent_readers_never_see_torn_records(tmp_path):
-    gammas = [(k,) for k in range(0, 8)]
-    good = {g: weight_system(A1, g) for g in gammas}
-    stop = threading.Event()
-    errors: list[str] = []
-
-    def writer():
-        i = 0
-        while not stop.is_set():
-            g = gammas[i % len(gammas)]
-            cache_store(tmp_path, CacheRecord(key=("A", 1, g), value=good[g]))
-            i += 1
-
-    def reader():
-        path = tmp_path / "A1.wsv"
-        while not stop.is_set():
-            if not path.exists():
-                continue
-            try:
-                records = reps._parse_cache_text(path.read_text())
-            except ValueError as exc:
-                errors.append(f"torn read: {exc}")
-                return
-            for key, rec in records.items():
-                if rec.value != good[key[2]]:
-                    errors.append(f"wrong record for {key}")
-                    return
-
-    threads = [threading.Thread(target=writer)] + [
-        threading.Thread(target=reader) for _ in range(3)
-    ]
-    for t in threads:
-        t.start()
-    time.sleep(0.4)
-    stop.set()
-    for t in threads:
-        t.join()
-    assert errors == []
-    # final state readable and complete
-    for g in gammas:
-        rec = cache_load(tmp_path, "A", 1, g)
-        assert rec is not None and rec.value == good[g]
 
 
 @pytest.mark.parametrize("rs", [A2, B2, G2], ids=lambda r: r.name())

@@ -2,6 +2,9 @@
 
 Submodules
 ----------
+gaussian  exact Gaussian-rational numbers
+linalg    dense exact matrices over the Gaussian rationals: products, ranks
+errors    ContractViolation, raised when an internal invariant breaks
 rootsys   exact classical root systems and the dual Killing form
 reps      weight multiplicities, dimensions, Casimirs, bounded enumeration
 fock      truncated canonical quantization on Hermite products

@@ -217,79 +217,59 @@ def _cmd_distinguish(args) -> int:
     return 0
 
 
-def _cp1_block_jsonable(suite, include_matrices: bool) -> dict:
-    from .linalg import kernel_dimension, rank as mat_rank
-
-    lam = cp1.p_eigenvalue(suite)
+def _cp1_block_jsonable(block, include_matrices: bool) -> dict:
     entry = {
-        "level": suite.level,
-        "gamma": suite.gamma,
-        "j": suite.j,
-        "dim": suite.dim,
-        "lambda": str(lam),
-        "lambda_closed_form_ok": lam == cp1.lambda_lj(suite.level, suite.j),
-        "p_identity_ok": cp1.p_identity_holds(suite),
-        "rank_d": mat_rank(suite.d.matrix),
-        "rank_dbar": mat_rank(suite.dbar.matrix),
-        "ker_d": kernel_dimension(suite.d.matrix),
-        "ker_dbar": kernel_dimension(suite.dbar.matrix),
+        "level": block.level,
+        "gamma": block.gamma,
+        "j": block.j,
+        "dim": block.dim,
+        "lambda": str(block.eigenvalue),
+        "lambda_closed_form_ok": block.passed("closed-form lambda"),
+        "p_identity_ok": block.passed("P-identity"),
+        "rank_d": block.rank_d,
+        "rank_dbar": block.rank_dbar,
+        "ker_d": block.ker_d,
+        "ker_dbar": block.ker_dbar,
     }
     if include_matrices:
-        def triplets(block):
+        def triplets(matrix):
             out = []
-            for i, row in enumerate(block.matrix.rows):
+            for i, row in enumerate(matrix.rows):
                 for j, value in enumerate(row):
                     if value:
                         out.append([i, j, str(value)])
             return out
 
         entry["matrices"] = {
-            "d": triplets(suite.d),
-            "dbar": triplets(suite.dbar),
-            "h": triplets(suite.h),
-            "omega": triplets(suite.omega),
-            "p": triplets(suite.p),
+            "d": triplets(block.d),
+            "dbar": triplets(block.dbar),
+            "h": triplets(block.h),
+            "omega": triplets(block.omega),
+            "p": triplets(block.p),
         }
     return entry
 
 
 def _cmd_cp1(args) -> int:
-    if args.lmax < 0:
-        raise ValueError("lmax must be nonnegative")
-    levels = []
-    all_ok = True
-    for level in range(args.lmax + 1):
-        suites = cp1.build_operators(level, args.gamma_max)
-        blocks = [_cp1_block_jsonable(s, args.matrices) for s in suites]
-        ladders = [
-            cp1.verify_ladder(level, s.j, args.gamma_max)
-            for s in suites
-            if 2 * (level + s.j) + 1 <= args.gamma_max
-        ]
-        commutators = cp1.commutator_suite(level, args.gamma_max)
-        ker_dbar, ker_d = cp1.kernel_dimensions(level, args.gamma_max)
-        level_ok = (
-            all(b["lambda_closed_form_ok"] and b["p_identity_ok"] for b in blocks)
-            and all(r.ok for r in ladders)
-            and commutators.ok
-            and ker_dbar == 2 * level + 2
-            and (level == 0 or ker_d == 0)
-        )
-        all_ok = all_ok and level_ok
-        levels.append({
-            "level": level,
-            "blocks": blocks,
-            "ladders_ok": all(r.ok for r in ladders),
-            "commutators_ok": commutators.ok,
-            "ker_dbar": ker_dbar,
-            "ker_d": ker_d,
-            "status": "PASS" if level_ok else "FAIL",
-        })
+    report = cp1.verify(args.lmax, args.gamma_max)
+    failures = [f for lv in report for f in lv.failures]
+    levels = [
+        {
+            "level": lv.level,
+            "blocks": [_cp1_block_jsonable(b, args.matrices) for b in lv.blocks],
+            "ladders_ok": lv.ladders_ok,
+            "commutators_ok": lv.commutators_ok,
+            "ker_dbar": lv.ker_dbar,
+            "ker_d": lv.ker_d,
+            "status": "PASS" if lv.ok else "FAIL",
+        }
+        for lv in report
+    ]
     payload = {
         "lmax": args.lmax,
         "gamma_max": args.gamma_max,
         "levels": levels,
-        "status": "PASS" if all_ok else "FAIL",
+        "status": "FAIL" if failures else "PASS",
     }
     if args.format == "json":
         _emit_json(payload)
@@ -320,8 +300,8 @@ def _cmd_cp1(args) -> int:
         lines.append(f"overall: {payload['status']}")
         lines.append("* decimal values are approximate")
         _emit(lines)
-    if not all_ok:
-        raise ContractViolation("CP^1 verification reported FAIL")
+    if failures:
+        raise ContractViolation(f"CP^1 verification failed at {failures[0]}")
     return 0
 
 

@@ -21,8 +21,13 @@ V_gamma.  Both forces together leave |c|^2 = 1/8 with c * (-conj(c)) as the
 raising/lowering pair; all spectra, kernels, ranks and commutators below
 are independent of this residual phase choice.
 
-Every verification here is exact Gaussian-rational matrix algebra; any
-nonzero residual is a failure.
+`verify` builds each block once: per gamma it assembles D on levels
+0..lmax+2, Dbar, H and P on 0..lmax+1 (P from those D/Dbar neighbours) and
+Omega once, since Omega does not depend on the level.  The same pass reads
+those blocks for the eigenvalues, ranks, the P-identity and the ladder and
+commutator checks, and sums the ranks into each level's kernel ledger; a
+failure names its level, gamma, check and values.  Every verification is
+exact Gaussian-rational matrix algebra; any nonzero residual is a failure.
 """
 
 from __future__ import annotations
@@ -36,7 +41,6 @@ from .errors import ContractViolation
 from .gaussian import GaussianRational, gq
 from .linalg import (
     Mat,
-    kernel_dimension,
     mat_add,
     mat_from_rows,
     mat_mul,
@@ -133,27 +137,6 @@ def weight_line_index(level: int, gamma: int) -> int:
 
 
 @dataclass(frozen=True)
-class SectionBlock:
-    level: int
-    gamma: int
-
-    def __post_init__(self):
-        if not block_exists(self.level, self.gamma):
-            raise ValueError(
-                f"gamma = {self.gamma} carries no equivariant sections at level "
-                f"{self.level} (need odd gamma >= {2 * self.level + 1})"
-            )
-
-    @property
-    def j(self) -> int:
-        return (self.gamma - 1) // 2 - self.level
-
-    @property
-    def dim(self) -> int:
-        return self.gamma + 1
-
-
-@dataclass(frozen=True)
 class BlockOperator:
     source: tuple[int, int]      # (level, gamma)
     target: tuple[int, int]
@@ -214,50 +197,25 @@ def h_block(level: int, gamma: int) -> BlockOperator:
 
 
 def omega_block(level: int, gamma: int) -> BlockOperator:
-    """The Casimir, realized as a genuine matrix on the free V_gamma factor."""
+    """The Casimir, realized as a genuine matrix on the free V_gamma factor;
+    the same matrix at every level of the gamma ladder."""
     if block_dim(level, gamma) == 0:
         return BlockOperator((level, gamma), (level, gamma), zeros(0, 0))
     return BlockOperator((level, gamma), (level, gamma), sl2_casimir_matrix(sl2_irrep(gamma)))
 
 
-def p_block(level: int, gamma: int) -> BlockOperator:
-    """(1/2)(D Dbar - Dbar D) restricted to block(l, gamma).
+def p_block(level: int, gamma: int, d_up: Mat, dbar: Mat, dbar_down: Mat, d: Mat) -> BlockOperator:
+    """(1/2)(D Dbar - Dbar D) restricted to block(l, gamma), from the four
+    ladder maps touching it: dbar: l -> l+1, d_up: l+1 -> l, d: l -> l-1 and
+    dbar_down: l-1 -> l.
 
-    Compositions through missing neighbor blocks are zero maps, so the
-    commutator form is always assemblable.
+    A map through a missing neighbor block has an empty side, so its
+    composition is the zero map and the commutator form is always assemblable.
     """
-    dim = block_dim(level, gamma)
-    if dim == 0:
-        return BlockOperator((level, gamma), (level, gamma), zeros(0, 0))
-    up_then_down = (
-        mat_mul(d_block(level + 1, gamma).matrix, dbar_block(level, gamma).matrix)
-        if block_dim(level + 1, gamma)
-        else zeros(dim, dim)
-    )
-    down_then_up = (
-        mat_mul(dbar_block(level - 1, gamma).matrix, d_block(level, gamma).matrix)
-        if block_dim(level - 1, gamma)
-        else zeros(dim, dim)
-    )
     return BlockOperator(
         (level, gamma), (level, gamma),
-        mat_scale(mat_sub(up_then_down, down_then_up), Fraction(1, 2)),
+        mat_scale(mat_sub(mat_mul(d_up, dbar), mat_mul(dbar_down, d)), Fraction(1, 2)),
     )
-
-
-@dataclass(frozen=True)
-class BlockSuite:
-    """All assembled operators touching one (level, gamma) block."""
-
-    level: int
-    gamma: int
-    j: int
-    dim: int
-    dbar: BlockOperator
-    d: BlockOperator
-    h: BlockOperator
-    omega: BlockOperator
-    p: BlockOperator
 
 
 def _require_gamma_max(gamma_max: int, level: int):
@@ -270,189 +228,166 @@ def _require_gamma_max(gamma_max: int, level: int):
         raise ValueError(f"gamma_max = {gamma_max} < 2*level+1 = {2 * level + 1}")
 
 
-def build_operators(level: int, gamma_max: int) -> tuple[BlockSuite, ...]:
-    """Assemble Dbar, D, H, Omega, P for every block of the given level with
-    gamma <= gamma_max."""
-    if level < 0:
-        raise ValueError("level must be nonnegative")
-    _require_gamma_max(gamma_max, level)
-    suites = []
-    for gamma in range(2 * level + 1, gamma_max + 1, 2):
-        block = SectionBlock(level, gamma)
-        suites.append(
-            BlockSuite(
-                level=level,
-                gamma=gamma,
-                j=block.j,
-                dim=block.dim,
-                dbar=dbar_block(level, gamma),
-                d=d_block(level, gamma),
-                h=h_block(level, gamma),
-                omega=omega_block(level, gamma),
-                p=p_block(level, gamma),
-            )
-        )
-    return tuple(suites)
-
-
-def p_eigenvalue(suite: BlockSuite) -> Fraction:
-    """The (exact) scalar by which P acts on the block; contract-checked."""
-    value = scalar_identity_value(suite.p.matrix)
-    if value is None or not value.is_real():
-        raise ContractViolation(
-            f"P is not a real scalar on block (level={suite.level}, gamma={suite.gamma})"
-        )
-    return value.re
-
-
-def p_identity_holds(suite: BlockSuite) -> bool:
-    """P == -Omega - (3/2) H^2, blockwise and exactly."""
-    h2 = mat_mul(suite.h.matrix, suite.h.matrix)
-    rhs = mat_sub(
-        mat_scale(suite.omega.matrix, -1),
-        mat_scale(h2, Fraction(3, 2)),
-    )
-    return suite.p.matrix == rhs
-
-
 # ---------------------------------------------------------------------------
-# ladder and commutator verification
+# the verification pass
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class LadderReport:
-    level: int
-    j: int
-    gamma: int
-    dim: int
-    rank_d: Optional[int]          # None when level = 0 (map out of the vacuum)
-    rank_dbar: Optional[int]       # None when j = 0 (map into nothing)
-    dbar_annihilates: Optional[bool]  # populated when j = 0
-    gamma_n: int
-    gamma_n_dim: int
-    ok: bool
+class BlockReport:
+    """The operators on one (level, gamma) block and the checks run on them.
 
-
-def verify_ladder(level: int, j: int, gamma_max: int) -> LadderReport:
-    """Rank bookkeeping for D: G_{l,j} -> G_{l-1,j+1} and
-    Dbar: G_{l,j} -> G_{l+1,j-1}, plus the dimension of the diagonal sum
-    over l + j = N."""
-    gamma = 2 * (level + j) + 1
-    _require_gamma_max(gamma_max, level)
-    if gamma > gamma_max:
-        raise ValueError(f"gamma = {gamma} exceeds gamma_max = {gamma_max}")
-    dim = block_dim(level, gamma)
-    expected = 2 * (level + j + 1)
-    ok = dim == expected
-
-    rank_d = None
-    if level >= 1:
-        rank_d = rank(d_block(level, gamma).matrix)
-        ok = ok and rank_d == expected
-    rank_dbar = None
-    annihilates = None
-    if j >= 1:
-        rank_dbar = rank(dbar_block(level, gamma).matrix)
-        ok = ok and rank_dbar == expected
-    else:
-        annihilates = dbar_block(level, gamma).matrix.nrows == 0 or rank(
-            dbar_block(level, gamma).matrix
-        ) == 0
-        ok = ok and annihilates
-
-    n_total = level + j
-    gamma_n_dim = sum(block_dim(lp, 2 * n_total + 1) for lp in range(n_total + 1))
-    ok = ok and gamma_n_dim == 2 * (n_total + 1) ** 2
-    return LadderReport(
-        level=level,
-        j=j,
-        gamma=gamma,
-        dim=dim,
-        rank_d=rank_d,
-        rank_dbar=rank_dbar,
-        dbar_annihilates=annihilates,
-        gamma_n=n_total,
-        gamma_n_dim=gamma_n_dim,
-        ok=ok,
-    )
-
-
-@dataclass(frozen=True)
-class CommutatorChecks:
-    gamma: int
-    h_d: bool          # [H, D] = D
-    h_dbar: bool       # [H, Dbar] = -Dbar
-    p_d: bool          # [P, D] = -3 D H - (3/2) D
-    p_dbar: bool       # [P, Dbar] = 3 Dbar H - (3/2) Dbar
-
-    @property
-    def ok(self) -> bool:
-        return self.h_d and self.h_dbar and self.p_d and self.p_dbar
-
-
-@dataclass(frozen=True)
-class CommutatorReport:
-    level: int
-    gamma_max: int
-    checks: tuple[CommutatorChecks, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-
-def commutator_suite(level: int, gamma_max: int) -> CommutatorReport:
-    """Verify the four commutation identities exactly on every block."""
-    if level < 0:
-        raise ValueError("level must be nonnegative")
-    _require_gamma_max(gamma_max, level)
-    checks = []
-    for gamma in range(2 * level + 1, gamma_max + 1, 2):
-        d = d_block(level, gamma).matrix
-        dbar = dbar_block(level, gamma).matrix
-        h_here = h_block(level, gamma).matrix
-        h_down = h_block(level - 1, gamma).matrix
-        h_up = h_block(level + 1, gamma).matrix
-        p_here = p_block(level, gamma).matrix
-        p_down = p_block(level - 1, gamma).matrix
-        p_up = p_block(level + 1, gamma).matrix
-
-        h_d = mat_sub(mat_mul(h_down, d), mat_mul(d, h_here)) == d
-        h_dbar = mat_sub(mat_mul(h_up, dbar), mat_mul(dbar, h_here)) == mat_scale(dbar, -1)
-        p_d_lhs = mat_sub(mat_mul(p_down, d), mat_mul(d, p_here))
-        p_d_rhs = mat_sub(
-            mat_scale(mat_mul(d, h_here), -3), mat_scale(d, Fraction(3, 2))
-        )
-        p_dbar_lhs = mat_sub(mat_mul(p_up, dbar), mat_mul(dbar, p_here))
-        p_dbar_rhs = mat_sub(
-            mat_scale(mat_mul(dbar, h_here), 3), mat_scale(dbar, Fraction(3, 2))
-        )
-        checks.append(
-            CommutatorChecks(
-                gamma=gamma,
-                h_d=h_d,
-                h_dbar=h_dbar,
-                p_d=p_d_lhs == p_d_rhs,
-                p_dbar=p_dbar_lhs == p_dbar_rhs,
-            )
-        )
-    return CommutatorReport(level, gamma_max, tuple(checks))
-
-
-# ---------------------------------------------------------------------------
-# kernel ledger
-# ---------------------------------------------------------------------------
-
-def kernel_dimensions(level: int, gamma_max: int) -> tuple[int, int]:
-    """(dim ker Dbar, dim ker D) at the given level over blocks <= gamma_max.
-
-    Per-block results are exact; blocks beyond gamma_max are not inspected,
-    which is the caller's truncation responsibility.
+    failures maps each failed check ("closed-form lambda", "P-identity",
+    "ladder", "commutators") to the values that broke it.
     """
-    _require_gamma_max(gamma_max, level)
-    ker_dbar = 0
-    ker_d = 0
-    for gamma in range(2 * level + 1, gamma_max + 1, 2):
-        ker_dbar += kernel_dimension(dbar_block(level, gamma).matrix)
-        ker_d += kernel_dimension(d_block(level, gamma).matrix)
-    return ker_dbar, ker_d
+
+    level: int
+    gamma: int
+    j: int
+    dim: int
+    d: Mat
+    dbar: Mat
+    h: Mat
+    omega: Mat
+    p: Mat
+    eigenvalue: Fraction
+    rank_d: int
+    rank_dbar: int
+    failures: dict[str, str]
+
+    def passed(self, check: str) -> bool:
+        return check not in self.failures
+
+    @property
+    def ker_d(self) -> int:
+        return self.dim - self.rank_d
+
+    @property
+    def ker_dbar(self) -> int:
+        return self.dim - self.rank_dbar
+
+
+@dataclass(frozen=True)
+class LevelReport:
+    level: int
+    blocks: tuple[BlockReport, ...]
+    ker_dbar: int
+    ker_d: int
+    failures: tuple[str, ...]    # each names the gamma (if any), the check and the values
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
+    @property
+    def ladders_ok(self) -> bool:
+        return all(b.passed("ladder") for b in self.blocks)
+
+    @property
+    def commutators_ok(self) -> bool:
+        return all(b.passed("commutators") for b in self.blocks)
+
+
+def _differ(identity: str, lhs: Mat, rhs: Mat) -> Optional[str]:
+    """None when lhs == rhs, else the identity and its first differing entry."""
+    if lhs == rhs:
+        return None
+    r, c = next((r, c) for r in range(lhs.nrows) for c in range(lhs.ncols)
+                if lhs.rows[r][c] != rhs.rows[r][c])
+    return f"{identity}: entry ({r}, {c}) is {lhs.rows[r][c]} on the left, {rhs.rows[r][c]} on the right"
+
+
+def _gamma_blocks(lmax: int, gamma: int) -> list[BlockReport]:
+    """Check the blocks (level, gamma), level <= lmax, of one gamma ladder.
+
+    D is built on levels 0..lmax+2 and Dbar, H, P on 0..lmax+1 (as far as
+    the ladder reaches), each once: P one level up enters the [P, Dbar]
+    check and needs D two levels up.
+    """
+    top = (gamma - 1) // 2        # highest level with a gamma block; j = top - level
+    dim = gamma + 1
+    into_missing = zeros(dim, 0)  # a map out of a missing neighbor block
+    empty = zeros(0, 0)           # H or P on a missing neighbor block
+    reach = min(lmax + 1, top) + 1
+    d = [d_block(l, gamma).matrix for l in range(min(lmax + 2, top) + 1)]
+    dbar = [dbar_block(l, gamma).matrix for l in range(reach)]
+    h = [h_block(l, gamma).matrix for l in range(reach)]
+    omega = omega_block(0, gamma).matrix
+    p = [
+        p_block(l, gamma, d[l + 1] if l < top else into_missing, dbar[l],
+                dbar[l - 1] if l else into_missing, d[l]).matrix
+        for l in range(reach)
+    ]
+
+    gamma_n_dim = sum(block_dim(lp, gamma) for lp in range(top + 1))
+    reports = []
+    for l in range(min(lmax, top) + 1):
+        j = top - l
+        h_down, p_down = (h[l - 1], p[l - 1]) if l else (empty, empty)
+        h_up, p_up = (h[l + 1], p[l + 1]) if l < top else (empty, empty)
+        lam = scalar_identity_value(p[l])
+        if lam is None or not lam.is_real():
+            raise ContractViolation(f"P is not a real scalar on block (level={l}, gamma={gamma})")
+        lam = lam.re
+        rank_d, rank_dbar = rank(d[l]), rank(dbar[l])
+
+        d_h, dbar_h = mat_mul(d[l], h[l]), mat_mul(dbar[l], h[l])
+        ranks = (rank_d, rank_dbar, gamma_n_dim)
+        expected = (dim if l else 0, dim if j else 0, 2 * (top + 1) ** 2)
+        checks = {
+            "closed-form lambda":
+                None if lam == lambda_lj(l, j) else f"P = {lam}, lambda_lj = {lambda_lj(l, j)}",
+            "P-identity": _differ(
+                "P = -Omega - (3/2) H^2", p[l],
+                mat_sub(mat_scale(omega, -1), mat_scale(mat_mul(h[l], h[l]), Fraction(3, 2)))),
+            "ladder": None if ranks == expected else
+                f"(rank D, rank Dbar, dim Gamma_{top}) = {ranks}, expected {expected}",
+            "commutators": (
+                _differ("[H, D] = D", mat_sub(mat_mul(h_down, d[l]), d_h), d[l])
+                or _differ("[H, Dbar] = -Dbar", mat_sub(mat_mul(h_up, dbar[l]), dbar_h),
+                           mat_scale(dbar[l], -1))
+                or _differ("[P, D] = -3 D H - (3/2) D",
+                           mat_sub(mat_mul(p_down, d[l]), mat_mul(d[l], p[l])),
+                           mat_sub(mat_scale(d_h, -3), mat_scale(d[l], Fraction(3, 2))))
+                or _differ("[P, Dbar] = 3 Dbar H - (3/2) Dbar",
+                           mat_sub(mat_mul(p_up, dbar[l]), mat_mul(dbar[l], p[l])),
+                           mat_sub(mat_scale(dbar_h, 3), mat_scale(dbar[l], Fraction(3, 2))))
+            ),
+        }
+        reports.append(BlockReport(
+            level=l, gamma=gamma, j=j, dim=dim, d=d[l], dbar=dbar[l], h=h[l], omega=omega,
+            p=p[l], eigenvalue=lam, rank_d=rank_d, rank_dbar=rank_dbar,
+            failures={check: values for check, values in checks.items() if values},
+        ))
+    return reports
+
+
+def verify(lmax: int, gamma_max: int) -> tuple[LevelReport, ...]:
+    """Assemble and check every block of levels 0..lmax with gamma <= gamma_max,
+    and each level's kernel ledger ker Dbar = 2l+2, ker D = 0 (l >= 1).
+
+    Blocks beyond gamma_max are not inspected, which is the caller's
+    truncation responsibility.
+    """
+    if lmax < 0:
+        raise ValueError("lmax must be nonnegative")
+    _require_gamma_max(gamma_max, lmax)
+    by_level = [[] for _ in range(lmax + 1)]
+    for gamma in range(1, gamma_max + 1, 2):
+        for block in _gamma_blocks(lmax, gamma):
+            by_level[block.level].append(block)
+
+    levels = []
+    for level, blocks in enumerate(by_level):
+        ker_dbar = sum(b.ker_dbar for b in blocks)
+        ker_d = sum(b.ker_d for b in blocks)
+        failures = [
+            f"level {level}, gamma {b.gamma}: {check} failed: {values}"
+            for b in blocks for check, values in b.failures.items()
+        ]
+        if ker_dbar != 2 * level + 2:
+            failures.append(f"level {level}: ker Dbar != 2l+2: ker Dbar = {ker_dbar} "
+                            f"over gamma <= {gamma_max}, 2l+2 = {2 * level + 2}")
+        if level >= 1 and ker_d != 0:
+            failures.append(f"level {level}: ker D != 0: ker D = {ker_d} over gamma <= {gamma_max}")
+        levels.append(LevelReport(level, tuple(blocks), ker_dbar, ker_d, tuple(failures)))
+    return tuple(levels)

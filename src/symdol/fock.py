@@ -185,7 +185,7 @@ def inner_product(v: FockVector, w: FockVector) -> GaussianRational:
     total = ZERO
     small, big = (v.terms, w.terms) if len(v.terms) <= len(w.terms) else (w.terms, v.terms)
     for beta in small:
-        if beta in v.terms and beta in w.terms:
+        if beta in big:
             total = total + v.terms[beta] * w.terms[beta].conjugate() * basis_norm_sq(beta)
     return total
 

@@ -44,7 +44,7 @@ def index(query: IndexQuery) -> int:
 
 def canonical_sections(genus: int) -> int:
     """Dimension of the space of holomorphic sections of the canonical line
-    bundle: g, recovered from the level-1 Fock index at the given genus."""
+    bundle: the genus g itself, returned as given (no index is evaluated)."""
     if genus < 0:
         raise ValueError("genus must be nonnegative")
     return genus
@@ -77,8 +77,8 @@ def cp1_consistency(level: int, gamma_max: int) -> ConsistencyReport:
     value = index(IndexQuery(genus=0, level=level, spinor_kind="metaplectic"))
     if gamma_max < 2 * level + 3:
         return ConsistencyReport(level, gamma_max, value, None, None, False, None)
-    ker_dbar, _ = cp1.kernel_dimensions(level, gamma_max)
-    _, ker_d_next = cp1.kernel_dimensions(level + 1, gamma_max)
+    levels = cp1.verify(level + 1, gamma_max)
+    ker_dbar, ker_d_next = levels[level].ker_dbar, levels[level + 1].ker_d
     return ConsistencyReport(
         level,
         gamma_max,

@@ -20,7 +20,7 @@ import numpy as np
 from symdol import cp1, flagspec, fock, surface
 from symdol.cli import main as cli_main
 from symdol.gaussian import gq
-from symdol.linalg import kernel_dimension, mat_sub, rank, scalar_matrix
+from symdol.linalg import kernel_dimension, mat_mul, mat_scale, mat_sub, rank, scalar_matrix
 from symdol.reps import casimir_value, weight_system, weyl_dimension
 from symdol.rootsys import build_root_system, rho
 from symdol.linalg import scalar_identity_value
@@ -197,29 +197,31 @@ def test_criterion_08_cp1_matrix_engine():
     """P = -Omega - (3/2)H^2; [H,D] = D; [H,Dbar] = -Dbar; kernel and rank
     ledger; sum of diagonal blocks = 2(N+1)^2 for N <= 4 - all exact."""
     gamma_max = 13
-    for level in range(0, 5):
-        suites = cp1.build_operators(level, gamma_max)
-        for suite in suites:
-            assert cp1.p_identity_holds(suite), (level, suite.gamma)
-            lam = cp1.p_eigenvalue(suite)
-            assert lam == cp1.lambda_lj(level, suite.j)
-            diff = mat_sub(suite.p.matrix, scalar_matrix(suite.dim, gq(lam)))
+    report = cp1.verify(4, gamma_max)
+    for level, lv in enumerate(report):
+        for block in lv.blocks:
+            h2 = mat_mul(block.h, block.h)
+            rhs = mat_sub(mat_scale(block.omega, -1), mat_scale(h2, Fraction(3, 2)))
+            assert block.p == rhs, (level, block.gamma)
+            assert block.passed("P-identity"), (level, block.gamma)
+            lam = block.eigenvalue
+            assert lam == cp1.lambda_lj(level, block.j)
+            diff = mat_sub(block.p, scalar_matrix(block.dim, gq(lam)))
             assert rank(diff) == 0
             if level >= 1:
-                assert rank(suite.d.matrix) == 2 * (level + suite.j + 1)
-                assert kernel_dimension(suite.d.matrix) == 0
-            if suite.j >= 1:
-                assert rank(suite.dbar.matrix) == 2 * (level + suite.j + 1)
+                assert rank(block.d) == 2 * (level + block.j + 1)
+                assert kernel_dimension(block.d) == 0
+            if block.j >= 1:
+                assert rank(block.dbar) == 2 * (level + block.j + 1)
             else:
-                assert kernel_dimension(suite.dbar.matrix) == suite.dim
-        report = cp1.commutator_suite(level, gamma_max)
-        assert report.ok
-        ker_dbar, ker_d = cp1.kernel_dimensions(level, gamma_max)
-        assert ker_dbar == 2 * level + 2
+                assert kernel_dimension(block.dbar) == block.dim
+        assert lv.ladders_ok and lv.commutators_ok
+        assert lv.ker_dbar == 2 * level + 2
         if level >= 1:
-            assert ker_d == 0
+            assert lv.ker_d == 0
         # kernel of Dbar concentrated in gamma = 2 level + 1
         assert kernel_dimension(cp1.dbar_block(level, 2 * level + 1).matrix) == 2 * level + 2
+    assert all(lv.ok for lv in report)
     for n_total in range(0, 5):
         total = sum(
             cp1.block_dim(level, 2 * n_total + 1) for level in range(n_total + 1)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -6,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from symdol import reps
+from symdol import cp1, reps
 from symdol.cli import main
+from symdol.linalg import mat_scale
 from symdol.reps import weight_system
 from symdol.rootsys import build_root_system
 
@@ -203,6 +205,24 @@ def test_distinguish_byte_identical_repeat(tmp_path, capsys):
     assert first == second == third
 
 
+# SHA-256 of stdout, recorded before the CP^1 engine assembled each block once
+CP1_GOLDEN = [
+    (("--lmax", "2", "--gamma-max", "7", "--format", "table"),
+     "e39322bc5988bc90f65b8468cc4e685bf9769e9a39168651dc8b434345ea13cb"),
+    (("--lmax", "2", "--gamma-max", "7", "--format", "csv"),
+     "5640b9e6591a19c7ea77468c55ea1a6a00f3c1bae85805b6f5de235c1caba714"),
+    (("--lmax", "1", "--gamma-max", "5", "--format", "json", "--matrices"),
+     "680f5060d8cb6ad3fd3d826598b00059ddedbbd4379e5414a825f3f3dc0226e8"),
+]
+
+
+@pytest.mark.parametrize("args,digest", CP1_GOLDEN, ids=["table", "csv", "json-matrices"])
+def test_cp1_golden_output(capsys, args, digest):
+    code, out, _ = run_cli(capsys, "cp1", *args)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_cp1_byte_identical_repeat(capsys):
     args = ("cp1", "--lmax", "1", "--gamma-max", "9", "--format", "json")
     _, first, _ = run_cli(capsys, *args)
@@ -256,12 +276,18 @@ def test_cli_import_does_not_load_numpy():
 # ---------------------------------------------------------------------------
 
 def test_contract_violation_exits_2(capsys, monkeypatch):
-    import symdol.cli as cli_mod
-    monkeypatch.setattr(cli_mod.cp1, "p_identity_holds", lambda suite: False)
+    # doubling Omega (-3/8 -> -3/4 on V_1) breaks P = -Omega - (3/2) H^2:
+    # on block (0, 1) P = 0 while the right side becomes 3/4 - 3/8 = 3/8
+    true_omega = cp1.omega_block
+    monkeypatch.setattr(cp1, "omega_block", lambda level, gamma: cp1.BlockOperator(
+        (level, gamma), (level, gamma), mat_scale(true_omega(level, gamma).matrix, 2)))
     code = main(["cp1", "--lmax", "0", "--gamma-max", "3", "--format", "json"])
     captured = capsys.readouterr()
     assert code == 2
+    assert '"p_identity_ok":false' in captured.out
     assert "contract violation" in captured.err
+    assert ("level 0, gamma 1: P-identity failed: P = -Omega - (3/2) H^2: "
+            "entry (0, 0) is 0 on the left, 3/8 on the right") in captured.err
 
 
 def test_broken_weight_system_invariant_exits_2(capsys, monkeypatch):

@@ -67,74 +67,98 @@ def test_lambda_ladder_identity(l, j):
 GAMMA_MAX = 13
 
 
-@pytest.mark.parametrize("level", range(0, 5))
-def test_p_spectrum_blockwise(level):
-    for suite in cp1.build_operators(level, GAMMA_MAX):
-        lam = cp1.p_eigenvalue(suite)
-        assert lam == cp1.lambda_lj(level, suite.j)
-        assert suite.dim == 2 * (level + suite.j + 1)
+@pytest.fixture(scope="module")
+def report():
+    return cp1.verify(4, GAMMA_MAX)
+
+
+def _blocks(report):
+    return {(b.level, b.gamma): b for lv in report for b in lv.blocks}
 
 
 @pytest.mark.parametrize("level", range(0, 5))
-def test_p_equals_minus_omega_minus_three_halves_h_squared(level):
-    for suite in cp1.build_operators(level, GAMMA_MAX):
-        assert cp1.p_identity_holds(suite)
+def test_p_spectrum_blockwise(report, level):
+    for block in report[level].blocks:
+        assert scalar_identity_value(block.p) == gq(block.eigenvalue)
+        assert block.eigenvalue == cp1.lambda_lj(level, block.j)
+        assert block.passed("closed-form lambda")
+        assert block.dim == 2 * (level + block.j + 1)
 
 
 @pytest.mark.parametrize("level", range(0, 5))
-def test_p_eigenvalue_multiplicity_via_rank(level):
+def test_p_equals_minus_omega_minus_three_halves_h_squared(report, level):
+    for block in report[level].blocks:
+        # the Casimir assembled once per gamma is the one at this level
+        assert block.omega == cp1.omega_block(level, block.gamma).matrix
+        h2 = mat_mul(block.h, block.h)
+        assert block.p == mat_sub(mat_scale(block.omega, -1), mat_scale(h2, Fraction(3, 2)))
+        assert block.passed("P-identity")
+
+
+@pytest.mark.parametrize("level", range(0, 5))
+def test_p_eigenvalue_multiplicity_via_rank(report, level):
     from symdol.linalg import scalar_matrix
-    for suite in cp1.build_operators(level, GAMMA_MAX):
-        lam = cp1.lambda_lj(level, suite.j)
-        diff = mat_sub(suite.p.matrix, scalar_matrix(suite.dim, gq(lam)))
+    for block in report[level].blocks:
+        lam = cp1.lambda_lj(level, block.j)
+        diff = mat_sub(block.p, scalar_matrix(block.dim, gq(lam)))
         assert rank(diff) == 0
-        assert kernel_dimension(diff) == suite.dim == 2 * (level + suite.j + 1)
+        assert kernel_dimension(diff) == block.dim == 2 * (level + block.j + 1)
 
 
-def test_kernels_concentrated_and_trivial():
-    for level in range(0, 5):
-        for suite in cp1.build_operators(level, GAMMA_MAX):
-            kb = kernel_dimension(suite.dbar.matrix)
-            assert kb == (suite.dim if suite.j == 0 else 0)
+def test_kernels_concentrated_and_trivial(report):
+    for level, lv in enumerate(report):
+        for block in lv.blocks:
+            kb = kernel_dimension(block.dbar)
+            assert kb == block.ker_dbar == (block.dim if block.j == 0 else 0)
             if level >= 1:
-                assert kernel_dimension(suite.d.matrix) == 0
-        ker_dbar, ker_d = cp1.kernel_dimensions(level, GAMMA_MAX)
-        assert ker_dbar == 2 * level + 2
+                assert kernel_dimension(block.d) == block.ker_d == 0
+        assert lv.ker_dbar == sum(kernel_dimension(b.dbar) for b in lv.blocks)
+        assert lv.ker_d == sum(kernel_dimension(b.d) for b in lv.blocks)
+        assert lv.ker_dbar == 2 * level + 2
         if level >= 1:
-            assert ker_d == 0
+            assert lv.ker_d == 0
+    assert all(lv.ok and lv.failures == () for lv in report)
 
 
-def test_build_operators_rejects_bad_truncation():
+def test_verify_rejects_bad_truncation():
     with pytest.raises(ValueError, match="parity"):
-        cp1.build_operators(0, 8)
+        cp1.verify(0, 8)
     with pytest.raises(ValueError, match="gamma_max"):
-        cp1.build_operators(3, 5)
+        cp1.verify(3, 5)
+    with pytest.raises(ValueError, match="nonnegative"):
+        cp1.verify(-1, 5)
 
 
 def test_block_requires_matching_parity():
-    with pytest.raises(ValueError, match="no equivariant sections"):
-        cp1.SectionBlock(0, 2)
-    with pytest.raises(ValueError, match="no equivariant sections"):
-        cp1.SectionBlock(2, 3)
+    assert not cp1.block_exists(0, 2)
+    assert not cp1.block_exists(2, 3)
+    with pytest.raises(ValueError, match="no block"):
+        cp1.d_block(0, 2)
+    with pytest.raises(ValueError, match="no block"):
+        cp1.dbar_block(2, 3)
 
 
 # ---------------------------------------------------------------------------
 # ladder maps
 # ---------------------------------------------------------------------------
 
-def test_ladder_reports():
-    rep = cp1.verify_ladder(2, 0, GAMMA_MAX)
-    assert rep.ok and rep.dbar_annihilates is True and rep.rank_dbar is None
-    rep = cp1.verify_ladder(1, 1, GAMMA_MAX)
-    assert rep.ok and rep.rank_d == 6 and rep.rank_dbar == 6
+def test_ladder_reports(report):
+    blocks = _blocks(report)
+    block = blocks[(2, 5)]    # j = 0: Dbar annihilates the block
+    assert block.passed("ladder") and block.j == 0
+    assert block.rank_dbar == 0 and block.dbar.nrows == 0
+    block = blocks[(1, 5)]
+    assert block.passed("ladder") and block.rank_d == 6 and block.rank_dbar == 6
+    assert all(lv.ladders_ok for lv in report)
 
 
 @pytest.mark.parametrize("n_total", range(0, 5))
 def test_gamma_n_dimension(n_total):
-    for level in range(0, n_total + 1):
-        rep = cp1.verify_ladder(level, n_total - level, 2 * n_total + 1)
-        assert rep.ok
-        assert rep.gamma_n_dim == 2 * (n_total + 1) ** 2
+    report = cp1.verify(n_total, 2 * n_total + 1)
+    diagonal = [b for lv in report for b in lv.blocks if b.gamma == 2 * n_total + 1]
+    assert [b.level for b in diagonal] == list(range(n_total + 1))
+    assert all(b.passed("ladder") for b in diagonal)
+    assert sum(b.dim for b in diagonal) == 2 * (n_total + 1) ** 2
 
 
 def test_ladder_bijectivity_explicit():
@@ -149,21 +173,31 @@ def test_ladder_bijectivity_explicit():
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("level", range(0, 5))
-def test_commutator_suite(level):
-    report = cp1.commutator_suite(level, GAMMA_MAX)
-    assert report.ok
-    assert len(report.checks) == (GAMMA_MAX - (2 * level + 1)) // 2 + 1
+def test_commutator_suite(report, level):
+    lv = report[level]
+    assert lv.commutators_ok
+    assert all(b.passed("commutators") for b in lv.blocks)
+    assert len(lv.blocks) == (GAMMA_MAX - (2 * level + 1)) // 2 + 1
 
 
-def test_p_d_commutator_consistent_with_ladder_shift():
+def test_p_d_commutator_consistent_with_ladder_shift(report):
     # [P, D] psi = (lambda_{l-1,j+1} - lambda_{l,j}) D psi = 3l D psi
+    blocks = _blocks(report)
     for level in (1, 2, 3):
         for gamma in range(2 * level + 1, GAMMA_MAX + 1, 2):
-            d = cp1.d_block(level, gamma).matrix
-            p_down = cp1.p_block(level - 1, gamma).matrix
-            p_here = cp1.p_block(level, gamma).matrix
+            d = blocks[(level, gamma)].d
+            p_down = blocks[(level - 1, gamma)].p
+            p_here = blocks[(level, gamma)].p
             lhs = mat_sub(mat_mul(p_down, d), mat_mul(d, p_here))
             assert lhs == mat_scale(d, 3 * level)
+
+
+def test_p_block_from_ladder_maps():
+    # P = (1/2)(D Dbar - Dbar D) from the neighbouring blocks, on block (1, 5)
+    d_up, dbar = cp1.d_block(2, 5).matrix, cp1.dbar_block(1, 5).matrix
+    dbar_down, d = cp1.dbar_block(0, 5).matrix, cp1.d_block(1, 5).matrix
+    p = cp1.p_block(1, 5, d_up, dbar, dbar_down, d).matrix
+    assert scalar_identity_value(p) == gq(cp1.lambda_lj(1, 1))
 
 
 # ---------------------------------------------------------------------------

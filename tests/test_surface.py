@@ -79,5 +79,6 @@ def test_index_matches_kernel_ledger_wherever_certified():
         gamma_max = 2 * level + 3
         report = cp1_consistency(level, gamma_max)
         assert report.certified and report.consistent
-        ker_dbar, _ = cp1.kernel_dimensions(level, gamma_max)
+        ker_dbar = cp1.verify(level, gamma_max)[level].ker_dbar
+        assert report.ker_dbar == ker_dbar
         assert index(IndexQuery(0, level, "metaplectic")) == ker_dbar

@@ -3,7 +3,7 @@
 Submodules
 ----------
 gaussian  exact Gaussian-rational numbers
-linalg    dense exact matrices over the Gaussian rationals: products, ranks
+linalg    the sparse exact matrix type (CP^1 blocks, Fock operators): products, ranks
 errors    ContractViolation, raised when an internal invariant breaks
 rootsys   exact classical root systems and the dual Killing form
 reps      weight multiplicities, dimensions, Casimirs, bounded enumeration

@@ -232,20 +232,12 @@ def _cp1_block_jsonable(block, include_matrices: bool) -> dict:
         "ker_dbar": block.ker_dbar,
     }
     if include_matrices:
-        def triplets(matrix):
-            out = []
-            for i, row in enumerate(matrix.rows):
-                for j, value in enumerate(row):
-                    if value:
-                        out.append([i, j, str(value)])
-            return out
-
         entry["matrices"] = {
-            "d": triplets(block.d),
-            "dbar": triplets(block.dbar),
-            "h": triplets(block.h),
-            "omega": triplets(block.omega),
-            "p": triplets(block.p),
+            "d": block.d.triplets(),
+            "dbar": block.dbar.triplets(),
+            "h": block.h.triplets(),
+            "omega": block.omega.triplets(),
+            "p": block.p.triplets(),
         }
     return entry
 

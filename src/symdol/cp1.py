@@ -38,7 +38,7 @@ from typing import Optional
 
 from . import fock
 from .errors import ContractViolation
-from .gaussian import GaussianRational, gq
+from .gaussian import GaussianRational, ZERO, gq
 from .linalg import (
     Mat,
     mat_add,
@@ -291,9 +291,9 @@ def _differ(identity: str, lhs: Mat, rhs: Mat) -> Optional[str]:
     """None when lhs == rhs, else the identity and its first differing entry."""
     if lhs == rhs:
         return None
-    r, c = next((r, c) for r in range(lhs.nrows) for c in range(lhs.ncols)
-                if lhs.rows[r][c] != rhs.rows[r][c])
-    return f"{identity}: entry ({r}, {c}) is {lhs.rows[r][c]} on the left, {rhs.rows[r][c]} on the right"
+    key = min(k for k in lhs.keys() | rhs.keys() if lhs.get(k, ZERO) != rhs.get(k, ZERO))
+    return (f"{identity}: entry {key} is {lhs.get(key, ZERO)} on the left, "
+            f"{rhs.get(key, ZERO)} on the right")
 
 
 def _gamma_blocks(lmax: int, gamma: int) -> list[BlockReport]:

@@ -21,6 +21,8 @@ normalizations omitting the factorial fail that relation, as the
 Gauss-Hermite quadrature oracle in the test suite confirms via
 integral(h_m^2) = sqrt(pi) 2^m m!.
 
+Operators between two levels are materialized as sparse :class:`linalg.Mat`
+matrices whose rows and columns follow the lex-ordered level bases.
 Coefficients are exact Gaussian rationals; there is no floating-point code.
 """
 
@@ -32,7 +34,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Mapping, Optional, Sequence
 
-from .gaussian import GaussianRational, ZERO, gq, gq_str
+from .gaussian import GaussianRational, ZERO, gq
+from .linalg import Mat, scalar_identity_value
 
 FockIndex = tuple[int, ...]
 
@@ -196,12 +199,13 @@ def inner_product(v: FockVector, w: FockVector) -> GaussianRational:
 
 @dataclass(frozen=True)
 class FockOperator:
-    """Sparse exact matrix between two levels (or level-preserving, None)."""
+    """Exact map E_source_level -> E_target_level; the matrix rows and columns
+    follow the level_indices order of the target and source levels."""
 
     n: int
-    source_level: Optional[int]
-    target_level: Optional[int]
-    matrix: Mapping[tuple[FockIndex, FockIndex], GaussianRational]  # (target, source)
+    source_level: int
+    target_level: int
+    matrix: Mat
 
 
 def operator_from_action(
@@ -219,8 +223,10 @@ def operator_from_action(
     """
     if mode not in ("strict", "symbol"):
         raise ValueError(f"unknown truncation mode {mode!r}")
-    entries: dict[tuple[FockIndex, FockIndex], GaussianRational] = {}
-    for src in level_indices(n, source_level):
+    rows = {beta: i for i, beta in enumerate(level_indices(n, target_level))}
+    sources = level_indices(n, source_level)
+    entries: dict[tuple[int, int], GaussianRational] = {}
+    for col, src in enumerate(sources):
         image = action(basis_vector(n, src))
         for beta, coeff in image.terms.items():
             if sum(beta) != target_level:
@@ -230,89 +236,28 @@ def operator_from_action(
                         f"{target_level} (hit {beta})"
                     )
                 continue
-            entries[(beta, src)] = coeff
-    return FockOperator(n, source_level, target_level, entries)
+            entries[rows[beta], col] = coeff
+    return FockOperator(n, source_level, target_level, Mat(len(rows), len(sources), entries))
 
 
 def compose(second: FockOperator, first: FockOperator) -> FockOperator:
     """second after first (matrix product)."""
     if second.n != first.n or second.source_level != first.target_level:
         raise ValueError("operators are not composable")
-    by_source: dict[FockIndex, list[tuple[FockIndex, GaussianRational]]] = {}
-    for (tgt, src), c in first.matrix.items():
-        by_source.setdefault(src, []).append((tgt, c))
-    by_mid: dict[FockIndex, list[tuple[FockIndex, GaussianRational]]] = {}
-    for (tgt, mid), c in second.matrix.items():
-        by_mid.setdefault(mid, []).append((tgt, c))
-    entries: dict[tuple[FockIndex, FockIndex], GaussianRational] = {}
-    for src, mids in by_source.items():
-        for mid, c1 in mids:
-            for tgt, c2 in by_mid.get(mid, ()):
-                key = (tgt, src)
-                new = entries.get(key, ZERO) + c2 * c1
-                if new:
-                    entries[key] = new
-                else:
-                    entries.pop(key, None)
-    return FockOperator(first.n, first.source_level, second.target_level, entries)
-
-
-def h0_operator(n: int, l_max: int) -> FockOperator:
-    """H_0 materialized through level l_max, as a level-preserving operator
-    (source and target level None, meaning all materialized levels)."""
-    entries: dict[tuple[FockIndex, FockIndex], GaussianRational] = {}
-    for l in range(l_max + 1):
-        eig = gq(Fraction(-(2 * l + n), 2))
-        for beta in level_indices(n, l):
-            entries[(beta, beta)] = eig
-    return FockOperator(n, None, None, entries)
-
-
-def restrict_to_level(op: FockOperator, source_level: int, target_level: int) -> FockOperator:
-    """Slice a level-preserving ("all") operator down to one level pair."""
-    if op.source_level is not None or op.target_level is not None:
-        raise ValueError("only level-preserving operators can be restricted")
-    entries = {
-        (tgt, src): c
-        for (tgt, src), c in op.matrix.items()
-        if sum(src) == source_level and sum(tgt) == target_level
-    }
-    return FockOperator(op.n, source_level, target_level, entries)
+    return FockOperator(first.n, first.source_level, second.target_level,
+                        second.matrix @ first.matrix)
 
 
 def as_scalar_identity(op: FockOperator) -> Optional[GaussianRational]:
     """Return c when op == c * identity on its (square) level, else None."""
-    if op.source_level != op.target_level or op.source_level is None:
+    if op.source_level != op.target_level:
         return None
-    basis = level_indices(op.n, op.source_level)
-    diag = op.matrix.get((basis[0], basis[0]), ZERO)
-    for tgt_src, coeff in op.matrix.items():
-        if tgt_src[0] != tgt_src[1] and coeff:
-            return None
-    for b in basis:
-        if op.matrix.get((b, b), ZERO) != diag:
-            return None
-    return diag
+    return scalar_identity_value(op.matrix)
 
 
 def to_json_triplets(op: FockOperator) -> list[list]:
-    """Sparse triplets [row, col, "a+bi"] over lex-ordered level bases.
-
-    Level-preserving operators (level None) are enumerated over the indices
-    they actually touch, ordered by (level, lex).
-    """
-    def basis(level, side):
-        if level is not None:
-            return level_indices(op.n, level)
-        touched = {key[side] for key in op.matrix}
-        return sorted(touched, key=lambda b: (sum(b), b))
-
-    rows = {b: i for i, b in enumerate(basis(op.target_level, 0))}
-    cols = {b: i for i, b in enumerate(basis(op.source_level, 1))}
-    out = []
-    for (tgt, src), coeff in op.matrix.items():
-        out.append([rows[tgt], cols[src], gq_str(coeff)])
-    return sorted(out, key=lambda t: (t[0], t[1]))
+    """Sparse triplets [row, col, "a+bi"] over lex-ordered level bases."""
+    return op.matrix.triplets()
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +306,7 @@ def symbol_lower_operator(n: int, l: int, v: Sequence) -> FockOperator:
     zero = [ZERO] * n
     if l == 0:
         # sigma(Zbar) annihilates E_0; keep a level-0 endomorphism shape
-        return FockOperator(n, 0, 0, {})
+        return FockOperator(n, 0, 0, Mat(1, 1, {}))
     return operator_from_action(
         n, l, l - 1, lambda vec: _sigma_complex(zero, lower_coeffs, vec)
     )

@@ -1,112 +1,141 @@
-"""Dense exact linear algebra over the Gaussian rationals.
+"""Sparse exact linear algebra over the Gaussian rationals.
 
-Matrices carry explicit shape so that zero-row / zero-column maps (which
-arise at truncation and vacuum boundaries) compose correctly.  Ranks and
-kernel dimensions come from fraction-exact Gaussian elimination; there is
-no floating point anywhere in this module.
+A matrix stores only its nonzero entries, keyed (row, col), next to an
+explicit shape, so that zero-row / zero-column maps (which arise at
+truncation and vacuum boundaries) compose correctly.  The CP^1 blocks and
+the Fock operators both use this one type.  Ranks and kernel dimensions
+come from fraction-exact Gaussian elimination; there is no floating point
+anywhere in this module.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .gaussian import GaussianRational, ZERO, ONE
+from .gaussian import GaussianRational, ZERO, ONE, gq_str
 
 
 @dataclass(frozen=True)
-class Mat:
+class Mat(Mapping):
+    """An nrows x ncols matrix given by its nonzero entries, keyed (row, col).
+
+    No zero is stored, so two matrices are equal exactly when their shapes
+    and entries are.  Read-only; the entries are read through the Mapping
+    interface (``m.get((i, j), ZERO)``, ``m.items()``, ``len(m)``).
+    """
+
     nrows: int
     ncols: int
-    rows: tuple[tuple[GaussianRational, ...], ...]
+    entries: Mapping[tuple[int, int], GaussianRational]
 
     def __post_init__(self):
-        if len(self.rows) != self.nrows:
-            raise ValueError("row count mismatch")
-        for row in self.rows:
-            if len(row) != self.ncols:
-                raise ValueError("column count mismatch")
+        for (i, j), value in self.entries.items():
+            if not (0 <= i < self.nrows and 0 <= j < self.ncols):
+                raise ValueError(f"entry ({i}, {j}) outside a {self.nrows}x{self.ncols} matrix")
+            if not value:
+                raise ValueError(f"zero stored at ({i}, {j})")
 
-    def entry(self, i: int, j: int) -> GaussianRational:
-        return self.rows[i][j]
+    def __getitem__(self, key: tuple[int, int]) -> GaussianRational:
+        return self.entries[key]
+
+    def __iter__(self):
+        return iter(self.entries)
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def __matmul__(self, other: Mat) -> Mat:
+        """Matrix product self @ other; inner dimension 0 yields the zero map."""
+        if self.ncols != other.nrows:
+            raise ValueError(f"shape mismatch in mat_mul: {self.nrows}x{self.ncols} "
+                             f"@ {other.nrows}x{other.ncols}")
+        by_row: dict[int, list[tuple[int, GaussianRational]]] = {}
+        for (k, j), b in other.entries.items():
+            by_row.setdefault(k, []).append((j, b))
+        out: dict[tuple[int, int], GaussianRational] = {}
+        for (i, k), a in self.entries.items():
+            for j, b in by_row.get(k, ()):
+                out[i, j] = out.get((i, j), ZERO) + a * b
+        return Mat(self.nrows, other.ncols, {key: x for key, x in out.items() if x})
+
+    def triplets(self) -> list[list]:
+        """The entries as [row, col, "a+bi"], sorted by (row, col)."""
+        return [[i, j, gq_str(x)] for (i, j), x in sorted(self.entries.items())]
 
 
 def mat_from_rows(rows: Iterable[Iterable]) -> Mat:
-    coerced = tuple(tuple(GaussianRational.coerce(x) for x in row) for row in rows)
-    nrows = len(coerced)
-    ncols = len(coerced[0]) if nrows else 0
-    return Mat(nrows, ncols, coerced)
+    rows = [tuple(row) for row in rows]
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    if any(len(row) != ncols for row in rows):
+        raise ValueError("column count mismatch")
+    return Mat(nrows, ncols, {(i, j): GaussianRational.coerce(x) for i, row in enumerate(rows)
+                              for j, x in enumerate(row) if x})
 
 
 def zeros(nrows: int, ncols: int) -> Mat:
-    return Mat(nrows, ncols, tuple(tuple(ZERO for _ in range(ncols)) for _ in range(nrows)))
+    return Mat(nrows, ncols, {})
 
 
 def identity(n: int) -> Mat:
-    return Mat(n, n, tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)))
+    return scalar_matrix(n, ONE)
 
 
 def scalar_matrix(n: int, value) -> Mat:
     value = GaussianRational.coerce(value)
-    return Mat(n, n, tuple(tuple(value if i == j else ZERO for j in range(n)) for i in range(n)))
+    return Mat(n, n, {(i, i): value for i in range(n)} if value else {})
+
+
+def _sum(a: Mat, b: Mat, sign: GaussianRational, name: str) -> Mat:
+    """a + sign * b."""
+    if (a.nrows, a.ncols) != (b.nrows, b.ncols):
+        raise ValueError(f"shape mismatch in {name}")
+    out = dict(a.entries)
+    for key, x in b.entries.items():
+        out[key] = out.get(key, ZERO) + sign * x
+    return Mat(a.nrows, a.ncols, {key: x for key, x in out.items() if x})
 
 
 def mat_add(a: Mat, b: Mat) -> Mat:
-    if (a.nrows, a.ncols) != (b.nrows, b.ncols):
-        raise ValueError("shape mismatch in mat_add")
-    return Mat(a.nrows, a.ncols,
-               tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a.rows, b.rows)))
+    return _sum(a, b, ONE, "mat_add")
 
 
 def mat_sub(a: Mat, b: Mat) -> Mat:
-    if (a.nrows, a.ncols) != (b.nrows, b.ncols):
-        raise ValueError("shape mismatch in mat_sub")
-    return Mat(a.nrows, a.ncols,
-               tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a.rows, b.rows)))
+    return _sum(a, b, -ONE, "mat_sub")
 
 
 def mat_scale(a: Mat, c) -> Mat:
     c = GaussianRational.coerce(c)
-    return Mat(a.nrows, a.ncols, tuple(tuple(c * x for x in row) for row in a.rows))
+    return Mat(a.nrows, a.ncols, {key: c * x for key, x in a.entries.items()} if c else {})
 
 
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    """Matrix product a @ b; inner dimension 0 yields the zero map."""
-    if a.ncols != b.nrows:
-        raise ValueError(f"shape mismatch in mat_mul: {a.nrows}x{a.ncols} @ {b.nrows}x{b.ncols}")
-    if a.ncols == 0:
-        return zeros(a.nrows, b.ncols)
-    out = []
-    bt = list(zip(*b.rows))
-    for row in a.rows:
-        out.append(tuple(sum((x * y for x, y in zip(row, col)), ZERO) for col in bt))
-    return Mat(a.nrows, b.ncols, tuple(out))
-
-
-def is_zero(a: Mat) -> bool:
-    return all(not x for row in a.rows for x in row)
+mat_mul = Mat.__matmul__
 
 
 def rank(a: Mat) -> int:
-    """Rank by exact row reduction."""
-    if a.nrows == 0 or a.ncols == 0:
-        return 0
-    m = [list(row) for row in a.rows]
-    r = 0
-    for col in range(a.ncols):
-        pivot = next((i for i in range(r, a.nrows) if m[i][col]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = m[r][col]
-        for i in range(r + 1, a.nrows):
-            if m[i][col]:
-                factor = m[i][col] / inv
-                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
-        r += 1
-        if r == a.nrows:
-            break
-    return r
+    """Rank by exact row reduction: each row is reduced against the pivot
+    rows found so far until it is zero or leads in a new pivot column."""
+    rows: dict[int, dict[int, GaussianRational]] = {}
+    for (i, j), x in a.entries.items():
+        rows.setdefault(i, {})[j] = x
+    pivots: dict[int, dict[int, GaussianRational]] = {}    # leading column -> row
+    for row in rows.values():
+        while row:
+            col = min(row)
+            pivot = pivots.get(col)
+            if pivot is None:
+                pivots[col] = row
+                break
+            factor = row[col] / pivot[col]
+            for c, x in pivot.items():
+                new = row.get(c, ZERO) - factor * x
+                if new:
+                    row[c] = new
+                else:
+                    del row[c]
+    return len(pivots)
 
 
 def kernel_dimension(a: Mat) -> int:
@@ -117,12 +146,5 @@ def scalar_identity_value(a: Mat) -> Optional[GaussianRational]:
     """Return c if a == c*I, else None.  0x0 matrices count as 0*I."""
     if a.nrows != a.ncols:
         return None
-    if a.nrows == 0:
-        return ZERO
-    c = a.rows[0][0]
-    for i in range(a.nrows):
-        for j in range(a.ncols):
-            expected = c if i == j else ZERO
-            if a.rows[i][j] != expected:
-                return None
-    return c
+    c = a.get((0, 0), ZERO)
+    return c if a.entries == ({(i, i): c for i in range(a.nrows)} if c else {}) else None

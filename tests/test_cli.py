@@ -213,10 +213,14 @@ CP1_GOLDEN = [
      "5640b9e6591a19c7ea77468c55ea1a6a00f3c1bae85805b6f5de235c1caba714"),
     (("--lmax", "1", "--gamma-max", "5", "--format", "json", "--matrices"),
      "680f5060d8cb6ad3fd3d826598b00059ddedbbd4379e5414a825f3f3dc0226e8"),
+    # two-digit gammas and row indices; recorded with the dense matrix type
+    (("--lmax", "3", "--gamma-max", "21", "--format", "json", "--matrices"),
+     "c88c93995a815c5ba83a81ef158fcd63164a927eaa9b83d129838ae1c8551a57"),
 ]
 
 
-@pytest.mark.parametrize("args,digest", CP1_GOLDEN, ids=["table", "csv", "json-matrices"])
+@pytest.mark.parametrize("args,digest", CP1_GOLDEN,
+                         ids=["table", "csv", "json-matrices", "json-matrices-large"])
 def test_cp1_golden_output(capsys, args, digest):
     code, out, _ = run_cli(capsys, "cp1", *args)
     assert code == 0

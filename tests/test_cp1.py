@@ -168,6 +168,17 @@ def test_ladder_bijectivity_explicit():
     assert rank(op.matrix) == 6
 
 
+def test_blocks_store_only_their_diagonal():
+    # at gamma = 201 a block is 202 x 202; D and Dbar keep 202 entries each
+    d = cp1.d_block(1, 201).matrix
+    dbar = cp1.dbar_block(0, 201).matrix
+    assert len(d) == len(dbar) == 202
+    product = mat_mul(d, dbar)
+    assert (product.nrows, product.ncols) == (202, 202)
+    assert len(product) == 202
+    assert rank(product) == 202
+
+
 # ---------------------------------------------------------------------------
 # commutators
 # ---------------------------------------------------------------------------
@@ -212,8 +223,9 @@ def _block_norm(level: int, gamma: int) -> Fraction:
 @pytest.mark.parametrize("gamma", [3, 5, 9, 13])
 def test_dbar_is_adjoint_of_d(gamma):
     for level in range(0, (gamma - 1) // 2):   # blocks where dbar is nonzero
-        dbar = cp1.dbar_block(level, gamma).matrix.rows[0][0]
-        d_next = cp1.d_block(level + 1, gamma).matrix.rows[0][0]
+        dbar = scalar_identity_value(cp1.dbar_block(level, gamma).matrix)
+        d_next = scalar_identity_value(cp1.d_block(level + 1, gamma).matrix)
+        assert dbar and d_next
         assert dbar * _block_norm(level + 1, gamma) == d_next.conjugate() * _block_norm(
             level, gamma
         )

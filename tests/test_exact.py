@@ -97,6 +97,12 @@ def test_zero_dimensional_shapes():
     assert mat_mul(zeros(2, 0), a) == zeros(2, 3)
 
 
+def test_shapes_are_explicit():
+    assert zeros(0, 3) != zeros(3, 0)
+    assert mat_from_rows([[0, 0, 0]]) == zeros(1, 3)
+    assert len(mat_from_rows([[0, 2], [0, 0]])) == 1
+
+
 def test_scalar_identity_detection():
     assert scalar_identity_value(identity(3)) == gq(1)
     assert scalar_identity_value(linalg.scalar_matrix(2, gq(0, -5))) == gq(0, -5)
@@ -106,7 +112,11 @@ def test_scalar_identity_detection():
 
 
 def test_shape_validation():
-    with pytest.raises(ValueError):
-        Mat(2, 2, ((gq(1),),))
+    with pytest.raises(ValueError, match="outside"):
+        Mat(2, 2, {(2, 0): gq(1)})
+    with pytest.raises(ValueError, match="zero stored"):
+        Mat(2, 2, {(0, 1): gq(0)})
+    with pytest.raises(ValueError, match="column count"):
+        mat_from_rows([[1, 2], [3]])
     with pytest.raises(ValueError, match="mat_mul"):
         mat_mul(identity(2), identity(3))

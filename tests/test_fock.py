@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 from fractions import Fraction
 from itertools import product
@@ -8,7 +10,8 @@ from numpy.polynomial import hermite as nph
 
 import oracles
 from symdol import fock
-from symdol.gaussian import gq
+from symdol.gaussian import gq, gq_str
+from symdol.linalg import mat_scale
 
 
 def close(a: float, b: float) -> bool:
@@ -219,11 +222,16 @@ def test_sigma_z_matrix_adjoint_is_minus_sigma_zbar():
     for l in range(0, 4):
         up = fock.operator_from_action(n, l, l + 1, lambda v: fock.sigma_raise(j, v))
         down = fock.operator_from_action(n, l + 1, l, lambda v: fock.sigma_lower(j, v))
-        for tgt in fock.level_indices(n, l + 1):
-            for src in fock.level_indices(n, l):
-                lhs = up.matrix.get((tgt, src), gq(0)) * fock.basis_norm_sq(tgt)
-                rhs = -(down.matrix.get((src, tgt), gq(0)).conjugate()) * fock.basis_norm_sq(src)
+        sources = fock.level_indices(n, l)
+        nonzero = 0
+        for row, tgt in enumerate(fock.level_indices(n, l + 1)):
+            for col, src in enumerate(sources):
+                lhs = up.matrix.get((row, col), gq(0)) * fock.basis_norm_sq(tgt)
+                rhs = -(down.matrix.get((col, row), gq(0)).conjugate()) * fock.basis_norm_sq(src)
                 assert lhs == rhs
+                nonzero += bool(lhs)
+        # sigma(Z_j) sends every basis vector to one basis vector
+        assert nonzero == len(up.matrix) == len(sources)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +344,8 @@ def test_symbol_mode_truncates_silently():
     op = fock.operator_from_action(
         1, 1, 1, lambda v: fock.sigma_raise(1, v), mode="symbol"
     )
-    assert op.matrix == {}
+    assert (op.matrix.nrows, op.matrix.ncols) == (1, 1)
+    assert len(op.matrix) == 0
 
 
 def test_json_triplets_golden():
@@ -357,28 +366,34 @@ def test_compose_shape_checked():
 
 
 def test_h0_operator_level_preserving():
-    op = fock.h0_operator(2, 3)
-    assert op.source_level is None and op.target_level is None
     for l in range(0, 4):
-        level_op = fock.restrict_to_level(op, l, l)
-        assert fock.as_scalar_identity(level_op) == gq(Fraction(-(2 * l + 2), 2))
+        op = fock.operator_from_action(2, l, l, fock.h0_apply)
+        assert fock.as_scalar_identity(op) == gq(Fraction(-(2 * l + 2), 2))
 
 
 def test_h0_shifts_raising_operator_by_matrix_composition():
     # H_0 sigma(Z_1) = (eigenvalue - 1) sigma(Z_1) on each level, as matrices
     n, l = 2, 2
     up = fock.operator_from_action(n, l, l + 1, lambda v: fock.sigma_raise(1, v))
-    h0_all = fock.h0_operator(n, l + 1)
-    lhs = fock.compose(fock.restrict_to_level(h0_all, l + 1, l + 1), up)
+    h0 = fock.operator_from_action(n, l + 1, l + 1, fock.h0_apply)
+    lhs = fock.compose(h0, up)
     eig = Fraction(-(2 * l + n), 2)
-    rhs = {key: gq(eig - 1) * c for key, c in up.matrix.items()}
-    assert lhs.matrix == rhs
+    assert len(up.matrix) == fock.dim_level(n, l)
+    assert lhs.matrix == mat_scale(up.matrix, eig - 1)
 
 
-def test_json_triplets_for_level_preserving_operator():
-    op = fock.h0_operator(1, 2)
-    assert fock.to_json_triplets(op) == [
-        [0, 0, "-1/2"],
-        [1, 1, "-3/2"],
-        [2, 2, "-5/2"],
-    ]
+# SHA-256 of the per-level JSON lines {"level", "trace", "triplets"} of the
+# n = 3 symbol products below, recorded before the Fock operators became
+# linalg.Mat matrices
+SYMBOL_PRODUCT_GOLDEN = "b8209f3b24bbe9bb06b38c854b2558c6991a9aecbb95105e4f6cd241894ff2a6"
+
+
+def test_symbol_product_golden():
+    lines = []
+    for l in range(0, 9):
+        op = fock.symbol_product(3, l, (1, 2, -1, 3, 2, -1))
+        trace = sum((c for (row, col), c in op.matrix.items() if row == col), gq(0))
+        lines.append(json.dumps({"level": l, "trace": gq_str(trace),
+                                 "triplets": fock.to_json_triplets(op)},
+                                separators=(",", ":")) + "\n")
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == SYMBOL_PRODUCT_GOLDEN

@@ -171,7 +171,8 @@ def p_spectrum(rs: RootSystem, mu: Sequence[int], cutoff) -> SpectrumTable:
         lam = killing_dual_form(rs, g_rho, g_rho) - base
         if lam < 0 or (lam == 0 and gamma != m):
             raise ContractViolation(
-                f"eigenvalue {lam} at gamma={gamma} violates positivity for mu={m}"
+                f"{rs.name()}, mu={m}: eigenvalue {lam} at gamma={gamma} violates "
+                f"positivity (lambda must be > 0 for gamma != mu)"
             )
         if lam > cutoff:
             continue
@@ -190,23 +191,34 @@ def p_spectrum(rs: RootSystem, mu: Sequence[int], cutoff) -> SpectrumTable:
 
 
 def _check_table(rs: RootSystem, table: SpectrumTable):
+    where = f"{table.algebra}, mu={table.mu}"
     if not table.rows:
-        raise ContractViolation("spectrum table has no rows (gamma = mu is always present)")
+        raise ContractViolation(
+            f"{where}: spectrum table has no rows (gamma = mu is always present)"
+        )
     first = table.rows[0]
-    expected_dim = weyl_dimension(rs, table.mu)
-    if (
-        first.eigenvalue != 0
-        or first.constituents != (Constituent(table.mu, 1, expected_dim),)
-    ):
-        raise ContractViolation(f"ground row malformed: {first}")
+    expected = Constituent(table.mu, 1, weyl_dimension(rs, table.mu))
+    if first.eigenvalue != 0 or first.constituents != (expected,):
+        raise ContractViolation(
+            f"{where}: ground row is lambda {first.eigenvalue} with constituents "
+            f"{list(first.constituents)}, expected lambda 0 with only {expected}"
+        )
     last = Fraction(-1)
     for row in table.rows:
         if row.eigenvalue <= last:
-            raise ContractViolation("eigenvalues not strictly increasing")
+            raise ContractViolation(
+                f"{where}: eigenvalues not strictly increasing: {row.eigenvalue} after {last}"
+            )
         if row.eigenvalue > table.cutoff:
-            raise ContractViolation("row above cutoff")
-        if row.total_multiplicity != sum(c.weight_mult * c.dim for c in row.constituents):
-            raise ContractViolation("total multiplicity ledger mismatch")
+            raise ContractViolation(
+                f"{where}: row at lambda {row.eigenvalue} is above the cutoff {table.cutoff}"
+            )
+        ledger = sum(c.weight_mult * c.dim for c in row.constituents)
+        if row.total_multiplicity != ledger:
+            raise ContractViolation(
+                f"{where}: row at lambda {row.eigenvalue} has total "
+                f"{row.total_multiplicity}, its constituents sum to {ledger}"
+            )
         last = row.eigenvalue
 
 
@@ -275,23 +287,21 @@ class DistinguishReport:
 
 
 def first_positive_eigenvalue(rs: RootSystem, mu: Optional[Sequence[int]] = None) -> Fraction:
-    """Smallest nonzero eigenvalue of the vacuum operator twisted to L_mu."""
+    """Smallest nonzero eigenvalue of the vacuum operator twisted to L_mu.
+
+    Candidates come sorted by norm, and lambda grows with the norm, so the
+    first gamma != mu that has mu as a weight carries the answer.
+    """
     m = (0,) * rs.rank if mu is None else as_weight(rs, mu)
     r = rho(rs)
     mu_rho = tuple(a + b for a, b in zip(m, r))
     base = killing_dual_form(rs, mu_rho, mu_rho)
     bound = 2 * base + 1
     while True:
-        best: Optional[Fraction] = None
         for gamma in dominant_weights_with_norm_bound(rs, bound):
-            if gamma == m or weight_multiplicity(rs, gamma, m) == 0:
-                continue
-            g_rho = tuple(a + b for a, b in zip(gamma, r))
-            lam = killing_dual_form(rs, g_rho, g_rho) - base
-            if best is None or lam < best:
-                best = lam
-        if best is not None:
-            return best
+            if gamma != m and weight_multiplicity(rs, gamma, m) > 0:
+                g_rho = tuple(a + b for a, b in zip(gamma, r))
+                return killing_dual_form(rs, g_rho, g_rho) - base
         bound *= 2
 
 

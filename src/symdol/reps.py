@@ -117,20 +117,23 @@ def _dominant_multiplicities(rs: RootSystem, gamma: Weight) -> dict[Weight, int]
                     dominant_by_height.setdefault(height, []).append(cand)
         frontier = nxt
 
+    # simple-root coefficients are integers here: positive roots and
+    # gamma - mu both lie in the root lattice
+    roots = [
+        (alpha, [(j, int(c)) for j, c in enumerate(root_lattice_coefficients(rs, alpha)) if c > 0])
+        for alpha in rs.positive_roots_fw
+    ]
     mults: dict[Weight, int] = {gamma: 1}
     for h in sorted(dominant_by_height)[1:]:
         for mu in dominant_by_height[h]:
             mu_rho = tuple(a + b for a, b in zip(mu, r))
             denom = top_norm - killing_dual_form(rs, mu_rho, mu_rho)
             acc = Fraction(0)
-            diff_coeffs = root_lattice_coefficients(
+            diff = [int(c) for c in root_lattice_coefficients(
                 rs, tuple(a - b for a, b in zip(gamma, mu))
-            )
-            for alpha in rs.positive_roots_fw:
-                a_coeffs = root_lattice_coefficients(rs, alpha)
-                j_max = min(
-                    int(dc / ac) for dc, ac in zip(diff_coeffs, a_coeffs) if ac > 0
-                )
+            )]
+            for alpha, support in roots:
+                j_max = min(diff[j] // c for j, c in support)
                 for j in range(1, j_max + 1):
                     nu = tuple(x + j * y for x, y in zip(mu, alpha))
                     m = mults.get(dominant_conjugate(rs, nu), 0)

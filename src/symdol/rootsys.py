@@ -14,11 +14,19 @@ convention are -K(x, x).  The normalization is pinned by K(alpha, alpha)
 = 1/2 for A_1, which makes the rank-one Casimir come out as
 -((k+1)^2 - 1)/8 on the (k+1)-dimensional irreducible.
 
+Both matrices the weight arithmetic needs, the inverse Cartan matrix (for
+simple-root coefficients) and the Gram matrix K(omega_i, omega_j), are also
+stored as integer numerators over one common denominator each.  On integer
+weights, K(x, y) and the simple-root coefficients are then integer dot
+products with a single division at the end, and the root-lattice membership
+test is integer dot products plus a divisibility test.
+
 Everything here is immutable and pure; no floating point.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -44,7 +52,8 @@ class RootSystem:
     ``simple_roots`` and ``positive_roots`` are stored in the orthogonal
     coordinate model; ``positive_roots_fw`` gives the same roots in
     fundamental-weight coordinates (integer tuples), ordered by height and
-    starting with the simple roots in index order.
+    starting with the simple roots in index order.  ``inverse_cartan`` and
+    ``weight_gram`` equal ``*_num`` divided entrywise by ``*_den``.
     """
 
     family: str
@@ -59,6 +68,10 @@ class RootSystem:
     positive_roots_fw: tuple[Weight, ...]
     inverse_cartan: tuple[tuple[Fraction, ...], ...]
     weight_gram: tuple[tuple[Fraction, ...], ...]  # K(omega_i, omega_j)
+    inverse_cartan_num: tuple[tuple[int, ...], ...]
+    inverse_cartan_den: int
+    weight_gram_num: tuple[tuple[int, ...], ...]
+    weight_gram_den: int
 
     def name(self) -> str:
         return f"{self.family}{self.rank}"
@@ -161,6 +174,12 @@ def _invert(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
     return [row[n:] for row in aug]
 
 
+def _over_common_denominator(matrix) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(N, d) with matrix[i][j] = N[i][j] / d and d the least common denominator."""
+    den = math.lcm(*(x.denominator for row in matrix for x in row))
+    return tuple(tuple(int(x * den) for x in row) for row in matrix), den
+
+
 def build_root_system(family: str, rank: int) -> RootSystem:
     """Construct the root system for a valid (family, rank) pair.
 
@@ -221,6 +240,8 @@ def build_root_system(family: str, rank: int) -> RootSystem:
         for i in range(rank)
     )
 
+    inv_cartan_num, inv_cartan_den = _over_common_denominator(inv_cartan)
+    gram_num, gram_den = _over_common_denominator(gram)
     return RootSystem(
         family=family,
         rank=rank,
@@ -234,6 +255,10 @@ def build_root_system(family: str, rank: int) -> RootSystem:
         positive_roots_fw=positives_fw,
         inverse_cartan=tuple(tuple(row) for row in inv_cartan),
         weight_gram=gram,
+        inverse_cartan_num=inv_cartan_num,
+        inverse_cartan_den=inv_cartan_den,
+        weight_gram_num=gram_num,
+        weight_gram_den=gram_den,
     )
 
 
@@ -257,17 +282,16 @@ def killing_dual_form(rs: RootSystem, x: Sequence, y: Sequence) -> Fraction:
     """K(x, y) on weights, for x, y in fundamental-weight coordinates.
 
     Coordinates may be integers or exact rationals (rational coordinates
-    occur for midpoints and root-string bookkeeping).
+    occur for midpoints and root-string bookkeeping).  The sum runs over the
+    integer Gram numerators, so integer inputs build one Fraction at the end.
     """
     if len(x) != rs.rank or len(y) != rs.rank:
         raise ValueError(f"expected weight vectors of length {rs.rank}")
-    total = Fraction(0)
-    for i, xi in enumerate(x):
-        if xi == 0:
-            continue
-        row = rs.weight_gram[i]
-        total += Fraction(xi) * sum((Fraction(yj) * row[j] for j, yj in enumerate(y)), Fraction(0))
-    return total
+    total = 0
+    for xi, row in zip(x, rs.weight_gram_num):
+        if xi:
+            total += xi * sum(g * yj for g, yj in zip(row, y))
+    return Fraction(total, rs.weight_gram_den)
 
 
 def simple_reflection(rs: RootSystem, i: int, x: Sequence[int]) -> Weight:
@@ -286,11 +310,13 @@ def is_dominant(rs: RootSystem, x: Sequence[int]) -> bool:
 def dominant_conjugate(rs: RootSystem, x: Sequence[int]) -> Weight:
     """The unique dominant weight in the Weyl orbit of x."""
     w = as_weight(rs, x)
+    cartan = rs.cartan_matrix
     while True:
         i = next((j for j, c in enumerate(w) if c < 0), None)
         if i is None:
             return w
-        w = simple_reflection(rs, i + 1, w)
+        wi = w[i]  # reflect in alpha_{i+1}, as simple_reflection does
+        w = tuple(a - wi * c for a, c in zip(w, cartan[i]))
 
 
 def weyl_orbit(rs: RootSystem, x: Sequence[int]) -> set[Weight]:
@@ -331,16 +357,21 @@ def from_orthogonal(rs: RootSystem, vec: Sequence[Fraction]) -> Weight:
     return tuple(coords)
 
 
-def root_lattice_coefficients(rs: RootSystem, x: Sequence) -> tuple[Fraction, ...]:
-    """Coefficients c with x = sum_j c_j alpha_j (x in fundamental coords)."""
+def _lattice_numerators(rs: RootSystem, x: Sequence) -> list:
+    """inverse_cartan_den times the simple-root coefficients of x."""
     if len(x) != rs.rank:
         raise ValueError(f"expected weight vectors of length {rs.rank}")
-    return tuple(
-        sum((Fraction(x[i]) * rs.inverse_cartan[i][j] for i in range(rs.rank)), Fraction(0))
-        for j in range(rs.rank)
-    )
+    num = rs.inverse_cartan_num
+    return [sum(x[i] * num[i][j] for i in range(rs.rank)) for j in range(rs.rank)]
+
+
+def root_lattice_coefficients(rs: RootSystem, x: Sequence) -> tuple[Fraction, ...]:
+    """Coefficients c with x = sum_j c_j alpha_j (x in fundamental coords)."""
+    den = rs.inverse_cartan_den
+    return tuple(Fraction(c, den) for c in _lattice_numerators(rs, x))
 
 
 def is_nonneg_root_combination(rs: RootSystem, x: Sequence[int]) -> bool:
     """True iff x is a nonnegative *integer* combination of simple roots."""
-    return all(c.denominator == 1 and c >= 0 for c in root_lattice_coefficients(rs, x))
+    den = rs.inverse_cartan_den
+    return all(c >= 0 and c % den == 0 for c in _lattice_numerators(rs, x))

@@ -3,7 +3,9 @@
 These deliberately avoid the code paths they check: positive roots are
 regenerated by reflection closure instead of the explicit family tables,
 weight multiplicities come from decomposing tensor powers of hand-coded
-fundamental characters instead of the Freudenthal recursion, and Hermite
+fundamental characters instead of the Freudenthal recursion, the first
+positive eigenvalue comes from a full scan of the candidates instead of
+stopping at the first hit, and Hermite
 inner products come from floating-point Gauss-Hermite quadrature instead
 of the exact Fock-space tables.
 """
@@ -11,13 +13,16 @@ of the exact Fock-space tables.
 from __future__ import annotations
 
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 from numpy.polynomial import hermite as nph
 
+from symdol.reps import dominant_weights_with_norm_bound, weight_multiplicity
 from symdol.rootsys import (
     RootSystem,
     is_nonneg_root_combination,
+    killing_dual_form,
     rho,
     simple_reflection,
 )
@@ -127,6 +132,30 @@ def oracle_weight_system(rs: RootSystem, gamma: tuple[int, ...]) -> dict:
     assert all(m > 0 for m in result.values())
     _IRREP_MEMO[key] = result
     return dict(result)
+
+
+# ---------------------------------------------------------------------------
+# first positive eigenvalue by full scan
+# ---------------------------------------------------------------------------
+
+def first_positive_eigenvalue_by_scan(rs: RootSystem, mu: tuple[int, ...]) -> Fraction:
+    """Minimum of lambda_gamma = K(gamma+rho) - K(mu+rho) over every candidate
+    gamma != mu with nonzero weight_multiplicity(gamma, mu); the norm bound
+    doubles until some candidate has mu as a weight."""
+    r = rho(rs)
+
+    def norm(w):
+        t = tuple(a + b for a, b in zip(w, r))
+        return killing_dual_form(rs, t, t)
+
+    base = norm(mu)
+    bound = 2 * base + 1
+    while True:
+        lams = [norm(g) - base for g in dominant_weights_with_norm_bound(rs, bound)
+                if g != mu and weight_multiplicity(rs, g, mu) > 0]
+        if lams:
+            return min(lams)
+        bound *= 2
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from symdol import cp1, reps
+from symdol import cp1, flagspec, reps
 from symdol.cli import main
 from symdol.linalg import mat_scale
 from symdol.reps import weight_system
@@ -303,6 +303,17 @@ def test_broken_weight_system_invariant_exits_2(capsys, monkeypatch):
     assert code == 2
     assert "contract violation" in err
     assert "A2: weight system of V_(1, 1) sums to 8" in err and "gives 9" in err
+
+
+def test_broken_spectrum_ground_row_exits_2(capsys, monkeypatch):
+    true_dimension = flagspec.weyl_dimension
+    monkeypatch.setattr(flagspec, "weyl_dimension",
+                        lambda rs, gamma: true_dimension(rs, gamma) + 1)
+    code, _, err = run_cli(capsys, "spectrum", "--family", "B", "--rank", "3",
+                           "--mu", "0,0,0", "--cutoff", "1")
+    assert code == 2
+    assert "contract violation: B3, mu=(0, 0, 0): ground row" in err
+    assert "dim=1)]" in err and "dim=2)" in err
 
 
 def test_cp1_bad_parity_is_usage_error(capsys):

@@ -21,6 +21,8 @@ from symdol.flagspec import (
 from symdol.reps import weyl_dimension
 from symdol.rootsys import build_root_system, rho
 
+from oracles import first_positive_eigenvalue_by_scan
+
 A1 = build_root_system("A", 1)
 A2 = build_root_system("A", 2)
 B2 = build_root_system("B", 2)
@@ -185,20 +187,21 @@ def test_spectrum_serialization_shapes():
 # distinguisher
 # ---------------------------------------------------------------------------
 
-def test_distinguish_n3_differs_at_first_positive_row():
-    report = distinguish(3)
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_distinguisher_claim(n):
+    # the paper's claim: the first positive B_n eigenvalue n/(2n-1) carries a
+    # (2n+1)-dimensional eigenspace, from gamma = omega_1 alone, that no row
+    # of the C_n spectrum reproduces
+    report = distinguish(n)
     assert report.verdict == "spectra differ"
-    diff = report.first_difference
-    assert diff is not None and diff.index == 1
-    assert diff.b_eigenvalue == Fraction(3, 5)
-    assert diff.b_total == 7    # = 2n+1
-    assert (diff.c_eigenvalue, diff.c_total) != (diff.b_eigenvalue, diff.b_total)
-
-
-def test_distinguish_n4_differs():
-    report = distinguish(4)
-    assert report.first_difference is not None
-    assert report.b_table.rows[1].total_multiplicity == 9
+    b1 = report.b_table.rows[1]
+    omega_1 = (1,) + (0,) * (n - 1)
+    assert b1.eigenvalue == Fraction(n, 2 * n - 1)
+    assert b1.total_multiplicity == 2 * n + 1
+    assert b1.constituents == (Constituent(omega_1, 1, 2 * n + 1),)
+    assert all((row.eigenvalue, row.total_multiplicity) != (b1.eigenvalue, b1.total_multiplicity)
+               for row in report.c_table.rows)
+    assert report.first_difference.index == 1
 
 
 def test_distinguish_n2_control_agrees():
@@ -229,6 +232,25 @@ def test_first_positive_eigenvalues():
     assert first_positive_eigenvalue(B3) == Fraction(3, 5)
     assert first_positive_eigenvalue(C3) == Fraction(3, 4)
     assert first_positive_eigenvalue(A1) == 1   # gamma = 2 omega, (9 - 1)/8
+
+
+# one nonzero dominant mu per family
+TWISTS = {
+    "A": lambda k: (1,) + (0,) * (k - 1),
+    "B": lambda k: (0,) * (k - 1) + (1,),
+    "C": lambda k: (0, 1) + (0,) * (k - 2),
+    "D": lambda k: (1,) + (0,) * (k - 2) + (1,),
+    "G": lambda k: (1, 1),
+}
+
+
+@pytest.mark.parametrize("family,rank", [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3),
+                                         ("C", 2), ("C", 3), ("D", 4), ("G", 2)])
+@pytest.mark.parametrize("twisted", [False, True], ids=["mu0", "mu"])
+def test_first_positive_eigenvalue_matches_full_scan(family, rank, twisted):
+    rs = build_root_system(family, rank)
+    mu = TWISTS[family](rank) if twisted else (0,) * rank
+    assert first_positive_eigenvalue(rs, mu) == first_positive_eigenvalue_by_scan(rs, mu)
 
 
 def test_auto_cutoff_covers_both_first_rows():

@@ -2,14 +2,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symdol import rootsys
 from symdol.rootsys import (
     build_root_system,
     from_orthogonal,
     is_dominant,
+    is_nonneg_root_combination,
     killing_dual_form,
     rho,
+    root_lattice_coefficients,
     simple_reflection,
     to_orthogonal,
 )
@@ -203,3 +207,60 @@ def test_g2_has_six_positive_roots_and_rho():
     rs = build_root_system("G", 2)
     assert len(rs.positive_roots_fw) == 6
     assert rho(rs) == (1, 1)
+
+
+# ---------------------------------------------------------------------------
+# integer numerator/denominator forms against the Fraction matrices
+# ---------------------------------------------------------------------------
+
+RANK_AT_MOST_4 = [build_root_system(f, k) for f, k in ALL_SYSTEMS if k <= 4]
+
+
+def _coefficients_by_fractions(rs, x):
+    return tuple(sum((Fraction(x[i]) * rs.inverse_cartan[i][j] for i in range(rs.rank)), Fraction(0))
+                 for j in range(rs.rank))
+
+
+def _form_by_fractions(rs, x, y):
+    return sum((Fraction(xi) * Fraction(yj) * rs.weight_gram[i][j]
+                for i, xi in enumerate(x) for j, yj in enumerate(y)), Fraction(0))
+
+
+@st.composite
+def _system_and_weight(draw):
+    """A system of rank <= 4 and a weight; half the time the weight is a
+    combination of simple roots (alpha_j is row j of the Cartan matrix), so
+    that both answers of the membership test come up."""
+    rs = draw(st.sampled_from(RANK_AT_MOST_4))
+    coords = st.lists(st.integers(-6, 6), min_size=rs.rank, max_size=rs.rank)
+    if draw(st.booleans()):
+        return rs, tuple(draw(coords))
+    c = draw(st.lists(st.integers(-1, 4), min_size=rs.rank, max_size=rs.rank))
+    return rs, tuple(sum(c[j] * rs.cartan_matrix[j][i] for j in range(rs.rank))
+                     for i in range(rs.rank))
+
+
+_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_system_and_weight())
+def test_integer_lattice_test_matches_fraction_definition(case):
+    rs, x = case
+    expected = _coefficients_by_fractions(rs, x)
+    assert root_lattice_coefficients(rs, x) == expected
+    assert is_nonneg_root_combination(rs, x) == all(
+        c.denominator == 1 and c >= 0 for c in expected)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.data())
+def test_integer_form_matches_fraction_definition(data):
+    rs = data.draw(st.sampled_from(RANK_AT_MOST_4))
+    ints = st.lists(st.integers(-8, 8), min_size=rs.rank, max_size=rs.rank)
+    x, y = tuple(data.draw(ints)), tuple(data.draw(ints))
+    assert killing_dual_form(rs, x, y) == _form_by_fractions(rs, x, y)
+    rationals = st.lists(_rationals, min_size=rs.rank, max_size=rs.rank)
+    p, q = tuple(data.draw(rationals)), tuple(data.draw(rationals))
+    assert killing_dual_form(rs, p, q) == _form_by_fractions(rs, p, q)
+    assert killing_dual_form(rs, p, y) == _form_by_fractions(rs, p, y)

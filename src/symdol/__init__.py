@@ -11,7 +11,7 @@ fock      truncated canonical quantization on Hermite products
 flagspec  vacuum spectra on G/T and the B_n / C_n distinguisher
 cp1       exact block matrices for the Dolbeault pair on CP^1
 surface   closed-form indices on genus-g surfaces
-cli       the command-line interface
+cli       the command-line interface; owns every output format (table, json, csv)
 """
 
 from .errors import ContractViolation

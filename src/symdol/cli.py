@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import zip_longest
 
 from . import cp1, flagspec, reps, rootsys, surface
 from .errors import ContractViolation
@@ -44,16 +45,9 @@ def _parse_cutoff(text: str) -> Fraction:
         raise ValueError(f"cutoff {text!r} is not a rational p/q")
 
 
-def _emit(lines):
-    sys.stdout.write("\n".join(lines) + "\n")
-
-
-def _emit_json(obj):
-    sys.stdout.write(json.dumps(obj, separators=(",", ":")) + "\n")
-
-
-def _approx(value: Fraction) -> str:
-    return f"{float(value):.6g}"
+def _approx(text: str) -> str:
+    """Decimal approximation of an exact "p/q" string."""
+    return f"{float(Fraction(text)):.6g}"
 
 
 def _fmt_coords(w) -> str:
@@ -61,107 +55,135 @@ def _fmt_coords(w) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommand implementations
+# subcommands: _cmd_* computes one json-able payload; _*_csv and _*_table
+# yield the csv rows below the header and the table lines from it alone
 # ---------------------------------------------------------------------------
 
-def _cmd_roots(args) -> int:
-    rs = rootsys.build_root_system(args.family, args.rank)
+def _render(args, payload):
     if args.format == "json":
-        _emit_json({
-            "family": rs.family,
-            "rank": rs.rank,
-            "cartan_matrix": [list(row) for row in rs.cartan_matrix],
-            "positive_roots": [list(r) for r in rs.positive_roots_fw],
-            "rho": list(rootsys.rho(rs)),
-            "dual_coxeter": rs.dual_coxeter,
-            "killing_scale": str(rs.killing_scale),
-        })
+        lines = [json.dumps(payload, separators=(",", ":"))]
     elif args.format == "csv":
-        lines = ["item,index,values"]
-        for i, row in enumerate(rs.cartan_matrix):
-            lines.append(f"cartan_row,{i + 1},{_fmt_coords(row)}")
-        for i, root in enumerate(rs.positive_roots_fw):
-            lines.append(f"positive_root,{i + 1},{_fmt_coords(root)}")
-        lines.append(f"rho,1,{_fmt_coords(rootsys.rho(rs))}")
-        lines.append(f"dual_coxeter,1,{rs.dual_coxeter}")
-        lines.append(f"killing_scale,1,{rs.killing_scale}")
-        _emit(lines)
+        lines = [args.csv_header, *args.csv(payload)]
     else:
-        lines = [f"root system {rs.name()}"]
-        lines.append("cartan matrix:")
-        for row in rs.cartan_matrix:
-            lines.append("  " + " ".join(f"{c:3d}" for c in row))
-        lines.append(f"positive roots ({len(rs.positive_roots_fw)}), fundamental coords:")
-        for i, root in enumerate(rs.positive_roots_fw):
-            lines.append(f"  alpha[{i + 1}] = ({_fmt_coords(root)})")
-        lines.append(f"rho = ({_fmt_coords(rootsys.rho(rs))})")
-        lines.append(f"dual Coxeter number = {rs.dual_coxeter}")
-        lines.append(f"killing scale = {rs.killing_scale}")
-        _emit(lines)
-    return 0
+        lines = args.table(payload)
+    sys.stdout.write("\n".join(lines) + "\n")
 
 
-def _cmd_irrep(args) -> int:
+def _cmd_roots(args) -> dict:
+    rs = rootsys.build_root_system(args.family, args.rank)
+    return {
+        "family": rs.family,
+        "rank": rs.rank,
+        "cartan_matrix": [list(row) for row in rs.cartan_matrix],
+        "positive_roots": [list(r) for r in rs.positive_roots_fw],
+        "rho": list(rootsys.rho(rs)),
+        "dual_coxeter": rs.dual_coxeter,
+        "killing_scale": str(rs.killing_scale),
+    }
+
+
+def _roots_csv(p):
+    for i, row in enumerate(p["cartan_matrix"]):
+        yield f"cartan_row,{i + 1},{_fmt_coords(row)}"
+    for i, root in enumerate(p["positive_roots"]):
+        yield f"positive_root,{i + 1},{_fmt_coords(root)}"
+    yield f"rho,1,{_fmt_coords(p['rho'])}"
+    yield f"dual_coxeter,1,{p['dual_coxeter']}"
+    yield f"killing_scale,1,{p['killing_scale']}"
+
+
+def _roots_table(p):
+    yield f"root system {p['family']}{p['rank']}"
+    yield "cartan matrix:"
+    for row in p["cartan_matrix"]:
+        yield "  " + " ".join(f"{c:3d}" for c in row)
+    yield f"positive roots ({len(p['positive_roots'])}), fundamental coords:"
+    for i, root in enumerate(p["positive_roots"]):
+        yield f"  alpha[{i + 1}] = ({_fmt_coords(root)})"
+    yield f"rho = ({_fmt_coords(p['rho'])})"
+    yield f"dual Coxeter number = {p['dual_coxeter']}"
+    yield f"killing scale = {p['killing_scale']}"
+
+
+def _cmd_irrep(args) -> dict:
     rs = rootsys.build_root_system(args.family, args.rank)
     weight = _parse_weight(args.weight, rs.rank)
     if not rootsys.is_dominant(rs, weight):
         raise ValueError(f"weight {args.weight} is not dominant")
     ws = reps.weight_system(rs, weight)
-    items = sorted(ws.mults.items())
-    if args.format == "json":
-        _emit_json({
-            "algebra": rs.name(),
-            "highest": list(weight),
-            "dim": ws.dim,
-            "weights": [{"weight": list(w), "mult": m} for w, m in items],
-        })
-    elif args.format == "csv":
-        lines = ["weight,multiplicity"]
-        lines.extend(f"{_fmt_coords(w)},{m}" for w, m in items)
-        _emit(lines)
-    else:
-        lines = [
-            f"irrep of {rs.name()} with highest weight ({_fmt_coords(weight)})",
-            f"dimension {ws.dim}, {len(items)} distinct weights",
-        ]
-        lines.extend(f"  ({_fmt_coords(w)})  x{m}" for w, m in items)
-        _emit(lines)
-    return 0
+    return {
+        "algebra": rs.name(),
+        "highest": list(weight),
+        "dim": ws.dim,
+        "weights": [{"weight": list(w), "mult": m} for w, m in sorted(ws.mults.items())],
+    }
 
 
-def _spectrum_table_lines(table) -> list[str]:
-    lines = [
-        f"spectrum of the vacuum operator on {table.algebra}, "
-        f"mu = ({_fmt_coords(table.mu)}), cutoff {table.cutoff}",
-        "lambda    approx*   total  constituents (gamma : mult x dim)",
-    ]
-    for row in table.rows:
-        parts = "; ".join(
-            f"({_fmt_coords(c.gamma)}) : {c.weight_mult} x {c.dim}" for c in row.constituents
-        )
-        lines.append(
-            f"{str(row.eigenvalue):<9} {_approx(row.eigenvalue):<9} "
-            f"{row.total_multiplicity:<6} {parts}"
-        )
-    lines.append("* decimal column is approximate; exact values are the p/q strings")
-    return lines
+def _irrep_csv(p):
+    for w in p["weights"]:
+        yield f"{_fmt_coords(w['weight'])},{w['mult']}"
 
 
-def _cmd_spectrum(args) -> int:
+def _irrep_table(p):
+    yield f"irrep of {p['algebra']} with highest weight ({_fmt_coords(p['highest'])})"
+    yield f"dimension {p['dim']}, {len(p['weights'])} distinct weights"
+    for w in p["weights"]:
+        yield f"  ({_fmt_coords(w['weight'])})  x{w['mult']}"
+
+
+def _spectrum_jsonable(table) -> dict:
+    return {
+        "algebra": table.algebra,
+        "mu": list(table.mu),
+        "cutoff": str(table.cutoff),
+        "rows": [
+            {
+                "lambda": str(row.eigenvalue),
+                "total": row.total_multiplicity,
+                "constituents": [
+                    {"gamma": list(c.gamma), "weight_mult": c.weight_mult, "dim": c.dim}
+                    for c in row.constituents
+                ],
+            }
+            for row in table.rows
+        ],
+    }
+
+
+def _cmd_spectrum(args) -> dict:
     rs = rootsys.build_root_system(args.family, args.rank)
     mu = _parse_weight(args.mu, rs.rank)
     cutoff = _parse_cutoff(args.cutoff)
-    table = flagspec.p_spectrum(rs, mu, cutoff)
-    if args.format == "json":
-        _emit_json(flagspec.spectrum_to_jsonable(table))
-    elif args.format == "csv":
-        _emit(flagspec.spectrum_to_csv_lines(table))
+    return _spectrum_jsonable(flagspec.p_spectrum(rs, mu, cutoff))
+
+
+def _spectrum_csv(p):
+    """One line per (lambda, gamma) pair."""
+    for row in p["rows"]:
+        for c in row["constituents"]:
+            gamma = _fmt_coords(c["gamma"])
+            yield f"{row['lambda']},{row['total']},{gamma},{c['weight_mult']},{c['dim']}"
+
+
+def _spectrum_table(p):
+    yield (f"spectrum of the vacuum operator on {p['algebra']}, "
+           f"mu = ({_fmt_coords(p['mu'])}), cutoff {p['cutoff']}")
+    yield "lambda    approx*   total  constituents (gamma : mult x dim)"
+    for row in p["rows"]:
+        parts = "; ".join(
+            f"({_fmt_coords(c['gamma'])}) : {c['weight_mult']} x {c['dim']}"
+            for c in row["constituents"]
+        )
+        yield f"{row['lambda']:<9} {_approx(row['lambda']):<9} {row['total']:<6} {parts}"
+    yield "* decimal column is approximate; exact values are the p/q strings"
+
+
+def _cmd_distinguish(args) -> dict:
+    cutoff = _parse_cutoff(args.cutoff) if args.cutoff is not None else None
+    if args.rank1_sanity:
+        report = flagspec.rank_one_sanity(cutoff=cutoff)
     else:
-        _emit(_spectrum_table_lines(table))
-    return 0
-
-
-def _distinguish_jsonable(report) -> dict:
+        report = flagspec.distinguish(args.n, cutoff=cutoff)
     diff = report.first_difference
     return {
         "n": report.n,
@@ -174,47 +196,32 @@ def _distinguish_jsonable(report) -> dict:
             "c": {"lambda": None if diff.c_eigenvalue is None else str(diff.c_eigenvalue),
                   "total": diff.c_total},
         },
-        "b_table": flagspec.spectrum_to_jsonable(report.b_table),
-        "c_table": flagspec.spectrum_to_jsonable(report.c_table),
+        "b_table": _spectrum_jsonable(report.b_table),
+        "c_table": _spectrum_jsonable(report.c_table),
     }
 
 
-def _cmd_distinguish(args) -> int:
-    cutoff = _parse_cutoff(args.cutoff) if args.cutoff is not None else None
-    if args.rank1_sanity:
-        report = flagspec.rank_one_sanity(cutoff=cutoff)
-    else:
-        report = flagspec.distinguish(args.n, cutoff=cutoff)
-    if args.format == "json":
-        _emit_json(_distinguish_jsonable(report))
-    elif args.format == "csv":
-        lines = ["row,lambda_b,total_b,lambda_c,total_c,equal"]
-        rb, rc = report.b_table.rows, report.c_table.rows
-        for i in range(max(len(rb), len(rc))):
-            eb = str(rb[i].eigenvalue) if i < len(rb) else ""
-            tb = rb[i].total_multiplicity if i < len(rb) else ""
-            ec = str(rc[i].eigenvalue) if i < len(rc) else ""
-            tc = rc[i].total_multiplicity if i < len(rc) else ""
-            lines.append(f"{i},{eb},{tb},{ec},{tc},{(eb, tb) == (ec, tc)}")
-        _emit(lines)
-    else:
-        pair = ("B1=A1", "C1=A1") if report.n == 1 else (f"B{report.n}", f"C{report.n}")
-        lines = [
-            f"distinguishing {pair[0]} and {pair[1]} at mu = 0, cutoff {report.cutoff}",
-            f"verdict: {report.verdict}",
-        ]
-        diff = report.first_difference
-        if diff is not None:
-            lines.append(
-                f"first difference at row {diff.index}: "
-                f"{pair[0]} has (lambda={diff.b_eigenvalue}, total={diff.b_total}), "
-                f"{pair[1]} has (lambda={diff.c_eigenvalue}, total={diff.c_total})"
-            )
-        for label, table in ((pair[0], report.b_table), (pair[1], report.c_table)):
-            lines.append(f"--- {label} ---")
-            lines.extend(_spectrum_table_lines(table))
-        _emit(lines)
-    return 0
+def _distinguish_csv(p):
+    rows = zip_longest(p["b_table"]["rows"], p["c_table"]["rows"], fillvalue={})
+    for i, (b, c) in enumerate(rows):
+        eb, tb = b.get("lambda", ""), b.get("total", "")
+        ec, tc = c.get("lambda", ""), c.get("total", "")
+        yield f"{i},{eb},{tb},{ec},{tc},{(eb, tb) == (ec, tc)}"
+
+
+def _distinguish_table(p):
+    pair = ("B1=A1", "C1=A1") if p["n"] == 1 else (f"B{p['n']}", f"C{p['n']}")
+    yield f"distinguishing {pair[0]} and {pair[1]} at mu = 0, cutoff {p['cutoff']}"
+    yield f"verdict: {p['verdict']}"
+    diff = p["first_difference"]
+    if diff is not None:
+        b, c = diff["b"], diff["c"]
+        yield (f"first difference at row {diff['row']}: "
+               f"{pair[0]} has (lambda={b['lambda']}, total={b['total']}), "
+               f"{pair[1]} has (lambda={c['lambda']}, total={c['total']})")
+    for label, table in ((pair[0], p["b_table"]), (pair[1], p["c_table"])):
+        yield f"--- {label} ---"
+        yield from _spectrum_table(table)
 
 
 def _cp1_block_jsonable(block, include_matrices: bool) -> dict:
@@ -232,17 +239,12 @@ def _cp1_block_jsonable(block, include_matrices: bool) -> dict:
         "ker_dbar": block.ker_dbar,
     }
     if include_matrices:
-        entry["matrices"] = {
-            "d": block.d.triplets(),
-            "dbar": block.dbar.triplets(),
-            "h": block.h.triplets(),
-            "omega": block.omega.triplets(),
-            "p": block.p.triplets(),
-        }
+        entry["matrices"] = {op: getattr(block, op).triplets()
+                             for op in ("d", "dbar", "h", "omega", "p")}
     return entry
 
 
-def _cmd_cp1(args) -> int:
+def _cmd_cp1(args) -> dict:
     report = cp1.verify(args.lmax, args.gamma_max)
     failures = [f for lv in report for f in lv.failures]
     levels = [
@@ -263,113 +265,92 @@ def _cmd_cp1(args) -> int:
         "levels": levels,
         "status": "FAIL" if failures else "PASS",
     }
-    if args.format == "json":
-        _emit_json(payload)
-    elif args.format == "csv":
-        lines = ["level,gamma,j,dim,lambda,rank_d,rank_dbar,ker_d,ker_dbar,status"]
-        for lv in levels:
-            for b in lv["blocks"]:
-                lines.append(
-                    f"{b['level']},{b['gamma']},{b['j']},{b['dim']},{b['lambda']},"
-                    f"{b['rank_d']},{b['rank_dbar']},{b['ker_d']},{b['ker_dbar']},{lv['status']}"
-                )
-        _emit(lines)
-    else:
-        lines = [f"CP^1 block engine: levels 0..{args.lmax}, gamma <= {args.gamma_max}"]
-        for lv in levels:
-            lines.append(
-                f"level {lv['level']}: ker Dbar = {lv['ker_dbar']}, ker D = {lv['ker_d']}, "
-                f"ladders {'PASS' if lv['ladders_ok'] else 'FAIL'}, "
-                f"commutators {'PASS' if lv['commutators_ok'] else 'FAIL'} "
-                f"-> {lv['status']}"
-            )
-            for b in lv["blocks"]:
-                lines.append(
-                    f"  gamma={b['gamma']} (j={b['j']}, dim {b['dim']}): "
-                    f"lambda={b['lambda']} ({_approx(Fraction(b['lambda']))}*), "
-                    f"P-identity {'PASS' if b['p_identity_ok'] else 'FAIL'}"
-                )
-        lines.append(f"overall: {payload['status']}")
-        lines.append("* decimal values are approximate")
-        _emit(lines)
     if failures:
+        _render(args, payload)
         raise ContractViolation(f"CP^1 verification failed at {failures[0]}")
-    return 0
+    return payload
 
 
-def _cmd_index(args) -> int:
+def _cp1_csv(p):
+    for lv in p["levels"]:
+        for b in lv["blocks"]:
+            yield (f"{b['level']},{b['gamma']},{b['j']},{b['dim']},{b['lambda']},"
+                   f"{b['rank_d']},{b['rank_dbar']},{b['ker_d']},{b['ker_dbar']},{lv['status']}")
+
+
+def _cp1_table(p):
+    yield f"CP^1 block engine: levels 0..{p['lmax']}, gamma <= {p['gamma_max']}"
+    for lv in p["levels"]:
+        yield (f"level {lv['level']}: ker Dbar = {lv['ker_dbar']}, ker D = {lv['ker_d']}, "
+               f"ladders {'PASS' if lv['ladders_ok'] else 'FAIL'}, "
+               f"commutators {'PASS' if lv['commutators_ok'] else 'FAIL'} "
+               f"-> {lv['status']}")
+        for b in lv["blocks"]:
+            yield (f"  gamma={b['gamma']} (j={b['j']}, dim {b['dim']}): "
+                   f"lambda={b['lambda']} ({_approx(b['lambda'])}*), "
+                   f"P-identity {'PASS' if b['p_identity_ok'] else 'FAIL'}")
+    yield f"overall: {p['status']}"
+    yield "* decimal values are approximate"
+
+
+def _cmd_index(args) -> dict:
     query = surface.IndexQuery(genus=args.genus, level=args.level, spinor_kind=args.spinor)
-    value = surface.index(query)
-    if args.format == "json":
-        _emit_json({
-            "genus": query.genus,
-            "level": query.level,
-            "kind": query.spinor_kind,
-            "index": value,
-        })
-    elif args.format == "csv":
-        _emit(["genus,level,kind,index", f"{query.genus},{query.level},{query.spinor_kind},{value}"])
-    else:
-        _emit([
-            "genus  level  kind         index",
-            f"{query.genus:<6} {query.level:<6} {query.spinor_kind:<12} {value}",
-        ])
-    return 0
+    return {
+        "genus": query.genus,
+        "level": query.level,
+        "kind": query.spinor_kind,
+        "index": surface.index(query),
+    }
+
+
+def _index_csv(p):
+    yield f"{p['genus']},{p['level']},{p['kind']},{p['index']}"
+
+
+def _index_table(p):
+    yield "genus  level  kind         index"
+    yield f"{p['genus']:<6} {p['level']:<6} {p['kind']:<12} {p['index']}"
 
 
 # ---------------------------------------------------------------------------
 # parser wiring
 # ---------------------------------------------------------------------------
 
-def _add_format(p: argparse.ArgumentParser):
-    p.add_argument("--format", choices=("table", "json", "csv"), default="table",
-                   help="output format (default: table)")
-
-
-def _add_cache_flags(p: argparse.ArgumentParser):
-    # accepted for compatibility with existing scripts; there is no cache
-    p.add_argument("--cache-dir", help="ignored: nothing is cached")
-    p.add_argument("--no-cache", action="store_true", help="ignored: nothing is cached")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="symdol", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, csv_header):
-        return sub.add_parser(
+    def add(name, help_text, csv_header, func, csv, table):
+        p = sub.add_parser(
             name, help=help_text, epilog=f"csv header: {csv_header}",
             formatter_class=argparse.RawDescriptionHelpFormatter,
         )
+        p.set_defaults(func=func, csv_header=csv_header, csv=csv, table=table)
+        return p
 
-    p = add("roots", "Cartan data of a classical root system", "item,index,values")
+    p = add("roots", "Cartan data of a classical root system", "item,index,values",
+            _cmd_roots, _roots_csv, _roots_table)
     p.add_argument("--family", required=True, help="one of A, B, C, D, G")
     p.add_argument("--rank", required=True, type=int)
-    _add_format(p)
-    p.set_defaults(func=_cmd_roots)
 
     p = add("irrep", "dimension and weight multiplicities of an irreducible",
-            "weight,multiplicity")
+            "weight,multiplicity", _cmd_irrep, _irrep_csv, _irrep_table)
     p.add_argument("--family", required=True)
     p.add_argument("--rank", required=True, type=int)
     p.add_argument("--weight", required=True,
                    help="dominant highest weight, comma-separated fundamental coordinates")
-    _add_format(p)
-    p.set_defaults(func=_cmd_irrep)
 
     p = add("spectrum", "vacuum-operator spectrum on G/T twisted by a dominant weight",
-            flagspec.SPECTRUM_CSV_HEADER)
+            "lambda,total,gamma,weight_mult,dim", _cmd_spectrum, _spectrum_csv, _spectrum_table)
     p.add_argument("--family", required=True)
     p.add_argument("--rank", required=True, type=int)
     p.add_argument("--mu", required=True, help="dominant twist weight, comma-separated")
     p.add_argument("--cutoff", required=True, help="inclusive eigenvalue cutoff, rational p/q")
-    _add_format(p)
-    _add_cache_flags(p)
-    p.set_defaults(func=_cmd_spectrum)
 
     p = add("distinguish", "compare the B_n and C_n vacuum spectra at mu = 0",
-            "row,lambda_b,total_b,lambda_c,total_c,equal")
+            "row,lambda_b,total_b,lambda_c,total_c,equal",
+            _cmd_distinguish, _distinguish_csv, _distinguish_table)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--n", type=int, help="rank, n >= 2")
     group.add_argument("--rank1-sanity", action="store_true",
@@ -377,27 +358,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cutoff", default=None,
                    help="rational eigenvalue cutoff (default: auto, twice the larger "
                         "first positive eigenvalue)")
-    _add_format(p)
-    _add_cache_flags(p)
-    p.set_defaults(func=_cmd_distinguish)
 
     p = add("cp1", "run the CP^1 block-matrix verification suite",
-            "level,gamma,j,dim,lambda,rank_d,rank_dbar,ker_d,ker_dbar,status")
+            "level,gamma,j,dim,lambda,rank_d,rank_dbar,ker_d,ker_dbar,status",
+            _cmd_cp1, _cp1_csv, _cp1_table)
     p.add_argument("--lmax", required=True, type=int, help="largest spinor level")
     p.add_argument("--gamma-max", required=True, type=int, dest="gamma_max",
                    help="odd truncation bound on the block label gamma")
     p.add_argument("--matrices", action="store_true",
                    help="include sparse matrix triplets [row, col, 'a+bi'] in json output")
-    _add_format(p)
-    p.set_defaults(func=_cmd_cp1)
 
-    p = add("index", "closed-form index on a genus-g surface", "genus,level,kind,index")
+    p = add("index", "closed-form index on a genus-g surface", "genus,level,kind,index",
+            _cmd_index, _index_csv, _index_table)
     p.add_argument("--genus", required=True, type=int)
     p.add_argument("--level", required=True, type=int)
     p.add_argument("--spinor", required=True, choices=surface.SPINOR_KINDS)
-    _add_format(p)
-    p.set_defaults(func=_cmd_index)
 
+    for name, p in sub.choices.items():     # after each command's own arguments
+        p.add_argument("--format", choices=("table", "json", "csv"), default="table",
+                       help="output format (default: table)")
+        if name in ("spectrum", "distinguish"):
+            # accepted for compatibility with existing scripts; there is no cache
+            p.add_argument("--cache-dir", help="ignored: nothing is cached")
+            p.add_argument("--no-cache", action="store_true", help="ignored: nothing is cached")
     return parser
 
 
@@ -405,13 +388,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        _render(args, args.func(args))
     except ContractViolation as exc:
         print(f"symdol: contract violation: {exc}", file=sys.stderr)
         return 2
     except (ValueError, ArithmeticError) as exc:
         print(f"symdol: error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 def run():

@@ -38,11 +38,10 @@ from typing import Optional
 
 from . import fock
 from .errors import ContractViolation
-from .gaussian import GaussianRational, ZERO, gq
+from .gaussian import GaussianRational, ONE, ZERO, gq
 from .linalg import (
     Mat,
     mat_add,
-    mat_from_rows,
     mat_mul,
     mat_scale,
     mat_sub,
@@ -61,29 +60,32 @@ C_MINUS = gq(Fraction(-1, 4), Fraction(1, 4))   # Zbar_alpha -> C_MINUS * Y
 # sl(2) irreducibles
 # ---------------------------------------------------------------------------
 
+def _x_entry(k: int, r: int) -> int:
+    """X v_r = r(k-r+1) v_{r-1} on the (k+1)-dimensional irreducible."""
+    return r * (k - r + 1)
+
+
 @dataclass(frozen=True)
 class Sl2Irrep:
     """The (k+1)-dimensional irreducible on the weight basis v_0, ..., v_k.
 
     v_r has h-eigenvalue k - 2r; X v_r = r(k-r+1) v_{r-1}; Y v_r = v_{r+1}.
-    All entries are integers.
+    All entries are integers; each matrix stores only its one band.
     """
 
     k: int
-    h: tuple[tuple[int, ...], ...]
-    x: tuple[tuple[int, ...], ...]
-    y: tuple[tuple[int, ...], ...]
+    h: Mat
+    x: Mat
+    y: Mat
 
 
 def sl2_irrep(k: int) -> Sl2Irrep:
     if k < 0:
         raise ValueError("k must be nonnegative")
     size = k + 1
-    h = tuple(tuple((k - 2 * r) if r == c else 0 for c in range(size)) for r in range(size))
-    x = tuple(
-        tuple(c * (k - c + 1) if r == c - 1 else 0 for c in range(size)) for r in range(size)
-    )
-    y = tuple(tuple(1 if r == c + 1 else 0 for c in range(size)) for r in range(size))
+    h = Mat(size, size, {(r, r): gq(k - 2 * r) for r in range(size) if k != 2 * r})
+    x = Mat(size, size, {(r - 1, r): gq(_x_entry(k, r)) for r in range(1, size)})
+    y = Mat(size, size, {(r + 1, r): ONE for r in range(k)})
     return Sl2Irrep(k, h, x, y)
 
 
@@ -92,11 +94,8 @@ def sl2_casimir_matrix(rep: Sl2Irrep) -> Mat:
 
     Acts as -((k+1)^2 - 1)/8 times the identity.
     """
-    h = mat_from_rows(rep.h)
-    x = mat_from_rows(rep.x)
-    y = mat_from_rows(rep.y)
-    hh = mat_scale(mat_mul(h, h), Fraction(-1, 8))
-    mixed = mat_scale(mat_add(mat_mul(x, y), mat_mul(y, x)), Fraction(-1, 4))
+    hh = mat_scale(mat_mul(rep.h, rep.h), Fraction(-1, 8))
+    mixed = mat_scale(mat_add(mat_mul(rep.x, rep.y), mat_mul(rep.y, rep.x)), Fraction(-1, 4))
     return mat_add(hh, mixed)
 
 
@@ -136,13 +135,6 @@ def weight_line_index(level: int, gamma: int) -> int:
     return (gamma + 2 * level + 1) // 2
 
 
-@dataclass(frozen=True)
-class BlockOperator:
-    source: tuple[int, int]      # (level, gamma)
-    target: tuple[int, int]
-    matrix: Mat
-
-
 def _fiber_raise_coefficient(level: int) -> GaussianRational:
     """sigma(Z) on the one-dimensional fiber line h_level."""
     image = fock.sigma_raise(1, fock.basis_vector(1, (level,)))
@@ -155,56 +147,42 @@ def _fiber_lower_coefficient(level: int) -> GaussianRational:
     return image.terms.get((level - 1,), gq(0))
 
 
-def dbar_block(level: int, gamma: int) -> BlockOperator:
+def dbar_block(level: int, gamma: int) -> Mat:
     """The raising Dolbeault operator block(l, gamma) -> block(l+1, gamma):
-    -4i sigma(Z) (x) right-action of Zbar_alpha."""
+    -4i sigma(Z) (x) right-action of Zbar_alpha, where Y v_r = v_{r+1}."""
     src_dim = block_dim(level, gamma)
-    tgt_dim = block_dim(level + 1, gamma)
     if src_dim == 0:
         raise ValueError(f"no block at level {level}, gamma {gamma}")
-    if tgt_dim == 0:
-        return BlockOperator((level, gamma), (level + 1, gamma), zeros(0, src_dim))
-    rep = sl2_irrep(gamma)
-    r = weight_line_index(level, gamma)
-    r_next = weight_line_index(level + 1, gamma)
-    scalar = gq(0, -4) * _fiber_raise_coefficient(level) * (C_MINUS * rep.y[r_next][r])
-    return BlockOperator((level, gamma), (level + 1, gamma), scalar_matrix(src_dim, scalar))
+    if block_dim(level + 1, gamma) == 0:
+        return zeros(0, src_dim)
+    scalar = gq(0, -4) * _fiber_raise_coefficient(level) * C_MINUS
+    return scalar_matrix(src_dim, scalar)
 
 
-def d_block(level: int, gamma: int) -> BlockOperator:
+def d_block(level: int, gamma: int) -> Mat:
     """The lowering Dolbeault operator block(l, gamma) -> block(l-1, gamma):
     4i sigma(Zbar) (x) right-action of Z_alpha; the zero map out of level 0."""
-    src_dim = block_dim(level, gamma)
-    if src_dim == 0:
-        raise ValueError(f"no block at level {level}, gamma {gamma}")
-    tgt_dim = block_dim(level - 1, gamma)
-    if tgt_dim == 0:
-        return BlockOperator((level, gamma), (level - 1, gamma), zeros(0, src_dim))
-    rep = sl2_irrep(gamma)
-    r = weight_line_index(level, gamma)
-    r_prev = weight_line_index(level - 1, gamma)
-    scalar = gq(0, 4) * _fiber_lower_coefficient(level) * (C_PLUS * rep.x[r_prev][r])
-    return BlockOperator((level, gamma), (level - 1, gamma), scalar_matrix(src_dim, scalar))
+    r = weight_line_index(level, gamma)     # raises when there is no block
+    if not block_exists(level - 1, gamma):
+        return zeros(0, gamma + 1)
+    scalar = gq(0, 4) * _fiber_lower_coefficient(level) * (C_PLUS * _x_entry(gamma, r))
+    return scalar_matrix(gamma + 1, scalar)
 
 
-def h_block(level: int, gamma: int) -> BlockOperator:
+def h_block(level: int, gamma: int) -> Mat:
     """The grading operator: -(l + 1/2) times the identity."""
-    dim = block_dim(level, gamma)
-    return BlockOperator(
-        (level, gamma), (level, gamma),
-        scalar_matrix(dim, gq(Fraction(-(2 * level + 1), 2))),
-    )
+    return scalar_matrix(block_dim(level, gamma), gq(Fraction(-(2 * level + 1), 2)))
 
 
-def omega_block(level: int, gamma: int) -> BlockOperator:
+def omega_block(level: int, gamma: int) -> Mat:
     """The Casimir, realized as a genuine matrix on the free V_gamma factor;
     the same matrix at every level of the gamma ladder."""
     if block_dim(level, gamma) == 0:
-        return BlockOperator((level, gamma), (level, gamma), zeros(0, 0))
-    return BlockOperator((level, gamma), (level, gamma), sl2_casimir_matrix(sl2_irrep(gamma)))
+        return zeros(0, 0)
+    return sl2_casimir_matrix(sl2_irrep(gamma))
 
 
-def p_block(level: int, gamma: int, d_up: Mat, dbar: Mat, dbar_down: Mat, d: Mat) -> BlockOperator:
+def p_block(level: int, gamma: int, d_up: Mat, dbar: Mat, dbar_down: Mat, d: Mat) -> Mat:
     """(1/2)(D Dbar - Dbar D) restricted to block(l, gamma), from the four
     ladder maps touching it: dbar: l -> l+1, d_up: l+1 -> l, d: l -> l-1 and
     dbar_down: l-1 -> l.
@@ -212,10 +190,7 @@ def p_block(level: int, gamma: int, d_up: Mat, dbar: Mat, dbar_down: Mat, d: Mat
     A map through a missing neighbor block has an empty side, so its
     composition is the zero map and the commutator form is always assemblable.
     """
-    return BlockOperator(
-        (level, gamma), (level, gamma),
-        mat_scale(mat_sub(mat_mul(d_up, dbar), mat_mul(dbar_down, d)), Fraction(1, 2)),
-    )
+    return mat_scale(mat_sub(mat_mul(d_up, dbar), mat_mul(dbar_down, d)), Fraction(1, 2))
 
 
 def _require_gamma_max(gamma_max: int, level: int):
@@ -308,13 +283,13 @@ def _gamma_blocks(lmax: int, gamma: int) -> list[BlockReport]:
     into_missing = zeros(dim, 0)  # a map out of a missing neighbor block
     empty = zeros(0, 0)           # H or P on a missing neighbor block
     reach = min(lmax + 1, top) + 1
-    d = [d_block(l, gamma).matrix for l in range(min(lmax + 2, top) + 1)]
-    dbar = [dbar_block(l, gamma).matrix for l in range(reach)]
-    h = [h_block(l, gamma).matrix for l in range(reach)]
-    omega = omega_block(0, gamma).matrix
+    d = [d_block(l, gamma) for l in range(min(lmax + 2, top) + 1)]
+    dbar = [dbar_block(l, gamma) for l in range(reach)]
+    h = [h_block(l, gamma) for l in range(reach)]
+    omega = omega_block(0, gamma)
     p = [
         p_block(l, gamma, d[l + 1] if l < top else into_missing, dbar[l],
-                dbar[l - 1] if l else into_missing, d[l]).matrix
+                dbar[l - 1] if l else into_missing, d[l])
         for l in range(reach)
     ]
 

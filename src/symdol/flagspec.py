@@ -19,6 +19,8 @@ table is re-sorted, so results are deterministic.
 Comparing the mu = 0 spectra of B_n and C_n distinguishes the corresponding
 flag manifolds for n >= 3: the first positive eigenvalue of B_n carries a
 (2n+1)-dimensional eigenspace that C_n cannot reproduce.
+
+The tables are data here; :mod:`symdol.cli` owns every output format.
 """
 
 from __future__ import annotations
@@ -220,42 +222,6 @@ def _check_table(rs: RootSystem, table: SpectrumTable):
                 f"{row.total_multiplicity}, its constituents sum to {ledger}"
             )
         last = row.eigenvalue
-
-
-# -- serialization ----------------------------------------------------------
-
-def spectrum_to_jsonable(table: SpectrumTable) -> dict:
-    return {
-        "algebra": table.algebra,
-        "mu": list(table.mu),
-        "cutoff": str(table.cutoff),
-        "rows": [
-            {
-                "lambda": str(row.eigenvalue),
-                "total": row.total_multiplicity,
-                "constituents": [
-                    {"gamma": list(c.gamma), "weight_mult": c.weight_mult, "dim": c.dim}
-                    for c in row.constituents
-                ],
-            }
-            for row in table.rows
-        ],
-    }
-
-
-SPECTRUM_CSV_HEADER = "lambda,total,gamma,weight_mult,dim"
-
-
-def spectrum_to_csv_lines(table: SpectrumTable) -> list[str]:
-    """Flat CSV: one line per (lambda, gamma) pair."""
-    lines = [SPECTRUM_CSV_HEADER]
-    for row in table.rows:
-        for c in row.constituents:
-            gamma = " ".join(str(x) for x in c.gamma)
-            lines.append(
-                f"{row.eigenvalue},{row.total_multiplicity},{gamma},{c.weight_mult},{c.dim}"
-            )
-    return lines
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,8 @@ normalizations omitting the factorial fail that relation, as the
 Gauss-Hermite quadrature oracle in the test suite confirms via
 integral(h_m^2) = sqrt(pi) 2^m m!.
 
-Operators between two levels are materialized as sparse :class:`linalg.Mat`
-matrices whose rows and columns follow the lex-ordered level bases.
+Operators between two levels are sparse :class:`linalg.Mat` matrices over
+the lex-ordered level bases; an action leaving the target level is rejected.
 Coefficients are exact Gaussian rationals; there is no floating-point code.
 """
 
@@ -213,16 +213,12 @@ def operator_from_action(
     source_level: int,
     target_level: int,
     action: Callable[[FockVector], FockVector],
-    mode: str = "strict",
 ) -> FockOperator:
     """Materialize the action on the level basis.
 
-    ``strict`` rejects any output term outside the declared target level;
-    ``symbol`` silently truncates such terms away (exact for level-graded
-    operators, a projection otherwise).
+    Any output term outside the declared target level is rejected, so the
+    matrix is the whole action, never a truncation of it.
     """
-    if mode not in ("strict", "symbol"):
-        raise ValueError(f"unknown truncation mode {mode!r}")
     rows = {beta: i for i, beta in enumerate(level_indices(n, target_level))}
     sources = level_indices(n, source_level)
     entries: dict[tuple[int, int], GaussianRational] = {}
@@ -230,12 +226,10 @@ def operator_from_action(
         image = action(basis_vector(n, src))
         for beta, coeff in image.terms.items():
             if sum(beta) != target_level:
-                if mode == "strict":
-                    raise ValueError(
-                        f"action maps level {source_level} outside level "
-                        f"{target_level} (hit {beta})"
-                    )
-                continue
+                raise ValueError(
+                    f"action maps level {source_level} outside level "
+                    f"{target_level} (hit {beta})"
+                )
             entries[rows[beta], col] = coeff
     return FockOperator(n, source_level, target_level, Mat(len(rows), len(sources), entries))
 

@@ -220,7 +220,7 @@ def test_criterion_08_cp1_matrix_engine():
         if level >= 1:
             assert lv.ker_d == 0
         # kernel of Dbar concentrated in gamma = 2 level + 1
-        assert kernel_dimension(cp1.dbar_block(level, 2 * level + 1).matrix) == 2 * level + 2
+        assert kernel_dimension(cp1.dbar_block(level, 2 * level + 1)) == 2 * level + 2
     assert all(lv.ok for lv in report)
     for n_total in range(0, 5):
         total = sum(

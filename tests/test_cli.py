@@ -95,6 +95,20 @@ def test_spectrum_csv_rank_one(capsys):
     assert lines[1:] == ["0,2,1,1,2", "3/2,4,3,1,4", "4,6,5,1,6"]
 
 
+def test_spectrum_json_rank_one(capsys):
+    code, out, _ = run_cli(capsys, "spectrum", "--family", "A", "--rank", "1",
+                           "--mu", "1", "--cutoff", "4", "--format", "json")
+    assert code == 0
+    obj = json.loads(out)
+    assert list(obj.keys()) == ["algebra", "mu", "cutoff", "rows"]
+    assert obj["algebra"] == "A1"
+    assert obj["rows"][0] == {
+        "lambda": "0",
+        "total": 2,
+        "constituents": [{"gamma": [1], "weight_mult": 1, "dim": 2}],
+    }
+
+
 def test_spectrum_b3_includes_three_fifths_row(capsys):
     code, out, _ = run_cli(capsys, "spectrum", "--family", "B", "--rank", "3",
                            "--mu", "0,0,0", "--cutoff", "1", "--format", "json",
@@ -205,26 +219,112 @@ def test_distinguish_byte_identical_repeat(tmp_path, capsys):
     assert first == second == third
 
 
-# SHA-256 of stdout, recorded before the CP^1 engine assembled each block once
-CP1_GOLDEN = [
-    (("--lmax", "2", "--gamma-max", "7", "--format", "table"),
+# (command line, exit code, SHA-256 of stdout, or of stderr when the exit
+# code is nonzero), recorded before every format was rendered from one
+# payload per subcommand; the cp1 rows predate the single-pass CP^1 engine
+# and the sparse matrix type
+CLI_GOLDEN = [
+    ("roots --family B --rank 3 --format table", 0,
+     "5c3599a937293c7e58f1ce8e21c35baedd8ca50e519dbe9b085e84af06c16e7f"),
+    ("roots --family B --rank 3 --format json", 0,
+     "0129883457fbc192b57dd4eab8e723993328bb1605dda8701d47d08d729be6fe"),
+    ("roots --family B --rank 3 --format csv", 0,
+     "d90c531baec4a5a81b46c64fa27272f261fb42940656e2479a0c5d9def449479"),
+    ("roots --family G --rank 2 --format table", 0,
+     "9042ee5fae28b42c53585476583bfde37cc5118d7eb395de4854f1b929fbd725"),
+    ("roots --family G --rank 2 --format json", 0,
+     "9e8e31b2e95c83c145c6406ee7b6fe336f6a70909262ce53b4d74a96abfa4b65"),
+    ("roots --family G --rank 2 --format csv", 0,
+     "6ed6c77d0226295491823c3cdbd062982d901c968777a9171cba6024672f1969"),
+    ("irrep --family A --rank 2 --weight 1,1 --format table", 0,
+     "6090440dea22d21638da2b2a3a2df650a022e537e36b87a04027d46018b3d804"),
+    ("irrep --family A --rank 2 --weight 1,1 --format json", 0,
+     "20047a0880c26c16523418bc09348f94e9775f4f2cb637cf68012e94e5abb36a"),
+    ("irrep --family A --rank 2 --weight 1,1 --format csv", 0,
+     "b618cfb050c976f42bc88cfbd03d4571bd7d7b7886c4c7992115c1d917a8fa90"),
+    ("irrep --family G --rank 2 --weight 1,0 --format table", 0,
+     "49bca7323d5c2dc0dbc7984cd2715d210267cd99792d8836e5ebe3ca1d330d67"),
+    ("irrep --family G --rank 2 --weight 1,0 --format json", 0,
+     "c5f4ee548f32542c4a2b51daf87cd4fe174b287c199e8cc15c2877a53f6956d3"),
+    ("irrep --family G --rank 2 --weight 1,0 --format csv", 0,
+     "9632f1203b6810100d484de4bc52203d34ca4316d2be0fe4714bd869dc2ce397"),
+    ("spectrum --family B --rank 3 --mu 0,0,0 --cutoff 1 --format table", 0,
+     "6f261741e88338ecaabeb76151d8df36d6aa63b63dd50565797450f0537b1c2b"),
+    ("spectrum --family B --rank 3 --mu 0,0,0 --cutoff 1 --format json", 0,
+     "ba4b52770c07f8e446c542c62c54f889d036e467a76479f3f3430d13d4ada2e3"),
+    ("spectrum --family B --rank 3 --mu 0,0,0 --cutoff 1 --format csv", 0,
+     "d108227ffe88f67fc9b5bd7f6118dada856e4fd02c83a6a2a24055942e37df13"),
+    ("spectrum --family G --rank 2 --mu 1,1 --cutoff 4 --format table", 0,
+     "469d98f0bcedff892ddc28c9f1eda9195327aee3285aaab3b258765ffa9492fc"),
+    ("spectrum --family G --rank 2 --mu 1,1 --cutoff 4 --format json", 0,
+     "d16d7b3580039f5f4fd2fd39a23300484ee7a3af585f913d6ccb6b3b0445db11"),
+    ("spectrum --family G --rank 2 --mu 1,1 --cutoff 4 --format csv", 0,
+     "dee5b8c11a4fc72b4688289ab3257fc36f80c0131f8e3be262926c1aa3ebf9b1"),
+    ("distinguish --n 3 --format table", 0,
+     "654d72a9c00ebceb2f6b189787afa535292360ec9f5348771226b8345ee6a33e"),
+    ("distinguish --n 3 --format json", 0,
+     "9ce93b2c3b41df97dd5b7c15a7801731e4dbec19b7aea5a4f6d0eda4a46d2637"),
+    ("distinguish --n 3 --format csv", 0,
+     "be31993140f9d98273bed3e21fa5ed631623142a16314ffc21c2c3e89f8811be"),
+    ("distinguish --n 2 --cutoff 2 --format table", 0,
+     "6f3bd46b198c63a505e278e591ed82937d49219b25dcdcc75c6d6092f4386bf2"),
+    ("distinguish --n 2 --cutoff 2 --format json", 0,
+     "2efdb8dc4446a1292801928b593964e7a4181d330597ec1b9548ca6397d9df6d"),
+    ("distinguish --n 2 --cutoff 2 --format csv", 0,
+     "e1fd9931c8c9379c720b08077173748d2c1b34f1558d01462c99d9182f660514"),
+    ("distinguish --rank1-sanity --format table", 0,
+     "ba3eb00355f61a5283546f05d5cc7a53e4311627e70824882662951dd860104e"),
+    ("distinguish --rank1-sanity --format json", 0,
+     "00944b4c16ebba7a006498ff99d339a36725930d9149b0b516ec7245b6d594e8"),
+    ("distinguish --rank1-sanity --format csv", 0,
+     "d9c0214564b9b1914827ad2db54980ef886c021ef93e9bf9355767643950d825"),
+    ("index --genus 1 --level 2 --spinor fock --format table", 0,
+     "a7eeaa37470a88ad9049a9ef992985c2ab9989052a7dc3a9e0528de54c49a03e"),
+    ("index --genus 1 --level 2 --spinor fock --format json", 0,
+     "c70d72aedd0d9e49c932f57757b9fde73ab36de49b7670226a1ae44c01783a25"),
+    ("index --genus 1 --level 2 --spinor fock --format csv", 0,
+     "74324326586f91925f2ddcde014122f6880072e3e0815180d53fe86b95d5b714"),
+    ("cp1 --lmax 2 --gamma-max 7 --format table", 0,
      "e39322bc5988bc90f65b8468cc4e685bf9769e9a39168651dc8b434345ea13cb"),
-    (("--lmax", "2", "--gamma-max", "7", "--format", "csv"),
+    ("cp1 --lmax 2 --gamma-max 7 --format csv", 0,
      "5640b9e6591a19c7ea77468c55ea1a6a00f3c1bae85805b6f5de235c1caba714"),
-    (("--lmax", "1", "--gamma-max", "5", "--format", "json", "--matrices"),
+    ("cp1 --lmax 1 --gamma-max 5 --format json --matrices", 0,
      "680f5060d8cb6ad3fd3d826598b00059ddedbbd4379e5414a825f3f3dc0226e8"),
-    # two-digit gammas and row indices; recorded with the dense matrix type
-    (("--lmax", "3", "--gamma-max", "21", "--format", "json", "--matrices"),
+    ("cp1 --lmax 3 --gamma-max 21 --format json --matrices", 0,
      "c88c93995a815c5ba83a81ef158fcd63164a927eaa9b83d129838ae1c8551a57"),
+    ("--help", 0,
+     "6df90292277b6ef175cd0c5e2592e25a9b681acd09fa058807b42129e7e9ab13"),
+    ("roots --help", 0,
+     "19b63031a5ff0708bd83102350223056354019024b714177da55734fbc090d2e"),
+    ("irrep --help", 0,
+     "db18605e6b0bf9bd44d642279940a5d6b35ce4e17427677116ffb8d800bd2a1c"),
+    ("spectrum --help", 0,
+     "abf4dd5323e3dd0b490ff255cd3a79639ddc5bfc2ea7cbf92aac9e423a1e42cd"),
+    ("distinguish --help", 0,
+     "5611024146381d96c80119b7f3807c06029e6ee5f034b1ab7c201ac1e94b4076"),
+    ("cp1 --help", 0,
+     "839b58d1023b2b456714516d99c727a9d8b95501b76cbd7f11720f3200dcd35e"),
+    ("index --help", 0,
+     "7e9152180a1179ea3e269188a11fcfe2212d17c945449061c4598ebd6344614b"),
+    ("irrep --family A --rank 2 --weight=-1,1", 1,
+     "559cc6c4d81e80773a8a4b3b8b4764d0703a8342b4df33604c17c192cac6d4d2"),
+    ("spectrum --family B --rank 3 --mu 0,0 --cutoff 1", 1,
+     "eeb917713b47ca868bfc142ba5d753e44c8114b1e9a051744a6f463ffc1ea503"),
 ]
 
 
-@pytest.mark.parametrize("args,digest", CP1_GOLDEN,
-                         ids=["table", "csv", "json-matrices", "json-matrices-large"])
-def test_cp1_golden_output(capsys, args, digest):
-    code, out, _ = run_cli(capsys, "cp1", *args)
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+@pytest.mark.parametrize("command,code,digest", CLI_GOLDEN,
+                         ids=["-".join(a.lstrip("-") for a in row[0].split()) for row in CLI_GOLDEN])
+def test_cli_golden_output(capsys, monkeypatch, command, code, digest):
+    monkeypatch.setenv("COLUMNS", "80")     # argparse wraps --help to the terminal width
+    try:
+        got = main(command.split())
+    except SystemExit as exc:               # --help
+        got = exc.code
+    out, err = capsys.readouterr()
+    printed, silent = (out, err) if code == 0 else (err, out)
+    assert got == code and silent == ""
+    assert hashlib.sha256(printed.encode()).hexdigest() == digest
 
 
 def test_cp1_byte_identical_repeat(capsys):
@@ -283,8 +383,8 @@ def test_contract_violation_exits_2(capsys, monkeypatch):
     # doubling Omega (-3/8 -> -3/4 on V_1) breaks P = -Omega - (3/2) H^2:
     # on block (0, 1) P = 0 while the right side becomes 3/4 - 3/8 = 3/8
     true_omega = cp1.omega_block
-    monkeypatch.setattr(cp1, "omega_block", lambda level, gamma: cp1.BlockOperator(
-        (level, gamma), (level, gamma), mat_scale(true_omega(level, gamma).matrix, 2)))
+    monkeypatch.setattr(cp1, "omega_block",
+                        lambda level, gamma: mat_scale(true_omega(level, gamma), 2))
     code = main(["cp1", "--lmax", "0", "--gamma-max", "3", "--format", "json"])
     captured = capsys.readouterr()
     assert code == 2
@@ -336,9 +436,22 @@ def test_spectrum_table_flags_approximation(capsys):
     assert "approximate" in out
 
 
-def test_help_documents_csv_header(capsys):
+CSV_ARGS = {
+    "roots": ("--family", "C", "--rank", "2"),
+    "irrep": ("--family", "A", "--rank", "2", "--weight", "1,1"),
+    "spectrum": ("--family", "A", "--rank", "1", "--mu", "1", "--cutoff", "4"),
+    "distinguish": ("--n", "2", "--cutoff", "2"),
+    "cp1": ("--lmax", "0", "--gamma-max", "3"),
+    "index": ("--genus", "1", "--level", "5", "--spinor", "fock"),
+}
+
+
+@pytest.mark.parametrize("command", CSV_ARGS)
+def test_help_documents_csv_header(capsys, command):
     with pytest.raises(SystemExit) as exc:
-        main(["spectrum", "--help"])
+        main([command, "--help"])
     assert exc.value.code == 0
-    out = capsys.readouterr().out
-    assert "csv header: lambda,total,gamma,weight_mult,dim" in out
+    epilog = capsys.readouterr().out.splitlines()[-1]
+    code, out, _ = run_cli(capsys, command, *CSV_ARGS[command], "--format", "csv")
+    assert code == 0
+    assert epilog == f"csv header: {out.splitlines()[0]}"

@@ -12,6 +12,7 @@ from symdol.linalg import (
     mat_sub,
     rank,
     scalar_identity_value,
+    zeros,
 )
 
 
@@ -21,21 +22,21 @@ from symdol.linalg import (
 
 def test_sl2_irrep_k0_and_k1():
     rep = cp1.sl2_irrep(0)
-    assert rep.h == ((0,),) and rep.x == ((0,),) and rep.y == ((0,),)
+    assert rep.h == rep.x == rep.y == zeros(1, 1)
     rep = cp1.sl2_irrep(1)
-    assert rep.h == ((1, 0), (0, -1))
-    assert rep.x == ((0, 1), (0, 0))
-    assert rep.y == ((0, 0), (1, 0))
+    assert rep.h == mat_from_rows(((1, 0), (0, -1)))
+    assert rep.x == mat_from_rows(((0, 1), (0, 0)))
+    assert rep.y == mat_from_rows(((0, 0), (1, 0)))
 
 
 @pytest.mark.parametrize("k", list(range(0, 8)) + [15, 20])
 def test_sl2_bracket_relations(k):
     rep = cp1.sl2_irrep(k)
-    h, x, y = (mat_from_rows(m) for m in (rep.h, rep.x, rep.y))
+    h, x, y = rep.h, rep.x, rep.y
     assert mat_sub(mat_mul(h, x), mat_mul(x, h)) == mat_scale(x, 2)
     assert mat_sub(mat_mul(h, y), mat_mul(y, h)) == mat_scale(y, -2)
     assert mat_sub(mat_mul(x, y), mat_mul(y, x)) == h
-    assert [rep.h[r][r] for r in range(k + 1)] == list(range(k, -k - 1, -2))
+    assert [h.get((r, r), 0) for r in range(k + 1)] == list(range(k, -k - 1, -2))
 
 
 @pytest.mark.parametrize("k", range(0, 21))
@@ -89,7 +90,7 @@ def test_p_spectrum_blockwise(report, level):
 def test_p_equals_minus_omega_minus_three_halves_h_squared(report, level):
     for block in report[level].blocks:
         # the Casimir assembled once per gamma is the one at this level
-        assert block.omega == cp1.omega_block(level, block.gamma).matrix
+        assert block.omega == cp1.omega_block(level, block.gamma)
         h2 = mat_mul(block.h, block.h)
         assert block.p == mat_sub(mat_scale(block.omega, -1), mat_scale(h2, Fraction(3, 2)))
         assert block.passed("P-identity")
@@ -164,14 +165,16 @@ def test_gamma_n_dimension(n_total):
 def test_ladder_bijectivity_explicit():
     # D: G_{1,1} -> G_{0,2} has full rank 6 = dim of both blocks
     op = cp1.d_block(1, 5)
-    assert op.matrix.nrows == op.matrix.ncols == 6
-    assert rank(op.matrix) == 6
+    assert op.nrows == op.ncols == 6
+    assert rank(op) == 6
 
 
-def test_blocks_store_only_their_diagonal():
+def test_blocks_store_only_their_diagonal(monkeypatch):
     # at gamma = 201 a block is 202 x 202; D and Dbar keep 202 entries each
-    d = cp1.d_block(1, 201).matrix
-    dbar = cp1.dbar_block(0, 201).matrix
+    # and read their one sl(2) entry from its closed form, building no irrep
+    monkeypatch.setattr(cp1, "sl2_irrep", None)
+    d = cp1.d_block(1, 201)
+    dbar = cp1.dbar_block(0, 201)
     assert len(d) == len(dbar) == 202
     product = mat_mul(d, dbar)
     assert (product.nrows, product.ncols) == (202, 202)
@@ -205,9 +208,9 @@ def test_p_d_commutator_consistent_with_ladder_shift(report):
 
 def test_p_block_from_ladder_maps():
     # P = (1/2)(D Dbar - Dbar D) from the neighbouring blocks, on block (1, 5)
-    d_up, dbar = cp1.d_block(2, 5).matrix, cp1.dbar_block(1, 5).matrix
-    dbar_down, d = cp1.dbar_block(0, 5).matrix, cp1.d_block(1, 5).matrix
-    p = cp1.p_block(1, 5, d_up, dbar, dbar_down, d).matrix
+    d_up, dbar = cp1.d_block(2, 5), cp1.dbar_block(1, 5)
+    dbar_down, d = cp1.dbar_block(0, 5), cp1.d_block(1, 5)
+    p = cp1.p_block(1, 5, d_up, dbar, dbar_down, d)
     assert scalar_identity_value(p) == gq(cp1.lambda_lj(1, 1))
 
 
@@ -223,8 +226,8 @@ def _block_norm(level: int, gamma: int) -> Fraction:
 @pytest.mark.parametrize("gamma", [3, 5, 9, 13])
 def test_dbar_is_adjoint_of_d(gamma):
     for level in range(0, (gamma - 1) // 2):   # blocks where dbar is nonzero
-        dbar = scalar_identity_value(cp1.dbar_block(level, gamma).matrix)
-        d_next = scalar_identity_value(cp1.d_block(level + 1, gamma).matrix)
+        dbar = scalar_identity_value(cp1.dbar_block(level, gamma))
+        d_next = scalar_identity_value(cp1.d_block(level + 1, gamma))
         assert dbar and d_next
         assert dbar * _block_norm(level + 1, gamma) == d_next.conjugate() * _block_norm(
             level, gamma
@@ -237,7 +240,7 @@ def test_invariant_norms_make_x_y_adjoint():
     norms = cp1.invariant_weight_norms(gamma)
     for r in range(gamma):
         # <X v_{r+1}, v_r> = <v_{r+1}, Y v_r>
-        assert rep.x[r][r + 1] * norms[r] == norms[r + 1] * rep.y[r + 1][r]
+        assert rep.x[r, r + 1] * norms[r] == norms[r + 1] * rep.y[r + 1, r]
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +249,7 @@ def test_invariant_norms_make_x_y_adjoint():
 
 def test_zero_row_blocks_at_boundaries():
     op = cp1.d_block(0, 5)
-    assert op.matrix.nrows == 0 and op.matrix.ncols == 6
-    assert kernel_dimension(op.matrix) == 6
+    assert op.nrows == 0 and op.ncols == 6
+    assert kernel_dimension(op) == 6
     op = cp1.dbar_block(2, 5)   # j = 0 block
-    assert op.matrix.nrows == 0 and op.matrix.ncols == 6
+    assert op.nrows == 0 and op.ncols == 6

@@ -1,4 +1,3 @@
-import json
 from fractions import Fraction
 
 import pytest
@@ -13,8 +12,6 @@ from symdol.flagspec import (
     p_spectrum,
     rank_one_sanity,
     small_irrep_inventory,
-    spectrum_to_csv_lines,
-    spectrum_to_jsonable,
     spinor_weight,
     spinor_weight_multiset,
 )
@@ -164,23 +161,7 @@ def test_spectrum_rejects_non_dominant_mu():
 
 def test_spectrum_deterministic_and_cache_neutral():
     t1, t2, t3 = (p_spectrum(B3, (0, 0, 0), Fraction(6, 5)) for _ in range(3))
-    s1, s2, s3 = (json.dumps(spectrum_to_jsonable(t)) for t in (t1, t2, t3))
-    assert s1 == s2 == s3
-
-
-def test_spectrum_serialization_shapes():
-    table = p_spectrum(A1, (1,), 4)
-    obj = spectrum_to_jsonable(table)
-    assert list(obj.keys()) == ["algebra", "mu", "cutoff", "rows"]
-    assert obj["algebra"] == "A1"
-    assert obj["rows"][0] == {
-        "lambda": "0",
-        "total": 2,
-        "constituents": [{"gamma": [1], "weight_mult": 1, "dim": 2}],
-    }
-    lines = spectrum_to_csv_lines(table)
-    assert lines[0] == "lambda,total,gamma,weight_mult,dim"
-    assert lines[1] == "0,2,1,1,2"
+    assert t1 == t2 == t3
 
 
 # ---------------------------------------------------------------------------

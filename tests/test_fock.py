@@ -340,14 +340,6 @@ def test_strict_mode_rejects_level_violation():
         fock.operator_from_action(1, 1, 1, lambda v: fock.sigma_raise(1, v))
 
 
-def test_symbol_mode_truncates_silently():
-    op = fock.operator_from_action(
-        1, 1, 1, lambda v: fock.sigma_raise(1, v), mode="symbol"
-    )
-    assert (op.matrix.nrows, op.matrix.ncols) == (1, 1)
-    assert len(op.matrix) == 0
-
-
 def test_json_triplets_golden():
     op = fock.symbol_product(2, 1, [1, 0, 0, 1])
     assert fock.to_json_triplets(op) == [

@@ -34,7 +34,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Mapping, Optional, Sequence
 
-from .gaussian import GaussianRational, ZERO, gq
+from .gaussian import GaussianRational, ONE, ZERO, gq
 from .linalg import Mat, scalar_identity_value
 
 FockIndex = tuple[int, ...]
@@ -111,28 +111,20 @@ def _check_direction(n: int, j: int):
         raise ValueError(f"direction {j} out of range 1..{n}")
 
 
+def _unit(n: int, j: int) -> list[GaussianRational]:
+    return [ONE if k == j - 1 else ZERO for k in range(n)]
+
+
 def sigma_raise(j: int, v: FockVector) -> FockVector:
     """sigma(Z_j): raises level by one with coefficient -i/2."""
     _check_direction(v.n, j)
-    coeff = gq(0, Fraction(-1, 2))
-    parts = []
-    for beta, c in v.terms.items():
-        up = tuple(b + 1 if k == j - 1 else b for k, b in enumerate(beta))
-        parts.append((up, coeff * c))
-    return _combine(v.n, parts)
+    return _sigma_complex(_unit(v.n, j), [ZERO] * v.n, v)
 
 
 def sigma_lower(j: int, v: FockVector) -> FockVector:
     """sigma(Zbar_j): lowers level by one with coefficient -i*beta_j."""
     _check_direction(v.n, j)
-    parts = []
-    for beta, c in v.terms.items():
-        bj = beta[j - 1]
-        if bj == 0:
-            continue
-        down = tuple(b - 1 if k == j - 1 else b for k, b in enumerate(beta))
-        parts.append((down, gq(0, -bj) * c))
-    return _combine(v.n, parts)
+    return _sigma_complex([ZERO] * v.n, _unit(v.n, j), v)
 
 
 def sigma_real(coeff_a: Sequence, coeff_b: Sequence, v: FockVector) -> FockVector:
@@ -143,9 +135,12 @@ def sigma_real(coeff_a: Sequence, coeff_b: Sequence, v: FockVector) -> FockVecto
     """
     if len(coeff_a) != v.n or len(coeff_b) != v.n:
         raise ValueError("coefficient vectors must have length n")
-    zc = [gq(Fraction(a), Fraction(b)) for a, b in zip(coeff_a, coeff_b)]
-    zbarc = [gq(Fraction(a), -Fraction(b)) for a, b in zip(coeff_a, coeff_b)]
-    return _sigma_complex(zc, zbarc, v)
+    zc = [gq(a, b) for a, b in zip(coeff_a, coeff_b)]
+    return _sigma_complex(zc, [z.conjugate() for z in zc], v)
+
+
+_MINUS_HALF_I = gq(0, Fraction(-1, 2))
+_MINUS_I = gq(0, -1)
 
 
 def _sigma_complex(
@@ -153,14 +148,19 @@ def _sigma_complex(
     zbar_coeffs: Sequence[GaussianRational],
     v: FockVector,
 ) -> FockVector:
-    """sigma of sum_j (z_coeffs[j] Z_j + zbar_coeffs[j] Zbar_j)."""
-    out = zero_vector(v.n)
-    for j in range(1, v.n + 1):
-        if z_coeffs[j - 1]:
-            out = add(out, scale(z_coeffs[j - 1], sigma_raise(j, v)))
-        if zbar_coeffs[j - 1]:
-            out = add(out, scale(zbar_coeffs[j - 1], sigma_lower(j, v)))
-    return out
+    """sigma of sum_j (z_coeffs[j] Z_j + zbar_coeffs[j] Zbar_j), in one pass
+    over the terms of v; the ladder rules of the module docstring are
+    applied here and nowhere else."""
+    up = [_MINUS_HALF_I * c for c in z_coeffs]    # Z_j: -(i/2) h_{beta+e_j}
+    down = [_MINUS_I * c for c in zbar_coeffs]    # Zbar_j: -i beta_j h_{beta-e_j}
+    parts = []
+    for beta, c in v.terms.items():
+        for k, bk in enumerate(beta):
+            if up[k]:
+                parts.append((beta[:k] + (bk + 1,) + beta[k + 1:], up[k] * c))
+            if bk and down[k]:
+                parts.append((beta[:k] + (bk - 1,) + beta[k + 1:], down[k] * c * bk))
+    return _combine(v.n, parts)
 
 
 def h0_apply(v: FockVector) -> FockVector:
@@ -267,22 +267,22 @@ def _symbol_coefficients(n: int, v: Sequence) -> tuple[list, list]:
         v - iJv = sum_j 2 (va_j + i vb_j) Z_j     (pure raising)
         v + iJv = sum_j 2 (va_j - i vb_j) Zbar_j  (pure lowering).
     """
+    ws = _coordinates(n, v)
+    if not any(ws):
+        raise ValueError("symbol of the zero vector is degenerate")
+    return [2 * w for w in ws], [2 * w.conjugate() for w in ws]
+
+
+def _coordinates(n: int, v: Sequence) -> list[GaussianRational]:
+    """va_j + i vb_j for the interleaved real coordinates of v."""
     if len(v) != 2 * n:
         raise ValueError(f"coordinate vector must have length {2 * n}")
-    va = [Fraction(v[2 * j]) for j in range(n)]
-    vb = [Fraction(v[2 * j + 1]) for j in range(n)]
-    if all(a == 0 for a in va) and all(b == 0 for b in vb):
-        raise ValueError("symbol of the zero vector is degenerate")
-    raise_coeffs = [gq(2 * a, 2 * b) for a, b in zip(va, vb)]
-    lower_coeffs = [gq(2 * a, -2 * b) for a, b in zip(va, vb)]
-    return raise_coeffs, lower_coeffs
+    return [gq(v[2 * j], v[2 * j + 1]) for j in range(n)]
 
 
 def metric_norm_sq(n: int, v: Sequence) -> Fraction:
     """g_0(v, v) in the orthonormal unitary frame."""
-    if len(v) != 2 * n:
-        raise ValueError(f"coordinate vector must have length {2 * n}")
-    return sum((Fraction(c) ** 2 for c in v), Fraction(0))
+    return sum(((w * w.conjugate()).re for w in _coordinates(n, v)), Fraction(0))
 
 
 def symbol_raise_operator(n: int, l: int, v: Sequence) -> FockOperator:

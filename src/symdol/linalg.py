@@ -4,7 +4,7 @@ A matrix stores only its nonzero entries, keyed (row, col), next to an
 explicit shape, so that zero-row / zero-column maps (which arise at
 truncation and vacuum boundaries) compose correctly.  The CP^1 blocks and
 the Fock operators both use this one type.  Ranks and kernel dimensions
-come from fraction-exact Gaussian elimination; there is no floating point
+come from exact Gaussian elimination; there is no floating point
 anywhere in this module.
 """
 
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from .gaussian import GaussianRational, ZERO, ONE, gq_str
 
@@ -63,16 +63,6 @@ class Mat(Mapping):
     def triplets(self) -> list[list]:
         """The entries as [row, col, "a+bi"], sorted by (row, col)."""
         return [[i, j, gq_str(x)] for (i, j), x in sorted(self.entries.items())]
-
-
-def mat_from_rows(rows: Iterable[Iterable]) -> Mat:
-    rows = [tuple(row) for row in rows]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    if any(len(row) != ncols for row in rows):
-        raise ValueError("column count mismatch")
-    return Mat(nrows, ncols, {(i, j): GaussianRational.coerce(x) for i, row in enumerate(rows)
-                              for j, x in enumerate(row) if x})
 
 
 def zeros(nrows: int, ncols: int) -> Mat:

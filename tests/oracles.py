@@ -7,17 +7,23 @@ fundamental characters instead of the Freudenthal recursion, the first
 positive eigenvalue comes from a full scan of the candidates instead of
 stopping at the first hit, and Hermite
 inner products come from floating-point Gauss-Hermite quadrature instead
-of the exact Fock-space tables.
+of the exact Fock-space tables.  Gaussian rationals are checked against a
+pair of ``Fraction`` parts, and the one-pass Fock ladder against one ladder
+per direction summed with ``fock.add`` and ``fock.scale``.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from numbers import Rational
 
 import numpy as np
 from numpy.polynomial import hermite as nph
 
+from symdol import fock
+from symdol.gaussian import GaussianRational, gq
+from symdol.linalg import Mat
 from symdol.reps import dominant_weights_with_norm_bound, weight_multiplicity
 from symdol.rootsys import (
     RootSystem,
@@ -188,3 +194,144 @@ def hermite_quadrature_oracle(m: int, mp: int) -> float:
     if not (0 <= m <= 12 and 0 <= mp <= 12):
         raise ValueError("oracle supports 0 <= m, m' <= 12")
     return _hermite_function_inner(hermite_coefficients(m), hermite_coefficients(mp))
+
+
+# ---------------------------------------------------------------------------
+# Gaussian rationals as a pair of Fractions
+# ---------------------------------------------------------------------------
+
+class FractionPairGaussian:
+    """re + im*i held as two Fractions, normalized by Fraction itself."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        object.__setattr__(self, "re", Fraction(re))
+        object.__setattr__(self, "im", Fraction(im))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FractionPairGaussian is immutable")
+
+    @staticmethod
+    def coerce(value) -> "FractionPairGaussian":
+        if isinstance(value, FractionPairGaussian):
+            return value
+        if isinstance(value, (int, Fraction, Rational)):
+            return FractionPairGaussian(Fraction(value))
+        raise TypeError(f"cannot interpret {value!r} as a Gaussian rational")
+
+    def __add__(self, other):
+        other = self.coerce(other)
+        return FractionPairGaussian(self.re + other.re, self.im + other.im)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = self.coerce(other)
+        return FractionPairGaussian(self.re - other.re, self.im - other.im)
+
+    def __rsub__(self, other):
+        return self.coerce(other).__sub__(self)
+
+    def __mul__(self, other):
+        other = self.coerce(other)
+        return FractionPairGaussian(
+            self.re * other.re - self.im * other.im,
+            self.re * other.im + self.im * other.re,
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = self.coerce(other)
+        norm = other.re * other.re + other.im * other.im
+        if norm == 0:
+            raise ZeroDivisionError("division by zero Gaussian rational")
+        return FractionPairGaussian(
+            (self.re * other.re + self.im * other.im) / norm,
+            (self.im * other.re - self.re * other.im) / norm,
+        )
+
+    def __neg__(self):
+        return FractionPairGaussian(-self.re, -self.im)
+
+    def conjugate(self) -> "FractionPairGaussian":
+        return FractionPairGaussian(self.re, -self.im)
+
+    def __eq__(self, other):
+        try:
+            other = self.coerce(other)
+        except TypeError:
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self):
+        if self.im == 0:
+            return hash(self.re)
+        return hash((self.re, self.im))
+
+    def __bool__(self):
+        return self.re != 0 or self.im != 0
+
+    def is_real(self) -> bool:
+        return self.im == 0
+
+    def text(self) -> str:
+        """The canonical ``p/q`` text form, e.g. ``-1/2+3i`` or ``2/3``."""
+        if self.im == 0:
+            return str(self.re)
+        if self.re == 0:
+            return f"{self.im}i"
+        sign = "+" if self.im > 0 else "-"
+        return f"{self.re}{sign}{abs(self.im)}i"
+
+
+# ---------------------------------------------------------------------------
+# Fock ladder, one direction at a time
+# ---------------------------------------------------------------------------
+
+def sigma_raise_by_direction(j: int, v: fock.FockVector) -> fock.FockVector:
+    """sigma(Z_j): h_beta -> -(i/2) h_{beta + e_j}, term by term."""
+    out = fock.zero_vector(v.n)
+    for beta, c in v.terms.items():
+        up = tuple(b + 1 if k == j - 1 else b for k, b in enumerate(beta))
+        out = fock.add(out, fock.scale(gq(0, Fraction(-1, 2)) * c, fock.basis_vector(v.n, up)))
+    return out
+
+
+def sigma_lower_by_direction(j: int, v: fock.FockVector) -> fock.FockVector:
+    """sigma(Zbar_j): h_beta -> -i beta_j h_{beta - e_j}, term by term."""
+    out = fock.zero_vector(v.n)
+    for beta, c in v.terms.items():
+        if beta[j - 1]:
+            down = tuple(b - 1 if k == j - 1 else b for k, b in enumerate(beta))
+            out = fock.add(out, fock.scale(gq(0, -beta[j - 1]) * c, fock.basis_vector(v.n, down)))
+    return out
+
+
+def sigma_complex_by_composition(z_coeffs, zbar_coeffs, v: fock.FockVector) -> fock.FockVector:
+    """sigma of sum_j (z_coeffs[j] Z_j + zbar_coeffs[j] Zbar_j) as a sum of
+    scaled single-direction ladders."""
+    out = fock.zero_vector(v.n)
+    for j in range(1, v.n + 1):
+        if z_coeffs[j - 1]:
+            out = fock.add(out, fock.scale(z_coeffs[j - 1], sigma_raise_by_direction(j, v)))
+        if zbar_coeffs[j - 1]:
+            out = fock.add(out, fock.scale(zbar_coeffs[j - 1], sigma_lower_by_direction(j, v)))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# matrices from dense rows
+# ---------------------------------------------------------------------------
+
+def mat_from_rows(rows) -> Mat:
+    """A Mat from a list of equal-length rows; zeros are skipped before
+    coercion, so they are never stored."""
+    rows = [tuple(row) for row in rows]
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    if any(len(row) != ncols for row in rows):
+        raise ValueError("column count mismatch")
+    return Mat(nrows, ncols, {(i, j): GaussianRational.coerce(x) for i, row in enumerate(rows)
+                              for j, x in enumerate(row) if x})

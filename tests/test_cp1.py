@@ -2,11 +2,11 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import mat_from_rows
 from symdol import cp1, fock
 from symdol.gaussian import gq
 from symdol.linalg import (
     kernel_dimension,
-    mat_from_rows,
     mat_mul,
     mat_scale,
     mat_sub,

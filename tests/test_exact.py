@@ -1,14 +1,17 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import FractionPairGaussian, mat_from_rows
 from symdol.gaussian import GaussianRational, I, gq, gq_str
-from symdol import linalg
+from symdol import fock, linalg
 from symdol.linalg import (
     Mat,
     identity,
     kernel_dimension,
-    mat_from_rows,
     mat_mul,
     rank,
     scalar_identity_value,
@@ -62,6 +65,90 @@ def test_rendering():
 def test_coercion_rejects_floats():
     with pytest.raises(TypeError):
         GaussianRational.coerce(0.5)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: gq(0.1),
+    lambda: GaussianRational(0.5),
+    lambda: gq(1, 0.25),
+    lambda: gq(1) + 0.5,
+    lambda: gq(1) * 2.0,
+], ids=["gq(0.1)", "GaussianRational(0.5)", "float imaginary part", "add float", "mul float"])
+def test_constructor_rejects_floats(build):
+    with pytest.raises(TypeError, match="Gaussian rational"):
+        build()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: fock.sigma_real([0.1], [0], fock.basis_vector(1, (0,))),
+    lambda: fock.sigma_real([0, Fraction(1, 2)], [0, 0.5], fock.basis_vector(2, (1, 0))),
+    lambda: fock.symbol_product(1, 0, [0.1, 0.2]),
+    lambda: fock.symbol_raise_operator(2, 1, [1, 0, 0, 0.5]),
+    lambda: fock.metric_norm_sq(1, [0.5, 0]),
+], ids=["sigma_real a", "sigma_real b", "symbol_product", "symbol_raise_operator",
+        "metric_norm_sq"])
+def test_fock_coordinates_reject_floats(call):
+    with pytest.raises(TypeError, match="Gaussian rational"):
+        call()
+
+
+class _Count(int):
+    pass
+
+
+@pytest.mark.parametrize("value", [True, False, _Count(3)], ids=["True", "False", "int subclass"])
+def test_int_subclasses_stored_as_plain_int(value):
+    for z in (gq(value), gq(0, value), gq(value, Fraction(1, 2)), gq(1) * value, value + gq(0)):
+        assert {type(z._x), type(z._y), type(z._d)} == {int}
+    assert gq(value) == int(value) and hash(gq(value)) == hash(int(value))
+
+
+def test_repr_unchanged():
+    assert repr(gq(Fraction(1, 2), -3)) == "GaussianRational(Fraction(1, 2), Fraction(-3, 1))"
+    assert repr(gq()) == "GaussianRational(Fraction(0, 1), Fraction(0, 1))"
+    assert str(gq(Fraction(-2, 4), 1)) == "-1/2+1i"
+
+
+_parts = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-7, 7).map(Fraction),
+    st.builds(Fraction, st.integers(-40, 40), st.integers(1, 24)),
+)
+
+
+def _same(z: GaussianRational, ref: FractionPairGaussian):
+    assert z._d > 0 and math.gcd(z._x, z._y, z._d) == 1
+    assert type(z.re) is Fraction and type(z.im) is Fraction
+    assert (z.re, z.im) == (ref.re, ref.im)
+    assert hash(z) == hash(ref)
+    assert bool(z) == bool(ref)
+    assert z.is_real() == ref.is_real()
+    assert gq_str(z) == ref.text()
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_parts, _parts, _parts, _parts, st.integers(-5, 5))
+def test_integer_form_matches_fraction_pair_reference(a_re, a_im, b_re, b_im, k):
+    a, b = gq(a_re, a_im), gq(b_re, b_im)
+    ra, rb = FractionPairGaussian(a_re, a_im), FractionPairGaussian(b_re, b_im)
+    for z, ref in [
+        (a, ra), (b, rb),
+        (a + b, ra + rb), (a - b, ra - rb), (a * b, ra * rb),
+        (-a, -ra), (a.conjugate(), ra.conjugate()),
+        (a + k, ra + k), (k - a, k - ra), (a * b_re, ra * b_re), (k * a, k * ra),
+    ]:
+        _same(z, ref)
+    for num, den, ref_num, ref_den in [(a, b, ra, rb), (a, k, ra, k), (a, b_re, ra, b_re)]:
+        if ref_den:
+            _same(num / den, ref_num / ref_den)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                num / den
+    assert (a == b) == (ra == rb)
+    for other in (a_re, b_re, k, a_re.numerator):
+        assert (a == other) == (ra == other)
+        assert (other == a) == (other == ra)
+        assert (a != other) == (ra != other)
 
 
 def test_immutability():

@@ -6,6 +6,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import hermite as nph
 
 import oracles
@@ -74,6 +76,45 @@ def test_direction_index_validated():
         fock.sigma_raise(3, fock.basis_vector(2, (0, 0)))
     with pytest.raises(ValueError, match="out of range"):
         fock.sigma_lower(0, fock.basis_vector(2, (0, 0)))
+
+
+_parts = st.one_of(st.just(0), st.builds(Fraction, st.integers(-12, 12), st.integers(1, 8)))
+_gaussians = st.builds(gq, _parts, _parts)
+_indices = {n: st.sampled_from([beta for l in range(6) for beta in fock.level_indices(n, l)])
+            for n in range(1, 5)}
+
+
+@st.composite
+def _ladder_case(draw):
+    """A random sparse vector on levels <= 5 with n <= 4, and Z / Zbar coefficients."""
+    n = draw(st.integers(1, 4))
+    terms = draw(st.dictionaries(_indices[n], _gaussians.filter(bool), max_size=6))
+    z = draw(st.lists(_gaussians, min_size=n, max_size=n))
+    zbar = draw(st.lists(_gaussians, min_size=n, max_size=n))
+    return fock.FockVector(n, terms), z, zbar
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_ladder_case())
+def test_one_pass_ladder_matches_direction_by_direction(case):
+    v, z, zbar = case
+    assert fock._sigma_complex(z, zbar, v).terms == \
+        oracles.sigma_complex_by_composition(z, zbar, v).terms
+    for j in range(1, v.n + 1):
+        assert fock.sigma_raise(j, v).terms == oracles.sigma_raise_by_direction(j, v).terms
+        assert fock.sigma_lower(j, v).terms == oracles.sigma_lower_by_direction(j, v).terms
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.data())
+def test_ladder_direction_outside_range_rejected(data):
+    n = data.draw(st.integers(1, 4))
+    j = data.draw(st.one_of(st.integers(-3, 0), st.integers(n + 1, n + 4)))
+    v = fock.basis_vector(n, (1,) * n)
+    with pytest.raises(ValueError, match="out of range"):
+        fock.sigma_raise(j, v)
+    with pytest.raises(ValueError, match="out of range"):
+        fock.sigma_lower(j, v)
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from .errors import ContractViolation
 from .reps import (
     _dominant_weights_below,
     dominant_weights_with_norm_bound,
+    exact_rational,
     weight_multiplicity,
     weight_system,
     weyl_dimension,
@@ -155,7 +156,7 @@ def p_spectrum(rs: RootSystem, mu: Sequence[int], cutoff) -> SpectrumTable:
     m = as_weight(rs, mu)
     if not is_dominant(rs, m):
         raise ValueError(f"mu = {m} is not dominant for {rs.name()}")
-    cutoff = Fraction(cutoff)
+    cutoff = exact_rational(cutoff, "cutoff")
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
 
@@ -297,7 +298,7 @@ def distinguish(n: int, cutoff=None) -> DistinguishReport:
     c = build_root_system("C", n)
     if cutoff is None:
         cutoff = 2 * max(first_positive_eigenvalue(b), first_positive_eigenvalue(c))
-    cutoff = Fraction(cutoff)
+    cutoff = exact_rational(cutoff, "cutoff")
     zero_b, zero_c = (0,) * n, (0,) * n
     tb = p_spectrum(b, zero_b, cutoff)
     tc = p_spectrum(c, zero_c, cutoff)
@@ -309,7 +310,7 @@ def rank_one_sanity(cutoff=None) -> DistinguishReport:
     a1 = build_root_system("A", 1)
     if cutoff is None:
         cutoff = 2 * first_positive_eigenvalue(a1)
-    cutoff = Fraction(cutoff)
+    cutoff = exact_rational(cutoff, "cutoff")
     t = p_spectrum(a1, (0,), cutoff)
     return DistinguishReport(1, cutoff, t, t, _compare_tables(t, t))
 

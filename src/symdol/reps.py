@@ -2,14 +2,19 @@
 
 Weight multiplicities come from Freudenthal's recursion, run over the
 dominant weights below the highest weight and expanded along Weyl orbits.
-Dimensions come independently from the Weyl dimension formula, and both
-routes are reconciled on every call; a mismatch is a ContractViolation.
+Those dominant weights are found without visiting any other weight: by
+Stembridge (The partial order of dominant weights, Adv. Math. 136, 1998)
+every dominant mu <= gamma is reached from gamma by steps mu -> mu - alpha
+(alpha > 0) that stay dominant.  Dimensions come independently from the
+Weyl dimension formula, and both routes are reconciled on every call; a
+mismatch is a ContractViolation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 from typing import Callable, Sequence
 
 from .errors import ContractViolation
@@ -38,6 +43,14 @@ class WeightSystem:
 
 # in-process memo of dominant-weight multiplicity tables
 _DOMINANT_MEMO: dict[tuple[str, int, Weight], dict[Weight, int]] = {}
+
+
+def exact_rational(value, what: str) -> Fraction:
+    """An int or ``numbers.Rational`` as a Fraction; anything else, a float
+    included, is a TypeError rather than its binary expansion."""
+    if not isinstance(value, Rational):
+        raise TypeError(f"{what} must be an int or a rational, got {value!r}")
+    return Fraction(value)
 
 
 def _require_dominant(rs: RootSystem, gamma: Sequence[int]) -> Weight:
@@ -74,12 +87,45 @@ def casimir_value(rs: RootSystem, gamma: Sequence[int]) -> Fraction:
     return -(killing_dual_form(rs, top, top) - killing_dual_form(rs, r, r))
 
 
+def _positive_root_data(rs: RootSystem) -> list[tuple[Weight, list[tuple[int, int]], int]]:
+    """(alpha, support, height) per positive root: the nonzero simple-root
+    coefficients of alpha as (j, c_j) pairs, and their sum."""
+    out = []
+    for alpha in rs.positive_roots_fw:
+        coeffs = [int(c) for c in root_lattice_coefficients(rs, alpha)]
+        out.append((alpha, [(j, c) for j, c in enumerate(coeffs) if c], sum(coeffs)))
+    return out
+
+
+def _dominant_heights(gamma: Weight, roots: list) -> dict[Weight, int]:
+    """{mu: height of gamma - mu} over the dominant weights mu of V_gamma.
+
+    Breadth-first along mu -> mu - alpha (alpha > 0 from ``roots``, as
+    ``_positive_root_data`` gives them), keeping only dominant candidates:
+    each is below gamma, hence a weight of V_gamma, and by Stembridge every
+    dominant weight below gamma is reached.  A step adds ht(alpha).
+    """
+    heights = {gamma: 0}
+    frontier = [gamma]
+    while frontier:
+        nxt = []
+        for mu in frontier:
+            h = heights[mu]
+            for alpha, _, ht in roots:
+                cand = tuple(x - y for x, y in zip(mu, alpha))
+                if min(cand) >= 0 and cand not in heights:
+                    heights[cand] = h + ht
+                    nxt.append(cand)
+        frontier = nxt
+    return heights
+
+
 def _dominant_multiplicities(rs: RootSystem, gamma: Weight) -> dict[Weight, int]:
     """Multiplicities of the dominant weights of V_gamma, by Freudenthal.
 
-    A dominant mu is a weight of V_gamma iff gamma - mu is a nonnegative
-    integer combination of simple roots; the recursion is processed in
-    increasing height of gamma - mu so every lookup hits a finished entry.
+    The dominant weights come from the dominant-step walk; the recursion
+    takes them in increasing height of gamma - mu, so every lookup hits a
+    finished entry.
     """
     key = (rs.family, rs.rank, gamma)
     memo = _DOMINANT_MEMO.get(key)
@@ -89,63 +135,31 @@ def _dominant_multiplicities(rs: RootSystem, gamma: Weight) -> dict[Weight, int]
     r = rho(rs)
     top = tuple(a + b for a, b in zip(gamma, r))
     top_norm = killing_dual_form(rs, top, top)
+    roots = _positive_root_data(rs)
+    heights = _dominant_heights(gamma, roots)
 
-    # enumerate every weight <= gamma that is a weight of V_gamma, walking
-    # down one simple root at a time (weight diagrams are connected under
-    # such steps); keep the dominant ones grouped by height of gamma - mu
-    alpha_fw = [rs.positive_roots_fw[i] for i in range(rs.rank)]  # simple roots first
-    seen = {gamma}
-    frontier = [gamma]
-    dominant_by_height: dict[int, list[Weight]] = {0: [gamma]}
-    height = 0
-    while frontier:
-        height += 1
-        nxt = []
-        for w in frontier:
-            for a in alpha_fw:
-                cand = tuple(x - y for x, y in zip(w, a))
-                if cand in seen:
-                    continue
-                dom = dominant_conjugate(rs, cand)
-                if not is_nonneg_root_combination(
-                    rs, tuple(x - y for x, y in zip(gamma, dom))
-                ):
-                    continue
-                seen.add(cand)
-                nxt.append(cand)
-                if cand == dom:
-                    dominant_by_height.setdefault(height, []).append(cand)
-        frontier = nxt
-
-    # simple-root coefficients are integers here: positive roots and
-    # gamma - mu both lie in the root lattice
-    roots = [
-        (alpha, [(j, int(c)) for j, c in enumerate(root_lattice_coefficients(rs, alpha)) if c > 0])
-        for alpha in rs.positive_roots_fw
-    ]
     mults: dict[Weight, int] = {gamma: 1}
-    for h in sorted(dominant_by_height)[1:]:
-        for mu in dominant_by_height[h]:
-            mu_rho = tuple(a + b for a, b in zip(mu, r))
-            denom = top_norm - killing_dual_form(rs, mu_rho, mu_rho)
-            acc = Fraction(0)
-            diff = [int(c) for c in root_lattice_coefficients(
-                rs, tuple(a - b for a, b in zip(gamma, mu))
-            )]
-            for alpha, support in roots:
-                j_max = min(diff[j] // c for j, c in support)
-                for j in range(1, j_max + 1):
-                    nu = tuple(x + j * y for x, y in zip(mu, alpha))
-                    m = mults.get(dominant_conjugate(rs, nu), 0)
-                    if m:
-                        acc += m * killing_dual_form(rs, nu, alpha)
-            value = 2 * acc / denom
-            if value.denominator != 1 or value <= 0:
-                raise ContractViolation(
-                    f"{rs.name()}: Freudenthal multiplicity of {mu} in V_{gamma} "
-                    f"is not a positive integer: {value}"
-                )
-            mults[mu] = int(value)
+    for mu in sorted(heights, key=heights.get)[1:]:  # gamma alone has height 0
+        mu_rho = tuple(a + b for a, b in zip(mu, r))
+        denom = top_norm - killing_dual_form(rs, mu_rho, mu_rho)
+        acc = Fraction(0)
+        diff = [int(c) for c in root_lattice_coefficients(
+            rs, tuple(a - b for a, b in zip(gamma, mu))
+        )]
+        for alpha, support, _ in roots:
+            j_max = min(diff[j] // c for j, c in support)
+            for j in range(1, j_max + 1):
+                nu = tuple(x + j * y for x, y in zip(mu, alpha))
+                m = mults.get(dominant_conjugate(rs, nu), 0)
+                if m:
+                    acc += m * killing_dual_form(rs, nu, alpha)
+        value = 2 * acc / denom
+        if value.denominator != 1 or value <= 0:
+            raise ContractViolation(
+                f"{rs.name()}: Freudenthal multiplicity of {mu} in V_{gamma} "
+                f"is not a positive integer: {value}"
+            )
+        mults[mu] = int(value)
 
     _DOMINANT_MEMO[key] = mults
     return mults
@@ -225,6 +239,6 @@ def dominant_weights_with_norm_bound(rs: RootSystem, bound) -> list[Weight]:
         t = tuple(a + b for a, b in zip(w, r))
         return killing_dual_form(rs, t, t)
 
-    found = _dominant_weights_below(rs, norm, Fraction(bound))
+    found = _dominant_weights_below(rs, norm, exact_rational(bound, "norm bound"))
     return sorted(found, key=lambda w: (found[w], w))
 

@@ -107,38 +107,21 @@ def _orthogonal_data(family: str, rank: int):
         positives = [_vec_sub(e(amb, i), e(amb, j))
                      for i in range(amb) for j in range(i + 1, amb)]
         return simples, positives, rank + 1, Fraction(1)
-    if family == "B":
+    if family in "BCD":
         amb = rank
         simples = [_vec_sub(e(amb, i), e(amb, i + 1)) for i in range(rank - 1)]
-        simples.append(e(amb, rank - 1))
-        positives = []
-        for i in range(rank):
-            for j in range(i + 1, rank):
-                positives.append(_vec_sub(e(amb, i), e(amb, j)))
-                positives.append(_vec_add(e(amb, i), e(amb, j)))
-        positives.extend(e(amb, i) for i in range(rank))
-        return simples, positives, 2 * rank - 1, Fraction(1)
-    if family == "C":
-        amb = rank
-        simples = [_vec_sub(e(amb, i), e(amb, i + 1)) for i in range(rank - 1)]
-        simples.append(_vec_scale(2, e(amb, rank - 1)))
-        positives = []
-        for i in range(rank):
-            for j in range(i + 1, rank):
-                positives.append(_vec_sub(e(amb, i), e(amb, j)))
-                positives.append(_vec_add(e(amb, i), e(amb, j)))
-        positives.extend(_vec_scale(2, e(amb, i)) for i in range(rank))
-        # long roots 2e_i have plain squared length 4
-        return simples, positives, rank + 1, Fraction(1, 2)
-    if family == "D":
-        amb = rank
-        simples = [_vec_sub(e(amb, i), e(amb, i + 1)) for i in range(rank - 1)]
+        positives = [op(e(amb, i), e(amb, j)) for i in range(rank) for j in range(i + 1, rank)
+                     for op in (_vec_sub, _vec_add)]
+        if family == "B":
+            simples.append(e(amb, rank - 1))
+            positives.extend(e(amb, i) for i in range(rank))
+            return simples, positives, 2 * rank - 1, Fraction(1)
+        if family == "C":
+            simples.append(_vec_scale(2, e(amb, rank - 1)))
+            positives.extend(_vec_scale(2, e(amb, i)) for i in range(rank))
+            # long roots 2e_i have plain squared length 4
+            return simples, positives, rank + 1, Fraction(1, 2)
         simples.append(_vec_add(e(amb, rank - 2), e(amb, rank - 1)))
-        positives = []
-        for i in range(rank):
-            for j in range(i + 1, rank):
-                positives.append(_vec_sub(e(amb, i), e(amb, j)))
-                positives.append(_vec_add(e(amb, i), e(amb, j)))
         return simples, positives, 2 * rank - 2, Fraction(1)
     if family == "G":
         amb = 3
@@ -201,10 +184,12 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     def form(u, v):
         return euclid_scale * _dot(u, v)
 
+    scales = [2 / form(sj, sj) for sj in simples]
     cartan = tuple(
-        tuple(int(2 * form(si, sj) / form(sj, sj)) for sj in simples) for si in simples
+        tuple(int(scale * form(si, sj)) for sj, scale in zip(simples, scales)) for si in simples
     )
     inv_cartan = _invert([[Fraction(c) for c in row] for row in cartan])
+    inv_cartan_num, inv_cartan_den = _over_common_denominator(inv_cartan)
 
     # fundamental weights: omega_i = sum_j (A^{-1})_ij alpha_j
     fundamental = tuple(
@@ -214,25 +199,21 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     )
 
     def to_fw(vec) -> Weight:
-        coords = []
-        for j, sj in enumerate(simples):
-            c = 2 * form(vec, sj) / form(sj, sj)
-            if c.denominator != 1:
-                raise ValueError("vector is not in the weight lattice")
-            coords.append(int(c))
-        return tuple(coords)
+        coords = tuple(scale * form(vec, sj) for sj, scale in zip(simples, scales))
+        if any(c.denominator != 1 for c in coords):
+            raise ValueError("vector is not in the weight lattice")
+        return tuple(int(c) for c in coords)
 
-    # order positive roots by height (sum of simple-root coefficients),
-    # with the simple roots first in index order
-    def sort_key(vec):
-        fw = to_fw(vec)
-        coeffs = tuple(sum((Fraction(fw[i]) * inv_cartan[i][j] for i in range(rank)), Fraction(0))
-                       for j in range(rank))
-        height = sum(coeffs)
-        return (height, tuple(-c for c in coeffs))
+    # order positive roots by height (sum of simple-root coefficients), with
+    # the simple roots first in index order; the coefficients times
+    # inverse_cartan_den > 0 are integers and sort the same way
+    def sort_key(pair):
+        coeffs = [sum(f * row[j] for f, row in zip(pair[1], inv_cartan_num)) for j in range(rank)]
+        return (sum(coeffs), tuple(-c for c in coeffs))
 
-    positives = sorted(positives, key=sort_key)
-    positives_fw = tuple(to_fw(v) for v in positives)
+    pairs = sorted(((v, to_fw(v)) for v in positives), key=sort_key)
+    positives = [v for v, _ in pairs]
+    positives_fw = tuple(fw for _, fw in pairs)
 
     killing_scale = Fraction(1, 2 * dual_cox)
     gram = tuple(
@@ -240,7 +221,6 @@ def build_root_system(family: str, rank: int) -> RootSystem:
         for i in range(rank)
     )
 
-    inv_cartan_num, inv_cartan_den = _over_common_denominator(inv_cartan)
     gram_num, gram_den = _over_common_denominator(gram)
     return RootSystem(
         family=family,
@@ -320,18 +300,22 @@ def dominant_conjugate(rs: RootSystem, x: Sequence[int]) -> Weight:
 
 
 def weyl_orbit(rs: RootSystem, x: Sequence[int]) -> set[Weight]:
-    """Full Weyl orbit, generated lazily by simple reflections."""
+    """Full Weyl orbit, generated by simple reflections; s_i fixes w when
+    w_i = 0, so it is skipped there."""
     start = as_weight(rs, x)
+    rows = tuple(enumerate(rs.cartan_matrix))
     seen = {start}
     frontier = [start]
     while frontier:
         nxt = []
         for w in frontier:
-            for i in range(1, rs.rank + 1):
-                r = simple_reflection(rs, i, w)
-                if r not in seen:
-                    seen.add(r)
-                    nxt.append(r)
+            for i, row in rows:
+                wi = w[i]
+                if wi:
+                    r = tuple(a - wi * c for a, c in zip(w, row))
+                    if r not in seen:
+                        seen.add(r)
+                        nxt.append(r)
         frontier = nxt
     return seen
 

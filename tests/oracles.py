@@ -2,8 +2,12 @@
 
 These deliberately avoid the code paths they check: positive roots are
 regenerated by reflection closure instead of the explicit family tables,
-weight multiplicities come from decomposing tensor powers of hand-coded
-fundamental characters instead of the Freudenthal recursion, the first
+weight multiplicities come from decomposing tensor powers of fundamental
+characters generated from the orthogonal models (exterior powers of the
+vector representation, spin representations, the G2 short roots and
+adjoint) instead of the Freudenthal recursion, the dominant weights of an
+irreducible come from walking all of its weights instead of only the
+dominant ones, the first
 positive eigenvalue comes from a full scan of the candidates instead of
 stopping at the first hit, and Hermite
 inner products come from floating-point Gauss-Hermite quadrature instead
@@ -16,6 +20,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations, product
 from numbers import Rational
 
 import numpy as np
@@ -27,6 +32,7 @@ from symdol.linalg import Mat
 from symdol.reps import dominant_weights_with_norm_bound, weight_multiplicity
 from symdol.rootsys import (
     RootSystem,
+    dominant_conjugate,
     is_nonneg_root_combination,
     killing_dual_form,
     rho,
@@ -58,7 +64,8 @@ def positive_roots_by_reflection(rs: RootSystem) -> set[tuple[int, ...]]:
 # tensor-product character oracle
 # ---------------------------------------------------------------------------
 
-# weight multisets of the fundamental representations, hand-checked
+# weight multisets of the fundamental representations of A1, A2 and B2,
+# hand-checked; the generated characters must reproduce them
 FUNDAMENTAL_CHARS = {
     ("A", 1): [
         {(1,): 1, (-1,): 1},
@@ -74,6 +81,89 @@ FUNDAMENTAL_CHARS = {
 }
 
 _IRREP_MEMO: dict[tuple[str, int, tuple[int, ...]], dict] = {}
+_FUNDAMENTAL_MEMO: dict[tuple[str, int], list[Counter]] = {}
+
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def _orthogonal_simple_roots(family: str, rank: int) -> list[tuple[int, ...]]:
+    """The standard simple roots in orthogonal coordinates, written out here
+    rather than read from the root-system tables."""
+    if family == "G":
+        return [(1, -1, 0), (-2, 1, 1)]
+    amb = rank + 1 if family == "A" else rank
+
+    def e(*entries):  # sum of c * e_i over the (i, c) pairs given
+        v = [0] * amb
+        for i, c in entries:
+            v[i] += c
+        return tuple(v)
+
+    last = {
+        "A": [(rank - 1, 1), (rank, -1)],
+        "B": [(rank - 1, 1)],
+        "C": [(rank - 1, 2)],
+        "D": [(rank - 2, 1), (rank - 1, 1)],
+    }[family]
+    return [e((i, 1), (i + 1, -1)) for i in range(rank - 1)] + [e(*last)]
+
+
+def _exterior_power(weights: list, k: int) -> list:
+    """Weights of the k-th exterior power of the module with one basis
+    vector of each listed weight."""
+    return [tuple(map(sum, zip(*combo))) for combo in combinations(weights, k)]
+
+
+def fundamental_characters(family: str, rank: int) -> list[Counter]:
+    """Characters with highest weights omega_1, ..., omega_rank, in
+    fundamental-weight coordinates, built from the orthogonal models.
+
+    omega_k is the exterior power of the vector representation: for A_n
+    (all k), B_n (k < n), C_n (all k; reducible for k >= 2, but its highest
+    weight omega_k occurs once) and D_n (k <= n-2).  omega_n of B_n is the
+    spin representation (+-1/2, ..., +-1/2); for D_n the spin weights split
+    by the parity of their minus signs, odd for omega_{n-1} and even for
+    omega_n.  For G2, omega_1 is the 7-dimensional representation (short
+    roots and 0) and omega_2 the adjoint (all roots and 0 twice).
+    """
+    key = (family, rank)
+    if key in _FUNDAMENTAL_MEMO:
+        return _FUNDAMENTAL_MEMO[key]
+    simples = _orthogonal_simple_roots(family, rank)
+    if family == "G":
+        zero = (0, 0, 0)
+        roots = [v for v in product(range(-2, 3), repeat=3) if sum(v) == 0 and _dot(v, v) in (2, 6)]
+        short = [v for v in roots if _dot(v, v) == 2]
+        chars = [short + [zero], roots + [zero, zero]]
+    else:
+        amb = rank + 1 if family == "A" else rank
+        units = [tuple(int(i == j) for j in range(amb)) for i in range(amb)]
+        vector = units
+        if family != "A":
+            vector = units + [tuple(-c for c in u) for u in units]
+        if family == "B":
+            vector.append((0,) * amb)
+        chars = [_exterior_power(vector, k) for k in range(1, rank + 1)]
+        half = Fraction(1, 2)
+        spin = list(product((half, -half), repeat=rank))
+        if family == "B":
+            chars[rank - 1] = spin
+        if family == "D":
+            odd = [w for w in spin if sum(c < 0 for c in w) % 2]
+            chars[rank - 2] = odd
+            chars[rank - 1] = [w for w in spin if w not in odd]
+    out = []
+    for char in chars:
+        fw: Counter = Counter()
+        for w in char:
+            coords = [Fraction(2 * _dot(w, s), _dot(s, s)) for s in simples]
+            assert all(c.denominator == 1 for c in coords), (family, rank, w)
+            fw[tuple(int(c) for c in coords)] += 1
+        out.append(fw)
+    _FUNDAMENTAL_MEMO[key] = out
+    return out
 
 
 def _convolve(a: Counter, b: dict) -> Counter:
@@ -86,7 +176,7 @@ def _convolve(a: Counter, b: dict) -> Counter:
 
 def tensor_character(rs: RootSystem, gamma: tuple[int, ...]) -> Counter:
     """Weight multiset of the tensor product of fundamentals prescribed by gamma."""
-    fund = FUNDAMENTAL_CHARS[(rs.family, rs.rank)]
+    fund = fundamental_characters(rs.family, rs.rank)
     char: Counter = Counter({(0,) * rs.rank: 1})
     for i, power in enumerate(gamma):
         for _ in range(power):
@@ -138,6 +228,43 @@ def oracle_weight_system(rs: RootSystem, gamma: tuple[int, ...]) -> dict:
     assert all(m > 0 for m in result.values())
     _IRREP_MEMO[key] = result
     return dict(result)
+
+
+# ---------------------------------------------------------------------------
+# dominant weights by walking every weight
+# ---------------------------------------------------------------------------
+
+def dominant_heights_by_all_weights_walk(rs: RootSystem, gamma: tuple[int, ...]) -> dict:
+    """{mu: height of gamma - mu} over the dominant weights mu of V_gamma.
+
+    Walks every weight of V_gamma down from gamma one simple root at a time
+    (weight diagrams are connected under such steps); a candidate is a
+    weight iff gamma minus its dominant conjugate is a nonnegative integer
+    combination of simple roots.  It visits every weight, so it does not
+    rest on Stembridge's theorem as the dominant-step walk does.
+    """
+    simples = rs.positive_roots_fw[:rs.rank]
+    heights = {gamma: 0}
+    seen = {gamma}
+    frontier = [gamma]
+    height = 0
+    while frontier:
+        height += 1
+        nxt = []
+        for w in frontier:
+            for a in simples:
+                cand = tuple(x - y for x, y in zip(w, a))
+                if cand in seen:
+                    continue
+                dom = dominant_conjugate(rs, cand)
+                if not is_nonneg_root_combination(rs, tuple(x - y for x, y in zip(gamma, dom))):
+                    continue
+                seen.add(cand)
+                nxt.append(cand)
+                if cand == dom:
+                    heights[cand] = height
+        frontier = nxt
+    return heights
 
 
 # ---------------------------------------------------------------------------

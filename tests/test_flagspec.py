@@ -1,3 +1,5 @@
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -168,7 +170,7 @@ def test_spectrum_deterministic_and_cache_neutral():
 # distinguisher
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("n", range(3, 9))
 def test_distinguisher_claim(n):
     # the paper's claim: the first positive B_n eigenvalue n/(2n-1) carries a
     # (2n+1)-dimensional eigenspace, from gamma = omega_1 alone, that no row
@@ -195,6 +197,28 @@ def test_distinguish_n2_control_agrees():
                          for c in rb.constituents)
         actual = sorted((c.gamma, c.weight_mult, c.dim) for c in rc.constituents)
         assert flipped == actual
+
+
+INEXACT_CUTOFFS = [0.1, Decimal("0.1"), "1/10", 1e-3]
+
+
+@pytest.mark.parametrize("call", [
+    lambda c: p_spectrum(A1, (0,), c),
+    lambda c: distinguish(2, c),
+    lambda c: rank_one_sanity(c),
+], ids=["p_spectrum", "distinguish", "rank_one_sanity"])
+@pytest.mark.parametrize("cutoff", INEXACT_CUTOFFS, ids=repr)
+def test_inexact_cutoff_rejected(call, cutoff):
+    # a float is a TypeError naming it, never its binary expansion
+    message = f"cutoff must be an int or a rational, got {cutoff!r}"
+    with pytest.raises(TypeError, match=re.escape(message)):
+        call(cutoff)
+
+
+def test_rational_cutoffs_accepted_exactly():
+    assert distinguish(2, Fraction(1, 10)).cutoff == Fraction(1, 10)
+    assert rank_one_sanity(2).cutoff == 2
+    assert p_spectrum(A1, (0,), 1).cutoff == 1
 
 
 def test_distinguish_rejects_rank_one():

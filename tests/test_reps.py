@@ -1,8 +1,13 @@
+import itertools
 import random
+import re
+from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
+from symdol import reps
 from symdol.reps import (
     casimir_value,
     dominant_weights_with_norm_bound,
@@ -10,9 +15,20 @@ from symdol.reps import (
     weight_system,
     weyl_dimension,
 )
-from symdol.rootsys import build_root_system, rho, simple_reflection
+from symdol.rootsys import (
+    build_root_system,
+    dominant_conjugate,
+    is_nonneg_root_combination,
+    rho,
+    simple_reflection,
+)
 
-from oracles import oracle_weight_system
+from oracles import (
+    FUNDAMENTAL_CHARS,
+    dominant_heights_by_all_weights_walk,
+    fundamental_characters,
+    oracle_weight_system,
+)
 
 A1 = build_root_system("A", 1)
 A2 = build_root_system("A", 2)
@@ -20,6 +36,18 @@ B2 = build_root_system("B", 2)
 B3 = build_root_system("B", 3)
 C3 = build_root_system("C", 3)
 G2 = build_root_system("G", 2)
+
+RANK_LE_4 = ([("A", k) for k in range(1, 5)] + [("B", k) for k in range(2, 5)]
+             + [("C", k) for k in range(2, 5)] + [("D", 3), ("D", 4), ("G", 2)])
+
+
+def _rank_id(pair):
+    return f"{pair[0]}{pair[1]}"
+
+
+def _gammas(rank, top, total):
+    """Every gamma with coordinates in 0..top and coordinate sum <= total."""
+    return [g for g in itertools.product(range(top + 1), repeat=rank) if sum(g) <= total]
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +124,80 @@ def test_freudenthal_matches_tensor_oracle(rs, gamma):
     assert sum(ws.mults.values()) == weyl_dimension(rs, gamma) == ws.dim
 
 
+# ---------------------------------------------------------------------------
+# the tensor-character oracle on every family of rank <= 4
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("pair", RANK_LE_4, ids=_rank_id)
+def test_generated_fundamental_characters_have_intended_highest_weight(pair):
+    rs = build_root_system(*pair)
+    chars = fundamental_characters(*pair)
+    assert len(chars) == rs.rank
+    for k, char in enumerate(chars):
+        omega = tuple(int(i == k) for i in range(rs.rank))
+        assert char[omega] == 1
+        for w, m in char.items():
+            assert is_nonneg_root_combination(rs, tuple(a - b for a, b in zip(omega, w)))
+            for i in range(1, rs.rank + 1):
+                assert char[simple_reflection(rs, i, w)] == m
+
+
+@pytest.mark.parametrize("pair", sorted(FUNDAMENTAL_CHARS), ids=_rank_id)
+def test_generated_fundamental_characters_reproduce_hand_coded(pair):
+    assert fundamental_characters(*pair) == [Counter(c) for c in FUNDAMENTAL_CHARS[pair]]
+
+
+@pytest.mark.parametrize("pair", RANK_LE_4, ids=_rank_id)
+def test_weight_system_matches_oracle_on_every_family(pair):
+    rs = build_root_system(*pair)
+    for gamma in _gammas(rs.rank, 3, 3 if rs.rank <= 3 else 2):
+        assert weight_system(rs, gamma).mults == oracle_weight_system(rs, gamma), gamma
+
+
+@pytest.mark.parametrize("family,rank,gamma,expected", [
+    ("B", 2, (1, 0), 1), ("B", 2, (0, 2), 2), ("B", 3, (1, 0, 0), 1), ("B", 3, (0, 1, 0), 3),
+    ("B", 4, (1, 0, 0, 0), 1), ("B", 4, (0, 1, 0, 0), 4), ("B", 4, (0, 0, 0, 2), 6),
+    ("C", 2, (0, 1), 1), ("C", 2, (2, 0), 2), ("C", 3, (0, 1, 0), 2), ("C", 3, (2, 0, 0), 3),
+    ("C", 4, (0, 1, 0, 0), 3), ("C", 4, (2, 0, 0, 0), 4), ("C", 4, (0, 0, 0, 1), 2),
+])
+def test_zero_weight_multiplicities_b_and_c_match_oracle(family, rank, gamma, expected):
+    # vector and adjoint: 1 and n; C_n omega_2: n - 1; C4 omega_4: 2
+    rs = build_root_system(family, rank)
+    zero = (0,) * rank
+    assert weight_multiplicity(rs, gamma, zero) == oracle_weight_system(rs, gamma)[zero] == expected
+
+
+# ---------------------------------------------------------------------------
+# the dominant-step walk
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("pair", RANK_LE_4, ids=_rank_id)
+def test_dominant_walk_matches_all_weights_walk(pair):
+    # every gamma in {0, 1, 2}^rank for rank <= 3; coordinate sum <= 2 for
+    # rank 4, where the all-weights walk over all of {0, 1, 2}^4 takes ~50 s
+    rs = build_root_system(*pair)
+    roots = reps._positive_root_data(rs)
+    for gamma in _gammas(rs.rank, 2, 2 if rs.rank == 4 else 2 * rs.rank):
+        assert reps._dominant_heights(gamma, roots) == dominant_heights_by_all_weights_walk(
+            rs, gamma), gamma
+
+
+def test_dominant_walk_work_counter_c8(monkeypatch):
+    # deterministic work gate: walking every weight of V_gamma takes 15,688 calls
+    calls = 0
+
+    def counting(rs, x):
+        nonlocal calls
+        calls += 1
+        return dominant_conjugate(rs, x)
+
+    monkeypatch.setattr(reps, "dominant_conjugate", counting)
+    monkeypatch.setattr(reps, "_DOMINANT_MEMO", {})
+    mults = reps._dominant_multiplicities(build_root_system("C", 8), (1, 0, 1, 0, 0, 0, 0, 0))
+    assert len(mults) == 5
+    assert 0 < calls < 1000
+
+
 @pytest.mark.parametrize("rs,gamma", [(A2, (2, 1)), (B3, (0, 1, 0)), (G2, (1, 0))],
                          ids=["A2", "B3", "G2"])
 def test_multiplicities_weyl_invariant(rs, gamma):
@@ -147,6 +249,13 @@ def test_enumeration_rank_one_closed_form():
     assert out == [(0,), (1,), (2,), (3,), (4,)]
     assert dominant_weights_with_norm_bound(A1, Fraction(1, 8)) == [(0,)]
     assert dominant_weights_with_norm_bound(A1, Fraction(1, 16)) == []
+
+
+@pytest.mark.parametrize("bound", [0.5, Decimal("0.5"), "1/2", None])
+def test_enumeration_rejects_inexact_bound(bound):
+    message = f"norm bound must be an int or a rational, got {bound!r}"
+    with pytest.raises(TypeError, match=re.escape(message)):
+        dominant_weights_with_norm_bound(A1, bound)
 
 
 @pytest.mark.parametrize("rs,bound", [(A2, 2), (B2, 3), (B3, Fraction(5, 2)), (G2, 2)],

@@ -32,9 +32,8 @@ exact Gaussian-rational matrix algebra; any nonzero residual is a failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import fock
 from .errors import ContractViolation
@@ -65,8 +64,7 @@ def _x_entry(k: int, r: int) -> int:
     return r * (k - r + 1)
 
 
-@dataclass(frozen=True)
-class Sl2Irrep:
+class Sl2Irrep(NamedTuple):
     """The (k+1)-dimensional irreducible on the weight basis v_0, ..., v_k.
 
     v_r has h-eigenvalue k - 2r; X v_r = r(k-r+1) v_{r-1}; Y v_r = v_{r+1}.
@@ -207,8 +205,7 @@ def _require_gamma_max(gamma_max: int, level: int):
 # the verification pass
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BlockReport:
+class BlockReport(NamedTuple):
     """The operators on one (level, gamma) block and the checks run on them.
 
     failures maps each failed check ("closed-form lambda", "P-identity",
@@ -241,8 +238,7 @@ class BlockReport:
         return self.dim - self.rank_dbar
 
 
-@dataclass(frozen=True)
-class LevelReport:
+class LevelReport(NamedTuple):
     level: int
     blocks: tuple[BlockReport, ...]
     ker_dbar: int

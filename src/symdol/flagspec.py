@@ -25,7 +25,6 @@ The tables are data here; :mod:`symdol.cli` owns every output format.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
@@ -99,8 +98,7 @@ def spinor_weight_multiset(rs: RootSystem, l: int) -> list[Weight]:
 # ground-state kernel (Borel-Weil)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GroundKernel:
+class GroundKernel(NamedTuple):
     """Kernel of the level-raising Dolbeault operator on the vacuum bundle."""
 
     highest: Optional[Weight]   # None when the kernel vanishes
@@ -126,15 +124,13 @@ class Constituent(NamedTuple):
     dim: int
 
 
-@dataclass(frozen=True)
-class SpectrumRow:
+class SpectrumRow(NamedTuple):
     eigenvalue: Fraction
     constituents: tuple[Constituent, ...]
     total_multiplicity: int
 
 
-@dataclass(frozen=True)
-class SpectrumTable:
+class SpectrumTable(NamedTuple):
     family: str
     rank: int
     mu: Weight
@@ -229,8 +225,7 @@ def _check_table(rs: RootSystem, table: SpectrumTable):
 # the B_n / C_n distinguisher
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RowComparison:
+class RowComparison(NamedTuple):
     index: int
     b_eigenvalue: Optional[Fraction]
     b_total: Optional[int]
@@ -238,8 +233,7 @@ class RowComparison:
     c_total: Optional[int]
 
 
-@dataclass(frozen=True)
-class DistinguishReport:
+class DistinguishReport(NamedTuple):
     n: int
     cutoff: Fraction
     b_table: SpectrumTable
@@ -257,19 +251,22 @@ def first_positive_eigenvalue(rs: RootSystem, mu: Optional[Sequence[int]] = None
     """Smallest nonzero eigenvalue of the vacuum operator twisted to L_mu.
 
     Candidates come sorted by norm, and lambda grows with the norm, so the
-    first gamma != mu that has mu as a weight carries the answer.
+    first gamma != mu that has mu as a weight carries the answer.  The norm
+    bound starts one above mu's own and its excess doubles until a hit; every
+    candidate below a bound is listed, so the first hit is the same at any
+    bound that has one.
     """
     m = (0,) * rs.rank if mu is None else as_weight(rs, mu)
     r = rho(rs)
     mu_rho = tuple(a + b for a, b in zip(m, r))
     base = killing_dual_form(rs, mu_rho, mu_rho)
-    bound = 2 * base + 1
+    step = 1
     while True:
-        for gamma in dominant_weights_with_norm_bound(rs, bound):
+        for gamma in dominant_weights_with_norm_bound(rs, base + step):
             if gamma != m and weight_multiplicity(rs, gamma, m) > 0:
                 g_rho = tuple(a + b for a, b in zip(gamma, r))
                 return killing_dual_form(rs, g_rho, g_rho) - base
-        bound *= 2
+        step *= 2
 
 
 def _compare_tables(b: SpectrumTable, c: SpectrumTable) -> Optional[RowComparison]:

@@ -29,10 +29,9 @@ Coefficients are exact Gaussian rationals; there is no floating-point code.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .gaussian import GaussianRational, ONE, ZERO, gq
 from .linalg import Mat, scalar_identity_value
@@ -60,8 +59,7 @@ def level_indices(n: int, l: int) -> list[FockIndex]:
     return sorted(out)
 
 
-@dataclass(frozen=True)
-class FockVector:
+class FockVector(NamedTuple):
     """Exact finite linear combination of Hermite basis elements."""
 
     n: int
@@ -197,8 +195,7 @@ def inner_product(v: FockVector, w: FockVector) -> GaussianRational:
 # materialized operators between truncation levels
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FockOperator:
+class FockOperator(NamedTuple):
     """Exact map E_source_level -> E_target_level; the matrix rows and columns
     follow the level_indices order of the target and source levels."""
 

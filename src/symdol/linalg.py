@@ -11,31 +11,54 @@ anywhere in this module.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from typing import Optional
 
 from .gaussian import GaussianRational, ZERO, ONE, gq_str
 
 
-@dataclass(frozen=True)
 class Mat(Mapping):
     """An nrows x ncols matrix given by its nonzero entries, keyed (row, col).
 
     No zero is stored, so two matrices are equal exactly when their shapes
-    and entries are.  Read-only; the entries are read through the Mapping
-    interface (``m.get((i, j), ZERO)``, ``m.items()``, ``len(m)``).
+    and entries are.  Read-only and unhashable; the entries are read through
+    the Mapping interface (``m.get((i, j), ZERO)``, ``m.items()``, ``len(m)``).
     """
 
+    __slots__ = ("nrows", "ncols", "entries")
     nrows: int
     ncols: int
     entries: Mapping[tuple[int, int], GaussianRational]
 
-    def __post_init__(self):
-        for (i, j), value in self.entries.items():
-            if not (0 <= i < self.nrows and 0 <= j < self.ncols):
-                raise ValueError(f"entry ({i}, {j}) outside a {self.nrows}x{self.ncols} matrix")
+    def __init__(self, nrows: int, ncols: int,
+                 entries: Mapping[tuple[int, int], GaussianRational]):
+        for (i, j), value in entries.items():
+            if not (0 <= i < nrows and 0 <= j < ncols):
+                raise ValueError(f"entry ({i}, {j}) outside a {nrows}x{ncols} matrix")
             if not value:
                 raise ValueError(f"zero stored at ({i}, {j})")
+        setattr_ = object.__setattr__
+        setattr_(self, "nrows", nrows)
+        setattr_(self, "ncols", ncols)
+        setattr_(self, "entries", entries)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a Mat")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a Mat")
+
+    def __reduce__(self):
+        return Mat, (self.nrows, self.ncols, self.entries)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.nrows, self.ncols, self.entries) == (other.nrows, other.ncols, other.entries)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"Mat(nrows={self.nrows!r}, ncols={self.ncols!r}, entries={self.entries!r})"
 
     def __getitem__(self, key: tuple[int, int]) -> GaussianRational:
         return self.entries[key]

@@ -12,10 +12,9 @@ mismatch is a ContractViolation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import ContractViolation
 from .rootsys import (
@@ -32,8 +31,7 @@ from .rootsys import (
 )
 
 
-@dataclass(frozen=True)
-class WeightSystem:
+class WeightSystem(NamedTuple):
     """Complete multiplicity map of one irreducible highest-weight module."""
 
     highest: Weight
@@ -203,25 +201,29 @@ def _dominant_weights_below(
     """Every dominant gamma with key(gamma) <= bound, mapped to key(gamma).
 
     Breadth-first search along gamma -> gamma + omega_i from gamma = 0;
-    complete whenever key strictly increases along every such step.
+    complete whenever key strictly increases along every such step.  Each
+    candidate is evaluated once: those over the bound are remembered too.
     """
     zero = (0,) * rs.rank
     zero_key = key(zero)
     if zero_key > bound:
         return {}
     found = {zero: zero_key}
+    over: set[Weight] = set()
     frontier = [zero]
     while frontier:
         nxt = []
         for w in frontier:
             for i in range(rs.rank):
                 cand = tuple(c + 1 if j == i else c for j, c in enumerate(w))
-                if cand in found:
+                if cand in found or cand in over:
                     continue
                 value = key(cand)
                 if value <= bound:
                     found[cand] = value
                     nxt.append(cand)
+                else:
+                    over.add(cand)
         frontier = nxt
     return found
 

@@ -27,9 +27,8 @@ Everything here is immutable and pure; no floating point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 Weight = tuple[int, ...]
 Vector = tuple[Fraction, ...]
@@ -45,8 +44,7 @@ _RANK_RULES = {
 }
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(NamedTuple):
     """Cartan data for one classical family at a fixed rank.
 
     ``simple_roots`` and ``positive_roots`` are stored in the orthogonal

@@ -13,25 +13,32 @@ CP^1 block engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import cp1
 
 SPINOR_KINDS = ("metaplectic", "fock")
 
 
-@dataclass(frozen=True)
-class IndexQuery:
+class _IndexQueryFields(NamedTuple):
     genus: int
     level: int
     spinor_kind: str
 
-    def __post_init__(self):
-        if self.genus < 0 or self.level < 0:
+
+class IndexQuery(_IndexQueryFields):
+    __slots__ = ()
+
+    def __new__(cls, genus: int, level: int, spinor_kind: str):
+        if genus < 0 or level < 0:
             raise ValueError("genus and level must be nonnegative")
-        if self.spinor_kind not in SPINOR_KINDS:
+        if spinor_kind not in SPINOR_KINDS:
             raise ValueError(f"spinor_kind must be one of {SPINOR_KINDS}")
+        return super().__new__(cls, genus, level, spinor_kind)
+
+    @classmethod
+    def _make(cls, iterable):    # so that _replace validates too
+        return cls(*iterable)
 
 
 def index(query: IndexQuery) -> int:
@@ -50,8 +57,7 @@ def canonical_sections(genus: int) -> int:
     return genus
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
+class ConsistencyReport(NamedTuple):
     level: int
     gamma_max: int
     index_value: int

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from symdol import fock
+from symdol import flagspec, fock
 from symdol.cp1 import lambda_lj
 from symdol.flagspec import (
     Constituent,
@@ -17,7 +17,7 @@ from symdol.flagspec import (
     spinor_weight,
     spinor_weight_multiset,
 )
-from symdol.reps import weyl_dimension
+from symdol.reps import dominant_weights_with_norm_bound, weyl_dimension
 from symdol.rootsys import build_root_system, rho
 
 from oracles import first_positive_eigenvalue_by_scan
@@ -256,6 +256,24 @@ def test_first_positive_eigenvalue_matches_full_scan(family, rank, twisted):
     rs = build_root_system(family, rank)
     mu = TWISTS[family](rank) if twisted else (0,) * rank
     assert first_positive_eigenvalue(rs, mu) == first_positive_eigenvalue_by_scan(rs, mu)
+
+
+@pytest.mark.parametrize("family,expected", [("B", Fraction(8, 15)), ("C", Fraction(8, 9))])
+def test_first_positive_eigenvalue_lists_few_candidates(monkeypatch, family, expected):
+    # deterministic work gate: the first hit (omega_1 for B_n, omega_2 for
+    # C_n) lies in the first shells, so the search lists few weights
+    listed = 0
+
+    def counting(rs, bound):
+        nonlocal listed
+        out = dominant_weights_with_norm_bound(rs, bound)
+        listed += len(out)
+        return out
+
+    monkeypatch.setattr(flagspec, "dominant_weights_with_norm_bound", counting)
+    # n/(2n-1) and n/(n+1), the first rows of the distinguisher
+    assert first_positive_eigenvalue(build_root_system(family, 8)) == expected
+    assert 0 < listed < 100
 
 
 def test_auto_cutoff_covers_both_first_rows():

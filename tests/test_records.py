@@ -1,0 +1,144 @@
+"""The immutable records and the cost of importing the package.
+
+Every record is a NamedTuple, or (``linalg.Mat``) a slotted Mapping, so
+importing ``symdol.cli`` loads none of the ``dataclasses`` machinery.  These
+tests pin what the records promise: immutability, equality by value, the
+validation of ``IndexQuery`` and the unhashable ``Mat``, and the repr of
+every root system.
+"""
+
+import copy
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from symdol import cp1, flagspec, fock, linalg, reps, surface
+from symdol.gaussian import ONE, gq
+from symdol.linalg import Mat
+from symdol.rootsys import build_root_system
+
+A1 = build_root_system("A", 1)
+
+
+def _records():
+    """One instance of each record, keyed by class name, with its first field."""
+    table = flagspec.p_spectrum(A1, (0,), 1)
+    report = flagspec.distinguish(3)
+    level = cp1.verify(1, 5)[0]
+    return {
+        "RootSystem": (build_root_system("A", 1), "family"),
+        "WeightSystem": (reps.weight_system(A1, (1,)), "highest"),
+        "GroundKernel": (flagspec.ground_kernel(A1, (1,)), "highest"),
+        "SpectrumRow": (table.rows[0], "eigenvalue"),
+        "SpectrumTable": (table, "family"),
+        "RowComparison": (report.first_difference, "index"),
+        "DistinguishReport": (report, "n"),
+        "Sl2Irrep": (cp1.sl2_irrep(2), "k"),
+        "BlockReport": (level.blocks[0], "level"),
+        "LevelReport": (level, "level"),
+        "FockVector": (fock.basis_vector(2, (1, 0)), "n"),
+        "FockOperator": (fock.symbol_product(1, 0, (1, 0)), "n"),
+        "ConsistencyReport": (surface.cp1_consistency(0, 3), "level"),
+        "IndexQuery": (surface.IndexQuery(0, 0, "fock"), "genus"),
+        "Mat": (linalg.identity(2), "nrows"),
+    }
+
+
+RECORDS = _records()
+
+
+def test_every_record_is_built():
+    assert {name: type(obj).__name__ for name, (obj, _) in RECORDS.items()} == {
+        name: name for name in RECORDS}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_record_fields_cannot_be_assigned(name):
+    obj, field = RECORDS[name]
+    with pytest.raises(AttributeError):
+        setattr(obj, field, getattr(obj, field))
+    with pytest.raises(AttributeError):
+        obj.extra = 1
+    with pytest.raises(AttributeError):
+        delattr(obj, field)
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_record_equality_is_by_value(name):
+    obj, _ = RECORDS[name]
+    again, _ = _records()[name]
+    assert again is not obj and again == obj
+    assert copy.copy(obj) == obj
+
+
+def test_mat_equality_is_shape_and_entries():
+    a = Mat(2, 2, {(0, 0): ONE, (1, 0): gq(1, 2)})
+    assert a == Mat(2, 2, {(1, 0): gq(1, 2), (0, 0): ONE})
+    assert a != Mat(2, 2, {(0, 0): ONE})
+    assert a != Mat(2, 3, {(0, 0): ONE, (1, 0): gq(1, 2)})
+    assert a != Mat(3, 2, {(0, 0): ONE, (1, 0): gq(1, 2)})
+    assert Mat(0, 3, {}) != Mat(3, 0, {})
+    assert Mat(0, 0, {}) == linalg.zeros(0, 0)
+    # a Mat equals no plain mapping, even one with its entries
+    assert a != dict(a.entries) and dict(a.entries) != a
+
+
+def test_mat_is_unhashable():
+    with pytest.raises(TypeError):
+        hash(linalg.identity(2))
+    with pytest.raises(TypeError):
+        {linalg.zeros(0, 0)}
+
+
+def test_mat_validates_and_keeps_its_repr():
+    with pytest.raises(ValueError, match="outside a 1x1 matrix"):
+        Mat(1, 1, {(1, 0): ONE})
+    with pytest.raises(ValueError, match="zero stored"):
+        Mat(1, 1, {(0, 0): gq(0)})
+    assert repr(Mat(1, 2, {(0, 1): gq(1, 2)})) == (
+        "Mat(nrows=1, ncols=2, entries={(0, 1): GaussianRational(Fraction(1, 1), Fraction(2, 1))})")
+
+
+@pytest.mark.parametrize("args", [(-1, 0, "fock"), (0, -1, "metaplectic"), (0, 0, "spin")])
+def test_index_query_validates(args):
+    with pytest.raises(ValueError):
+        surface.IndexQuery(*args)
+    with pytest.raises(ValueError):
+        surface.IndexQuery(genus=args[0], level=args[1], spinor_kind=args[2])
+
+
+def test_index_query_replace_validates():
+    query = surface.IndexQuery(1, 2, "fock")
+    assert query._replace(level=3) == surface.IndexQuery(1, 3, "fock")
+    with pytest.raises(ValueError):
+        query._replace(spinor_kind="spin")
+    assert repr(query) == "IndexQuery(genus=1, level=2, spinor_kind='fock')"
+
+
+# every classical system of rank <= 9 and G2, hashed from their reprs as they
+# were when each RootSystem was a frozen dataclass
+ROOT_SYSTEMS = ([("A", k) for k in range(1, 10)] + [("B", k) for k in range(2, 10)]
+                + [("C", k) for k in range(2, 10)] + [("D", k) for k in range(3, 10)]
+                + [("G", 2)])
+ROOT_SYSTEMS_REPR_SHA256 = "fef488468d10d0076a835fe2cf9b25b82be1ecf356a8693a4102392dc954e8e0"
+
+
+def test_root_system_reprs_unchanged():
+    text = "\n".join(repr(build_root_system(f, k)) for f, k in ROOT_SYSTEMS)
+    assert hashlib.sha256(text.encode()).hexdigest() == ROOT_SYSTEMS_REPR_SHA256
+
+
+def test_cli_import_loads_no_dataclasses_machinery():
+    # deterministic start-up gate: dataclasses alone pulls in inspect, ast and dis
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import sys, symdol.cli; "
+            "print(' '.join(m for m in ('dataclasses', 'inspect', 'ast', 'dis') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == ""

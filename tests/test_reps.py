@@ -284,6 +284,29 @@ def test_enumeration_downward_closed_and_sorted(rs, bound):
     assert keys == sorted(keys)
 
 
+@pytest.mark.parametrize("family", ["B", "C"])
+def test_enumeration_evaluates_each_candidate_once(family):
+    # deterministic work gate: the key runs once per distinct candidate,
+    # including the candidates over the bound
+    rs = build_root_system(family, 6)
+    r = rho(rs)
+    from symdol.rootsys import killing_dual_form
+    seen = []
+
+    def norm(w):
+        seen.append(w)
+        t = tuple(a + b for a, b in zip(w, r))
+        return killing_dual_form(rs, t, t)
+
+    bound = 2 * norm((0,) * rs.rank) + 1
+    seen.clear()
+    found = reps._dominant_weights_below(rs, norm, bound)
+    steps = {tuple(c + (j == i) for j, c in enumerate(w))
+             for w in found for i in range(rs.rank)}
+    assert len(found) > 50
+    assert len(seen) == len(set(seen)) == len(steps | {(0,) * rs.rank})
+
+
 def test_enumeration_complete_against_box_scan():
     rs = B2
     bound = Fraction(3)

@@ -142,6 +142,13 @@ class SpectrumTable(NamedTuple):
         return f"{self.family}{self.rank}"
 
 
+def _dominant_mu(rs: RootSystem, mu: Sequence[int]) -> Weight:
+    m = as_weight(rs, mu)
+    if not is_dominant(rs, m):
+        raise ValueError(f"mu = {m} is not dominant for {rs.name()}")
+    return m
+
+
 def p_spectrum(rs: RootSystem, mu: Sequence[int], cutoff) -> SpectrumTable:
     """Complete spectrum of the vacuum operator twisted to L_mu, up to cutoff.
 
@@ -149,9 +156,7 @@ def p_spectrum(rs: RootSystem, mu: Sequence[int], cutoff) -> SpectrumTable:
     across distinct gamma are merged into a single row listing every
     constituent.
     """
-    m = as_weight(rs, mu)
-    if not is_dominant(rs, m):
-        raise ValueError(f"mu = {m} is not dominant for {rs.name()}")
+    m = _dominant_mu(rs, mu)
     cutoff = exact_rational(cutoff, "cutoff")
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
@@ -254,9 +259,9 @@ def first_positive_eigenvalue(rs: RootSystem, mu: Optional[Sequence[int]] = None
     first gamma != mu that has mu as a weight carries the answer.  The norm
     bound starts one above mu's own and its excess doubles until a hit; every
     candidate below a bound is listed, so the first hit is the same at any
-    bound that has one.
+    bound that has one.  A non-dominant mu is a ValueError, as in p_spectrum.
     """
-    m = (0,) * rs.rank if mu is None else as_weight(rs, mu)
+    m = (0,) * rs.rank if mu is None else _dominant_mu(rs, mu)
     r = rho(rs)
     mu_rho = tuple(a + b for a, b in zip(m, r))
     base = killing_dual_form(rs, mu_rho, mu_rho)

@@ -49,6 +49,9 @@ class GaussianRational:
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
 
+    def __reduce__(self):
+        return _raw, (self._x, self._y, self._d)
+
     @property
     def re(self) -> Fraction:
         return Fraction(self._x, self._d)

@@ -2,9 +2,10 @@
 
 Weights are plain integer tuples in the fundamental-weight basis
 (omega_1, ..., omega_k); that basis is the lingua franca of the whole
-package.  Internally each family carries its standard orthogonal-coordinate
-realization with exact rational entries, and the bilinear form exposed to
-callers is the *dual Killing form*
+package.  Each family is built from its integer Cartan matrix alone: the
+positive roots come from alpha-strings, the root lengths from symmetrizing
+the matrix, and the bilinear form exposed to callers is the *dual Killing
+form*
 
     K = (form normalized so long roots have squared length 2) / (2 h^v),
 
@@ -15,7 +16,7 @@ convention are -K(x, x).  The normalization is pinned by K(alpha, alpha)
 -((k+1)^2 - 1)/8 on the (k+1)-dimensional irreducible.
 
 Both matrices the weight arithmetic needs, the inverse Cartan matrix (for
-simple-root coefficients) and the Gram matrix K(omega_i, omega_j), are also
+simple-root coefficients) and the Gram matrix K(omega_i, omega_j), are
 stored as integer numerators over one common denominator each.  On integer
 weights, K(x, y) and the simple-root coefficients are then integer dot
 products with a single division at the end, and the root-lattice membership
@@ -31,9 +32,6 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 Weight = tuple[int, ...]
-Vector = tuple[Fraction, ...]
-
-_FAMILIES = "ABCDG"
 
 _RANK_RULES = {
     "A": (1, None),
@@ -45,98 +43,95 @@ _RANK_RULES = {
 
 
 class RootSystem(NamedTuple):
-    """Cartan data for one classical family at a fixed rank.
+    """Cartan data for one classical family at a fixed rank, all of it
+    derived from the integer Cartan matrix.
 
-    ``simple_roots`` and ``positive_roots`` are stored in the orthogonal
-    coordinate model; ``positive_roots_fw`` gives the same roots in
-    fundamental-weight coordinates (integer tuples), ordered by height and
-    starting with the simple roots in index order.  ``inverse_cartan`` and
-    ``weight_gram`` equal ``*_num`` divided entrywise by ``*_den``.
+    ``cartan_matrix[i][j]`` is <alpha_i, alpha_j^v>, so row i is alpha_i in
+    fundamental-weight coordinates.  ``positive_roots_fw`` gives the positive
+    roots in those coordinates (integer tuples), ordered by height and
+    starting with the simple roots in index order.  The inverse Cartan matrix
+    and the Gram matrix K(omega_i, omega_j) are ``*_num`` divided entrywise
+    by ``*_den``.
     """
 
     family: str
     rank: int
     cartan_matrix: tuple[tuple[int, ...], ...]
-    simple_roots: tuple[Vector, ...]
-    positive_roots: tuple[Vector, ...]
     dual_coxeter: int
     killing_scale: Fraction           # 1 / (2 * dual_coxeter)
-    euclid_scale: Fraction            # rescales the dot product so long roots have norm^2 = 2
-    fundamental_weights: tuple[Vector, ...]   # orthogonal coordinates
     positive_roots_fw: tuple[Weight, ...]
-    inverse_cartan: tuple[tuple[Fraction, ...], ...]
-    weight_gram: tuple[tuple[Fraction, ...], ...]  # K(omega_i, omega_j)
     inverse_cartan_num: tuple[tuple[int, ...], ...]
     inverse_cartan_den: int
-    weight_gram_num: tuple[tuple[int, ...], ...]
+    weight_gram_num: tuple[tuple[int, ...], ...]   # K(omega_i, omega_j) * weight_gram_den
     weight_gram_den: int
 
     def name(self) -> str:
         return f"{self.family}{self.rank}"
 
 
-def _dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+def _cartan_matrix(family: str, rank: int) -> tuple[tuple[int, ...], ...]:
+    """<alpha_i, alpha_j^v> in the Bourbaki numbering: a chain of simple roots,
+    with the double (B, C) or triple (G) bond and the fork of D at the last
+    node."""
+    a = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(rank)]
+         for i in range(rank)]
+    n = rank - 1
+    if family == "B":
+        a[n - 1][n] = -2      # alpha_n short
+    elif family == "C":
+        a[n][n - 1] = -2      # alpha_n long
+    elif family == "G":
+        a[n][n - 1] = -3      # alpha_2 long
+    elif family == "D":
+        a[n][n - 1] = a[n - 1][n] = 0
+        a[n][n - 2] = a[n - 2][n] = -1
+    return tuple(tuple(row) for row in a)
 
 
-def _unit(ambient: int, i: int) -> Vector:
-    return tuple(Fraction(1) if j == i else Fraction(0) for j in range(ambient))
+def _half_lengths(cartan) -> list[Fraction]:
+    """(alpha_i, alpha_i) / 2 with long roots at squared length 2.
+
+    The form is symmetric, so A_ij d_j = A_ji d_i along every bond; each node
+    after the first is bonded to an earlier one."""
+    half = [Fraction(1)]
+    for i in range(1, len(cartan)):
+        j = next(j for j in range(i) if cartan[i][j])
+        half.append(half[j] * cartan[i][j] / cartan[j][i])
+    longest = max(half)
+    return [d / longest for d in half]
 
 
-def _vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
+def _positive_root_coefficients(cartan) -> list[tuple[int, ...]]:
+    """Simple-root coefficients of every positive root, grown by alpha-strings.
 
-
-def _vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def _vec_scale(c, u):
-    return tuple(Fraction(c) * a for a in u)
-
-
-def _orthogonal_data(family: str, rank: int):
-    """Simple roots, positive roots (orthogonal model), dual Coxeter number,
-    and the dot-product rescale putting long roots at squared length 2."""
-    e = _unit
-    if family == "A":
-        amb = rank + 1
-        simples = [_vec_sub(e(amb, i), e(amb, i + 1)) for i in range(rank)]
-        positives = [_vec_sub(e(amb, i), e(amb, j))
-                     for i in range(amb) for j in range(i + 1, amb)]
-        return simples, positives, rank + 1, Fraction(1)
-    if family in "BCD":
-        amb = rank
-        simples = [_vec_sub(e(amb, i), e(amb, i + 1)) for i in range(rank - 1)]
-        positives = [op(e(amb, i), e(amb, j)) for i in range(rank) for j in range(i + 1, rank)
-                     for op in (_vec_sub, _vec_add)]
-        if family == "B":
-            simples.append(e(amb, rank - 1))
-            positives.extend(e(amb, i) for i in range(rank))
-            return simples, positives, 2 * rank - 1, Fraction(1)
-        if family == "C":
-            simples.append(_vec_scale(2, e(amb, rank - 1)))
-            positives.extend(_vec_scale(2, e(amb, i)) for i in range(rank))
-            # long roots 2e_i have plain squared length 4
-            return simples, positives, rank + 1, Fraction(1, 2)
-        simples.append(_vec_add(e(amb, rank - 2), e(amb, rank - 1)))
-        return simples, positives, 2 * rank - 2, Fraction(1)
-    if family == "G":
-        amb = 3
-        a1 = _vec_sub(e(amb, 0), e(amb, 1))                       # short
-        a2 = _vec_add(_vec_scale(-2, e(amb, 0)), _vec_add(e(amb, 1), e(amb, 2)))  # long
-        simples = [a1, a2]
-        positives = [
-            a1,
-            a2,
-            _vec_add(a1, a2),
-            _vec_add(_vec_scale(2, a1), a2),
-            _vec_add(_vec_scale(3, a1), a2),
-            _vec_add(_vec_scale(3, a1), _vec_scale(2, a2)),
-        ]
-        # long roots have plain squared length 6
-        return simples, positives, 4, Fraction(1, 3)
-    raise AssertionError(family)
+    The alpha_i-string through a root beta runs from beta - r alpha_i to
+    beta + q alpha_i with r - q = <beta, alpha_i^v> (Humphreys, section 8.4),
+    so beta + alpha_i is a root iff r > <beta, alpha_i^v>.  Roots are grown
+    one height at a time, so every root below beta is known when r is counted.
+    """
+    rank = len(cartan)
+    layer = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    roots = set(layer)
+    found = list(layer)
+    while layer:
+        taller = []
+        for beta in layer:
+            for i in range(rank):
+                pairing = sum(c * row[i] for c, row in zip(beta, cartan))
+                r, down = 0, list(beta)
+                while True:
+                    down[i] -= 1
+                    if tuple(down) not in roots:
+                        break
+                    r += 1
+                if r > pairing:
+                    up = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
+                    if up not in roots:
+                        roots.add(up)
+                        taller.append(up)
+        found.extend(taller)
+        layer = taller
+    return found
 
 
 def _invert(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
@@ -177,62 +172,33 @@ def build_root_system(family: str, rank: int) -> RootSystem:
         bound = f"rank = {lo}" if hi == lo else f"rank >= {lo}"
         raise ValueError(f"family {family} requires {bound}; got rank {rank}")
 
-    simples, positives, dual_cox, euclid_scale = _orthogonal_data(family, rank)
-
-    def form(u, v):
-        return euclid_scale * _dot(u, v)
-
-    scales = [2 / form(sj, sj) for sj in simples]
-    cartan = tuple(
-        tuple(int(scale * form(si, sj)) for sj, scale in zip(simples, scales)) for si in simples
-    )
+    cartan = _cartan_matrix(family, rank)
+    half = _half_lengths(cartan)
     inv_cartan = _invert([[Fraction(c) for c in row] for row in cartan])
-    inv_cartan_num, inv_cartan_den = _over_common_denominator(inv_cartan)
 
-    # fundamental weights: omega_i = sum_j (A^{-1})_ij alpha_j
-    fundamental = tuple(
-        tuple(sum((inv_cartan[i][j] * simples[j][m] for j in range(rank)), Fraction(0))
-              for m in range(len(simples[0])))
-        for i in range(rank)
-    )
+    # by height, the simple roots first in index order; alpha_k is row k of cartan
+    coeffs = sorted(_positive_root_coefficients(cartan),
+                    key=lambda c: (sum(c), tuple(-x for x in c)))
+    positives_fw = tuple(
+        tuple(sum(c * row[j] for c, row in zip(beta, cartan)) for j in range(rank))
+        for beta in coeffs)
 
-    def to_fw(vec) -> Weight:
-        coords = tuple(scale * form(vec, sj) for sj, scale in zip(simples, scales))
-        if any(c.denominator != 1 for c in coords):
-            raise ValueError("vector is not in the weight lattice")
-        return tuple(int(c) for c in coords)
-
-    # order positive roots by height (sum of simple-root coefficients), with
-    # the simple roots first in index order; the coefficients times
-    # inverse_cartan_den > 0 are integers and sort the same way
-    def sort_key(pair):
-        coeffs = [sum(f * row[j] for f, row in zip(pair[1], inv_cartan_num)) for j in range(rank)]
-        return (sum(coeffs), tuple(-c for c in coeffs))
-
-    pairs = sorted(((v, to_fw(v)) for v in positives), key=sort_key)
-    positives = [v for v, _ in pairs]
-    positives_fw = tuple(fw for _, fw in pairs)
-
+    # the highest root theta is long, so theta^v = sum_i c_i d_i alpha_i^v and
+    # h^v = 1 + <rho, theta^v> = 1 + sum_i c_i d_i
+    dual_cox = 1 + int(sum(c * d for c, d in zip(coeffs[-1], half)))
     killing_scale = Fraction(1, 2 * dual_cox)
-    gram = tuple(
-        tuple(killing_scale * form(fundamental[i], fundamental[j]) for j in range(rank))
-        for i in range(rank)
-    )
+    # (omega_i, omega_j) = (A^-1)_ij d_j, since (omega_i, alpha_k) = delta_ik d_k
+    gram = [[x * d * killing_scale for x, d in zip(row, half)] for row in inv_cartan]
 
+    inv_cartan_num, inv_cartan_den = _over_common_denominator(inv_cartan)
     gram_num, gram_den = _over_common_denominator(gram)
     return RootSystem(
         family=family,
         rank=rank,
         cartan_matrix=cartan,
-        simple_roots=tuple(tuple(v) for v in simples),
-        positive_roots=tuple(tuple(v) for v in positives),
         dual_coxeter=dual_cox,
         killing_scale=killing_scale,
-        euclid_scale=euclid_scale,
-        fundamental_weights=fundamental,
         positive_roots_fw=positives_fw,
-        inverse_cartan=tuple(tuple(row) for row in inv_cartan),
-        weight_gram=gram,
         inverse_cartan_num=inv_cartan_num,
         inverse_cartan_den=inv_cartan_den,
         weight_gram_num=gram_num,
@@ -316,27 +282,6 @@ def weyl_orbit(rs: RootSystem, x: Sequence[int]) -> set[Weight]:
                         nxt.append(r)
         frontier = nxt
     return seen
-
-
-def to_orthogonal(rs: RootSystem, x: Sequence[int]) -> Vector:
-    """Fundamental-weight coordinates -> orthogonal coordinate model."""
-    w = as_weight(rs, x)
-    amb = len(rs.fundamental_weights[0])
-    return tuple(
-        sum((Fraction(w[i]) * rs.fundamental_weights[i][m] for i in range(rs.rank)), Fraction(0))
-        for m in range(amb)
-    )
-
-
-def from_orthogonal(rs: RootSystem, vec: Sequence[Fraction]) -> Weight:
-    """Orthogonal coordinates -> fundamental-weight coordinates (must be integral)."""
-    coords = []
-    for sj in rs.simple_roots:
-        c = 2 * _dot(vec, sj) / _dot(sj, sj)
-        if Fraction(c).denominator != 1:
-            raise ValueError("vector is not an integral weight")
-        coords.append(int(c))
-    return tuple(coords)
 
 
 def _lattice_numerators(rs: RootSystem, x: Sequence) -> list:

@@ -13,7 +13,10 @@ stopping at the first hit, and Hermite
 inner products come from floating-point Gauss-Hermite quadrature instead
 of the exact Fock-space tables.  Gaussian rationals are checked against a
 pair of ``Fraction`` parts, and the one-pass Fock ladder against one ladder
-per direction summed with ``fock.add`` and ``fock.scale``.
+per direction summed with ``fock.add`` and ``fock.scale``.  Simple-root
+coefficients and the dual Killing form are recomputed from the orthogonal
+simple roots, with the dual Coxeter number taken from the trace of the
+Killing form over the roots, instead of from the integer Cartan data.
 """
 
 from __future__ import annotations
@@ -228,6 +231,93 @@ def oracle_weight_system(rs: RootSystem, gamma: tuple[int, ...]) -> dict:
     assert all(m > 0 for m in result.values())
     _IRREP_MEMO[key] = result
     return dict(result)
+
+
+# ---------------------------------------------------------------------------
+# simple-root coefficients and the dual Killing form, from the orthogonal model
+# ---------------------------------------------------------------------------
+
+_ORTHOGONAL_MEMO: dict[tuple[str, int], tuple[list, list]] = {}
+
+
+def _fraction_inverse(matrix) -> list[list[Fraction]]:
+    n = len(matrix)
+    rows = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+            for i, row in enumerate(matrix)]
+    for col in range(n):
+        pivot = next(i for i in range(col, n) if rows[i][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for i in range(n):
+            if i != col and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[col])]
+    return [row[n:] for row in rows]
+
+
+def _orthogonal_roots(simples: list[tuple[int, ...]]) -> set[tuple[int, ...]]:
+    """Every root: the simple roots closed under their own reflections."""
+    roots = set(simples)
+    frontier = list(simples)
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for a in simples:
+                k = Fraction(2 * _dot(v, a), _dot(a, a))
+                assert k.denominator == 1
+                image = tuple(x - int(k) * y for x, y in zip(v, a))
+                if image not in roots:
+                    roots.add(image)
+                    nxt.append(image)
+        frontier = nxt
+    return roots
+
+
+def dual_coxeter_by_killing_trace(family: str, rank: int) -> Fraction:
+    """h^v from the roots of the orthogonal model: with the form normalized
+    so long roots have squared length 2, sum over all roots of (alpha, v)^2
+    equals 2 h^v (v, v) for every v (the Killing form is 2 h^v times it)."""
+    simples = _orthogonal_simple_roots(family, rank)
+    long = max(_dot(a, a) for a in simples)
+    v = simples[0]
+    total = sum(_dot(r, v) ** 2 for r in _orthogonal_roots(simples))
+    return Fraction(total, long * _dot(v, v))
+
+
+def _orthogonal_weight_data(family: str, rank: int) -> tuple[list, list]:
+    """(M, G): omega_i = sum_k M[i][k] alpha_k, and G[i][j] = K(omega_i, omega_j).
+
+    (omega_i, alpha_j) = delta_ij (alpha_j, alpha_j) / 2 fixes M from the
+    Gram matrix of the orthogonal simple roots; the fundamental weights are
+    then built as orthogonal vectors and their plain dot products rescaled
+    to long roots at squared length 2 and divided by 2 h^v."""
+    key = (family, rank)
+    if key not in _ORTHOGONAL_MEMO:
+        simples = _orthogonal_simple_roots(family, rank)
+        gram = [[_dot(a, b) for b in simples] for a in simples]
+        coeffs = [[Fraction(gram[i][i], 2) * x for x in row]
+                  for i, row in enumerate(_fraction_inverse(gram))]
+        omegas = [[sum(c * a[m] for c, a in zip(row, simples)) for m in range(len(simples[0]))]
+                  for row in coeffs]
+        long = max(gram[i][i] for i in range(rank))
+        scale = Fraction(2, long) / (2 * dual_coxeter_by_killing_trace(family, rank))
+        form = [[scale * _dot(u, w) for w in omegas] for u in omegas]
+        _ORTHOGONAL_MEMO[key] = (coeffs, form)
+    return _ORTHOGONAL_MEMO[key]
+
+
+def root_coefficients_by_orthogonal(rs: RootSystem, x) -> tuple[Fraction, ...]:
+    """Coefficients c with x = sum_k c_k alpha_k, x in fundamental coordinates."""
+    coeffs, _ = _orthogonal_weight_data(rs.family, rs.rank)
+    return tuple(sum((Fraction(xi) * row[k] for xi, row in zip(x, coeffs)), Fraction(0))
+                 for k in range(rs.rank))
+
+
+def killing_form_by_orthogonal(rs: RootSystem, x, y) -> Fraction:
+    """K(x, y) for x, y in fundamental coordinates."""
+    _, form = _orthogonal_weight_data(rs.family, rs.rank)
+    return sum((Fraction(xi) * Fraction(yj) * form[i][j]
+                for i, xi in enumerate(x) for j, yj in enumerate(y)), Fraction(0))
 
 
 # ---------------------------------------------------------------------------

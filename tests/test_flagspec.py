@@ -239,6 +239,17 @@ def test_first_positive_eigenvalues():
     assert first_positive_eigenvalue(A1) == 1   # gamma = 2 omega, (9 - 1)/8
 
 
+@pytest.mark.parametrize("rs,mu", [(A1, (-1,)), (B3, (0, -1, 2)), (G2, (2, -1))],
+                         ids=["A1", "B3", "G2"])
+def test_first_positive_eigenvalue_rejects_non_dominant_mu(rs, mu):
+    # the same error as p_spectrum, whose spectrum the eigenvalue belongs to
+    message = re.escape(f"mu = {mu} is not dominant for {rs.name()}")
+    with pytest.raises(ValueError, match=message):
+        p_spectrum(rs, mu, 1)
+    with pytest.raises(ValueError, match=message):
+        first_positive_eigenvalue(rs, mu)
+
+
 # one nonzero dominant mu per family
 TWISTS = {
     "A": lambda k: (1,) + (0,) * (k - 1),

@@ -10,6 +10,7 @@ every root system.
 import copy
 import hashlib
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -19,7 +20,7 @@ import pytest
 from symdol import cp1, flagspec, fock, linalg, reps, surface
 from symdol.gaussian import ONE, gq
 from symdol.linalg import Mat
-from symdol.rootsys import build_root_system
+from symdol.rootsys import RootSystem, build_root_system
 
 A1 = build_root_system("A", 1)
 
@@ -119,17 +120,33 @@ def test_index_query_replace_validates():
     assert repr(query) == "IndexQuery(genus=1, level=2, spinor_kind='fock')"
 
 
-# every classical system of rank <= 9 and G2, hashed from their reprs as they
-# were when each RootSystem was a frozen dataclass
+# every classical system of rank <= 9 and G2, hashed from the reprs of the
+# fields below as computed from the orthogonal-coordinate model
 ROOT_SYSTEMS = ([("A", k) for k in range(1, 10)] + [("B", k) for k in range(2, 10)]
                 + [("C", k) for k in range(2, 10)] + [("D", k) for k in range(3, 10)]
                 + [("G", 2)])
-ROOT_SYSTEMS_REPR_SHA256 = "fef488468d10d0076a835fe2cf9b25b82be1ecf356a8693a4102392dc954e8e0"
+ROOT_SYSTEM_FIELDS = ("family", "rank", "cartan_matrix", "dual_coxeter", "killing_scale",
+                      "positive_roots_fw", "inverse_cartan_num", "inverse_cartan_den",
+                      "weight_gram_num", "weight_gram_den")
+ROOT_SYSTEMS_REPR_SHA256 = "397af6f33d292235252de2d744b19b5bb7e0d6632e567a27a4eeb89e7fe0431d"
 
 
 def test_root_system_reprs_unchanged():
-    text = "\n".join(repr(build_root_system(f, k)) for f, k in ROOT_SYSTEMS)
+    assert RootSystem._fields == ROOT_SYSTEM_FIELDS
+    text = "\n".join(repr(tuple(getattr(build_root_system(f, k), name)
+                                for name in ROOT_SYSTEM_FIELDS))
+                     for f, k in ROOT_SYSTEMS)
     assert hashlib.sha256(text.encode()).hexdigest() == ROOT_SYSTEMS_REPR_SHA256
+
+
+@pytest.mark.parametrize("value", [
+    gq(1, 2),
+    Mat(2, 2, {(0, 1): gq(-3, 4), (1, 0): ONE}),
+    fock.add(fock.basis_vector(2, (1, 0)), fock.scale(gq(0, 1), fock.basis_vector(2, (0, 2)))),
+], ids=["gq", "Mat", "FockVector"])
+def test_exact_values_pickle_and_deepcopy(value):
+    for again in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+        assert again == value and type(again) is type(value)
 
 
 def test_cli_import_loads_no_dataclasses_machinery():

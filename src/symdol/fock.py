@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .gaussian import GaussianRational, ONE, ZERO, gq
 from .linalg import Mat, scalar_identity_value
@@ -39,15 +39,20 @@ from .linalg import Mat, scalar_identity_value
 FockIndex = tuple[int, ...]
 
 
-def dim_level(n: int, l: int) -> int:
-    """dim E_l = binomial(n + l - 1, l)."""
+def _check_level(n: int, l: int):
     if n < 1 or l < 0:
         raise ValueError("need n >= 1 and l >= 0")
+
+
+def dim_level(n: int, l: int) -> int:
+    """dim E_l = binomial(n + l - 1, l)."""
+    _check_level(n, l)
     return math.comb(n + l - 1, l)
 
 
 def level_indices(n: int, l: int) -> list[FockIndex]:
     """All multi-indices of length n and total l, lexicographically sorted."""
+    _check_level(n, l)
     out = []
     for cuts in combinations(range(l + n - 1), n - 1):
         beta, prev = [], 0
@@ -80,28 +85,34 @@ def basis_vector(n: int, beta: Sequence[int]) -> FockVector:
     return FockVector(n, {beta: gq(1)})
 
 
-def _combine(n: int, parts: list[tuple[FockIndex, GaussianRational]]) -> FockVector:
-    acc: dict[FockIndex, GaussianRational] = {}
+def _combine(n: int, parts: Iterable[tuple[FockIndex, GaussianRational]],
+             acc: Optional[dict[FockIndex, GaussianRational]] = None) -> FockVector:
+    """Sum parts into acc (a fresh dict by default), storing no zero."""
+    acc = {} if acc is None else acc
     for beta, coeff in parts:
         if not coeff:
             continue
-        new = acc.get(beta, ZERO) + coeff
-        if new:
+        old = acc.get(beta)
+        if old is None:
+            acc[beta] = coeff
+        elif new := old + coeff:
             acc[beta] = new
         else:
-            acc.pop(beta, None)
+            del acc[beta]
     return FockVector(n, acc)
 
 
 def add(v: FockVector, w: FockVector) -> FockVector:
     if v.n != w.n:
         raise ValueError("dimension mismatch")
-    return _combine(v.n, list(v.terms.items()) + list(w.terms.items()))
+    return _combine(v.n, w.terms.items(), dict(v.terms))
 
 
 def scale(c, v: FockVector) -> FockVector:
     c = GaussianRational.coerce(c)
-    return _combine(v.n, [(b, c * x) for b, x in v.terms.items()])
+    if not c:
+        return zero_vector(v.n)
+    return FockVector(v.n, {b: c * x for b, x in v.terms.items()})
 
 
 def _check_direction(n: int, j: int):
@@ -147,17 +158,20 @@ def _sigma_complex(
     v: FockVector,
 ) -> FockVector:
     """sigma of sum_j (z_coeffs[j] Z_j + zbar_coeffs[j] Zbar_j), in one pass
-    over the terms of v; the ladder rules of the module docstring are
-    applied here and nowhere else."""
-    up = [_MINUS_HALF_I * c for c in z_coeffs]    # Z_j: -(i/2) h_{beta+e_j}
-    down = [_MINUS_I * c for c in zbar_coeffs]    # Zbar_j: -i beta_j h_{beta-e_j}
+    over the terms of v that visits only the directions whose coefficient is
+    nonzero; the ladder rules of the module docstring are applied here and
+    nowhere else."""
+    # Z_j: -(i/2) h_{beta+e_j};  Zbar_j: -i beta_j h_{beta-e_j}
+    up = [(k, _MINUS_HALF_I * c) for k, c in enumerate(z_coeffs) if c]
+    down = [(k, _MINUS_I * c) for k, c in enumerate(zbar_coeffs) if c]
     parts = []
     for beta, c in v.terms.items():
-        for k, bk in enumerate(beta):
-            if up[k]:
-                parts.append((beta[:k] + (bk + 1,) + beta[k + 1:], up[k] * c))
-            if bk and down[k]:
-                parts.append((beta[:k] + (bk - 1,) + beta[k + 1:], down[k] * c * bk))
+        for k, u in up:
+            parts.append((beta[:k] + (beta[k] + 1,) + beta[k + 1:], u * c))
+        for k, u in down:
+            bk = beta[k]
+            if bk:
+                parts.append((beta[:k] + (bk - 1,) + beta[k + 1:], u * c * bk))
     return _combine(v.n, parts)
 
 

@@ -6,10 +6,11 @@ oracles.  A value is stored as three integers ``(x, y, d)`` meaning
 (x + y*i) / d, normalized so that d > 0 and gcd(x, y, d) == 1 (zero is
 ``(0, 0, 1)``), so equal values have equal fields.  Each operation does its
 integer arithmetic and then normalizes once with one three-way gcd; sums of
-values over the same denominator and integer construction skip the cross
-products.  The real and imaginary parts read as ``fractions.Fraction``
-through ``.re`` and ``.im``.  Only ints and ``numbers.Rational`` values are
-accepted as parts: a float is a ``TypeError``, never its binary expansion.
+values over the same denominator, products by an int and integer
+construction skip the cross products.  The real and imaginary parts read as
+``fractions.Fraction`` through ``.re`` and ``.im``.  Only ints and
+``numbers.Rational`` values are accepted as parts: a float is a
+``TypeError``, never its binary expansion.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from numbers import Rational
 def _rational(value) -> tuple[int, int]:
     """(numerator, denominator) of an int or Rational, as plain ints; a
     Rational's denominator is positive."""
+    if value.__class__ is Fraction:
+        return value.numerator, value.denominator
     if isinstance(value, int):
         return int(value), 1
     if isinstance(value, Rational):
@@ -40,8 +43,9 @@ class GaussianRational:
         else:
             (a, b), (c, e) = _rational(re), _rational(im)
             x, y, d = a * e, c * b, b * e
-            g = gcd(x, y, d)
-            x, y, d = x // g, y // g, d // g
+            if d != 1:
+                g = gcd(x, y, d)
+                x, y, d = x // g, y // g, d // g
         _set_x(self, x)
         _set_y(self, y)
         _set_d(self, d)
@@ -92,6 +96,8 @@ class GaussianRational:
         return GaussianRational.coerce(other).__sub__(self)
 
     def __mul__(self, other):
+        if other.__class__ is int:
+            return _reduced(self._x * other, self._y * other, self._d)
         if other.__class__ is not GaussianRational:
             other = GaussianRational.coerce(other)
         x, y, u, v = self._x, self._y, other._x, other._y
@@ -107,6 +113,9 @@ class GaussianRational:
         if norm == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
         return _reduced((x * u + y * v) * e, (y * u - x * v) * e, self._d * norm)
+
+    def __rtruediv__(self, other):
+        return GaussianRational.coerce(other).__truediv__(self)
 
     def __neg__(self):
         return _raw(-self._x, -self._y, self._d)

@@ -12,11 +12,12 @@ positive eigenvalue comes from a full scan of the candidates instead of
 stopping at the first hit, and Hermite
 inner products come from floating-point Gauss-Hermite quadrature instead
 of the exact Fock-space tables.  Gaussian rationals are checked against a
-pair of ``Fraction`` parts, and the one-pass Fock ladder against one ladder
-per direction summed with ``fock.add`` and ``fock.scale``.  Simple-root
-coefficients and the dual Killing form are recomputed from the orthogonal
-simple roots, with the dual Coxeter number taken from the trace of the
-Killing form over the roots, instead of from the integer Cartan data.
+pair of ``Fraction`` parts, the one-pass Fock ladder against one ladder
+per direction, and ``fock.add`` and ``fock.scale`` against sums in plain
+dicts.  Simple-root coefficients and the dual Killing form are recomputed
+from the orthogonal simple roots, with the dual Coxeter number taken from
+the trace of the Killing form over the roots, instead of from the integer
+Cartan data.
 """
 
 from __future__ import annotations
@@ -469,6 +470,9 @@ class FractionPairGaussian:
             (self.im * other.re - self.re * other.im) / norm,
         )
 
+    def __rtruediv__(self, other):
+        return self.coerce(other).__truediv__(self)
+
     def __neg__(self):
         return FractionPairGaussian(-self.re, -self.im)
 
@@ -507,35 +511,59 @@ class FractionPairGaussian:
 # Fock ladder, one direction at a time
 # ---------------------------------------------------------------------------
 
+def _accumulate(out: dict, beta, c) -> None:
+    """out[beta] += c in a plain dict, dropping the key when the sum is zero."""
+    total = out.pop(beta, 0) + c
+    if total:
+        out[beta] = total
+
+
+def add_by_dict(v: fock.FockVector, w: fock.FockVector) -> dict:
+    """The terms of v + w, summed key by key."""
+    out = {}
+    for terms in (v.terms, w.terms):
+        for beta, c in terms.items():
+            _accumulate(out, beta, c)
+    return out
+
+
+def scale_by_dict(c, v: fock.FockVector) -> dict:
+    """The terms of c * v, multiplied key by key."""
+    out = {}
+    for beta, x in v.terms.items():
+        _accumulate(out, beta, GaussianRational.coerce(c) * x)
+    return out
+
+
 def sigma_raise_by_direction(j: int, v: fock.FockVector) -> fock.FockVector:
     """sigma(Z_j): h_beta -> -(i/2) h_{beta + e_j}, term by term."""
-    out = fock.zero_vector(v.n)
+    out = {}
     for beta, c in v.terms.items():
         up = tuple(b + 1 if k == j - 1 else b for k, b in enumerate(beta))
-        out = fock.add(out, fock.scale(gq(0, Fraction(-1, 2)) * c, fock.basis_vector(v.n, up)))
-    return out
+        _accumulate(out, up, gq(0, Fraction(-1, 2)) * c)
+    return fock.FockVector(v.n, out)
 
 
 def sigma_lower_by_direction(j: int, v: fock.FockVector) -> fock.FockVector:
     """sigma(Zbar_j): h_beta -> -i beta_j h_{beta - e_j}, term by term."""
-    out = fock.zero_vector(v.n)
+    out = {}
     for beta, c in v.terms.items():
         if beta[j - 1]:
             down = tuple(b - 1 if k == j - 1 else b for k, b in enumerate(beta))
-            out = fock.add(out, fock.scale(gq(0, -beta[j - 1]) * c, fock.basis_vector(v.n, down)))
-    return out
+            _accumulate(out, down, gq(0, -beta[j - 1]) * c)
+    return fock.FockVector(v.n, out)
 
 
 def sigma_complex_by_composition(z_coeffs, zbar_coeffs, v: fock.FockVector) -> fock.FockVector:
     """sigma of sum_j (z_coeffs[j] Z_j + zbar_coeffs[j] Zbar_j) as a sum of
     scaled single-direction ladders."""
-    out = fock.zero_vector(v.n)
+    out = {}
     for j in range(1, v.n + 1):
-        if z_coeffs[j - 1]:
-            out = fock.add(out, fock.scale(z_coeffs[j - 1], sigma_raise_by_direction(j, v)))
-        if zbar_coeffs[j - 1]:
-            out = fock.add(out, fock.scale(zbar_coeffs[j - 1], sigma_lower_by_direction(j, v)))
-    return out
+        for coeff, ladder in ((z_coeffs[j - 1], sigma_raise_by_direction),
+                              (zbar_coeffs[j - 1], sigma_lower_by_direction)):
+            for beta, c in ladder(j, v).terms.items():
+                _accumulate(out, beta, coeff * c)
+    return fock.FockVector(v.n, out)
 
 
 # ---------------------------------------------------------------------------

@@ -138,7 +138,8 @@ def test_integer_form_matches_fraction_pair_reference(a_re, a_im, b_re, b_im, k)
         (a + k, ra + k), (k - a, k - ra), (a * b_re, ra * b_re), (k * a, k * ra),
     ]:
         _same(z, ref)
-    for num, den, ref_num, ref_den in [(a, b, ra, rb), (a, k, ra, k), (a, b_re, ra, b_re)]:
+    for num, den, ref_num, ref_den in [(a, b, ra, rb), (a, k, ra, k), (a, b_re, ra, b_re),
+                                       (k, a, k, ra), (b_re, a, b_re, ra)]:
         if ref_den:
             _same(num / den, ref_num / ref_den)
         else:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from numpy.polynomial import hermite as nph
 
 import oracles
-from symdol import fock
+from symdol import fock, gaussian
 from symdol.gaussian import gq, gq_str
 from symdol.linalg import mat_scale
 
@@ -28,6 +28,12 @@ def close(a: float, b: float) -> bool:
 def test_dim_level(n, l, expected):
     assert fock.dim_level(n, l) == expected
     assert len(fock.level_indices(n, l)) == expected
+
+
+@pytest.mark.parametrize("n,l", [(0, 2), (2, -1)])
+def test_level_indices_validated(n, l):
+    with pytest.raises(ValueError, match=r"need n >= 1 and l >= 0"):
+        fock.level_indices(n, l)
 
 
 def test_level_indices_sorted_and_complete():
@@ -103,6 +109,56 @@ def test_one_pass_ladder_matches_direction_by_direction(case):
     for j in range(1, v.n + 1):
         assert fock.sigma_raise(j, v).terms == oracles.sigma_raise_by_direction(j, v).terms
         assert fock.sigma_lower(j, v).terms == oracles.sigma_lower_by_direction(j, v).terms
+
+
+@st.composite
+def _add_case(draw):
+    """Vectors v, w of the same n where w cancels a drawn subset of v's terms
+    exactly, and the keys cancelled."""
+    v, _, _ = draw(_ladder_case())
+    cancelled = draw(st.sets(st.sampled_from(sorted(v.terms)))) if v.terms else set()
+    extra = draw(st.dictionaries(_indices[v.n], _gaussians.filter(bool), max_size=6))
+    w = fock.FockVector(v.n, {**extra, **{beta: -v.terms[beta] for beta in cancelled}})
+    return v, w, cancelled
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_add_case(), st.one_of(st.just(0), st.integers(-3, 3), _parts, _gaussians))
+def test_add_and_scale_match_dict_oracle(case, c):
+    v, w, cancelled = case
+    before = dict(v.terms)
+    total = fock.add(v, w)
+    assert total.terms == oracles.add_by_dict(v, w)
+    assert all(total.terms.values()) and not cancelled & total.terms.keys()
+    scaled = fock.scale(c, v)
+    assert scaled.terms == oracles.scale_by_dict(c, v)
+    assert all(scaled.terms.values()) and scaled.is_zero() == (not c or v.is_zero())
+    assert v.terms == before
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        fock.add(v, fock.zero_vector(v.n + 1))
+
+
+def test_ladder_work_does_not_grow_with_n(monkeypatch):
+    """Deterministic work counter: sigma(a_1) on h_(1,0,...,0) normalizes the
+    same number of Gaussian rationals for every n, since the ladder visits
+    only the directions with a nonzero coefficient."""
+    calls = 0
+    reduced = gaussian._reduced
+
+    def counting(x, y, d):
+        nonlocal calls
+        calls += 1
+        return reduced(x, y, d)
+
+    monkeypatch.setattr(gaussian, "_reduced", counting)
+    counts = []
+    for n in range(1, 7):
+        rest = (0,) * (n - 1)
+        calls = 0
+        image = fock.sigma_real([1, *rest], [0, *rest], fock.basis_vector(n, (1, *rest)))
+        counts.append(calls)
+        assert image.terms == {(0, *rest): gq(0, -1), (2, *rest): gq(0, Fraction(-1, 2))}
+    assert counts == [5] * 6
 
 
 @settings(max_examples=100, deadline=None, database=None)

@@ -3,13 +3,13 @@
 Submodules
 ----------
 gaussian  exact Gaussian-rational numbers
-linalg    the sparse exact matrix type (CP^1 blocks, Fock operators): products, ranks
+linalg    the sparse exact matrix type (Fock operators, the CP^1 Casimir): products, sums
 errors    ContractViolation, raised when an internal invariant breaks
 rootsys   exact classical root systems and the dual Killing form
 reps      weight multiplicities, dimensions, Casimirs, bounded enumeration
 fock      truncated canonical quantization on Hermite products
 flagspec  vacuum spectra on G/T and the B_n / C_n distinguisher
-cp1       exact block matrices for the Dolbeault pair on CP^1
+cp1       exact scalar ladder blocks for the Dolbeault pair on CP^1
 surface   closed-form indices on genus-g surfaces
 cli       the command-line interface; owns every output format (table, json, csv)
 """

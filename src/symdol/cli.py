@@ -19,6 +19,7 @@ from itertools import zip_longest
 
 from . import cp1, flagspec, reps, rootsys, surface
 from .errors import ContractViolation
+from .linalg import scalar_matrix
 
 
 class _Parser(argparse.ArgumentParser):
@@ -239,8 +240,10 @@ def _cp1_block_jsonable(block, include_matrices: bool) -> dict:
         "ker_dbar": block.ker_dbar,
     }
     if include_matrices:
-        entry["matrices"] = {op: getattr(block, op).triplets()
-                             for op in ("d", "dbar", "h", "omega", "p")}
+        # D, Dbar, H and P are held as the scalar c of c * I; Omega is a matrix
+        mats = {op: scalar_matrix(block.dim, getattr(block, op)) for op in ("d", "dbar", "h", "p")}
+        mats["omega"] = block.omega
+        entry["matrices"] = {op: mats[op].triplets() for op in ("d", "dbar", "h", "omega", "p")}
     return entry
 
 

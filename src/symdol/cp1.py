@@ -1,4 +1,4 @@
-"""Exact block-matrix engine for the Dolbeault pair on CP^1 = SU(2)/U(1).
+"""Exact block engine for the Dolbeault pair on CP^1 = SU(2)/U(1).
 
 Equivariant sections of the level-l spinor bundle decompose into blocks
 indexed by odd gamma = 2(l+j)+1: each block is V_gamma tensored with the
@@ -23,11 +23,14 @@ are independent of this residual phase choice.
 
 `verify` builds each block once: per gamma it assembles D on levels
 0..lmax+2, Dbar, H and P on 0..lmax+1 (P from those D/Dbar neighbours) and
-Omega once, since Omega does not depend on the level.  The same pass reads
-those blocks for the eigenvalues, ranks, the P-identity and the ladder and
-commutator checks, and sums the ranks into each level's kernel ledger; a
-failure names its level, gamma, check and values.  Every verification is
-exact Gaussian-rational matrix algebra; any nonzero residual is a failure.
+Omega once, since Omega does not depend on the level.  D, Dbar, H and P are
+held as the exact scalar c of c * I (a map into a missing neighbour block is
+zero), so their ranks, the ladder and the four commutators are exact scalar
+identities; Omega is a genuine Casimir matrix, and the P-identity
+P = -Omega - (3/2) H^2 is checked as a matrix identity against it on every
+block.  The same pass sums the ranks into each level's kernel ledger; a
+failure names its level, gamma, check and values.  Any nonzero residual is
+a failure.
 """
 
 from __future__ import annotations
@@ -38,17 +41,7 @@ from typing import NamedTuple, Optional
 from . import fock
 from .errors import ContractViolation
 from .gaussian import GaussianRational, ONE, ZERO, gq
-from .linalg import (
-    Mat,
-    mat_add,
-    mat_mul,
-    mat_scale,
-    mat_sub,
-    rank,
-    scalar_identity_value,
-    scalar_matrix,
-    zeros,
-)
+from .linalg import Mat, mat_add, mat_mul, mat_scale, mat_sub, scalar_matrix
 
 # right-action normalization of the root vectors (see module docstring)
 C_PLUS = gq(Fraction(1, 4), Fraction(1, 4))     # Z_alpha   -> C_PLUS  * X
@@ -122,14 +115,18 @@ def block_exists(level: int, gamma: int) -> bool:
     return level >= 0 and gamma % 2 == 1 and gamma >= 2 * level + 1
 
 
+def _require_block(level: int, gamma: int):
+    if not block_exists(level, gamma):
+        raise ValueError(f"no block at level {level}, gamma {gamma}")
+
+
 def block_dim(level: int, gamma: int) -> int:
     return gamma + 1 if block_exists(level, gamma) else 0
 
 
 def weight_line_index(level: int, gamma: int) -> int:
     """Index r of the weight -(2l+1) line: gamma - 2r = -(2l+1)."""
-    if not block_exists(level, gamma):
-        raise ValueError(f"no block at level {level}, gamma {gamma}")
+    _require_block(level, gamma)
     return (gamma + 2 * level + 1) // 2
 
 
@@ -145,50 +142,46 @@ def _fiber_lower_coefficient(level: int) -> GaussianRational:
     return image.terms.get((level - 1,), gq(0))
 
 
-def dbar_block(level: int, gamma: int) -> Mat:
-    """The raising Dolbeault operator block(l, gamma) -> block(l+1, gamma):
-    -4i sigma(Z) (x) right-action of Zbar_alpha, where Y v_r = v_{r+1}."""
-    src_dim = block_dim(level, gamma)
-    if src_dim == 0:
-        raise ValueError(f"no block at level {level}, gamma {gamma}")
-    if block_dim(level + 1, gamma) == 0:
-        return zeros(0, src_dim)
-    scalar = gq(0, -4) * _fiber_raise_coefficient(level) * C_MINUS
-    return scalar_matrix(src_dim, scalar)
+def dbar_block(level: int, gamma: int) -> GaussianRational:
+    """The raising Dolbeault operator block(l, gamma) -> block(l+1, gamma),
+    as the scalar c of c * I: -4i sigma(Z) (x) right-action of Zbar_alpha,
+    where Y v_r = v_{r+1}.  The zero map when block(l+1, gamma) is missing."""
+    _require_block(level, gamma)
+    if not block_exists(level + 1, gamma):
+        return ZERO
+    return gq(0, -4) * _fiber_raise_coefficient(level) * C_MINUS
 
 
-def d_block(level: int, gamma: int) -> Mat:
-    """The lowering Dolbeault operator block(l, gamma) -> block(l-1, gamma):
-    4i sigma(Zbar) (x) right-action of Z_alpha; the zero map out of level 0."""
+def d_block(level: int, gamma: int) -> GaussianRational:
+    """The lowering Dolbeault operator block(l, gamma) -> block(l-1, gamma),
+    as the scalar c of c * I: 4i sigma(Zbar) (x) right-action of Z_alpha;
+    the zero map out of level 0."""
     r = weight_line_index(level, gamma)     # raises when there is no block
     if not block_exists(level - 1, gamma):
-        return zeros(0, gamma + 1)
-    scalar = gq(0, 4) * _fiber_lower_coefficient(level) * (C_PLUS * _x_entry(gamma, r))
-    return scalar_matrix(gamma + 1, scalar)
+        return ZERO
+    return gq(0, 4) * _fiber_lower_coefficient(level) * (C_PLUS * _x_entry(gamma, r))
 
 
-def h_block(level: int, gamma: int) -> Mat:
+def h_block(level: int, gamma: int) -> GaussianRational:
     """The grading operator: -(l + 1/2) times the identity."""
-    return scalar_matrix(block_dim(level, gamma), gq(Fraction(-(2 * level + 1), 2)))
+    _require_block(level, gamma)
+    return gq(Fraction(-(2 * level + 1), 2))
 
 
 def omega_block(level: int, gamma: int) -> Mat:
     """The Casimir, realized as a genuine matrix on the free V_gamma factor;
     the same matrix at every level of the gamma ladder."""
-    if block_dim(level, gamma) == 0:
-        return zeros(0, 0)
+    _require_block(level, gamma)
     return sl2_casimir_matrix(sl2_irrep(gamma))
 
 
-def p_block(level: int, gamma: int, d_up: Mat, dbar: Mat, dbar_down: Mat, d: Mat) -> Mat:
-    """(1/2)(D Dbar - Dbar D) restricted to block(l, gamma), from the four
+def p_block(level: int, gamma: int, d_up: GaussianRational, dbar: GaussianRational,
+            dbar_down: GaussianRational, d: GaussianRational) -> GaussianRational:
+    """(1/2)(D Dbar - Dbar D) on block(l, gamma), from the scalars of the four
     ladder maps touching it: dbar: l -> l+1, d_up: l+1 -> l, d: l -> l-1 and
-    dbar_down: l-1 -> l.
-
-    A map through a missing neighbor block has an empty side, so its
-    composition is the zero map and the commutator form is always assemblable.
-    """
-    return mat_scale(mat_sub(mat_mul(d_up, dbar), mat_mul(dbar_down, d)), Fraction(1, 2))
+    dbar_down: l-1 -> l.  A map through a missing neighbor block is zero."""
+    _require_block(level, gamma)
+    return (d_up * dbar - dbar_down * d) * Fraction(1, 2)
 
 
 def _require_gamma_max(gamma_max: int, level: int):
@@ -216,11 +209,11 @@ class BlockReport(NamedTuple):
     gamma: int
     j: int
     dim: int
-    d: Mat
-    dbar: Mat
-    h: Mat
+    d: GaussianRational    # D, Dbar, H and P: the scalar c of c * I; Omega: a matrix
+    dbar: GaussianRational
+    h: GaussianRational
     omega: Mat
-    p: Mat
+    p: GaussianRational
     eigenvalue: Fraction
     rank_d: int
     rank_dbar: int
@@ -267,6 +260,11 @@ def _differ(identity: str, lhs: Mat, rhs: Mat) -> Optional[str]:
             f"{rhs.get(key, ZERO)} on the right")
 
 
+def _unequal(identity: str, lhs: GaussianRational, rhs: GaussianRational) -> Optional[str]:
+    """None when the scalar identity holds, else the identity and both sides."""
+    return None if lhs == rhs else f"{identity}: {lhs} on the left, {rhs} on the right"
+
+
 def _gamma_blocks(lmax: int, gamma: int) -> list[BlockReport]:
     """Check the blocks (level, gamma), level <= lmax, of one gamma ladder.
 
@@ -276,16 +274,14 @@ def _gamma_blocks(lmax: int, gamma: int) -> list[BlockReport]:
     """
     top = (gamma - 1) // 2        # highest level with a gamma block; j = top - level
     dim = gamma + 1
-    into_missing = zeros(dim, 0)  # a map out of a missing neighbor block
-    empty = zeros(0, 0)           # H or P on a missing neighbor block
     reach = min(lmax + 1, top) + 1
     d = [d_block(l, gamma) for l in range(min(lmax + 2, top) + 1)]
     dbar = [dbar_block(l, gamma) for l in range(reach)]
     h = [h_block(l, gamma) for l in range(reach)]
     omega = omega_block(0, gamma)
+    minus_omega = mat_scale(omega, -1)
     p = [
-        p_block(l, gamma, d[l + 1] if l < top else into_missing, dbar[l],
-                dbar[l - 1] if l else into_missing, d[l])
+        p_block(l, gamma, d[l + 1] if l < top else ZERO, dbar[l], dbar[l - 1] if l else ZERO, d[l])
         for l in range(reach)
     ]
 
@@ -293,35 +289,31 @@ def _gamma_blocks(lmax: int, gamma: int) -> list[BlockReport]:
     reports = []
     for l in range(min(lmax, top) + 1):
         j = top - l
-        h_down, p_down = (h[l - 1], p[l - 1]) if l else (empty, empty)
-        h_up, p_up = (h[l + 1], p[l + 1]) if l < top else (empty, empty)
-        lam = scalar_identity_value(p[l])
-        if lam is None or not lam.is_real():
+        h_down, p_down = (h[l - 1], p[l - 1]) if l else (ZERO, ZERO)
+        h_up, p_up = (h[l + 1], p[l + 1]) if l < top else (ZERO, ZERO)
+        if not p[l].is_real():
             raise ContractViolation(f"P is not a real scalar on block (level={l}, gamma={gamma})")
-        lam = lam.re
-        rank_d, rank_dbar = rank(d[l]), rank(dbar[l])
+        lam = p[l].re
+        rank_d, rank_dbar = dim if d[l] else 0, dim if dbar[l] else 0
 
-        d_h, dbar_h = mat_mul(d[l], h[l]), mat_mul(dbar[l], h[l])
+        d_h, dbar_h = d[l] * h[l], dbar[l] * h[l]
         ranks = (rank_d, rank_dbar, gamma_n_dim)
         expected = (dim if l else 0, dim if j else 0, 2 * (top + 1) ** 2)
         checks = {
             "closed-form lambda":
                 None if lam == lambda_lj(l, j) else f"P = {lam}, lambda_lj = {lambda_lj(l, j)}",
             "P-identity": _differ(
-                "P = -Omega - (3/2) H^2", p[l],
-                mat_sub(mat_scale(omega, -1), mat_scale(mat_mul(h[l], h[l]), Fraction(3, 2)))),
+                "P = -Omega - (3/2) H^2", scalar_matrix(dim, p[l]),
+                mat_sub(minus_omega, scalar_matrix(dim, h[l] * h[l] * Fraction(3, 2)))),
             "ladder": None if ranks == expected else
                 f"(rank D, rank Dbar, dim Gamma_{top}) = {ranks}, expected {expected}",
             "commutators": (
-                _differ("[H, D] = D", mat_sub(mat_mul(h_down, d[l]), d_h), d[l])
-                or _differ("[H, Dbar] = -Dbar", mat_sub(mat_mul(h_up, dbar[l]), dbar_h),
-                           mat_scale(dbar[l], -1))
-                or _differ("[P, D] = -3 D H - (3/2) D",
-                           mat_sub(mat_mul(p_down, d[l]), mat_mul(d[l], p[l])),
-                           mat_sub(mat_scale(d_h, -3), mat_scale(d[l], Fraction(3, 2))))
-                or _differ("[P, Dbar] = 3 Dbar H - (3/2) Dbar",
-                           mat_sub(mat_mul(p_up, dbar[l]), mat_mul(dbar[l], p[l])),
-                           mat_sub(mat_scale(dbar_h, 3), mat_scale(dbar[l], Fraction(3, 2))))
+                _unequal("[H, D] = D", h_down * d[l] - d_h, d[l])
+                or _unequal("[H, Dbar] = -Dbar", h_up * dbar[l] - dbar_h, -dbar[l])
+                or _unequal("[P, D] = -3 D H - (3/2) D", p_down * d[l] - d[l] * p[l],
+                            d_h * -3 - d[l] * Fraction(3, 2))
+                or _unequal("[P, Dbar] = 3 Dbar H - (3/2) Dbar", p_up * dbar[l] - dbar[l] * p[l],
+                            dbar_h * 3 - dbar[l] * Fraction(3, 2))
             ),
         }
         reports.append(BlockReport(

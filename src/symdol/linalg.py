@@ -2,9 +2,8 @@
 
 A matrix stores only its nonzero entries, keyed (row, col), next to an
 explicit shape, so that zero-row / zero-column maps (which arise at
-truncation and vacuum boundaries) compose correctly.  The CP^1 blocks and
-the Fock operators both use this one type.  Ranks and kernel dimensions
-come from exact Gaussian elimination; there is no floating point
+truncation and vacuum boundaries) compose correctly.  The Fock operators
+and the CP^1 Casimir both use this one type; there is no floating point
 anywhere in this module.
 """
 
@@ -80,16 +79,13 @@ class Mat(Mapping):
         out: dict[tuple[int, int], GaussianRational] = {}
         for (i, k), a in self.entries.items():
             for j, b in by_row.get(k, ()):
-                out[i, j] = out.get((i, j), ZERO) + a * b
+                old = out.get((i, j))
+                out[i, j] = a * b if old is None else old + a * b
         return Mat(self.nrows, other.ncols, {key: x for key, x in out.items() if x})
 
     def triplets(self) -> list[list]:
         """The entries as [row, col, "a+bi"], sorted by (row, col)."""
         return [[i, j, gq_str(x)] for (i, j), x in sorted(self.entries.items())]
-
-
-def zeros(nrows: int, ncols: int) -> Mat:
-    return Mat(nrows, ncols, {})
 
 
 def identity(n: int) -> Mat:
@@ -101,22 +97,25 @@ def scalar_matrix(n: int, value) -> Mat:
     return Mat(n, n, {(i, i): value for i in range(n)} if value else {})
 
 
-def _sum(a: Mat, b: Mat, sign: GaussianRational, name: str) -> Mat:
-    """a + sign * b."""
+def _sum(a: Mat, b: Mat, subtract: bool, name: str) -> Mat:
+    """a - b when subtract, else a + b."""
     if (a.nrows, a.ncols) != (b.nrows, b.ncols):
         raise ValueError(f"shape mismatch in {name}")
     out = dict(a.entries)
     for key, x in b.entries.items():
-        out[key] = out.get(key, ZERO) + sign * x
+        if subtract:
+            x = -x
+        old = out.get(key)
+        out[key] = x if old is None else old + x
     return Mat(a.nrows, a.ncols, {key: x for key, x in out.items() if x})
 
 
 def mat_add(a: Mat, b: Mat) -> Mat:
-    return _sum(a, b, ONE, "mat_add")
+    return _sum(a, b, False, "mat_add")
 
 
 def mat_sub(a: Mat, b: Mat) -> Mat:
-    return _sum(a, b, -ONE, "mat_sub")
+    return _sum(a, b, True, "mat_sub")
 
 
 def mat_scale(a: Mat, c) -> Mat:
@@ -125,34 +124,6 @@ def mat_scale(a: Mat, c) -> Mat:
 
 
 mat_mul = Mat.__matmul__
-
-
-def rank(a: Mat) -> int:
-    """Rank by exact row reduction: each row is reduced against the pivot
-    rows found so far until it is zero or leads in a new pivot column."""
-    rows: dict[int, dict[int, GaussianRational]] = {}
-    for (i, j), x in a.entries.items():
-        rows.setdefault(i, {})[j] = x
-    pivots: dict[int, dict[int, GaussianRational]] = {}    # leading column -> row
-    for row in rows.values():
-        while row:
-            col = min(row)
-            pivot = pivots.get(col)
-            if pivot is None:
-                pivots[col] = row
-                break
-            factor = row[col] / pivot[col]
-            for c, x in pivot.items():
-                new = row.get(c, ZERO) - factor * x
-                if new:
-                    row[c] = new
-                else:
-                    del row[c]
-    return len(pivots)
-
-
-def kernel_dimension(a: Mat) -> int:
-    return a.ncols - rank(a)
 
 
 def scalar_identity_value(a: Mat) -> Optional[GaussianRational]:

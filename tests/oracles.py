@@ -17,7 +17,10 @@ per direction, and ``fock.add`` and ``fock.scale`` against sums in plain
 dicts.  Simple-root coefficients and the dual Killing form are recomputed
 from the orthogonal simple roots, with the dual Coxeter number taken from
 the trace of the Killing form over the roots, instead of from the integer
-Cartan data.
+Cartan data.  The CP^1 ladder blocks, which the program holds as the scalar
+c of c * I, are rebuilt as explicit matrices of their true shapes (0 x n
+into a missing neighbour block), with the sl(2) entries read off the
+irrep matrices, and ranks come from exact row reduction.
 """
 
 from __future__ import annotations
@@ -30,9 +33,9 @@ from numbers import Rational
 import numpy as np
 from numpy.polynomial import hermite as nph
 
-from symdol import fock
-from symdol.gaussian import GaussianRational, gq
-from symdol.linalg import Mat
+from symdol import cp1, fock
+from symdol.gaussian import GaussianRational, ZERO, gq
+from symdol.linalg import Mat, mat_scale, mat_sub, scalar_matrix
 from symdol.reps import dominant_weights_with_norm_bound, weight_multiplicity
 from symdol.rootsys import (
     RootSystem,
@@ -580,3 +583,70 @@ def mat_from_rows(rows) -> Mat:
         raise ValueError("column count mismatch")
     return Mat(nrows, ncols, {(i, j): GaussianRational.coerce(x) for i, row in enumerate(rows)
                               for j, x in enumerate(row) if x})
+
+
+# ---------------------------------------------------------------------------
+# exact ranks and the CP^1 blocks as explicit matrices
+# ---------------------------------------------------------------------------
+
+def rank(a: Mat) -> int:
+    """Rank by exact row reduction: each row is reduced against the pivot
+    rows found so far until it is zero or leads in a new pivot column."""
+    rows: dict[int, dict[int, GaussianRational]] = {}
+    for (i, j), x in a.entries.items():
+        rows.setdefault(i, {})[j] = x
+    pivots: dict[int, dict[int, GaussianRational]] = {}    # leading column -> row
+    for row in rows.values():
+        while row:
+            col = min(row)
+            pivot = pivots.get(col)
+            if pivot is None:
+                pivots[col] = row
+                break
+            factor = row[col] / pivot[col]
+            for c, x in pivot.items():
+                new = row.get(c, ZERO) - factor * x
+                if new:
+                    row[c] = new
+                else:
+                    del row[c]
+    return len(pivots)
+
+
+def kernel_dimension(a: Mat) -> int:
+    return a.ncols - rank(a)
+
+
+def cp1_block_matrices(level: int, gamma: int) -> dict[str, Mat]:
+    """D, Dbar, H, Omega and P on block(level, gamma) as explicit matrices of
+    their true shapes: D is dim(l-1) x dim(l), Dbar dim(l+1) x dim(l), and a
+    missing block has dimension 0 (level -1 and the level above the top of
+    the gamma ladder are allowed, and give empty maps).  The sl(2) entries
+    come from the explicit irrep matrices and P from matrix products."""
+    irrep = cp1.sl2_irrep(gamma)
+
+    def dim(l):
+        return cp1.block_dim(l, gamma)
+
+    def d(l):     # 4i sigma(Zbar) (x) C_PLUS X: v_r -> v_{r-1}
+        if not (dim(l) and dim(l - 1)):
+            return Mat(dim(l - 1), dim(l), {})
+        r = cp1.weight_line_index(l, gamma)
+        fiber = fock.sigma_lower(1, fock.basis_vector(1, (l,))).terms[(l - 1,)]
+        return scalar_matrix(dim(l), gq(0, 4) * fiber * cp1.C_PLUS * irrep.x[r - 1, r])
+
+    def dbar(l):  # -4i sigma(Z) (x) C_MINUS Y: v_r -> v_{r+1}
+        if not (dim(l) and dim(l + 1)):
+            return Mat(dim(l + 1), dim(l), {})
+        r = cp1.weight_line_index(l, gamma)
+        fiber = fock.sigma_raise(1, fock.basis_vector(1, (l,))).terms[(l + 1,)]
+        return scalar_matrix(dim(l), gq(0, -4) * fiber * cp1.C_MINUS * irrep.y[r + 1, r])
+
+    p = mat_scale(mat_sub(d(level + 1) @ dbar(level), dbar(level - 1) @ d(level)), Fraction(1, 2))
+    return {
+        "d": d(level),
+        "dbar": dbar(level),
+        "h": scalar_matrix(dim(level), Fraction(-(2 * level + 1), 2)),
+        "omega": cp1.sl2_casimir_matrix(irrep) if dim(level) else Mat(0, 0, {}),
+        "p": p,
+    }

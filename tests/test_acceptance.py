@@ -19,14 +19,14 @@ import numpy as np
 
 from symdol import cp1, flagspec, fock, surface
 from symdol.cli import main as cli_main
-from symdol.gaussian import gq
-from symdol.linalg import kernel_dimension, mat_mul, mat_scale, mat_sub, rank, scalar_matrix
+from symdol.gaussian import ZERO, gq
+from symdol.linalg import mat_scale, mat_sub, scalar_matrix
 from symdol.reps import casimir_value, weight_system, weyl_dimension
 from symdol.rootsys import build_root_system, rho
 from symdol.linalg import scalar_identity_value
 
 import oracles
-from oracles import oracle_weight_system
+from oracles import kernel_dimension, oracle_weight_system, rank
 
 ALL_SYSTEMS_RANK_LE_4 = (
     [("A", k) for k in range(1, 5)]
@@ -200,27 +200,32 @@ def test_criterion_08_cp1_matrix_engine():
     report = cp1.verify(4, gamma_max)
     for level, lv in enumerate(report):
         for block in lv.blocks:
-            h2 = mat_mul(block.h, block.h)
+            # D, Dbar, H and P are scalars c of c * I; Omega is a genuine matrix
+            d, dbar = scalar_matrix(block.dim, block.d), scalar_matrix(block.dim, block.dbar)
+            h2 = scalar_matrix(block.dim, block.h * block.h)
             rhs = mat_sub(mat_scale(block.omega, -1), mat_scale(h2, Fraction(3, 2)))
-            assert block.p == rhs, (level, block.gamma)
+            assert scalar_matrix(block.dim, block.p) == rhs, (level, block.gamma)
             assert block.passed("P-identity"), (level, block.gamma)
             lam = block.eigenvalue
             assert lam == cp1.lambda_lj(level, block.j)
-            diff = mat_sub(block.p, scalar_matrix(block.dim, gq(lam)))
+            diff = mat_sub(scalar_matrix(block.dim, block.p), scalar_matrix(block.dim, gq(lam)))
             assert rank(diff) == 0
             if level >= 1:
-                assert rank(block.d) == 2 * (level + block.j + 1)
-                assert kernel_dimension(block.d) == 0
+                assert rank(d) == block.rank_d == 2 * (level + block.j + 1)
+                assert kernel_dimension(d) == block.ker_d == 0
             if block.j >= 1:
-                assert rank(block.dbar) == 2 * (level + block.j + 1)
+                assert rank(dbar) == block.rank_dbar == 2 * (level + block.j + 1)
             else:
-                assert kernel_dimension(block.dbar) == block.dim
+                assert block.dbar == ZERO
+                assert kernel_dimension(dbar) == block.ker_dbar == block.dim
         assert lv.ladders_ok and lv.commutators_ok
         assert lv.ker_dbar == 2 * level + 2
         if level >= 1:
             assert lv.ker_d == 0
         # kernel of Dbar concentrated in gamma = 2 level + 1
-        assert kernel_dimension(cp1.dbar_block(level, 2 * level + 1)) == 2 * level + 2
+        top = oracles.cp1_block_matrices(level, 2 * level + 1)["dbar"]
+        assert cp1.dbar_block(level, 2 * level + 1) == ZERO
+        assert (top.nrows, kernel_dimension(top)) == (0, 2 * level + 2)
     assert all(lv.ok for lv in report)
     for n_total in range(0, 5):
         total = sum(

@@ -292,6 +292,9 @@ CLI_GOLDEN = [
      "680f5060d8cb6ad3fd3d826598b00059ddedbbd4379e5414a825f3f3dc0226e8"),
     ("cp1 --lmax 3 --gamma-max 21 --format json --matrices", 0,
      "c88c93995a815c5ba83a81ef158fcd63164a927eaa9b83d129838ae1c8551a57"),
+    # recorded while D, Dbar, H and P were still built as explicit matrices
+    ("cp1 --lmax 4 --gamma-max 41 --format json --matrices", 0,
+     "4aa1f6ec39922720b6cff7c2b84035d59d101be4488177cdce0327aeb6536c12"),
     ("--help", 0,
      "6df90292277b6ef175cd0c5e2592e25a9b681acd09fa058807b42129e7e9ab13"),
     ("roots --help", 0,

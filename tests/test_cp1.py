@@ -2,18 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import mat_from_rows
-from symdol import cp1, fock
-from symdol.gaussian import gq
-from symdol.linalg import (
-    kernel_dimension,
-    mat_mul,
-    mat_scale,
-    mat_sub,
-    rank,
-    scalar_identity_value,
-    zeros,
-)
+import oracles
+from oracles import kernel_dimension, mat_from_rows, rank
+from symdol import cli, cp1, fock, linalg
+from symdol.gaussian import GaussianRational, ZERO, gq
+from symdol.linalg import Mat, mat_mul, mat_scale, mat_sub, scalar_identity_value, scalar_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -22,7 +15,7 @@ from symdol.linalg import (
 
 def test_sl2_irrep_k0_and_k1():
     rep = cp1.sl2_irrep(0)
-    assert rep.h == rep.x == rep.y == zeros(1, 1)
+    assert rep.h == rep.x == rep.y == Mat(1, 1, {})
     rep = cp1.sl2_irrep(1)
     assert rep.h == mat_from_rows(((1, 0), (0, -1)))
     assert rep.x == mat_from_rows(((0, 1), (0, 0)))
@@ -80,7 +73,7 @@ def _blocks(report):
 @pytest.mark.parametrize("level", range(0, 5))
 def test_p_spectrum_blockwise(report, level):
     for block in report[level].blocks:
-        assert scalar_identity_value(block.p) == gq(block.eigenvalue)
+        assert block.p == gq(block.eigenvalue)
         assert block.eigenvalue == cp1.lambda_lj(level, block.j)
         assert block.passed("closed-form lambda")
         assert block.dim == 2 * (level + block.j + 1)
@@ -91,17 +84,17 @@ def test_p_equals_minus_omega_minus_three_halves_h_squared(report, level):
     for block in report[level].blocks:
         # the Casimir assembled once per gamma is the one at this level
         assert block.omega == cp1.omega_block(level, block.gamma)
-        h2 = mat_mul(block.h, block.h)
-        assert block.p == mat_sub(mat_scale(block.omega, -1), mat_scale(h2, Fraction(3, 2)))
+        h2 = scalar_matrix(block.dim, block.h * block.h)
+        rhs = mat_sub(mat_scale(block.omega, -1), mat_scale(h2, Fraction(3, 2)))
+        assert scalar_matrix(block.dim, block.p) == rhs
         assert block.passed("P-identity")
 
 
 @pytest.mark.parametrize("level", range(0, 5))
 def test_p_eigenvalue_multiplicity_via_rank(report, level):
-    from symdol.linalg import scalar_matrix
     for block in report[level].blocks:
         lam = cp1.lambda_lj(level, block.j)
-        diff = mat_sub(block.p, scalar_matrix(block.dim, gq(lam)))
+        diff = mat_sub(scalar_matrix(block.dim, block.p), scalar_matrix(block.dim, gq(lam)))
         assert rank(diff) == 0
         assert kernel_dimension(diff) == block.dim == 2 * (level + block.j + 1)
 
@@ -109,12 +102,15 @@ def test_p_eigenvalue_multiplicity_via_rank(report, level):
 def test_kernels_concentrated_and_trivial(report):
     for level, lv in enumerate(report):
         for block in lv.blocks:
-            kb = kernel_dimension(block.dbar)
+            # Dbar is the zero map exactly on the top block j = 0 of its ladder
+            assert (block.dbar == ZERO) == (block.j == 0)
+            kb = kernel_dimension(scalar_matrix(block.dim, block.dbar))
             assert kb == block.ker_dbar == (block.dim if block.j == 0 else 0)
             if level >= 1:
-                assert kernel_dimension(block.d) == block.ker_d == 0
-        assert lv.ker_dbar == sum(kernel_dimension(b.dbar) for b in lv.blocks)
-        assert lv.ker_d == sum(kernel_dimension(b.d) for b in lv.blocks)
+                assert block.d != ZERO
+                assert kernel_dimension(scalar_matrix(block.dim, block.d)) == block.ker_d == 0
+        assert lv.ker_dbar == sum(b.dim for b in lv.blocks if b.dbar == ZERO)
+        assert lv.ker_d == sum(b.dim for b in lv.blocks if b.d == ZERO)
         assert lv.ker_dbar == 2 * level + 2
         if level >= 1:
             assert lv.ker_d == 0
@@ -147,7 +143,7 @@ def test_ladder_reports(report):
     blocks = _blocks(report)
     block = blocks[(2, 5)]    # j = 0: Dbar annihilates the block
     assert block.passed("ladder") and block.j == 0
-    assert block.rank_dbar == 0 and block.dbar.nrows == 0
+    assert block.rank_dbar == 0 and block.dbar == ZERO
     block = blocks[(1, 5)]
     assert block.passed("ladder") and block.rank_d == 6 and block.rank_dbar == 6
     assert all(lv.ladders_ok for lv in report)
@@ -164,22 +160,46 @@ def test_gamma_n_dimension(n_total):
 
 def test_ladder_bijectivity_explicit():
     # D: G_{1,1} -> G_{0,2} has full rank 6 = dim of both blocks
-    op = cp1.d_block(1, 5)
+    assert cp1.d_block(1, 5) != ZERO
+    op = oracles.cp1_block_matrices(1, 5)["d"]
     assert op.nrows == op.ncols == 6
     assert rank(op) == 6
 
 
-def test_blocks_store_only_their_diagonal(monkeypatch):
-    # at gamma = 201 a block is 202 x 202; D and Dbar keep 202 entries each
-    # and read their one sl(2) entry from its closed form, building no irrep
-    monkeypatch.setattr(cp1, "sl2_irrep", None)
-    d = cp1.d_block(1, 201)
-    dbar = cp1.dbar_block(0, 201)
-    assert len(d) == len(dbar) == 202
-    product = mat_mul(d, dbar)
-    assert (product.nrows, product.ncols) == (202, 202)
-    assert len(product) == 202
-    assert rank(product) == 202
+def test_verify_multiplies_only_omega(monkeypatch):
+    """Work gate: verify(4, 201) builds one sl(2) irrep and makes three matrix
+    products (h h, X Y and Y X) per gamma, only to assemble the 101 Casimirs
+    Omega; D, Dbar, H and P are scalars read from closed forms, and their
+    block functions build neither a Mat nor an irrep."""
+    work = {"products": 0, "mats": 0, "irreps": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            work[key] += 1
+            return fn(*args)
+        return wrapper
+
+    def builds_nothing(fn):
+        def wrapper(*args):
+            before = dict(work)
+            result = fn(*args)
+            assert work == before, fn.__name__
+            return result
+        return wrapper
+
+    monkeypatch.setattr(cp1, "mat_mul", counted("products", cp1.mat_mul))
+    monkeypatch.setattr(cp1, "sl2_irrep", counted("irreps", cp1.sl2_irrep))
+    monkeypatch.setattr(linalg.Mat, "__init__", counted("mats", linalg.Mat.__init__))
+    for name in ("d_block", "dbar_block", "h_block", "p_block"):
+        monkeypatch.setattr(cp1, name, builds_nothing(getattr(cp1, name)))
+    report = cp1.verify(4, 201)
+    assert work["products"] == 303 and work["irreps"] == 101
+    blocks = [b for lv in report for b in lv.blocks]
+    assert len(blocks) == 495
+    for b in blocks:
+        assert all(type(op) is GaussianRational for op in (b.d, b.dbar, b.h, b.p))
+        assert (b.omega.nrows, b.omega.ncols) == (b.dim, b.dim)
+    assert all(lv.ok for lv in report)
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +222,8 @@ def test_p_d_commutator_consistent_with_ladder_shift(report):
             d = blocks[(level, gamma)].d
             p_down = blocks[(level - 1, gamma)].p
             p_here = blocks[(level, gamma)].p
-            lhs = mat_sub(mat_mul(p_down, d), mat_mul(d, p_here))
-            assert lhs == mat_scale(d, 3 * level)
+            assert d != ZERO
+            assert p_down * d - d * p_here == d * (3 * level)
 
 
 def test_p_block_from_ladder_maps():
@@ -211,7 +231,10 @@ def test_p_block_from_ladder_maps():
     d_up, dbar = cp1.d_block(2, 5), cp1.dbar_block(1, 5)
     dbar_down, d = cp1.dbar_block(0, 5), cp1.d_block(1, 5)
     p = cp1.p_block(1, 5, d_up, dbar, dbar_down, d)
-    assert scalar_identity_value(p) == gq(cp1.lambda_lj(1, 1))
+    assert p == gq(cp1.lambda_lj(1, 1))
+    # on the vacuum block the missing lower neighbour enters as the zero scalar
+    p = cp1.p_block(0, 5, cp1.d_block(1, 5), cp1.dbar_block(0, 5), ZERO, cp1.d_block(0, 5))
+    assert p == gq(cp1.lambda_lj(0, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +249,8 @@ def _block_norm(level: int, gamma: int) -> Fraction:
 @pytest.mark.parametrize("gamma", [3, 5, 9, 13])
 def test_dbar_is_adjoint_of_d(gamma):
     for level in range(0, (gamma - 1) // 2):   # blocks where dbar is nonzero
-        dbar = scalar_identity_value(cp1.dbar_block(level, gamma))
-        d_next = scalar_identity_value(cp1.d_block(level + 1, gamma))
+        dbar = cp1.dbar_block(level, gamma)
+        d_next = cp1.d_block(level + 1, gamma)
         assert dbar and d_next
         assert dbar * _block_norm(level + 1, gamma) == d_next.conjugate() * _block_norm(
             level, gamma
@@ -248,8 +271,49 @@ def test_invariant_norms_make_x_y_adjoint():
 # ---------------------------------------------------------------------------
 
 def test_zero_row_blocks_at_boundaries():
-    op = cp1.d_block(0, 5)
+    # the maps out of the vacuum (D) and the j = 0 block (Dbar) are zero; as
+    # explicit matrices they are 0 x 6, with the whole block as kernel
+    assert cp1.d_block(0, 5) == ZERO
+    op = oracles.cp1_block_matrices(0, 5)["d"]
     assert op.nrows == 0 and op.ncols == 6
     assert kernel_dimension(op) == 6
-    op = cp1.dbar_block(2, 5)   # j = 0 block
+    assert cp1.dbar_block(2, 5) == ZERO   # j = 0 block
+    op = oracles.cp1_block_matrices(2, 5)["dbar"]
     assert op.nrows == 0 and op.ncols == 6
+    for fn in (cp1.d_block, cp1.dbar_block, cp1.h_block, cp1.omega_block):
+        with pytest.raises(ValueError, match="no block"):
+            fn(3, 5)
+
+
+# ---------------------------------------------------------------------------
+# the scalar blocks against explicit matrices
+# ---------------------------------------------------------------------------
+
+def test_scalar_blocks_match_explicit_matrices():
+    """Every block up to --lmax 3 --gamma-max 21, rebuilt as explicit matrices
+    of their true shapes: the same P, ranks and kernels by row reduction,
+    the four commutators as matrix identities, and the same --matrices
+    triplets."""
+    checked = 0
+    for lv in cp1.verify(3, 21):
+        for block in lv.blocks:
+            level, gamma, dim = block.level, block.gamma, block.dim
+            m = oracles.cp1_block_matrices(level, gamma)
+            down = oracles.cp1_block_matrices(level - 1, gamma)
+            up = oracles.cp1_block_matrices(level + 1, gamma)
+            d, dbar, h, p = m["d"], m["dbar"], m["h"], m["p"]
+            assert p == scalar_matrix(dim, block.p)
+            assert m["omega"] == block.omega
+            assert p == mat_sub(mat_scale(m["omega"], -1), mat_scale(h @ h, Fraction(3, 2)))
+            assert (rank(d), rank(dbar)) == (block.rank_d, block.rank_dbar)
+            assert (kernel_dimension(d), kernel_dimension(dbar)) == (block.ker_d, block.ker_dbar)
+            assert mat_sub(down["h"] @ d, d @ h) == d
+            assert mat_sub(up["h"] @ dbar, dbar @ h) == mat_scale(dbar, -1)
+            assert mat_sub(down["p"] @ d, d @ p) == mat_sub(
+                mat_scale(d @ h, -3), mat_scale(d, Fraction(3, 2)))
+            assert mat_sub(up["p"] @ dbar, dbar @ p) == mat_sub(
+                mat_scale(dbar @ h, 3), mat_scale(dbar, Fraction(3, 2)))
+            triplets = cli._cp1_block_jsonable(block, True)["matrices"]
+            assert triplets == {op: m[op].triplets() for op in ("d", "dbar", "h", "omega", "p")}
+            checked += 1
+    assert checked == sum(min(3, (g - 1) // 2) + 1 for g in range(1, 22, 2))

@@ -161,6 +161,29 @@ def test_ladder_work_does_not_grow_with_n(monkeypatch):
     assert counts == [5] * 6
 
 
+def test_compose_stores_each_first_product(monkeypatch):
+    """Deterministic work counter: the product inside symbol_product(3, 8, v)
+    normalizes one Gaussian rational per multiplication and per accumulation,
+    and none for adding the first product of an output entry to zero (a
+    ZERO + a * b per entry would make it 702: the product has 261 entries)."""
+    v = (1, 2, -1, 3, 2, -1)
+    up = fock.symbol_raise_operator(3, 8, v)
+    down = fock.symbol_lower_operator(3, 9, v)
+    calls = 0
+    reduced = gaussian._reduced
+
+    def counting(x, y, d):
+        nonlocal calls
+        calls += 1
+        return reduced(x, y, d)
+
+    monkeypatch.setattr(gaussian, "_reduced", counting)
+    product = fock.compose(down, up)
+    assert calls == 441
+    assert len(product.matrix) == 261
+    assert product == fock.symbol_product(3, 8, v)
+
+
 @settings(max_examples=100, deadline=None, database=None)
 @given(st.data())
 def test_ladder_direction_outside_range_rejected(data):

@@ -6,7 +6,7 @@ gaussian  exact Gaussian-rational numbers
 linalg    the sparse exact matrix type (Fock operators, the CP^1 Casimir): products, sums
 errors    ContractViolation, raised when an internal invariant breaks
 rootsys   exact classical root systems and the dual Killing form
-reps      weight multiplicities, dimensions, Casimirs, bounded enumeration
+reps      weight multiplicities, dimensions, Casimirs, one dominant-weight walk
 fock      truncated canonical quantization on Hermite products
 flagspec  vacuum spectra on G/T and the B_n / C_n distinguisher
 cp1       exact scalar ladder blocks for the Dolbeault pair on CP^1

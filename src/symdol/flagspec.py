@@ -11,10 +11,10 @@ weight; the lambda eigenspace is the direct sum of (dim V_gamma(mu)) copies
 of V_gamma over the coinciding gamma.  Under the positive-definite dual
 Killing form every eigenvalue is >= 0 with equality exactly at gamma = mu.
 
-Spectra are complete below an inclusive cutoff: candidate gamma are
-enumerated by norm-bounded breadth-first search, so no row below the cutoff
-can be missed.  Candidate evaluation is order-independent and the final
-table is re-sorted, so results are deterministic.
+Spectra are complete below an inclusive cutoff: candidate gamma come from a
+walk over the dominant weights in increasing norm, cut at the norm bound the
+cutoff sets, so no row below the cutoff can be missed.  The walk's order is
+fixed (norm, then lexicographic), so results are deterministic.
 
 Comparing the mu = 0 spectra of B_n and C_n distinguishes the corresponding
 flag manifolds for n >= 3: the first positive eigenvalue of B_n carries a
@@ -26,11 +26,15 @@ The tables are data here; :mod:`symdol.cli` owns every output format.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import takewhile
+from operator import index
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import ContractViolation
+from .fock import level_indices
 from .reps import (
-    _dominant_weights_below,
+    _rho_norm,
+    _walk_up,
     dominant_weights_with_norm_bound,
     exact_rational,
     weight_multiplicity,
@@ -43,7 +47,6 @@ from .rootsys import (
     as_weight,
     build_root_system,
     is_dominant,
-    killing_dual_form,
     rho,
 )
 
@@ -65,10 +68,11 @@ def spinor_weight(rs: RootSystem, beta: Sequence[int]) -> Weight:
         )
     coords = list(rho(rs))
     for b, alpha in zip(beta, roots):
+        b = index(b)
         if b < 0:
             raise ValueError("multi-index entries must be nonnegative")
         for i in range(rs.rank):
-            coords[i] += int(b) * alpha[i]
+            coords[i] += b * alpha[i]
     return tuple(coords)
 
 
@@ -80,18 +84,8 @@ def spinor_weight_multiset(rs: RootSystem, l: int) -> list[Weight]:
     """
     if l < 0:
         raise ValueError("level must be nonnegative")
-    n = len(rs.positive_roots_fw)
-    out: list[Weight] = []
-
-    def walk(prefix: list[int], remaining: int, slot: int):
-        if slot == n - 1:
-            out.append(spinor_weight(rs, prefix + [remaining]))
-            return
-        for b in range(remaining + 1):
-            walk(prefix + [b], remaining - b, slot + 1)
-
-    walk([], l, 0)
-    return sorted(out)
+    return sorted(spinor_weight(rs, beta)
+                  for beta in level_indices(len(rs.positive_roots_fw), l))
 
 
 # ---------------------------------------------------------------------------
@@ -161,18 +155,15 @@ def p_spectrum(rs: RootSystem, mu: Sequence[int], cutoff) -> SpectrumTable:
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
 
-    r = rho(rs)
-    mu_rho = tuple(a + b for a, b in zip(m, r))
-    base = killing_dual_form(rs, mu_rho, mu_rho)
-    bound = cutoff + base
+    norm = _rho_norm(rs)
+    base = norm(m)
 
     rows: dict[Fraction, list[Constituent]] = {}
-    for gamma in dominant_weights_with_norm_bound(rs, bound):
+    for gamma in dominant_weights_with_norm_bound(rs, cutoff + base):
         mult = weight_multiplicity(rs, gamma, m)
         if mult == 0:
             continue
-        g_rho = tuple(a + b for a, b in zip(gamma, r))
-        lam = killing_dual_form(rs, g_rho, g_rho) - base
+        lam = norm(gamma) - base
         if lam < 0 or (lam == 0 and gamma != m):
             raise ContractViolation(
                 f"{rs.name()}, mu={m}: eigenvalue {lam} at gamma={gamma} violates "
@@ -255,23 +246,18 @@ class DistinguishReport(NamedTuple):
 def first_positive_eigenvalue(rs: RootSystem, mu: Optional[Sequence[int]] = None) -> Fraction:
     """Smallest nonzero eigenvalue of the vacuum operator twisted to L_mu.
 
-    Candidates come sorted by norm, and lambda grows with the norm, so the
-    first gamma != mu that has mu as a weight carries the answer.  The norm
-    bound starts one above mu's own and its excess doubles until a hit; every
-    candidate below a bound is listed, so the first hit is the same at any
-    bound that has one.  A non-dominant mu is a ValueError, as in p_spectrum.
+    Candidates come from the unbounded walk over the dominant weights in
+    increasing norm, and lambda grows with the norm, so the first gamma != mu
+    that has mu as a weight carries the answer.  The walk always reaches one:
+    mu + theta, theta the highest root, has mu as a weight.  A non-dominant
+    mu is a ValueError, as in p_spectrum.
     """
     m = (0,) * rs.rank if mu is None else _dominant_mu(rs, mu)
-    r = rho(rs)
-    mu_rho = tuple(a + b for a, b in zip(m, r))
-    base = killing_dual_form(rs, mu_rho, mu_rho)
-    step = 1
-    while True:
-        for gamma in dominant_weights_with_norm_bound(rs, base + step):
-            if gamma != m and weight_multiplicity(rs, gamma, m) > 0:
-                g_rho = tuple(a + b for a, b in zip(gamma, r))
-                return killing_dual_form(rs, g_rho, g_rho) - base
-        step *= 2
+    norm = _rho_norm(rs)
+    base = norm(m)
+    for gamma_norm, gamma in _walk_up(rs, norm):
+        if gamma != m and weight_multiplicity(rs, gamma, m) > 0:
+            return gamma_norm - base
 
 
 def _compare_tables(b: SpectrumTable, c: SpectrumTable) -> Optional[RowComparison]:
@@ -325,9 +311,10 @@ def small_irrep_inventory(rs: RootSystem, dim_bound: int) -> list[tuple[Weight, 
     """All dominant gamma with dim V_gamma <= dim_bound.
 
     Complete because the Weyl dimension strictly increases along every
-    step gamma -> gamma + omega_i.
+    step gamma -> gamma + omega_i.  Sorted by dimension, then
+    lexicographically.
     """
     if dim_bound < 1:
         raise ValueError("dimension bound must be >= 1")
-    found = _dominant_weights_below(rs, lambda w: weyl_dimension(rs, w), dim_bound)
-    return sorted(found.items(), key=lambda item: (item[1], item[0]))
+    walk = _walk_up(rs, lambda w: weyl_dimension(rs, w))
+    return [(w, dim) for dim, w in takewhile(lambda item: item[0] <= dim_bound, walk)]

@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations
+from operator import index
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .gaussian import GaussianRational, ONE, ZERO, gq
@@ -79,7 +80,7 @@ def zero_vector(n: int) -> FockVector:
 
 
 def basis_vector(n: int, beta: Sequence[int]) -> FockVector:
-    beta = tuple(int(b) for b in beta)
+    beta = tuple(map(index, beta))
     if len(beta) != n or any(b < 0 for b in beta):
         raise ValueError(f"bad multi-index {beta} for n={n}")
     return FockVector(n, {beta: gq(1)})

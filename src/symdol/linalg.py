@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from typing import Optional
 
-from .gaussian import GaussianRational, ZERO, ONE, gq_str
+from .gaussian import GaussianRational, ZERO, gq_str
 
 
 class Mat(Mapping):
@@ -86,10 +86,6 @@ class Mat(Mapping):
     def triplets(self) -> list[list]:
         """The entries as [row, col, "a+bi"], sorted by (row, col)."""
         return [[i, j, gq_str(x)] for (i, j), x in sorted(self.entries.items())]
-
-
-def identity(n: int) -> Mat:
-    return scalar_matrix(n, ONE)
 
 
 def scalar_matrix(n: int, value) -> Mat:

@@ -8,13 +8,20 @@ every dominant mu <= gamma is reached from gamma by steps mu -> mu - alpha
 (alpha > 0) that stay dominant.  Dimensions come independently from the
 Weyl dimension formula, and both routes are reconciled on every call; a
 mismatch is a ContractViolation.
+
+One best-first walk over dominant weights, ``_dominant_walk``, serves every
+enumeration: Freudenthal walks down from gamma in increasing denominator,
+and the bounded enumerations walk up from 0 along gamma -> gamma + omega_i
+in increasing norm or dimension, stopping at the first key over the bound.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heappop, heappush
+from itertools import takewhile
 from numbers import Rational
-from typing import Callable, NamedTuple, Sequence
+from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 from .errors import ContractViolation
 from .rootsys import (
@@ -58,6 +65,17 @@ def _require_dominant(rs: RootSystem, gamma: Sequence[int]) -> Weight:
     return w
 
 
+def _rho_norm(rs: RootSystem) -> Callable[[Weight], Fraction]:
+    """w -> K(w+rho, w+rho)."""
+    r = rho(rs)
+
+    def norm(w: Weight) -> Fraction:
+        t = tuple(a + b for a, b in zip(w, r))
+        return killing_dual_form(rs, t, t)
+
+    return norm
+
+
 def weyl_dimension(rs: RootSystem, gamma: Sequence[int]) -> int:
     """dim V_gamma = prod_{alpha>0} K(gamma+rho, alpha) / K(rho, alpha)."""
     g = _require_dominant(rs, gamma)
@@ -80,71 +98,81 @@ def casimir_value(rs: RootSystem, gamma: Sequence[int]) -> Fraction:
     convention belongs to the negative-Killing-form metric).
     """
     g = _require_dominant(rs, gamma)
-    r = rho(rs)
-    top = tuple(a + b for a, b in zip(g, r))
-    return -(killing_dual_form(rs, top, top) - killing_dual_form(rs, r, r))
+    norm = _rho_norm(rs)
+    return -(norm(g) - norm((0,) * rs.rank))
 
 
-def _positive_root_data(rs: RootSystem) -> list[tuple[Weight, list[tuple[int, int]], int]]:
-    """(alpha, support, height) per positive root: the nonzero simple-root
-    coefficients of alpha as (j, c_j) pairs, and their sum."""
+def _positive_root_data(rs: RootSystem) -> list[tuple[Weight, list[tuple[int, int]]]]:
+    """(alpha, support) per positive root: the nonzero simple-root
+    coefficients of alpha as (j, c_j) pairs."""
     out = []
     for alpha in rs.positive_roots_fw:
         coeffs = [int(c) for c in root_lattice_coefficients(rs, alpha)]
-        out.append((alpha, [(j, c) for j, c in enumerate(coeffs) if c], sum(coeffs)))
+        out.append((alpha, [(j, c) for j, c in enumerate(coeffs) if c]))
     return out
 
 
-def _dominant_heights(gamma: Weight, roots: list) -> dict[Weight, int]:
-    """{mu: height of gamma - mu} over the dominant weights mu of V_gamma.
+def _dominant_walk(start: Weight, steps: Sequence[Weight],
+                   key: Callable[[Weight], Any]) -> Iterator[tuple[Any, Weight]]:
+    """Yield (key(w), w) in increasing (key, w) order over every dominant w
+    reached from start by adding steps while staying dominant.
 
-    Breadth-first along mu -> mu - alpha (alpha > 0 from ``roots``, as
-    ``_positive_root_data`` gives them), keeping only dominant candidates:
-    each is below gamma, hence a weight of V_gamma, and by Stembridge every
-    dominant weight below gamma is reached.  A step adds ht(alpha).
+    Best-first from a heap; each weight's key is evaluated once, when it is
+    first reached.  The order is right whenever key strictly increases along
+    every step between dominant weights: a weight still to come is reached
+    through one already on the heap, whose key is smaller.
     """
-    heights = {gamma: 0}
-    frontier = [gamma]
-    while frontier:
-        nxt = []
-        for mu in frontier:
-            h = heights[mu]
-            for alpha, _, ht in roots:
-                cand = tuple(x - y for x, y in zip(mu, alpha))
-                if min(cand) >= 0 and cand not in heights:
-                    heights[cand] = h + ht
-                    nxt.append(cand)
-        frontier = nxt
-    return heights
+    heap = [(key(start), start)]
+    seen = {start}
+    while heap:
+        item = heappop(heap)
+        yield item
+        w = item[1]
+        for step in steps:
+            cand = tuple(a + b for a, b in zip(w, step))
+            if min(cand) >= 0 and cand not in seen:
+                seen.add(cand)
+                heappush(heap, (key(cand), cand))
+
+
+def _walk_up(rs: RootSystem, key: Callable[[Weight], Any]) -> Iterator[tuple[Any, Weight]]:
+    """_dominant_walk from 0 along gamma -> gamma + omega_i, which reaches
+    every dominant weight."""
+    steps = [tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank)]
+    return _dominant_walk((0,) * rs.rank, steps, key)
 
 
 def _dominant_multiplicities(rs: RootSystem, gamma: Weight) -> dict[Weight, int]:
     """Multiplicities of the dominant weights of V_gamma, by Freudenthal.
 
-    The dominant weights come from the dominant-step walk; the recursion
-    takes them in increasing height of gamma - mu, so every lookup hits a
-    finished entry.
+    The dominant weights mu come from the walk down from gamma along
+    mu -> mu - alpha (alpha > 0): each is below gamma, hence a weight of
+    V_gamma, and by Stembridge every dominant weight below gamma is reached.
+    The walk is keyed by the Freudenthal denominator
+    K(gamma+rho, gamma+rho) - K(mu+rho, mu+rho), which grows along every
+    such step.  Every lookup dom(mu + j alpha) is a dominant weight above
+    mu, so its denominator is smaller (Humphreys, section 13.4, Lemma C) and
+    its entry is finished.
     """
     key = (rs.family, rs.rank, gamma)
     memo = _DOMINANT_MEMO.get(key)
     if memo is not None:
         return memo
 
-    r = rho(rs)
-    top = tuple(a + b for a, b in zip(gamma, r))
-    top_norm = killing_dual_form(rs, top, top)
+    norm = _rho_norm(rs)
+    top_norm = norm(gamma)
     roots = _positive_root_data(rs)
-    heights = _dominant_heights(gamma, roots)
+    walk = _dominant_walk(gamma, [tuple(-x for x in alpha) for alpha, _ in roots],
+                          lambda mu: top_norm - norm(mu))
+    next(walk)  # gamma itself, multiplicity 1
 
     mults: dict[Weight, int] = {gamma: 1}
-    for mu in sorted(heights, key=heights.get)[1:]:  # gamma alone has height 0
-        mu_rho = tuple(a + b for a, b in zip(mu, r))
-        denom = top_norm - killing_dual_form(rs, mu_rho, mu_rho)
+    for denom, mu in walk:
         acc = Fraction(0)
         diff = [int(c) for c in root_lattice_coefficients(
             rs, tuple(a - b for a, b in zip(gamma, mu))
         )]
-        for alpha, support, _ in roots:
+        for alpha, support in roots:
             j_max = min(diff[j] // c for j, c in support)
             for j in range(1, j_max + 1):
                 nu = tuple(x + j * y for x, y in zip(mu, alpha))
@@ -195,52 +223,12 @@ def weight_system(rs: RootSystem, gamma: Sequence[int]) -> WeightSystem:
 # bounded enumeration of dominant weights
 # ---------------------------------------------------------------------------
 
-def _dominant_weights_below(
-    rs: RootSystem, key: Callable[[Weight], object], bound
-) -> dict[Weight, object]:
-    """Every dominant gamma with key(gamma) <= bound, mapped to key(gamma).
-
-    Breadth-first search along gamma -> gamma + omega_i from gamma = 0;
-    complete whenever key strictly increases along every such step.  Each
-    candidate is evaluated once: those over the bound are remembered too.
-    """
-    zero = (0,) * rs.rank
-    zero_key = key(zero)
-    if zero_key > bound:
-        return {}
-    found = {zero: zero_key}
-    over: set[Weight] = set()
-    frontier = [zero]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for i in range(rs.rank):
-                cand = tuple(c + 1 if j == i else c for j, c in enumerate(w))
-                if cand in found or cand in over:
-                    continue
-                value = key(cand)
-                if value <= bound:
-                    found[cand] = value
-                    nxt.append(cand)
-                else:
-                    over.add(cand)
-        frontier = nxt
-    return found
-
-
 def dominant_weights_with_norm_bound(rs: RootSystem, bound) -> list[Weight]:
     """All dominant gamma with K(gamma+rho, gamma+rho) <= bound.
 
     Complete because K(gamma + omega_i + rho) > K(gamma + rho) whenever
-    gamma is dominant (K(omega_i, x) > 0 for strictly dominant x).  Sorted
-    by norm, then lexicographically.
+    gamma is dominant (K(omega_i, x) > 0 for strictly dominant x), so the
+    upward walk comes in norm order.  Sorted by norm, then lexicographically.
     """
-    r = rho(rs)
-
-    def norm(w: Weight) -> Fraction:
-        t = tuple(a + b for a, b in zip(w, r))
-        return killing_dual_form(rs, t, t)
-
-    found = _dominant_weights_below(rs, norm, exact_rational(bound, "norm bound"))
-    return sorted(found, key=lambda w: (found[w], w))
-
+    bound = exact_rational(bound, "norm bound")
+    return [w for _, w in takewhile(lambda item: item[0] <= bound, _walk_up(rs, _rho_norm(rs)))]

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import index
 from typing import NamedTuple, Sequence
 
 Weight = tuple[int, ...]
@@ -211,7 +212,9 @@ def build_root_system(family: str, rank: int) -> RootSystem:
 # ---------------------------------------------------------------------------
 
 def as_weight(rs: RootSystem, coords: Sequence[int]) -> Weight:
-    w = tuple(int(c) for c in coords)
+    """coords as an integer tuple; a float or Fraction coordinate is a
+    TypeError rather than truncated."""
+    w = tuple(map(index, coords))
     if len(w) != rs.rank:
         raise ValueError(f"weight has {len(w)} coordinates; {rs.name()} has rank {rs.rank}")
     return w

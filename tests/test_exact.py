@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import FractionPairGaussian, kernel_dimension, mat_from_rows, rank
-from symdol.gaussian import GaussianRational, I, gq, gq_str
+from symdol.gaussian import GaussianRational, I, ONE, gq, gq_str
 from symdol import fock, linalg
-from symdol.linalg import Mat, identity, mat_mul, scalar_identity_value
+from symdol.linalg import Mat, mat_mul, scalar_identity_value
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +184,7 @@ def test_shapes_are_explicit():
 
 
 def test_scalar_identity_detection():
-    assert scalar_identity_value(identity(3)) == gq(1)
+    assert scalar_identity_value(linalg.scalar_matrix(3, ONE)) == gq(1)
     assert scalar_identity_value(linalg.scalar_matrix(2, gq(0, -5))) == gq(0, -5)
     assert scalar_identity_value(mat_from_rows([[1, 1], [0, 1]])) is None
     assert scalar_identity_value(mat_from_rows([[1, 0], [0, 2]])) is None
@@ -199,4 +199,4 @@ def test_shape_validation():
     with pytest.raises(ValueError, match="column count"):
         mat_from_rows([[1, 2], [3]])
     with pytest.raises(ValueError, match="mat_mul"):
-        mat_mul(identity(2), identity(3))
+        mat_mul(linalg.scalar_matrix(2, ONE), linalg.scalar_matrix(3, ONE))

@@ -17,7 +17,7 @@ from symdol.flagspec import (
     spinor_weight,
     spinor_weight_multiset,
 )
-from symdol.reps import dominant_weights_with_norm_bound, weyl_dimension
+from symdol.reps import weight_multiplicity, weyl_dimension
 from symdol.rootsys import build_root_system, rho
 
 from oracles import first_positive_eigenvalue_by_scan
@@ -55,11 +55,31 @@ def test_spinor_weight_validates_length():
         spinor_weight(A2, (1, 0))
 
 
+@pytest.mark.parametrize("call", [
+    lambda: weyl_dimension(B3, (1.5, 0, 0)),
+    lambda: weyl_dimension(B3, (Fraction(3, 2), 0, 0)),
+    lambda: weight_multiplicity(B3, (1.9, 0, 0), (0, 0, 0)),
+    lambda: weight_multiplicity(B3, (1, 0, 0), (Fraction(0), 0, 0)),
+    lambda: p_spectrum(B3, (0.5, 0, 0), 1),
+    lambda: fock.basis_vector(1, (2.7,)),
+    lambda: fock.basis_vector(1, (Fraction(2),)),
+    lambda: spinor_weight(A1, (1.5,)),
+], ids=["weyl_dimension-float", "weyl_dimension-fraction", "weight_multiplicity-float",
+        "weight_multiplicity-fraction", "p_spectrum-float", "basis_vector-float",
+        "basis_vector-fraction", "spinor_weight-float"])
+def test_non_integer_coordinates_rejected(call):
+    # a coordinate that is not an int is an error, never truncated to one
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        call()
+
+
 def test_spinor_weight_multiset_examples():
     assert spinor_weight_multiset(A2, 0) == [rho(A2)]
     assert spinor_weight_multiset(A1, 2) == [(5,)]
     ms = spinor_weight_multiset(A2, 1)
     assert sorted(ms) == sorted([(3, 0), (0, 3), (2, 2)])
+    with pytest.raises(ValueError, match="level must be nonnegative"):
+        spinor_weight_multiset(A2, -1)
 
 
 @pytest.mark.parametrize("rs,l", [(A1, 4), (A2, 2), (B2, 2), (B3, 1)],
@@ -272,19 +292,18 @@ def test_first_positive_eigenvalue_matches_full_scan(family, rank, twisted):
 @pytest.mark.parametrize("family,expected", [("B", Fraction(8, 15)), ("C", Fraction(8, 9))])
 def test_first_positive_eigenvalue_lists_few_candidates(monkeypatch, family, expected):
     # deterministic work gate: the first hit (omega_1 for B_n, omega_2 for
-    # C_n) lies in the first shells, so the search lists few weights
-    listed = 0
+    # C_n) lies in the first shells, so the walk tests few candidates
+    tested = 0
 
-    def counting(rs, bound):
-        nonlocal listed
-        out = dominant_weights_with_norm_bound(rs, bound)
-        listed += len(out)
-        return out
+    def counting(rs, gamma, mu):
+        nonlocal tested
+        tested += 1
+        return weight_multiplicity(rs, gamma, mu)
 
-    monkeypatch.setattr(flagspec, "dominant_weights_with_norm_bound", counting)
+    monkeypatch.setattr(flagspec, "weight_multiplicity", counting)
     # n/(2n-1) and n/(n+1), the first rows of the distinguisher
     assert first_positive_eigenvalue(build_root_system(family, 8)) == expected
-    assert 0 < listed < 100
+    assert 0 < tested < 100
 
 
 def test_auto_cutoff_covers_both_first_rows():

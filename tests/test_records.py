@@ -45,7 +45,7 @@ def _records():
         "FockOperator": (fock.symbol_product(1, 0, (1, 0)), "n"),
         "ConsistencyReport": (surface.cp1_consistency(0, 3), "level"),
         "IndexQuery": (surface.IndexQuery(0, 0, "fock"), "genus"),
-        "Mat": (linalg.identity(2), "nrows"),
+        "Mat": (linalg.scalar_matrix(2, ONE), "nrows"),
     }
 
 
@@ -90,7 +90,7 @@ def test_mat_equality_is_shape_and_entries():
 
 def test_mat_is_unhashable():
     with pytest.raises(TypeError):
-        hash(linalg.identity(2))
+        hash(linalg.scalar_matrix(2, ONE))
     with pytest.raises(TypeError):
         {Mat(0, 0, {})}
 

@@ -173,13 +173,23 @@ def test_zero_weight_multiplicities_b_and_c_match_oracle(family, rank, gamma, ex
 
 @pytest.mark.parametrize("pair", RANK_LE_4, ids=_rank_id)
 def test_dominant_walk_matches_all_weights_walk(pair):
-    # every gamma in {0, 1, 2}^rank for rank <= 3; coordinate sum <= 2 for
-    # rank 4, where the all-weights walk over all of {0, 1, 2}^4 takes ~50 s
+    # the down-walk Freudenthal runs (steps -alpha, keyed by the denominator)
+    # against the oracle: every gamma in {0, 1, 2}^rank for rank <= 3;
+    # coordinate sum <= 2 for rank 4, where the all-weights walk over all of
+    # {0, 1, 2}^4 takes ~50 s
     rs = build_root_system(*pair)
-    roots = reps._positive_root_data(rs)
+    norm = reps._rho_norm(rs)
+    steps = [tuple(-x for x in alpha) for alpha in rs.positive_roots_fw]
     for gamma in _gammas(rs.rank, 2, 2 if rs.rank == 4 else 2 * rs.rank):
-        assert reps._dominant_heights(gamma, roots) == dominant_heights_by_all_weights_walk(
-            rs, gamma), gamma
+        expected = set(dominant_heights_by_all_weights_walk(rs, gamma))
+        top = norm(gamma)
+        walked = list(reps._dominant_walk(gamma, steps, lambda mu: top - norm(mu)))
+        weights = [mu for _, mu in walked]
+        assert len(weights) == len(set(weights)), gamma
+        assert set(weights) == expected == set(reps._dominant_multiplicities(rs, gamma)), gamma
+        # the denominators never decrease, and only gamma's is zero
+        assert walked == sorted(walked), gamma
+        assert walked[0] == (0, gamma) and all(d > 0 for d, _ in walked[1:]), gamma
 
 
 def test_dominant_walk_work_counter_c8(monkeypatch):
@@ -300,7 +310,8 @@ def test_enumeration_evaluates_each_candidate_once(family):
 
     bound = 2 * norm((0,) * rs.rank) + 1
     seen.clear()
-    found = reps._dominant_weights_below(rs, norm, bound)
+    found = [w for _, w in itertools.takewhile(lambda item: item[0] <= bound,
+                                               reps._walk_up(rs, norm))]
     steps = {tuple(c + (j == i) for j, c in enumerate(w))
              for w in found for i in range(rs.rank)}
     assert len(found) > 50

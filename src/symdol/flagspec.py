@@ -169,8 +169,6 @@ def p_spectrum(rs: RootSystem, mu: Sequence[int], cutoff) -> SpectrumTable:
                 f"{rs.name()}, mu={m}: eigenvalue {lam} at gamma={gamma} violates "
                 f"positivity (lambda must be > 0 for gamma != mu)"
             )
-        if lam > cutoff:
-            continue
         dim = weight_system(rs, gamma).dim
         rows.setdefault(lam, []).append(Constituent(gamma, mult, dim))
 
@@ -314,6 +312,7 @@ def small_irrep_inventory(rs: RootSystem, dim_bound: int) -> list[tuple[Weight, 
     step gamma -> gamma + omega_i.  Sorted by dimension, then
     lexicographically.
     """
+    dim_bound = index(dim_bound)
     if dim_bound < 1:
         raise ValueError("dimension bound must be >= 1")
     walk = _walk_up(rs, lambda w: weyl_dimension(rs, w))

@@ -5,8 +5,11 @@ dominant weights below the highest weight and expanded along Weyl orbits.
 Those dominant weights are found without visiting any other weight: by
 Stembridge (The partial order of dominant weights, Adv. Math. 136, 1998)
 every dominant mu <= gamma is reached from gamma by steps mu -> mu - alpha
-(alpha > 0) that stay dominant.  Dimensions come independently from the
-Weyl dimension formula, and both routes are reconciled on every call; a
+(alpha > 0) that stay dominant.  The recursion's sums run up each root
+string from mu to its first gap, since the weights on a string form an
+unbroken run (Humphreys, Introduction to Lie Algebras and Representation
+Theory, section 21.3).  Dimensions come independently from the Weyl
+dimension formula, and both routes are reconciled on every call; a
 mismatch is a ContractViolation.
 
 One best-first walk over dominant weights, ``_dominant_walk``, serves every
@@ -33,7 +36,6 @@ from .rootsys import (
     is_nonneg_root_combination,
     killing_dual_form,
     rho,
-    root_lattice_coefficients,
     weyl_orbit,
 )
 
@@ -102,16 +104,6 @@ def casimir_value(rs: RootSystem, gamma: Sequence[int]) -> Fraction:
     return -(norm(g) - norm((0,) * rs.rank))
 
 
-def _positive_root_data(rs: RootSystem) -> list[tuple[Weight, list[tuple[int, int]]]]:
-    """(alpha, support) per positive root: the nonzero simple-root
-    coefficients of alpha as (j, c_j) pairs."""
-    out = []
-    for alpha in rs.positive_roots_fw:
-        coeffs = [int(c) for c in root_lattice_coefficients(rs, alpha)]
-        out.append((alpha, [(j, c) for j, c in enumerate(coeffs) if c]))
-    return out
-
-
 def _dominant_walk(start: Weight, steps: Sequence[Weight],
                    key: Callable[[Weight], Any]) -> Iterator[tuple[Any, Weight]]:
     """Yield (key(w), w) in increasing (key, w) order over every dominant w
@@ -150,9 +142,14 @@ def _dominant_multiplicities(rs: RootSystem, gamma: Weight) -> dict[Weight, int]
     V_gamma, and by Stembridge every dominant weight below gamma is reached.
     The walk is keyed by the Freudenthal denominator
     K(gamma+rho, gamma+rho) - K(mu+rho, mu+rho), which grows along every
-    such step.  Every lookup dom(mu + j alpha) is a dominant weight above
-    mu, so its denominator is smaller (Humphreys, section 13.4, Lemma C) and
-    its entry is finished.
+    such step.  The sum over nu = mu + j alpha (j >= 1) stops at the first
+    zero lookup mults.get(dom(nu), 0), which is exact because:
+    - a lookup inside the string is finished: dom(nu) is dominant and
+      above mu, so its denominator is smaller (Humphreys, section 13.4,
+      Lemma C) and the walk has reached it;
+    - the first zero marks the end of the string: a dominant dom(nu) <=
+      gamma would make nu a weight, so only a lookup past the end is zero;
+    - the weights on an alpha-string are unbroken (section 21.3).
     """
     key = (rs.family, rs.rank, gamma)
     memo = _DOMINANT_MEMO.get(key)
@@ -161,24 +158,19 @@ def _dominant_multiplicities(rs: RootSystem, gamma: Weight) -> dict[Weight, int]
 
     norm = _rho_norm(rs)
     top_norm = norm(gamma)
-    roots = _positive_root_data(rs)
-    walk = _dominant_walk(gamma, [tuple(-x for x in alpha) for alpha, _ in roots],
+    roots = rs.positive_roots_fw
+    walk = _dominant_walk(gamma, [tuple(-x for x in alpha) for alpha in roots],
                           lambda mu: top_norm - norm(mu))
     next(walk)  # gamma itself, multiplicity 1
 
     mults: dict[Weight, int] = {gamma: 1}
     for denom, mu in walk:
         acc = Fraction(0)
-        diff = [int(c) for c in root_lattice_coefficients(
-            rs, tuple(a - b for a, b in zip(gamma, mu))
-        )]
-        for alpha, support in roots:
-            j_max = min(diff[j] // c for j, c in support)
-            for j in range(1, j_max + 1):
-                nu = tuple(x + j * y for x, y in zip(mu, alpha))
-                m = mults.get(dominant_conjugate(rs, nu), 0)
-                if m:
-                    acc += m * killing_dual_form(rs, nu, alpha)
+        for alpha in roots:
+            nu = tuple(x + y for x, y in zip(mu, alpha))
+            while m := mults.get(dominant_conjugate(rs, nu), 0):
+                acc += m * killing_dual_form(rs, nu, alpha)
+                nu = tuple(x + y for x, y in zip(nu, alpha))
         value = 2 * acc / denom
         if value.denominator != 1 or value <= 0:
             raise ContractViolation(

@@ -13,6 +13,7 @@ CP^1 block engine.
 
 from __future__ import annotations
 
+import operator
 from typing import NamedTuple, Optional
 
 from . import cp1
@@ -30,6 +31,7 @@ class IndexQuery(_IndexQueryFields):
     __slots__ = ()
 
     def __new__(cls, genus: int, level: int, spinor_kind: str):
+        genus, level = operator.index(genus), operator.index(level)
         if genus < 0 or level < 0:
             raise ValueError("genus and level must be nonnegative")
         if spinor_kind not in SPINOR_KINDS:
@@ -51,7 +53,8 @@ def index(query: IndexQuery) -> int:
 
 def canonical_sections(genus: int) -> int:
     """Dimension of the space of holomorphic sections of the canonical line
-    bundle: the genus g itself, returned as given (no index is evaluated)."""
+    bundle: the genus g itself (no index is evaluated)."""
+    genus = operator.index(genus)
     if genus < 0:
         raise ValueError("genus must be nonnegative")
     return genus

@@ -1,11 +1,14 @@
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import FractionPairGaussian, kernel_dimension, mat_from_rows, rank
+import symdol
 from symdol.gaussian import GaussianRational, I, ONE, gq, gq_str
 from symdol import fock, linalg
 from symdol.linalg import Mat, mat_mul, scalar_identity_value
@@ -200,3 +203,43 @@ def test_shape_validation():
         mat_from_rows([[1, 2], [3]])
     with pytest.raises(ValueError, match="mat_mul"):
         mat_mul(linalg.scalar_matrix(2, ONE), linalg.scalar_matrix(3, ONE))
+
+
+# ---------------------------------------------------------------------------
+# no floating point in the package
+# ---------------------------------------------------------------------------
+
+class _FloatSites(ast.NodeVisitor):
+    """Float and complex literals and float( / complex( / round( calls, each
+    recorded as (module.function, line, what)."""
+
+    def __init__(self, module):
+        self.scope, self.sites = [module], []
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Constant(self, node):
+        if isinstance(node.value, (float, complex)):
+            self.sites.append((".".join(self.scope), node.lineno, repr(node.value)))
+
+    def visit_Call(self, node):
+        if isinstance(node.func, ast.Name) and node.func.id in ("float", "complex", "round"):
+            self.sites.append((".".join(self.scope), node.lineno, node.func.id + "("))
+        self.generic_visit(node)
+
+
+def test_package_computes_nothing_from_floats():
+    # the one allowed site is the table's approximate decimal column
+    sites = []
+    for path in sorted(Path(symdol.__file__).parent.glob("*.py")):
+        visitor = _FloatSites(path.stem)
+        visitor.visit(ast.parse(path.read_text(), str(path)))
+        sites += visitor.sites
+    allowed = [s for s in sites if s[0] == "cli._approx"]
+    assert [what for _, _, what in allowed] == ["float("]  # the scan does see it
+    assert [s for s in sites if s not in allowed] == []

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from symdol import flagspec, fock
+from symdol import flagspec, fock, surface
 from symdol.cp1 import lambda_lj
 from symdol.flagspec import (
     Constituent,
@@ -64,11 +64,17 @@ def test_spinor_weight_validates_length():
     lambda: fock.basis_vector(1, (2.7,)),
     lambda: fock.basis_vector(1, (Fraction(2),)),
     lambda: spinor_weight(A1, (1.5,)),
+    lambda: small_irrep_inventory(C3, 3.5),
+    lambda: surface.IndexQuery(1.5, 0, "fock"),
+    lambda: surface.IndexQuery(0, 2.0, "metaplectic"),
+    lambda: surface.canonical_sections(2.5),
 ], ids=["weyl_dimension-float", "weyl_dimension-fraction", "weight_multiplicity-float",
         "weight_multiplicity-fraction", "p_spectrum-float", "basis_vector-float",
-        "basis_vector-fraction", "spinor_weight-float"])
+        "basis_vector-fraction", "spinor_weight-float", "small_irrep_inventory-float",
+        "index_query-genus-float", "index_query-level-float", "canonical_sections-float"])
 def test_non_integer_coordinates_rejected(call):
-    # a coordinate that is not an int is an error, never truncated to one
+    # a coordinate, bound, genus or level that is not an int is an error,
+    # never truncated to one
     with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
         call()
 

@@ -1,13 +1,13 @@
 import itertools
 import random
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
-from symdol import reps
+from symdol import reps, rootsys
 from symdol.reps import (
     casimir_value,
     dominant_weights_with_norm_bound,
@@ -21,6 +21,7 @@ from symdol.rootsys import (
     is_nonneg_root_combination,
     rho,
     simple_reflection,
+    weyl_orbit,
 )
 
 from oracles import (
@@ -206,6 +207,53 @@ def test_dominant_walk_work_counter_c8(monkeypatch):
     mults = reps._dominant_multiplicities(build_root_system("C", 8), (1, 0, 1, 0, 0, 0, 0, 0))
     assert len(mults) == 5
     assert 0 < calls < 1000
+
+
+def test_freudenthal_needs_no_simple_root_coordinates(monkeypatch):
+    # root strings end at their first gap, so no simple-root coordinates
+    # are needed to bound them
+    cases = [(build_root_system("B", 4), (1, 1, 1, 1)),
+             (build_root_system("C", 8), (1, 0, 1, 0, 0, 0, 0, 0)),
+             (build_root_system("D", 5), (1, 1, 0, 1, 1)),
+             (G2, (2, 1))]
+
+    def refuse(*args):
+        raise AssertionError("simple-root coordinates requested")
+
+    monkeypatch.setattr(rootsys, "root_lattice_coefficients", refuse)
+    monkeypatch.setattr(rootsys, "_lattice_numerators", refuse)
+    monkeypatch.setattr(reps, "_DOMINANT_MEMO", {})
+    for rs, gamma in cases:
+        mults = reps._dominant_multiplicities(rs, gamma)
+        dim = sum(m * len(weyl_orbit(rs, mu)) for mu, m in mults.items())
+        assert dim == weyl_dimension(rs, gamma), (rs.name(), gamma)
+
+
+# every gamma in {0,1}^r on each system of rank <= 3, and one larger gamma
+# each for B4, C4, D4 and G2
+STRING_CASES = [(pair, g) for pair in [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3),
+                                       ("C", 2), ("C", 3), ("D", 3), ("G", 2)]
+                for g in itertools.product((0, 1), repeat=pair[1])]
+STRING_CASES += [(("B", 4), (1, 1, 1, 1)), (("C", 4), (1, 1, 1, 1)),
+                 (("D", 4), (1, 1, 1, 1)), (("G", 2), (2, 1))]
+
+
+@pytest.mark.parametrize("pair,gamma", STRING_CASES,
+                         ids=[f"{f}{r}-{''.join(map(str, g))}" for (f, r), g in STRING_CASES])
+def test_root_strings_are_unbroken(pair, gamma):
+    # what Freudenthal's stopping rule relies on: for every weight mu and
+    # positive root alpha, the j with mu + j alpha a weight form one interval
+    rs = build_root_system(*pair)
+    weights = weight_system(rs, gamma).mults
+    for alpha in rs.positive_roots_fw:
+        i = next(k for k, a in enumerate(alpha) if a)
+        # w and w + t alpha share alpha_i w - w_i alpha; w_i is the position
+        strings = defaultdict(list)
+        for w in weights:
+            strings[tuple(alpha[i] * x - w[i] * a for x, a in zip(w, alpha))].append(w[i])
+        for key, positions in strings.items():
+            span, rest = divmod(max(positions) - min(positions), abs(alpha[i]))
+            assert rest == 0 and span + 1 == len(positions), (gamma, alpha, key)
 
 
 @pytest.mark.parametrize("rs,gamma", [(A2, (2, 1)), (B3, (0, 1, 0)), (G2, (1, 0))],

@@ -3,9 +3,9 @@
 Weights are plain integer tuples in the fundamental-weight basis
 (omega_1, ..., omega_k); that basis is the lingua franca of the whole
 package.  Each family is built from its integer Cartan matrix alone: the
-positive roots come from alpha-strings, the root lengths from symmetrizing
-the matrix, and the bilinear form exposed to callers is the *dual Killing
-form*
+positive roots come from closing the simple roots under simple reflections,
+the root lengths from symmetrizing the matrix, and the bilinear form exposed
+to callers is the *dual Killing form*
 
     K = (form normalized so long roots have squared length 2) / (2 h^v),
 
@@ -16,11 +16,12 @@ convention are -K(x, x).  The normalization is pinned by K(alpha, alpha)
 -((k+1)^2 - 1)/8 on the (k+1)-dimensional irreducible.
 
 Both matrices the weight arithmetic needs, the inverse Cartan matrix (for
-simple-root coefficients) and the Gram matrix K(omega_i, omega_j), are
-stored as integer numerators over one common denominator each.  On integer
-weights, K(x, y) and the simple-root coefficients are then integer dot
-products with a single division at the end, and the root-lattice membership
-test is integer dot products plus a divisibility test.
+simple-root coefficients, read off the positive roots through the Killing
+sum) and the Gram matrix K(omega_i, omega_j), are stored as integer
+numerators over one common denominator each.  On integer weights, K(x, y)
+and the simple-root coefficients are then integer dot products with a single
+division at the end, and the root-lattice membership test is integer dot
+products plus a divisibility test.
 
 Everything here is immutable and pure; no floating point.
 """
@@ -51,8 +52,8 @@ class RootSystem(NamedTuple):
     fundamental-weight coordinates.  ``positive_roots_fw`` gives the positive
     roots in those coordinates (integer tuples), ordered by height and
     starting with the simple roots in index order.  The inverse Cartan matrix
-    and the Gram matrix K(omega_i, omega_j) are ``*_num`` divided entrywise
-    by ``*_den``.
+    (row i holds the simple-root coefficients of omega_i) and the Gram matrix
+    K(omega_i, omega_j) are ``*_num`` divided entrywise by ``*_den``.
     """
 
     family: str
@@ -103,52 +104,26 @@ def _half_lengths(cartan) -> list[Fraction]:
 
 
 def _positive_root_coefficients(cartan) -> list[tuple[int, ...]]:
-    """Simple-root coefficients of every positive root, grown by alpha-strings.
+    """Simple-root coefficients of every positive root, by reflection closure.
 
-    The alpha_i-string through a root beta runs from beta - r alpha_i to
-    beta + q alpha_i with r - q = <beta, alpha_i^v> (Humphreys, section 8.4),
-    so beta + alpha_i is a root iff r > <beta, alpha_i^v>.  Roots are grown
-    one height at a time, so every root below beta is known when r is counted.
+    The simple reflection s_i permutes the positive roots other than alpha_i
+    (Humphreys, section 10.2, Lemma B), and every positive root is reached
+    from a simple root that way.  In simple-root coordinates s_i(beta) is
+    beta - <beta, alpha_i^v> e_i, with <beta, alpha_i^v> = sum_j beta_j A_ji.
     """
     rank = len(cartan)
-    layer = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
-    roots = set(layer)
-    found = list(layer)
-    while layer:
-        taller = []
-        for beta in layer:
-            for i in range(rank):
-                pairing = sum(c * row[i] for c, row in zip(beta, cartan))
-                r, down = 0, list(beta)
-                while True:
-                    down[i] -= 1
-                    if tuple(down) not in roots:
-                        break
-                    r += 1
-                if r > pairing:
-                    up = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
-                    if up not in roots:
-                        roots.add(up)
-                        taller.append(up)
-        found.extend(taller)
-        layer = taller
+    simple = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    found = list(simple)
+    roots = set(found)
+    for beta in found:   # grows while it is walked
+        for i in range(rank):
+            pairing = sum(c * row[i] for c, row in zip(beta, cartan))
+            if pairing and beta != simple[i]:
+                image = beta[:i] + (beta[i] - pairing,) + beta[i + 1:]
+                if image not in roots:
+                    roots.add(image)
+                    found.append(image)
     return found
-
-
-def _invert(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(matrix)
-    aug = [list(row) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-           for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next(i for i in range(col, n) if aug[i][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = aug[col][col]
-        aug[col] = [x / inv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                factor = aug[i][col]
-                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[col])]
-    return [row[n:] for row in aug]
 
 
 def _over_common_denominator(matrix) -> tuple[tuple[tuple[int, ...], ...], int]:
@@ -169,13 +144,13 @@ def build_root_system(family: str, rank: int) -> RootSystem:
             "A (rank >= 1), B (rank >= 2), C (rank >= 2), D (rank >= 3), G (rank = 2)"
         )
     lo, hi = _RANK_RULES[family]
-    if not isinstance(rank, int) or rank < lo or (hi is not None and rank > hi):
+    rank = index(rank)
+    if rank < lo or (hi is not None and rank > hi):
         bound = f"rank = {lo}" if hi == lo else f"rank >= {lo}"
         raise ValueError(f"family {family} requires {bound}; got rank {rank}")
 
     cartan = _cartan_matrix(family, rank)
     half = _half_lengths(cartan)
-    inv_cartan = _invert([[Fraction(c) for c in row] for row in cartan])
 
     # by height, the simple roots first in index order; alpha_k is row k of cartan
     coeffs = sorted(_positive_root_coefficients(cartan),
@@ -188,6 +163,12 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     # h^v = 1 + <rho, theta^v> = 1 + sum_i c_i d_i
     dual_cox = 1 + int(sum(c * d for c, d in zip(coeffs[-1], half)))
     killing_scale = Fraction(1, 2 * dual_cox)
+    # the Killing sum sum_{alpha>0} (x, alpha)(y, alpha) = h^v (x, y) at
+    # x = omega_i, y = omega_k, with (omega_i, alpha) = c_i(alpha) d_i and
+    # (omega_i, omega_k) = (A^-1)_ik d_k, gives
+    # (A^-1)_ik = (d_i / h^v) sum_{alpha>0} c_i(alpha) c_k(alpha)
+    inv_cartan = [[d * sum(c[i] * c[k] for c in coeffs) / dual_cox for k in range(rank)]
+                  for i, d in enumerate(half)]
     # (omega_i, omega_j) = (A^-1)_ij d_j, since (omega_i, alpha_k) = delta_ik d_k
     gram = [[x * d * killing_scale for x, d in zip(row, half)] for row in inv_cartan]
 
@@ -228,9 +209,10 @@ def rho(rs: RootSystem) -> Weight:
 def killing_dual_form(rs: RootSystem, x: Sequence, y: Sequence) -> Fraction:
     """K(x, y) on weights, for x, y in fundamental-weight coordinates.
 
-    Coordinates may be integers or exact rationals (rational coordinates
-    occur for midpoints and root-string bookkeeping).  The sum runs over the
-    integer Gram numerators, so integer inputs build one Fraction at the end.
+    Coordinates may be integers or exact rationals; the package itself only
+    passes integer weights, and rationals stay for library callers.  The sum
+    runs over the integer Gram numerators, so integer inputs build one
+    Fraction at the end.
     """
     if len(x) != rs.rank or len(y) != rs.rank:
         raise ValueError(f"expected weight vectors of length {rs.rank}")

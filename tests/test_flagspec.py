@@ -68,12 +68,15 @@ def test_spinor_weight_validates_length():
     lambda: surface.IndexQuery(1.5, 0, "fock"),
     lambda: surface.IndexQuery(0, 2.0, "metaplectic"),
     lambda: surface.canonical_sections(2.5),
+    lambda: build_root_system("B", 3.0),
+    lambda: distinguish(3.0),
 ], ids=["weyl_dimension-float", "weyl_dimension-fraction", "weight_multiplicity-float",
         "weight_multiplicity-fraction", "p_spectrum-float", "basis_vector-float",
         "basis_vector-fraction", "spinor_weight-float", "small_irrep_inventory-float",
-        "index_query-genus-float", "index_query-level-float", "canonical_sections-float"])
+        "index_query-genus-float", "index_query-level-float", "canonical_sections-float",
+        "build_root_system-float", "distinguish-float"])
 def test_non_integer_coordinates_rejected(call):
-    # a coordinate, bound, genus or level that is not an int is an error,
+    # a coordinate, rank, bound, genus or level that is not an int is an error,
     # never truncated to one
     with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
         call()

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from symdol import reps, rootsys
+from symdol.flagspec import p_spectrum
 from symdol.reps import (
     casimir_value,
     dominant_weights_with_norm_bound,
@@ -35,6 +36,7 @@ A1 = build_root_system("A", 1)
 A2 = build_root_system("A", 2)
 B2 = build_root_system("B", 2)
 B3 = build_root_system("B", 3)
+C2 = build_root_system("C", 2)
 C3 = build_root_system("C", 3)
 G2 = build_root_system("G", 2)
 
@@ -263,6 +265,33 @@ def test_multiplicities_weyl_invariant(rs, gamma):
     for w, m in ws.mults.items():
         for i in range(1, rs.rank + 1):
             assert ws.mults[simple_reflection(rs, i, w)] == m
+
+
+def _swap_last_two(w):
+    return w[:-2] + (w[-1], w[-2])
+
+
+@pytest.mark.parametrize("gamma", _gammas(2, 3, 3))
+def test_b2_c2_swap(gamma):
+    # B2 and C2 are one algebra with the simple roots numbered the other way
+    # round, so swapping the coordinates carries one weight system, and one
+    # spectrum, onto the other
+    swapped = _swap_last_two(gamma)
+    ws_b, ws_c = weight_system(B2, gamma), weight_system(C2, swapped)
+    assert ws_c.highest == swapped
+    assert ws_c.mults == {_swap_last_two(w): m for w, m in ws_b.mults.items()}
+    rows_b, rows_c = p_spectrum(B2, gamma, 3).rows, p_spectrum(C2, swapped, 3).rows
+    assert ([(r.eigenvalue, r.total_multiplicity) for r in rows_b]
+            == [(r.eigenvalue, r.total_multiplicity) for r in rows_c])
+
+
+@pytest.mark.parametrize("rank", [4, 5])
+def test_d_diagram_automorphism(rank):
+    # sigma exchanges the two fork nodes of D_n; V_lambda goes to V_{sigma lambda}
+    rs = build_root_system("D", rank)
+    for lam in _gammas(rank, 1, 2):
+        image = {_swap_last_two(w): m for w, m in weight_system(rs, lam).mults.items()}
+        assert image == weight_system(rs, _swap_last_two(lam)).mults
 
 
 # ---------------------------------------------------------------------------

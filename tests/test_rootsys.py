@@ -41,6 +41,13 @@ ALL_SYSTEMS = (
 
 SMALL_SYSTEMS = [("A", 1), ("A", 2), ("B", 2), ("B", 3), ("C", 3), ("D", 4), ("G", 2)]
 
+DUAL_COXETER = {
+    "A": lambda n: n + 1,
+    "B": lambda n: 2 * n - 1,
+    "C": lambda n: n + 1,
+    "D": lambda n: 2 * n - 2,
+}
+
 
 @pytest.mark.parametrize("family,rank", ALL_SYSTEMS)
 def test_positive_root_count(family, rank):
@@ -53,6 +60,20 @@ def test_positive_root_count(family, rank):
 def test_positive_roots_match_reflection_closure(family, rank):
     rs = build_root_system(family, rank)
     assert set(rs.positive_roots_fw) == positive_roots_by_reflection(rs)
+
+
+@pytest.mark.parametrize("rank", [14, 20])
+@pytest.mark.parametrize("family", sorted(DUAL_COXETER))
+def test_ranks_distinguish_reaches(family, rank):
+    # distinguish --n 14 and 20 build B_n and C_n well beyond ALL_SYSTEMS
+    rs = build_root_system(family, rank)
+    assert len(rs.positive_roots_fw) == CLASSICAL_COUNTS[family](rank)
+    assert rs.dual_coxeter == DUAL_COXETER[family](rank)
+    # A (N / den) = I, in integers
+    product = [[sum(a * n for a, n in zip(row, col)) for col in zip(*rs.inverse_cartan_num)]
+               for row in rs.cartan_matrix]
+    assert product == [[rs.inverse_cartan_den * (i == j) for j in range(rank)]
+                       for i in range(rank)]
 
 
 def test_rank_one_has_single_root():

@@ -275,6 +275,7 @@ def distinguish(n: int, cutoff=None) -> DistinguishReport:
     The automatic cutoff is twice the larger of the two first positive
     eigenvalues, which guarantees both first positive rows are present.
     """
+    n = index(n)
     if n < 2:
         raise ValueError(
             "distinguish requires n >= 2 (B_1 and C_1 are not in the classical "

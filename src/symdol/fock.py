@@ -24,6 +24,10 @@ integral(h_m^2) = sqrt(pi) 2^m m!.
 Operators between two levels are sparse :class:`linalg.Mat` matrices over
 the lex-ordered level bases; an action leaving the target level is rejected.
 Coefficients are exact Gaussian rationals; there is no floating-point code.
+The ladder itself runs on integers: each Z / Zbar coefficient enters as an
+integer row (x, y, d) for (x + y*i) / d, the products are summed as integer
+numerators per output term, and each output coefficient is normalized into a
+canonical Gaussian rational once.
 """
 
 from __future__ import annotations
@@ -34,7 +38,8 @@ from itertools import combinations
 from operator import index
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .gaussian import GaussianRational, ONE, ZERO, gq
+from . import gaussian
+from .gaussian import GaussianRational, ZERO, gq
 from .linalg import Mat, scalar_identity_value
 
 FockIndex = tuple[int, ...]
@@ -121,59 +126,71 @@ def _check_direction(n: int, j: int):
         raise ValueError(f"direction {j} out of range 1..{n}")
 
 
-def _unit(n: int, j: int) -> list[GaussianRational]:
-    return [ONE if k == j - 1 else ZERO for k in range(n)]
-
-
 def sigma_raise(j: int, v: FockVector) -> FockVector:
     """sigma(Z_j): raises level by one with coefficient -i/2."""
     _check_direction(v.n, j)
-    return _sigma_complex(_unit(v.n, j), [ZERO] * v.n, v)
+    return _sigma_complex([(j - 1, 1, 0, 1)], [], v)
 
 
 def sigma_lower(j: int, v: FockVector) -> FockVector:
     """sigma(Zbar_j): lowers level by one with coefficient -i*beta_j."""
     _check_direction(v.n, j)
-    return _sigma_complex([ZERO] * v.n, _unit(v.n, j), v)
+    return _sigma_complex([], [(j - 1, 1, 0, 1)], v)
 
 
 def sigma_real(coeff_a: Sequence, coeff_b: Sequence, v: FockVector) -> FockVector:
     """sigma of the real vector sum_j (coeff_a[j] a_j + coeff_b[j] b_j).
 
-    Rational coefficients only; the result is anti-self-adjoint for the
-    inner product below.
+    Rational coefficients only (a float, even 0.0, is a TypeError); the
+    result is anti-self-adjoint for the inner product below.
     """
     if len(coeff_a) != v.n or len(coeff_b) != v.n:
         raise ValueError("coefficient vectors must have length n")
-    zc = [gq(a, b) for a, b in zip(coeff_a, coeff_b)]
-    return _sigma_complex(zc, [z.conjugate() for z in zc], v)
+    up, down = [], []
+    for k, (a, b) in enumerate(zip(coeff_a, coeff_b)):
+        (p, q), (r, s) = gaussian._rational(a), gaussian._rational(b)
+        if p or r:
+            # a_j = Z_j + Zbar_j, b_j = i (Z_j - Zbar_j): Z_j gets a + ib, Zbar_j a - ib
+            up.append((k, p * s, r * q, q * s))
+            down.append((k, p * s, -r * q, q * s))
+    return _sigma_complex(up, down, v)
 
 
-_MINUS_HALF_I = gq(0, Fraction(-1, 2))
-_MINUS_I = gq(0, -1)
+def _sigma_complex(up: Sequence[tuple], down: Sequence[tuple], v: FockVector) -> FockVector:
+    """sigma of sum_j (z_j Z_j + zbar_j Zbar_j) in one pass over the terms of v.
 
-
-def _sigma_complex(
-    z_coeffs: Sequence[GaussianRational],
-    zbar_coeffs: Sequence[GaussianRational],
-    v: FockVector,
-) -> FockVector:
-    """sigma of sum_j (z_coeffs[j] Z_j + zbar_coeffs[j] Zbar_j), in one pass
-    over the terms of v that visits only the directions whose coefficient is
-    nonzero; the ladder rules of the module docstring are applied here and
-    nowhere else."""
-    # Z_j: -(i/2) h_{beta+e_j};  Zbar_j: -i beta_j h_{beta-e_j}
-    up = [(k, _MINUS_HALF_I * c) for k, c in enumerate(z_coeffs) if c]
-    down = [(k, _MINUS_I * c) for k, c in enumerate(zbar_coeffs) if c]
-    parts = []
+    Each nonzero z_j (in up) and zbar_j (in down) is an integer row
+    (j - 1, x, y, d) meaning (x + y*i) / d with d > 0; directions without a
+    row are never visited.  The products are summed as integer numerators
+    per output term (over a shared denominator, cross-multiplied when the
+    denominators differ) and each output coefficient is normalized once;
+    exact zeros are dropped.  The ladder rules of the module docstring are
+    applied here and nowhere else.
+    """
+    # Z_j: -(i/2) h_{beta+e_j};  Zbar_j: -i beta_j h_{beta-e_j};  -i (x + y*i) = y - x*i
+    rows = [(k, y, -x, 2 * d, 1) for k, x, y, d in up]
+    rows += [(k, y, -x, d, -1) for k, x, y, d in down]
+    fields = gaussian.fields
+    acc: dict[FockIndex, tuple[int, int, int]] = {}
     for beta, c in v.terms.items():
-        for k, u in up:
-            parts.append((beta[:k] + (beta[k] + 1,) + beta[k + 1:], u * c))
-        for k, u in down:
+        cx, cy, cd = fields(c)
+        for k, x, y, d, step in rows:
             bk = beta[k]
-            if bk:
-                parts.append((beta[:k] + (bk - 1,) + beta[k + 1:], u * c * bk))
-    return _combine(v.n, parts)
+            m = 1 if step > 0 else bk
+            if not m:
+                continue
+            key = beta[:k] + (bk + step,) + beta[k + 1:]
+            px, py, pd = (x * cx - y * cy) * m, (x * cy + y * cx) * m, d * cd
+            old = acc.get(key)
+            if old is not None:
+                ox, oy, od = old
+                if od == pd:
+                    px, py = ox + px, oy + py
+                else:
+                    px, py, pd = ox * pd + px * od, oy * pd + py * od, od * pd
+            acc[key] = (px, py, pd)
+    reduced = gaussian._reduced
+    return FockVector(v.n, {key: reduced(x, y, d) for key, (x, y, d) in acc.items() if x or y})
 
 
 def h0_apply(v: FockVector) -> FockVector:
@@ -271,7 +288,7 @@ def to_json_triplets(op: FockOperator) -> list[list]:
 # ---------------------------------------------------------------------------
 
 def _symbol_coefficients(n: int, v: Sequence) -> tuple[list, list]:
-    """Z / Zbar coefficients of v -+ i J v for a real coordinate vector v.
+    """Z / Zbar ladder rows of v -+ i J v for a real coordinate vector v.
 
     v lists (a_j, b_j) components interleaved: (va_1, vb_1, ..., va_n, vb_n),
     in a unitary basis b_j = J a_j.  Then
@@ -279,10 +296,10 @@ def _symbol_coefficients(n: int, v: Sequence) -> tuple[list, list]:
         v - iJv = sum_j 2 (va_j + i vb_j) Z_j     (pure raising)
         v + iJv = sum_j 2 (va_j - i vb_j) Zbar_j  (pure lowering).
     """
-    ws = _coordinates(n, v)
-    if not any(ws):
+    rows = [(k, *gaussian.fields(2 * w)) for k, w in enumerate(_coordinates(n, v)) if w]
+    if not rows:
         raise ValueError("symbol of the zero vector is degenerate")
-    return [2 * w for w in ws], [2 * w.conjugate() for w in ws]
+    return rows, [(k, x, -y, d) for k, x, y, d in rows]
 
 
 def _coordinates(n: int, v: Sequence) -> list[GaussianRational]:
@@ -299,23 +316,17 @@ def metric_norm_sq(n: int, v: Sequence) -> Fraction:
 
 def symbol_raise_operator(n: int, l: int, v: Sequence) -> FockOperator:
     """sigma(v - iJv): E_l -> E_{l+1}."""
-    raise_coeffs, _ = _symbol_coefficients(n, v)
-    zero = [ZERO] * n
-    return operator_from_action(
-        n, l, l + 1, lambda vec: _sigma_complex(raise_coeffs, zero, vec)
-    )
+    raise_rows, _ = _symbol_coefficients(n, v)
+    return operator_from_action(n, l, l + 1, lambda vec: _sigma_complex(raise_rows, [], vec))
 
 
 def symbol_lower_operator(n: int, l: int, v: Sequence) -> FockOperator:
     """sigma(v + iJv): E_l -> E_{l-1} (the zero map out of the vacuum level)."""
-    _, lower_coeffs = _symbol_coefficients(n, v)
-    zero = [ZERO] * n
+    _, lower_rows = _symbol_coefficients(n, v)
     if l == 0:
         # sigma(Zbar) annihilates E_0; keep a level-0 endomorphism shape
         return FockOperator(n, 0, 0, Mat(1, 1, {}))
-    return operator_from_action(
-        n, l, l - 1, lambda vec: _sigma_complex(zero, lower_coeffs, vec)
-    )
+    return operator_from_action(n, l, l - 1, lambda vec: _sigma_complex([], lower_rows, vec))
 
 
 def symbol_product(n: int, l: int, v: Sequence) -> FockOperator:

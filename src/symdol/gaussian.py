@@ -11,6 +11,11 @@ construction skip the cross products.  The real and imaginary parts read as
 ``fractions.Fraction`` through ``.re`` and ``.im``.  Only ints and
 ``numbers.Rational`` values are accepted as parts: a float is a
 ``TypeError``, never its binary expansion.
+
+Package code that does its own integer arithmetic on values (the Fock
+ladder) reads their fields with ``fields(z)``, the parts of an input with
+``_rational``, and hands each result back through ``_reduced``, which
+restores the normal form; the form itself is defined here only.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 from numbers import Rational
+from operator import attrgetter
 
 
 def _rational(value) -> tuple[int, int]:
@@ -177,6 +183,10 @@ def _reduced(x: int, y: int, d: int) -> GaussianRational:
             y //= g
             d //= g
     return _raw(x, y, d)
+
+
+# fields(z) -> (x, y, d): the normalized integers of z = (x + y*i) / d
+fields = attrgetter("_x", "_y", "_d")
 
 
 def gq(re=0, im=0) -> GaussianRational:

@@ -77,11 +77,13 @@ def test_constructor_rejects_floats(build):
 @pytest.mark.parametrize("call", [
     lambda: fock.sigma_real([0.1], [0], fock.basis_vector(1, (0,))),
     lambda: fock.sigma_real([0, Fraction(1, 2)], [0, 0.5], fock.basis_vector(2, (1, 0))),
+    lambda: fock.sigma_real([0.0, 1], [0, 0], fock.basis_vector(2, (1, 0))),
     lambda: fock.symbol_product(1, 0, [0.1, 0.2]),
     lambda: fock.symbol_raise_operator(2, 1, [1, 0, 0, 0.5]),
+    lambda: fock.symbol_raise_operator(2, 1, [1, 0, 0.0, 0]),
     lambda: fock.metric_norm_sq(1, [0.5, 0]),
-], ids=["sigma_real a", "sigma_real b", "symbol_product", "symbol_raise_operator",
-        "metric_norm_sq"])
+], ids=["sigma_real a", "sigma_real b", "sigma_real float zero", "symbol_product",
+        "symbol_raise_operator", "symbol_raise_operator float zero", "metric_norm_sq"])
 def test_fock_coordinates_reject_floats(call):
     with pytest.raises(TypeError, match="Gaussian rational"):
         call()

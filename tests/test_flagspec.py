@@ -70,11 +70,12 @@ def test_spinor_weight_validates_length():
     lambda: surface.canonical_sections(2.5),
     lambda: build_root_system("B", 3.0),
     lambda: distinguish(3.0),
+    lambda: distinguish(1.5),
 ], ids=["weyl_dimension-float", "weyl_dimension-fraction", "weight_multiplicity-float",
         "weight_multiplicity-fraction", "p_spectrum-float", "basis_vector-float",
         "basis_vector-fraction", "spinor_weight-float", "small_irrep_inventory-float",
         "index_query-genus-float", "index_query-level-float", "canonical_sections-float",
-        "build_root_system-float", "distinguish-float"])
+        "build_root_system-float", "distinguish-float", "distinguish-float-below-range"])
 def test_non_integer_coordinates_rejected(call):
     # a coordinate, rank, bound, genus or level that is not an int is an error,
     # never truncated to one

@@ -104,11 +104,44 @@ def _ladder_case(draw):
 @given(_ladder_case())
 def test_one_pass_ladder_matches_direction_by_direction(case):
     v, z, zbar = case
-    assert fock._sigma_complex(z, zbar, v).terms == \
+
+    def rows(coeffs):
+        return [(k, *gaussian.fields(c)) for k, c in enumerate(coeffs) if c]
+
+    assert fock._sigma_complex(rows(z), rows(zbar), v).terms == \
         oracles.sigma_complex_by_composition(z, zbar, v).terms
     for j in range(1, v.n + 1):
         assert fock.sigma_raise(j, v).terms == oracles.sigma_raise_by_direction(j, v).terms
         assert fock.sigma_lower(j, v).terms == oracles.sigma_lower_by_direction(j, v).terms
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_ladder_case(), st.data())
+def test_sigma_real_matches_composition_oracle(case, data):
+    """Rational a / b coefficients (non-unit denominators, negatives, zero
+    directions) against Z coefficients a + ib and Zbar coefficients a - ib
+    applied direction by direction."""
+    v, _, _ = case
+    ca = data.draw(st.lists(_parts, min_size=v.n, max_size=v.n))
+    cb = data.draw(st.lists(_parts, min_size=v.n, max_size=v.n))
+    z = [gq(a, b) for a, b in zip(ca, cb)]
+    assert fock.sigma_real(ca, cb, v).terms == \
+        oracles.sigma_complex_by_composition(z, [w.conjugate() for w in z], v).terms
+
+
+def test_sigma_real_sums_contributions_over_different_denominators():
+    # sigma(a_1 / 3) on h_0 + h_2: -i/6 (raised from h_0) and -2i/3 (lowered from h_2) on h_1
+    v = fock.FockVector(1, {(0,): gq(1), (2,): gq(1)})
+    image = fock.sigma_real([Fraction(1, 3)], [0], v)
+    assert image.terms == {(1,): gq(0, Fraction(-5, 6)), (3,): gq(0, Fraction(-1, 6))}
+    third = [gq(Fraction(1, 3))]
+    assert image.terms == oracles.sigma_complex_by_composition(third, third, v).terms
+
+
+def test_sigma_real_drops_a_coefficient_that_cancels():
+    # sigma(a_1) on h_0 - h_2 / 4: -i/2 raised from h_0 and +i/2 lowered from h_2 cancel on h_1
+    v = fock.FockVector(1, {(0,): gq(1), (2,): gq(Fraction(-1, 4))})
+    assert fock.sigma_real([1], [0], v).terms == {(3,): gq(0, Fraction(1, 8))}
 
 
 @st.composite
@@ -139,9 +172,10 @@ def test_add_and_scale_match_dict_oracle(case, c):
 
 
 def test_ladder_work_does_not_grow_with_n(monkeypatch):
-    """Deterministic work counter: sigma(a_1) on h_(1,0,...,0) normalizes the
-    same number of Gaussian rationals for every n, since the ladder visits
-    only the directions with a nonzero coefficient."""
+    """Deterministic work counter: sigma(a_1) on h_(1,0,...,0) normalizes one
+    Gaussian rational per output coefficient, two for every n, since the
+    ladder visits only the directions with a nonzero coefficient and sums
+    integer numerators before normalizing."""
     calls = 0
     reduced = gaussian._reduced
 
@@ -158,7 +192,7 @@ def test_ladder_work_does_not_grow_with_n(monkeypatch):
         image = fock.sigma_real([1, *rest], [0, *rest], fock.basis_vector(n, (1, *rest)))
         counts.append(calls)
         assert image.terms == {(0, *rest): gq(0, -1), (2, *rest): gq(0, Fraction(-1, 2))}
-    assert counts == [5] * 6
+    assert counts == [2] * 6
 
 
 def test_compose_stores_each_first_product(monkeypatch):

@@ -12,6 +12,9 @@ flagspec  vacuum spectra on G/T and the B_n / C_n distinguisher
 cp1       exact scalar ladder blocks for the Dolbeault pair on CP^1
 surface   closed-form indices on genus-g surfaces
 cli       the command-line interface; owns every output format (table, json, csv)
+
+rootsys, reps and flagspec import only each other and errors: the flag
+manifolds never touch the Gaussian, Fock or CP^1 layers.
 """
 
 from .errors import ContractViolation
@@ -25,7 +28,6 @@ from .flagspec import (
     rank_one_sanity,
     small_irrep_inventory,
     spinor_weight,
-    spinor_weight_multiset,
 )
 from .reps import (
     WeightSystem,
@@ -43,7 +45,7 @@ from .rootsys import (
     rho,
     simple_reflection,
 )
-from .surface import IndexQuery, canonical_sections, cp1_consistency, index
+from .surface import IndexQuery, cp1_consistency, index
 
 __version__ = "0.1.0"
 
@@ -56,7 +58,6 @@ __all__ = [
     "SpectrumTable",
     "WeightSystem",
     "build_root_system",
-    "canonical_sections",
     "casimir_value",
     "cp1_consistency",
     "distinguish",
@@ -71,7 +72,6 @@ __all__ = [
     "simple_reflection",
     "small_irrep_inventory",
     "spinor_weight",
-    "spinor_weight_multiset",
     "weight_multiplicity",
     "weight_system",
     "weyl_dimension",

@@ -97,15 +97,6 @@ def lambda_lj(l: int, j: int) -> Fraction:
     return Fraction(4 * (l + j + 1) ** 2 - 3 * (2 * l + 1) ** 2 - 1, 8)
 
 
-def invariant_weight_norms(gamma: int) -> tuple[Fraction, ...]:
-    """Squared norms of v_0, ..., v_gamma for the SU(2)-invariant pairing
-    normalized by |v_0|^2 = 1 (the pairing making X and Y mutual adjoints)."""
-    norms = [Fraction(1)]
-    for r in range(gamma):
-        norms.append(norms[-1] * (r + 1) * (gamma - r))
-    return tuple(norms)
-
-
 # ---------------------------------------------------------------------------
 # blocks
 # ---------------------------------------------------------------------------
@@ -184,14 +175,12 @@ def p_block(level: int, gamma: int, d_up: GaussianRational, dbar: GaussianRation
     return (d_up * dbar - dbar_down * d) * Fraction(1, 2)
 
 
-def _require_gamma_max(gamma_max: int, level: int):
+def _require_odd_gamma_max(gamma_max: int):
     if gamma_max % 2 == 0:
         raise ValueError(
             f"gamma_max = {gamma_max} has the wrong parity: spinor blocks of "
             "half-integral twist live on odd gamma only"
         )
-    if gamma_max < 2 * level + 1:
-        raise ValueError(f"gamma_max = {gamma_max} < 2*level+1 = {2 * level + 1}")
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +322,9 @@ def verify(lmax: int, gamma_max: int) -> tuple[LevelReport, ...]:
     """
     if lmax < 0:
         raise ValueError("lmax must be nonnegative")
-    _require_gamma_max(gamma_max, lmax)
+    _require_odd_gamma_max(gamma_max)
+    if gamma_max < 2 * lmax + 1:
+        raise ValueError(f"gamma_max = {gamma_max} < 2*level+1 = {2 * lmax + 1}")
     by_level = [[] for _ in range(lmax + 1)]
     for gamma in range(1, gamma_max + 1, 2):
         for block in _gamma_blocks(lmax, gamma):

@@ -31,7 +31,6 @@ from operator import index
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import ContractViolation
-from .fock import level_indices
 from .reps import (
     _rho_norm,
     _walk_up,
@@ -74,18 +73,6 @@ def spinor_weight(rs: RootSystem, beta: Sequence[int]) -> Weight:
         for i in range(rs.rank):
             coords[i] += b * alpha[i]
     return tuple(coords)
-
-
-def spinor_weight_multiset(rs: RootSystem, l: int) -> list[Weight]:
-    """Sorted multiset {spinor_weight(beta) : |beta| = l}.
-
-    Its size is binomial(n+l-1, l) with n the number of positive roots,
-    matching the fiber dimension of the level-l spinor bundle.
-    """
-    if l < 0:
-        raise ValueError("level must be nonnegative")
-    return sorted(spinor_weight(rs, beta)
-                  for beta in level_indices(len(rs.positive_roots_fw), l))
 
 
 # ---------------------------------------------------------------------------

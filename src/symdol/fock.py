@@ -36,7 +36,7 @@ import math
 from fractions import Fraction
 from itertools import combinations
 from operator import index
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from . import gaussian
 from .gaussian import GaussianRational, ZERO, gq
@@ -91,11 +91,12 @@ def basis_vector(n: int, beta: Sequence[int]) -> FockVector:
     return FockVector(n, {beta: gq(1)})
 
 
-def _combine(n: int, parts: Iterable[tuple[FockIndex, GaussianRational]],
-             acc: Optional[dict[FockIndex, GaussianRational]] = None) -> FockVector:
-    """Sum parts into acc (a fresh dict by default), storing no zero."""
-    acc = {} if acc is None else acc
-    for beta, coeff in parts:
+def add(v: FockVector, w: FockVector) -> FockVector:
+    """v + w, storing no zero."""
+    if v.n != w.n:
+        raise ValueError("dimension mismatch")
+    acc = dict(v.terms)
+    for beta, coeff in w.terms.items():
         if not coeff:
             continue
         old = acc.get(beta)
@@ -105,13 +106,7 @@ def _combine(n: int, parts: Iterable[tuple[FockIndex, GaussianRational]],
             acc[beta] = new
         else:
             del acc[beta]
-    return FockVector(n, acc)
-
-
-def add(v: FockVector, w: FockVector) -> FockVector:
-    if v.n != w.n:
-        raise ValueError("dimension mismatch")
-    return _combine(v.n, w.terms.items(), dict(v.terms))
+    return FockVector(v.n, acc)
 
 
 def scale(c, v: FockVector) -> FockVector:
@@ -194,12 +189,10 @@ def _sigma_complex(up: Sequence[tuple], down: Sequence[tuple], v: FockVector) ->
 
 
 def h0_apply(v: FockVector) -> FockVector:
-    """Harmonic oscillator: h_beta -> -(|beta| + n/2) h_beta."""
-    parts = []
-    for beta, c in v.terms.items():
-        eig = gq(Fraction(-(2 * sum(beta) + v.n), 2))
-        parts.append((beta, eig * c))
-    return _combine(v.n, parts)
+    """Harmonic oscillator: h_beta -> -(|beta| + n/2) h_beta.  The eigenvalue is
+    never 0 and the keys are distinct, so only a zero input term is dropped."""
+    return FockVector(v.n, {beta: gq(Fraction(-(2 * sum(beta) + v.n), 2)) * c
+                            for beta, c in v.terms.items() if c})
 
 
 def basis_norm_sq(beta: FockIndex) -> Fraction:

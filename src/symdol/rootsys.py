@@ -15,13 +15,13 @@ convention are -K(x, x).  The normalization is pinned by K(alpha, alpha)
 = 1/2 for A_1, which makes the rank-one Casimir come out as
 -((k+1)^2 - 1)/8 on the (k+1)-dimensional irreducible.
 
-Both matrices the weight arithmetic needs, the inverse Cartan matrix (for
-simple-root coefficients, read off the positive roots through the Killing
-sum) and the Gram matrix K(omega_i, omega_j), are stored as integer
-numerators over one common denominator each.  On integer weights, K(x, y)
-and the simple-root coefficients are then integer dot products with a single
-division at the end, and the root-lattice membership test is integer dot
-products plus a divisibility test.
+Both matrices the weight arithmetic needs, the inverse Cartan matrix (read
+off the positive roots through the Killing sum) and the Gram matrix
+K(omega_i, omega_j), are stored as integer numerators over one common
+denominator each.  On integer weights, K(x, y) is then an integer dot
+product with a single division at the end, and the membership test for
+nonnegative integer combinations of simple roots is integer dot products
+with the inverse Cartan matrix plus a sign and divisibility test.
 
 Everything here is immutable and pure; no floating point.
 """
@@ -269,21 +269,10 @@ def weyl_orbit(rs: RootSystem, x: Sequence[int]) -> set[Weight]:
     return seen
 
 
-def _lattice_numerators(rs: RootSystem, x: Sequence) -> list:
-    """inverse_cartan_den times the simple-root coefficients of x."""
-    if len(x) != rs.rank:
-        raise ValueError(f"expected weight vectors of length {rs.rank}")
-    num = rs.inverse_cartan_num
-    return [sum(x[i] * num[i][j] for i in range(rs.rank)) for j in range(rs.rank)]
-
-
-def root_lattice_coefficients(rs: RootSystem, x: Sequence) -> tuple[Fraction, ...]:
-    """Coefficients c with x = sum_j c_j alpha_j (x in fundamental coords)."""
-    den = rs.inverse_cartan_den
-    return tuple(Fraction(c, den) for c in _lattice_numerators(rs, x))
-
-
 def is_nonneg_root_combination(rs: RootSystem, x: Sequence[int]) -> bool:
     """True iff x is a nonnegative *integer* combination of simple roots."""
-    den = rs.inverse_cartan_den
-    return all(c >= 0 and c % den == 0 for c in _lattice_numerators(rs, x))
+    if len(x) != rs.rank:
+        raise ValueError(f"expected weight vectors of length {rs.rank}")
+    num, den = rs.inverse_cartan_num, rs.inverse_cartan_den
+    coeffs = (sum(x[i] * num[i][j] for i in range(rs.rank)) for j in range(rs.rank))
+    return all(c >= 0 and c % den == 0 for c in coeffs)

@@ -51,15 +51,6 @@ def index(query: IndexQuery) -> int:
     return (2 * l + 1) * (1 - g)
 
 
-def canonical_sections(genus: int) -> int:
-    """Dimension of the space of holomorphic sections of the canonical line
-    bundle: the genus g itself (no index is evaluated)."""
-    genus = operator.index(genus)
-    if genus < 0:
-        raise ValueError("genus must be nonnegative")
-    return genus
-
-
 class ConsistencyReport(NamedTuple):
     level: int
     gamma_max: int
@@ -81,9 +72,12 @@ def cp1_consistency(level: int, gamma_max: int) -> ConsistencyReport:
 
     Certification needs every block through gamma = 2l+3, so the level-l
     kernel block and the first level-(l+1) block are both inspected; smaller
-    truncations are reported as inconclusive, never asserted.
+    truncations are reported as inconclusive, never asserted.  An even
+    gamma_max is a ValueError at any size.
     """
+    level, gamma_max = operator.index(level), operator.index(gamma_max)
     value = index(IndexQuery(genus=0, level=level, spinor_kind="metaplectic"))
+    cp1._require_odd_gamma_max(gamma_max)
     if gamma_max < 2 * level + 3:
         return ConsistencyReport(level, gamma_max, value, None, None, False, None)
     levels = cp1.verify(level + 1, gamma_max)

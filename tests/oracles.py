@@ -17,10 +17,15 @@ per direction, and ``fock.add`` and ``fock.scale`` against sums in plain
 dicts.  Simple-root coefficients and the dual Killing form are recomputed
 from the orthogonal simple roots, with the dual Coxeter number taken from
 the trace of the Killing form over the roots, instead of from the integer
-Cartan data.  The CP^1 ladder blocks, which the program holds as the scalar
+Cartan data; the program's own inverse Cartan numerators are read back as
+simple-root coefficients so they can be checked against that model.  The
+first positive rows of the B_n and C_n vacuum spectra come in closed form
+from the vector representation and Lambda^2 C^{2n}, not from a spectrum
+computation.  The CP^1 ladder blocks, which the program holds as the scalar
 c of c * I, are rebuilt as explicit matrices of their true shapes (0 x n
 into a missing neighbour block), with the sl(2) entries read off the
-irrep matrices, and ranks come from exact row reduction.
+irrep matrices, ranks come from exact row reduction, and the
+SU(2)-invariant norms on V_gamma come from their product formula.
 """
 
 from __future__ import annotations
@@ -310,6 +315,15 @@ def _orthogonal_weight_data(family: str, rank: int) -> tuple[list, list]:
     return _ORTHOGONAL_MEMO[key]
 
 
+def root_lattice_coefficients(rs: RootSystem, x) -> tuple[Fraction, ...]:
+    """Coefficients c with x = sum_j c_j alpha_j (x in fundamental coords),
+    read from the program's own integer inverse Cartan data, so that data
+    can be checked against root_coefficients_by_orthogonal."""
+    num, den = rs.inverse_cartan_num, rs.inverse_cartan_den
+    return tuple(Fraction(sum(x[i] * num[i][j] for i in range(rs.rank)), den)
+                 for j in range(rs.rank))
+
+
 def root_coefficients_by_orthogonal(rs: RootSystem, x) -> tuple[Fraction, ...]:
     """Coefficients c with x = sum_k c_k alpha_k, x in fundamental coordinates."""
     coeffs, _ = _orthogonal_weight_data(rs.family, rs.rank)
@@ -383,6 +397,26 @@ def first_positive_eigenvalue_by_scan(rs: RootSystem, mu: tuple[int, ...]) -> Fr
         if lams:
             return min(lams)
         bound *= 2
+
+
+# ---------------------------------------------------------------------------
+# the first positive rows of the B_n and C_n vacuum spectra in closed form
+# ---------------------------------------------------------------------------
+
+def b_first_positive_row(n: int) -> tuple[Fraction, tuple[int, ...], int, int]:
+    """(eigenvalue, gamma, weight multiplicity of 0, dim V_gamma) of the first
+    positive mu = 0 row of B_n, n >= 3: gamma = omega_1 alone, the vector
+    representation C^{2n+1}, with simple zero weight and
+    lambda = K(omega_1, omega_1 + 2 rho) = 2n / (2 h^v) = n/(2n-1)."""
+    return Fraction(n, 2 * n - 1), (1,) + (0,) * (n - 1), 1, 2 * n + 1
+
+
+def c_first_positive_row(n: int) -> tuple[Fraction, tuple[int, ...], int, int]:
+    """The same for C_n, n >= 2: gamma = omega_2 alone.  Lambda^2 C^{2n} is
+    V_{omega_2} plus the trivial line and has zero weight n times, so
+    V_{omega_2} has it n-1 times in dimension n(2n-1) - 1; with long roots
+    2 e_i at squared length 2, lambda = (1/2)(4n) / (2 h^v) = n/(n+1)."""
+    return Fraction(n, n + 1), (0, 1) + (0,) * (n - 2), n - 1, n * (2 * n - 1) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -615,6 +649,15 @@ def rank(a: Mat) -> int:
 
 def kernel_dimension(a: Mat) -> int:
     return a.ncols - rank(a)
+
+
+def invariant_weight_norms(gamma: int) -> tuple[Fraction, ...]:
+    """Squared norms of v_0, ..., v_gamma for the SU(2)-invariant pairing
+    normalized by |v_0|^2 = 1 (the pairing making X and Y mutual adjoints)."""
+    norms = [Fraction(1)]
+    for r in range(gamma):
+        norms.append(norms[-1] * (r + 1) * (gamma - r))
+    return tuple(norms)
 
 
 def cp1_block_matrices(level: int, gamma: int) -> dict[str, Mat]:

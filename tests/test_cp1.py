@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from oracles import kernel_dimension, mat_from_rows, rank
+from oracles import invariant_weight_norms, kernel_dimension, mat_from_rows, rank
 from symdol import cli, cp1, fock, linalg
 from symdol.gaussian import GaussianRational, ZERO, gq
 from symdol.linalg import Mat, mat_mul, mat_scale, mat_sub, scalar_identity_value, scalar_matrix
@@ -243,7 +243,7 @@ def test_p_block_from_ladder_maps():
 
 def _block_norm(level: int, gamma: int) -> Fraction:
     r = cp1.weight_line_index(level, gamma)
-    return fock.basis_norm_sq((level,)) * cp1.invariant_weight_norms(gamma)[r]
+    return fock.basis_norm_sq((level,)) * invariant_weight_norms(gamma)[r]
 
 
 @pytest.mark.parametrize("gamma", [3, 5, 9, 13])
@@ -260,7 +260,7 @@ def test_dbar_is_adjoint_of_d(gamma):
 def test_invariant_norms_make_x_y_adjoint():
     gamma = 6
     rep = cp1.sl2_irrep(gamma)
-    norms = cp1.invariant_weight_norms(gamma)
+    norms = invariant_weight_norms(gamma)
     for r in range(gamma):
         # <X v_{r+1}, v_r> = <v_{r+1}, Y v_r>
         assert rep.x[r, r + 1] * norms[r] == norms[r + 1] * rep.y[r + 1, r]

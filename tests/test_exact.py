@@ -245,3 +245,37 @@ def test_package_computes_nothing_from_floats():
     allowed = [s for s in sites if s[0] == "cli._approx"]
     assert [what for _, _, what in allowed] == ["float("]  # the scan does see it
     assert [s for s in sites if s not in allowed] == []
+
+
+# ---------------------------------------------------------------------------
+# layering: the flag-manifold layers stand apart from the numeric ones
+# ---------------------------------------------------------------------------
+
+def _symdol_imports(tree: ast.AST) -> set[str]:
+    """The symdol submodules an import statement names, relative or absolute."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names
+                         if a.name.startswith("symdol."))
+        elif isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0:
+                if parts[0] != "symdol":
+                    continue
+                parts = parts[1:]
+            parts = [p for p in parts if p]
+            found.update(parts[:1] or [a.name for a in node.names])
+    return found
+
+
+def test_flag_layers_import_no_numeric_layer():
+    # rootsys, reps and flagspec work on integer weights and Fractions; they
+    # import only each other and errors, never the Gaussian or Fock layers
+    numeric = {"fock", "cp1", "linalg", "gaussian", "surface"}
+    pkg = Path(symdol.__file__).parent
+    imports = {layer: _symdol_imports(ast.parse((pkg / f"{layer}.py").read_text()))
+               for layer in ("rootsys", "reps", "flagspec")}
+    assert imports["flagspec"] >= {"errors", "reps", "rootsys"}  # the scan does see them
+    assert {layer: found & numeric for layer, found in imports.items()} == {
+        "rootsys": set(), "reps": set(), "flagspec": set()}

@@ -15,12 +15,11 @@ from symdol.flagspec import (
     rank_one_sanity,
     small_irrep_inventory,
     spinor_weight,
-    spinor_weight_multiset,
 )
 from symdol.reps import weight_multiplicity, weyl_dimension
 from symdol.rootsys import build_root_system, rho
 
-from oracles import first_positive_eigenvalue_by_scan
+from oracles import b_first_positive_row, c_first_positive_row, first_positive_eigenvalue_by_scan
 
 A1 = build_root_system("A", 1)
 A2 = build_root_system("A", 2)
@@ -46,8 +45,11 @@ def test_spinor_weight_rank_one_closed_form():
 
 
 def test_spinor_weight_a2_first_root():
-    # roots ordered alpha_1, alpha_2, alpha_1+alpha_2; alpha_1 = (2, -1)
+    # roots ordered alpha_1, alpha_2, alpha_1+alpha_2 = (2, -1), (-1, 2), (1, 1);
+    # each level-one weight is rho + alpha_j
     assert spinor_weight(A2, (1, 0, 0)) == (3, 0)
+    assert spinor_weight(A2, (0, 1, 0)) == (0, 3)
+    assert spinor_weight(A2, (0, 0, 1)) == (2, 2)
 
 
 def test_spinor_weight_validates_length():
@@ -67,36 +69,20 @@ def test_spinor_weight_validates_length():
     lambda: small_irrep_inventory(C3, 3.5),
     lambda: surface.IndexQuery(1.5, 0, "fock"),
     lambda: surface.IndexQuery(0, 2.0, "metaplectic"),
-    lambda: surface.canonical_sections(2.5),
+    lambda: surface.cp1_consistency(0, 2.5),
     lambda: build_root_system("B", 3.0),
     lambda: distinguish(3.0),
     lambda: distinguish(1.5),
 ], ids=["weyl_dimension-float", "weyl_dimension-fraction", "weight_multiplicity-float",
         "weight_multiplicity-fraction", "p_spectrum-float", "basis_vector-float",
         "basis_vector-fraction", "spinor_weight-float", "small_irrep_inventory-float",
-        "index_query-genus-float", "index_query-level-float", "canonical_sections-float",
+        "index_query-genus-float", "index_query-level-float", "cp1_consistency-float",
         "build_root_system-float", "distinguish-float", "distinguish-float-below-range"])
 def test_non_integer_coordinates_rejected(call):
     # a coordinate, rank, bound, genus or level that is not an int is an error,
     # never truncated to one
     with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
         call()
-
-
-def test_spinor_weight_multiset_examples():
-    assert spinor_weight_multiset(A2, 0) == [rho(A2)]
-    assert spinor_weight_multiset(A1, 2) == [(5,)]
-    ms = spinor_weight_multiset(A2, 1)
-    assert sorted(ms) == sorted([(3, 0), (0, 3), (2, 2)])
-    with pytest.raises(ValueError, match="level must be nonnegative"):
-        spinor_weight_multiset(A2, -1)
-
-
-@pytest.mark.parametrize("rs,l", [(A1, 4), (A2, 2), (B2, 2), (B3, 1)],
-                         ids=["A1", "A2", "B2", "B3"])
-def test_spinor_weight_multiset_size_matches_fock_level_dim(rs, l):
-    n = len(rs.positive_roots_fw)
-    assert len(spinor_weight_multiset(rs, l)) == fock.dim_level(n, l)
 
 
 # ---------------------------------------------------------------------------
@@ -204,14 +190,17 @@ def test_spectrum_deterministic_and_cache_neutral():
 def test_distinguisher_claim(n):
     # the paper's claim: the first positive B_n eigenvalue n/(2n-1) carries a
     # (2n+1)-dimensional eigenspace, from gamma = omega_1 alone, that no row
-    # of the C_n spectrum reproduces
+    # of the C_n spectrum reproduces; both first rows match their closed forms
     report = distinguish(n)
     assert report.verdict == "spectra differ"
+    for table, closed_form in ((report.b_table, b_first_positive_row),
+                               (report.c_table, c_first_positive_row)):
+        eigenvalue, gamma, weight_mult, dim = closed_form(n)
+        row = table.rows[1]
+        assert row.eigenvalue == eigenvalue
+        assert row.constituents == (Constituent(gamma, weight_mult, dim),)
+        assert row.total_multiplicity == weight_mult * dim
     b1 = report.b_table.rows[1]
-    omega_1 = (1,) + (0,) * (n - 1)
-    assert b1.eigenvalue == Fraction(n, 2 * n - 1)
-    assert b1.total_multiplicity == 2 * n + 1
-    assert b1.constituents == (Constituent(omega_1, 1, 2 * n + 1),)
     assert all((row.eigenvalue, row.total_multiplicity) != (b1.eigenvalue, b1.total_multiplicity)
                for row in report.c_table.rows)
     assert report.first_difference.index == 1

@@ -222,8 +222,9 @@ def test_freudenthal_needs_no_simple_root_coordinates(monkeypatch):
     def refuse(*args):
         raise AssertionError("simple-root coordinates requested")
 
-    monkeypatch.setattr(rootsys, "root_lattice_coefficients", refuse)
-    monkeypatch.setattr(rootsys, "_lattice_numerators", refuse)
+    # reps binds the membership test by name, so both bindings are patched
+    monkeypatch.setattr(rootsys, "is_nonneg_root_combination", refuse)
+    monkeypatch.setattr(reps, "is_nonneg_root_combination", refuse)
     monkeypatch.setattr(reps, "_DOMINANT_MEMO", {})
     for rs, gamma in cases:
         mults = reps._dominant_multiplicities(rs, gamma)

@@ -12,7 +12,6 @@ from symdol.rootsys import (
     is_nonneg_root_combination,
     killing_dual_form,
     rho,
-    root_lattice_coefficients,
     simple_reflection,
 )
 
@@ -21,6 +20,7 @@ from oracles import (
     killing_form_by_orthogonal,
     positive_roots_by_reflection,
     root_coefficients_by_orthogonal,
+    root_lattice_coefficients,
 )
 
 CLASSICAL_COUNTS = {

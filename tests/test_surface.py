@@ -3,7 +3,6 @@ import pytest
 from symdol import cp1
 from symdol.surface import (
     IndexQuery,
-    canonical_sections,
     cp1_consistency,
     index,
 )
@@ -40,11 +39,6 @@ def test_index_query_validation():
         IndexQuery(-1, 0, "fock")
 
 
-@pytest.mark.parametrize("g,expected", [(0, 0), (1, 1), (7, 7)])
-def test_canonical_sections(g, expected):
-    assert canonical_sections(g) == expected
-
-
 # ---------------------------------------------------------------------------
 # genus-zero cross-check against the block engine
 # ---------------------------------------------------------------------------
@@ -65,6 +59,17 @@ def test_cp1_consistency_specific_levels():
     assert (r0.index_value, r0.ker_dbar, r0.ker_d_next) == (2, 2, 0)
     r3 = cp1_consistency(3, 11)
     assert (r3.index_value, r3.ker_dbar, r3.ker_d_next) == (8, 8, 0)
+
+
+def test_cp1_consistency_rejects_even_gamma_max_below_threshold():
+    # the parity check does not wait for the certification threshold
+    with pytest.raises(ValueError, match="wrong parity"):
+        cp1_consistency(0, 2)
+
+
+def test_cp1_consistency_stores_int_level():
+    report = cp1_consistency(True, 5)
+    assert type(report.level) is int and report.level == 1
 
 
 def test_cp1_consistency_truncation_guard():

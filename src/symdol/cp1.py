@@ -35,6 +35,7 @@ a failure.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
@@ -175,12 +176,17 @@ def p_block(level: int, gamma: int, d_up: GaussianRational, dbar: GaussianRation
     return (d_up * dbar - dbar_down * d) * Fraction(1, 2)
 
 
-def _require_odd_gamma_max(gamma_max: int):
+def _require_gamma_max(gamma_max: int) -> int:
+    """gamma_max as an int, odd and at least 1."""
+    gamma_max = operator.index(gamma_max)
     if gamma_max % 2 == 0:
         raise ValueError(
             f"gamma_max = {gamma_max} has the wrong parity: spinor blocks of "
             "half-integral twist live on odd gamma only"
         )
+    if gamma_max < 1:
+        raise ValueError(f"gamma_max = {gamma_max} is below the first block, gamma = 1")
+    return gamma_max
 
 
 # ---------------------------------------------------------------------------
@@ -320,9 +326,9 @@ def verify(lmax: int, gamma_max: int) -> tuple[LevelReport, ...]:
     Blocks beyond gamma_max are not inspected, which is the caller's
     truncation responsibility.
     """
+    lmax, gamma_max = operator.index(lmax), _require_gamma_max(gamma_max)
     if lmax < 0:
         raise ValueError("lmax must be nonnegative")
-    _require_odd_gamma_max(gamma_max)
     if gamma_max < 2 * lmax + 1:
         raise ValueError(f"gamma_max = {gamma_max} < 2*level+1 = {2 * lmax + 1}")
     by_level = [[] for _ in range(lmax + 1)]

@@ -36,8 +36,8 @@ from .reps import (
     _walk_up,
     dominant_weights_with_norm_bound,
     exact_rational,
+    reconciled_dimension,
     weight_multiplicity,
-    weight_system,
     weyl_dimension,
 )
 from .rootsys import (
@@ -142,21 +142,21 @@ def p_spectrum(rs: RootSystem, mu: Sequence[int], cutoff) -> SpectrumTable:
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
 
-    norm = _rho_norm(rs)
+    norm, den = _rho_norm(rs), rs.weight_gram_den
     base = norm(m)
 
     rows: dict[Fraction, list[Constituent]] = {}
-    for gamma in dominant_weights_with_norm_bound(rs, cutoff + base):
+    for gamma in dominant_weights_with_norm_bound(rs, cutoff + Fraction(base, den)):
         mult = weight_multiplicity(rs, gamma, m)
         if mult == 0:
             continue
-        lam = norm(gamma) - base
+        lam = Fraction(norm(gamma) - base, den)
         if lam < 0 or (lam == 0 and gamma != m):
             raise ContractViolation(
                 f"{rs.name()}, mu={m}: eigenvalue {lam} at gamma={gamma} violates "
                 f"positivity (lambda must be > 0 for gamma != mu)"
             )
-        dim = weight_system(rs, gamma).dim
+        dim = reconciled_dimension(rs, gamma)
         rows.setdefault(lam, []).append(Constituent(gamma, mult, dim))
 
     table_rows = []
@@ -242,7 +242,7 @@ def first_positive_eigenvalue(rs: RootSystem, mu: Optional[Sequence[int]] = None
     base = norm(m)
     for gamma_norm, gamma in _walk_up(rs, norm):
         if gamma != m and weight_multiplicity(rs, gamma, m) > 0:
-            return gamma_norm - base
+            return Fraction(gamma_norm - base, rs.weight_gram_den)
 
 
 def _compare_tables(b: SpectrumTable, c: SpectrumTable) -> Optional[RowComparison]:

@@ -1,16 +1,43 @@
 """Highest-weight representation data via exact arithmetic.
 
 Weight multiplicities come from Freudenthal's recursion, run over the
-dominant weights below the highest weight and expanded along Weyl orbits.
-Those dominant weights are found without visiting any other weight: by
-Stembridge (The partial order of dominant weights, Adv. Math. 136, 1998)
-every dominant mu <= gamma is reached from gamma by steps mu -> mu - alpha
-(alpha > 0) that stay dominant.  The recursion's sums run up each root
-string from mu to its first gap, since the weights on a string form an
-unbroken run (Humphreys, Introduction to Lie Algebras and Representation
-Theory, section 21.3).  Dimensions come independently from the Weyl
-dimension formula, and both routes are reconciled on every call; a
-mismatch is a ContractViolation.
+dominant weights below the highest weight.  Those dominant weights are
+found without visiting any other weight: by Stembridge (The partial order
+of dominant weights, Adv. Math. 136, 1998) every dominant mu <= gamma is
+reached from gamma by steps mu -> mu - alpha (alpha > 0) that stay
+dominant.  The recursion's sums run up each root string from mu to its
+first gap, since the weights on a string form an unbroken run (Humphreys,
+Introduction to Lie Algebras and Representation Theory, section 21.3).
+
+The sums are taken once per orbit of the stabilizer of mu.  With
+J = {i : mu_i = 0}, W_J = <s_i : i in J> fixes mu; it permutes the
+positive roots outside the root subsystem Phi_J, since each s_i permutes
+the positive roots other than alpha_i (Humphreys, section 10.2, Lemma B),
+and it permutes Phi_J.  The string term t(alpha) = sum_{j>=1} m(mu+j alpha)
+K(mu+j alpha, alpha) is therefore constant on W_J-orbits, and
+t(-alpha) = t(alpha) on Phi_J because s_alpha fixes mu.  So
+2 sum_{alpha>0} t(alpha) = sum_O c_O t(rep_O) over the W_J-orbits O of
+positive roots taken up to sign, with c_O = 2|O|: twice the orbit for an
+orbit outside Phi_J, and the whole signed orbit for one in Phi_J (Moody and
+Patera, Fast recursion formula for weight multiplicities, Bull. AMS 7,
+1982).  K(nu, alpha) is the integer nu . g_alpha over the Gram denominator,
+with g_alpha = Gram_num alpha, and it grows by K(alpha, alpha) along a
+string, so the recursion runs on integer numerators with one division per
+weight.
+
+Dimensions come from the positive coroots alpha^v, the positive roots of
+the transposed Cartan matrix, with simple-coroot coefficients c^v(alpha):
+
+    dim V_lambda = prod <lambda+rho, alpha^v> / prod ht(alpha^v),
+    <lambda+rho, alpha^v> = sum_i (lambda_i + 1) c^v_i(alpha),
+
+and the Weyl orbit of a dominant mu has |W| / |W_J| elements, which the
+Poincare polynomial at t = 1 gives as the product of (ht + 1) / ht over
+the positive coroots with <mu, alpha^v> > 0, those outside Phi_J^v
+(Macdonald, The Poincare series of a Coxeter group, Math. Ann. 199, 1972).
+A spectrum's dimensions are reconciled with sum_mu m_mu |W mu| over the
+dominant table, and ``weight_system`` with its expanded orbits; a mismatch
+is a ContractViolation.
 
 One best-first walk over dominant weights, ``_dominant_walk``, serves every
 enumeration: Freudenthal walks down from gamma in increasing denominator,
@@ -23,19 +50,20 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import takewhile
+from math import floor, prod
 from numbers import Rational
+from operator import mul
 from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 from .errors import ContractViolation
 from .rootsys import (
     RootSystem,
     Weight,
+    _positive_root_coefficients,
     as_weight,
     dominant_conjugate,
     is_dominant,
     is_nonneg_root_combination,
-    killing_dual_form,
-    rho,
     weyl_orbit,
 )
 
@@ -48,8 +76,17 @@ class WeightSystem(NamedTuple):
     dim: int
 
 
-# in-process memo of dominant-weight multiplicity tables
+# in-process memos, each filled once per key:
+# - the dominant-weight multiplicity table of each V_gamma;
+# - per (family, rank): the simple-coroot coefficients c^v(alpha) of the
+#   positive coroots, and prod ht(alpha^v) = prod <rho, alpha^v>;
+# - per (family, rank, J), J = {i : mu_i = 0}: the orbit size
+#   |W mu| = |W| / |W_J|, and one row (c_O, alpha, g_alpha,
+#   K(alpha, alpha) * den) per W_J-orbit of positive roots up to sign, alpha
+#   its first root in height order.
 _DOMINANT_MEMO: dict[tuple[str, int, Weight], dict[Weight, int]] = {}
+_COROOT_MEMO: dict[tuple[str, int], tuple[tuple[Weight, ...], int]] = {}
+_STABILIZER_MEMO: dict[tuple[str, int, tuple[int, ...]], tuple[int, tuple]] = {}
 
 
 def exact_rational(value, what: str) -> Fraction:
@@ -67,30 +104,85 @@ def _require_dominant(rs: RootSystem, gamma: Sequence[int]) -> Weight:
     return w
 
 
-def _rho_norm(rs: RootSystem) -> Callable[[Weight], Fraction]:
-    """w -> K(w+rho, w+rho)."""
-    r = rho(rs)
+def _rho_norm(rs: RootSystem) -> Callable[[Weight], int]:
+    """w -> K(w+rho, w+rho) * weight_gram_den, an integer: every rho-norm
+    shares that denominator, so the numerators order weights as the norms do."""
+    gram = rs.weight_gram_num
 
-    def norm(w: Weight) -> Fraction:
-        t = tuple(a + b for a, b in zip(w, r))
-        return killing_dual_form(rs, t, t)
+    def norm(w: Weight) -> int:
+        t = [x + 1 for x in w]
+        return sum(ti * sum(map(mul, row, t)) for ti, row in zip(t, gram))
 
     return norm
 
 
+def _coroots(rs: RootSystem) -> tuple[tuple[Weight, ...], int]:
+    key = (rs.family, rs.rank)
+    table = _COROOT_MEMO.get(key)
+    if table is None:
+        coeffs = tuple(_positive_root_coefficients(tuple(zip(*rs.cartan_matrix))))
+        table = _COROOT_MEMO[key] = (coeffs, prod(map(sum, coeffs)))
+    return table
+
+
 def weyl_dimension(rs: RootSystem, gamma: Sequence[int]) -> int:
-    """dim V_gamma = prod_{alpha>0} K(gamma+rho, alpha) / K(rho, alpha)."""
+    """dim V_gamma = prod_{alpha>0} <gamma+rho, alpha^v> / <rho, alpha^v>."""
     g = _require_dominant(rs, gamma)
-    r = rho(rs)
-    top = tuple(a + b for a, b in zip(g, r))
-    result = Fraction(1)
-    for alpha in rs.positive_roots_fw:
-        result *= killing_dual_form(rs, top, alpha) / killing_dual_form(rs, r, alpha)
-    if result.denominator != 1:
+    top = [x + 1 for x in g]
+    coeffs, heights = _coroots(rs)
+    num = prod(sum(map(mul, top, c)) for c in coeffs)
+    dim, rest = divmod(num, heights)
+    if rest:
         raise ContractViolation(
-            f"{rs.name()}: Weyl dimension of V_{g} is not an integer: {result}"
+            f"{rs.name()}: Weyl dimension of V_{g} is not an integer: {Fraction(num, heights)}"
         )
-    return int(result)
+    return dim
+
+
+def _stabilizer(rs: RootSystem, mu: Weight) -> tuple[int, tuple]:
+    """(|W mu|, one row per W_J-orbit of positive roots) for J = {i : mu_i = 0},
+    as _STABILIZER_MEMO holds them."""
+    fixed = tuple(i for i, x in enumerate(mu) if x == 0)
+    key = (rs.family, rs.rank, fixed)
+    table = _STABILIZER_MEMO.get(key)
+    if table is not None:
+        return table
+
+    # Poincare polynomial at t = 1 over the coroots outside Phi_J^v
+    moving = [i for i, x in enumerate(mu) if x]
+    outside = [sum(c) for c in _coroots(rs)[0] if any(c[i] for i in moving)]
+    orbit_size = prod(h + 1 for h in outside) // prod(outside)
+
+    roots = rs.positive_roots_fw
+    positive = set(roots)
+    cartan = rs.cartan_matrix
+    gram = rs.weight_gram_num
+    seen: set[Weight] = set()
+    strings = []
+    for alpha in roots:
+        if alpha in seen:
+            continue
+        seen.add(alpha)
+        orbit = [alpha]
+        for beta in orbit:   # grows while it is walked
+            for i in fixed:
+                if beta[i]:
+                    image = tuple(b - beta[i] * a for b, a in zip(beta, cartan[i]))
+                    if image not in positive:
+                        image = tuple(-x for x in image)
+                    if image not in seen:
+                        seen.add(image)
+                        orbit.append(image)
+        g = tuple(sum(map(mul, row, alpha)) for row in gram)
+        strings.append((2 * len(orbit), alpha, g, sum(map(mul, alpha, g))))
+
+    table = _STABILIZER_MEMO[key] = (orbit_size, tuple(strings))
+    return table
+
+
+def _orbit_size(rs: RootSystem, mu: Weight) -> int:
+    """|W mu| for dominant mu."""
+    return _stabilizer(rs, mu)[0]
 
 
 def casimir_value(rs: RootSystem, gamma: Sequence[int]) -> Fraction:
@@ -101,7 +193,7 @@ def casimir_value(rs: RootSystem, gamma: Sequence[int]) -> Fraction:
     """
     g = _require_dominant(rs, gamma)
     norm = _rho_norm(rs)
-    return -(norm(g) - norm((0,) * rs.rank))
+    return Fraction(norm((0,) * rs.rank) - norm(g), rs.weight_gram_den)
 
 
 def _dominant_walk(start: Weight, steps: Sequence[Weight],
@@ -150,6 +242,9 @@ def _dominant_multiplicities(rs: RootSystem, gamma: Weight) -> dict[Weight, int]
     - the first zero marks the end of the string: a dominant dom(nu) <=
       gamma would make nu a weight, so only a lookup past the end is zero;
     - the weights on an alpha-string are unbroken (section 21.3).
+    One string is summed per W_J-orbit of roots, weighted by c_O (see the
+    module docstring), and the key, the denominator and the sums are
+    integer numerators over weight_gram_den.
     """
     key = (rs.family, rs.rank, gamma)
     memo = _DOMINANT_MEMO.get(key)
@@ -158,26 +253,29 @@ def _dominant_multiplicities(rs: RootSystem, gamma: Weight) -> dict[Weight, int]
 
     norm = _rho_norm(rs)
     top_norm = norm(gamma)
-    roots = rs.positive_roots_fw
-    walk = _dominant_walk(gamma, [tuple(-x for x in alpha) for alpha in roots],
+    walk = _dominant_walk(gamma, [tuple(-x for x in alpha) for alpha in rs.positive_roots_fw],
                           lambda mu: top_norm - norm(mu))
     next(walk)  # gamma itself, multiplicity 1
 
     mults: dict[Weight, int] = {gamma: 1}
     for denom, mu in walk:
-        acc = Fraction(0)
-        for alpha in roots:
+        acc = 0
+        for weight, alpha, g, step in _stabilizer(rs, mu)[1]:
             nu = tuple(x + y for x, y in zip(mu, alpha))
+            k = sum(map(mul, nu, g))
+            t = 0
             while m := mults.get(dominant_conjugate(rs, nu), 0):
-                acc += m * killing_dual_form(rs, nu, alpha)
+                t += m * k
                 nu = tuple(x + y for x, y in zip(nu, alpha))
-        value = 2 * acc / denom
-        if value.denominator != 1 or value <= 0:
+                k += step
+            acc += weight * t
+        value, rest = divmod(acc, denom)
+        if rest or value <= 0:
             raise ContractViolation(
                 f"{rs.name()}: Freudenthal multiplicity of {mu} in V_{gamma} "
-                f"is not a positive integer: {value}"
+                f"is not a positive integer: {Fraction(acc, denom)}"
             )
-        mults[mu] = int(value)
+        mults[mu] = value
 
     _DOMINANT_MEMO[key] = mults
     return mults
@@ -191,6 +289,20 @@ def weight_multiplicity(rs: RootSystem, gamma: Sequence[int], mu: Sequence[int])
     if not is_nonneg_root_combination(rs, tuple(a - b for a, b in zip(g, dom))):
         return 0
     return _dominant_multiplicities(rs, g).get(dom, 0)
+
+
+def reconciled_dimension(rs: RootSystem, gamma: Sequence[int]) -> int:
+    """dim V_gamma by the Weyl dimension formula, reconciled with
+    sum_mu m_mu |W mu| over the dominant weights of V_gamma."""
+    g = _require_dominant(rs, gamma)
+    expected = weyl_dimension(rs, g)
+    total = sum(m * _orbit_size(rs, mu) for mu, m in _dominant_multiplicities(rs, g).items())
+    if total != expected:
+        raise ContractViolation(
+            f"{rs.name()}: dimension of V_gamma, gamma={g}: the Weyl dimension formula "
+            f"gives {expected}, the dominant multiplicities times Weyl orbit sizes sum to {total}"
+        )
+    return expected
 
 
 def weight_system(rs: RootSystem, gamma: Sequence[int]) -> WeightSystem:
@@ -222,5 +334,6 @@ def dominant_weights_with_norm_bound(rs: RootSystem, bound) -> list[Weight]:
     gamma is dominant (K(omega_i, x) > 0 for strictly dominant x), so the
     upward walk comes in norm order.  Sorted by norm, then lexicographically.
     """
-    bound = exact_rational(bound, "norm bound")
-    return [w for _, w in takewhile(lambda item: item[0] <= bound, _walk_up(rs, _rho_norm(rs)))]
+    bound = floor(exact_rational(bound, "norm bound") * rs.weight_gram_den)
+    walk = _walk_up(rs, _rho_norm(rs))
+    return [w for _, w in takewhile(lambda item: item[0] <= bound, walk)]

@@ -73,11 +73,10 @@ def cp1_consistency(level: int, gamma_max: int) -> ConsistencyReport:
     Certification needs every block through gamma = 2l+3, so the level-l
     kernel block and the first level-(l+1) block are both inspected; smaller
     truncations are reported as inconclusive, never asserted.  An even
-    gamma_max is a ValueError at any size.
+    gamma_max is a ValueError at any size, and so is one below 1.
     """
-    level, gamma_max = operator.index(level), operator.index(gamma_max)
+    level, gamma_max = operator.index(level), cp1._require_gamma_max(gamma_max)
     value = index(IndexQuery(genus=0, level=level, spinor_kind="metaplectic"))
-    cp1._require_odd_gamma_max(gamma_max)
     if gamma_max < 2 * level + 3:
         return ConsistencyReport(level, gamma_max, value, None, None, False, None)
     levels = cp1.verify(level + 1, gamma_max)

@@ -7,7 +7,10 @@ characters generated from the orthogonal models (exterior powers of the
 vector representation, spin representations, the G2 short roots and
 adjoint) instead of the Freudenthal recursion, the dominant weights of an
 irreducible come from walking all of its weights instead of only the
-dominant ones, the first
+dominant ones, dominant multiplicities come from Freudenthal's recursion
+summed over every positive root in ``Fraction`` forms instead of once per
+stabilizer orbit in integers, Weyl dimensions from the ``Fraction`` form
+over the roots instead of integer coroots, the first
 positive eigenvalue comes from a full scan of the candidates instead of
 stopping at the first hit, and Hermite
 inner products come from floating-point Gauss-Hermite quadrature instead
@@ -19,10 +22,10 @@ from the orthogonal simple roots, with the dual Coxeter number taken from
 the trace of the Killing form over the roots, instead of from the integer
 Cartan data; the program's own inverse Cartan numerators are read back as
 simple-root coefficients so they can be checked against that model.  The
-first positive rows of the B_n and C_n vacuum spectra come in closed form
-from the vector representation and Lambda^2 C^{2n}, not from a spectrum
-computation.  The CP^1 ladder blocks, which the program holds as the scalar
-c of c * I, are rebuilt as explicit matrices of their true shapes (0 x n
+ground and first positive rows of the B_n and C_n vacuum spectra come in
+closed form from the trivial and vector representations and
+Lambda^2 C^{2n}, not from a spectrum computation.  The CP^1 ladder
+blocks, which the program holds as the scalar c of c * I, are rebuilt as explicit matrices of their true shapes (0 x n
 into a missing neighbour block), with the sl(2) entries read off the
 irrep matrices, ranks come from exact row reduction, and the
 SU(2)-invariant norms on V_gamma come from their product formula.
@@ -41,7 +44,7 @@ from numpy.polynomial import hermite as nph
 from symdol import cp1, fock
 from symdol.gaussian import GaussianRational, ZERO, gq
 from symdol.linalg import Mat, mat_scale, mat_sub, scalar_matrix
-from symdol.reps import dominant_weights_with_norm_bound, weight_multiplicity
+from symdol.reps import _dominant_walk, dominant_weights_with_norm_bound, weight_multiplicity
 from symdol.rootsys import (
     RootSystem,
     dominant_conjugate,
@@ -376,6 +379,60 @@ def dominant_heights_by_all_weights_walk(rs: RootSystem, gamma: tuple[int, ...])
 
 
 # ---------------------------------------------------------------------------
+# Freudenthal over every positive root, and the Weyl dimension, in Fractions
+# ---------------------------------------------------------------------------
+
+def _fraction_rho_norm(rs: RootSystem):
+    r = rho(rs)
+
+    def norm(w):
+        t = tuple(a + b for a, b in zip(w, r))
+        return killing_dual_form(rs, t, t)
+
+    return norm
+
+
+def dominant_multiplicities_by_all_roots(rs: RootSystem, gamma: tuple[int, ...]) -> dict:
+    """{mu: multiplicity} over the dominant weights of V_gamma, by Freudenthal's
+    recursion summed over every positive root with ``Fraction`` forms.
+
+    The dominant weights come in increasing Freudenthal denominator from the
+    program's down-walk (checked on its own against the all-weights walk);
+    each root string runs up from mu to its first gap.  No stabilizer
+    grouping and no integer numerators.
+    """
+    norm = _fraction_rho_norm(rs)
+    top = norm(gamma)
+    roots = rs.positive_roots_fw
+    walk = _dominant_walk(gamma, [tuple(-x for x in alpha) for alpha in roots],
+                          lambda mu: top - norm(mu))
+    next(walk)
+    mults = {gamma: 1}
+    for denom, mu in walk:
+        acc = Fraction(0)
+        for alpha in roots:
+            nu = tuple(x + y for x, y in zip(mu, alpha))
+            while m := mults.get(dominant_conjugate(rs, nu), 0):
+                acc += m * killing_dual_form(rs, nu, alpha)
+                nu = tuple(x + y for x, y in zip(nu, alpha))
+        value = 2 * acc / denom
+        assert value.denominator == 1 and value > 0, (mu, value)
+        mults[mu] = int(value)
+    return mults
+
+
+def weyl_dimension_by_killing_form(rs: RootSystem, gamma: tuple[int, ...]) -> int:
+    """prod_{alpha>0} K(gamma+rho, alpha) / K(rho, alpha) over the roots, in Fractions."""
+    r = rho(rs)
+    top = tuple(a + b for a, b in zip(gamma, r))
+    result = Fraction(1)
+    for alpha in rs.positive_roots_fw:
+        result *= killing_dual_form(rs, top, alpha) / killing_dual_form(rs, r, alpha)
+    assert result.denominator == 1, result
+    return int(result)
+
+
+# ---------------------------------------------------------------------------
 # first positive eigenvalue by full scan
 # ---------------------------------------------------------------------------
 
@@ -402,6 +459,13 @@ def first_positive_eigenvalue_by_scan(rs: RootSystem, mu: tuple[int, ...]) -> Fr
 # ---------------------------------------------------------------------------
 # the first positive rows of the B_n and C_n vacuum spectra in closed form
 # ---------------------------------------------------------------------------
+
+def ground_row(n: int) -> tuple[Fraction, tuple[int, ...], int, int]:
+    """(eigenvalue, gamma, weight multiplicity of 0, dim V_gamma) of the ground
+    row of every mu = 0 spectrum of rank n: the trivial representation at
+    lambda 0."""
+    return Fraction(0), (0,) * n, 1, 1
+
 
 def b_first_positive_row(n: int) -> tuple[Fraction, tuple[int, ...], int, int]:
     """(eigenvalue, gamma, weight multiplicity of 0, dim V_gamma) of the first

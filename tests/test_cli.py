@@ -272,6 +272,9 @@ CLI_GOLDEN = [
      "2efdb8dc4446a1292801928b593964e7a4181d330597ec1b9548ca6397d9df6d"),
     ("distinguish --n 2 --cutoff 2 --format csv", 0,
      "e1fd9931c8c9379c720b08077173748d2c1b34f1558d01462c99d9182f660514"),
+    # recorded while every dimension came from an expanded weight system
+    ("distinguish --n 20 --format json", 0,
+     "1f80541ecbacbe4f910ae5955de20e8999ba336351b70781299e891fc6b53711"),
     ("distinguish --rank1-sanity --format table", 0,
      "ba3eb00355f61a5283546f05d5cc7a53e4311627e70824882662951dd860104e"),
     ("distinguish --rank1-sanity --format json", 0,
@@ -417,6 +420,17 @@ def test_broken_spectrum_ground_row_exits_2(capsys, monkeypatch):
     assert code == 2
     assert "contract violation: B3, mu=(0, 0, 0): ground row" in err
     assert "dim=1)]" in err and "dim=2)" in err
+
+
+def test_broken_spectrum_dimension_reconciliation_exits_2(capsys, monkeypatch):
+    true_size = reps._orbit_size
+    monkeypatch.setattr(reps, "_orbit_size", lambda rs, mu: true_size(rs, mu) + 1)
+    code, _, err = run_cli(capsys, "spectrum", "--family", "B", "--rank", "3",
+                           "--mu", "0,0,0", "--cutoff", "1")
+    assert code == 2
+    assert ("contract violation: B3: dimension of V_gamma, gamma=(0, 0, 0): the Weyl "
+            "dimension formula gives 1, the dominant multiplicities times Weyl orbit "
+            "sizes sum to 2") in err
 
 
 def test_cp1_bad_parity_is_usage_error(capsys):

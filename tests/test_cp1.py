@@ -126,6 +126,17 @@ def test_verify_rejects_bad_truncation():
         cp1.verify(-1, 5)
 
 
+def test_verify_takes_truncation_as_integers_from_one():
+    # the same rules as surface.cp1_consistency
+    with pytest.raises(ValueError, match="gamma_max = -1 is below the first block"):
+        cp1.verify(0, -1)
+    with pytest.raises(TypeError):
+        cp1.verify(0, 5.0)
+    with pytest.raises(TypeError):
+        cp1.verify(1.0, 5)
+    assert cp1.verify(True, 3) == cp1.verify(1, 3)
+
+
 def test_block_requires_matching_parity():
     assert not cp1.block_exists(0, 2)
     assert not cp1.block_exists(2, 3)

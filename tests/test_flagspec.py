@@ -19,7 +19,12 @@ from symdol.flagspec import (
 from symdol.reps import weight_multiplicity, weyl_dimension
 from symdol.rootsys import build_root_system, rho
 
-from oracles import b_first_positive_row, c_first_positive_row, first_positive_eigenvalue_by_scan
+from oracles import (
+    b_first_positive_row,
+    c_first_positive_row,
+    first_positive_eigenvalue_by_scan,
+    ground_row,
+)
 
 A1 = build_root_system("A", 1)
 A2 = build_root_system("A", 2)
@@ -186,20 +191,21 @@ def test_spectrum_deterministic_and_cache_neutral():
 # distinguisher
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("n", range(3, 9))
+@pytest.mark.parametrize("n", [*range(3, 13), 16, 20])
 def test_distinguisher_claim(n):
     # the paper's claim: the first positive B_n eigenvalue n/(2n-1) carries a
     # (2n+1)-dimensional eigenspace, from gamma = omega_1 alone, that no row
-    # of the C_n spectrum reproduces; both first rows match their closed forms
+    # of the C_n spectrum reproduces; both tables' ground and first positive
+    # rows match their closed forms
     report = distinguish(n)
     assert report.verdict == "spectra differ"
     for table, closed_form in ((report.b_table, b_first_positive_row),
                                (report.c_table, c_first_positive_row)):
-        eigenvalue, gamma, weight_mult, dim = closed_form(n)
-        row = table.rows[1]
-        assert row.eigenvalue == eigenvalue
-        assert row.constituents == (Constituent(gamma, weight_mult, dim),)
-        assert row.total_multiplicity == weight_mult * dim
+        for row, (eigenvalue, gamma, weight_mult, dim) in zip(
+                table.rows, (ground_row(n), closed_form(n))):
+            assert row.eigenvalue == eigenvalue
+            assert row.constituents == (Constituent(gamma, weight_mult, dim),)
+            assert row.total_multiplicity == weight_mult * dim
     b1 = report.b_table.rows[1]
     assert all((row.eigenvalue, row.total_multiplicity) != (b1.eigenvalue, b1.total_multiplicity)
                for row in report.c_table.rows)

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from symdol import reps, rootsys
-from symdol.flagspec import p_spectrum
+from symdol.flagspec import distinguish, p_spectrum
 from symdol.reps import (
     casimir_value,
     dominant_weights_with_norm_bound,
@@ -28,8 +28,10 @@ from symdol.rootsys import (
 from oracles import (
     FUNDAMENTAL_CHARS,
     dominant_heights_by_all_weights_walk,
+    dominant_multiplicities_by_all_roots,
     fundamental_characters,
     oracle_weight_system,
+    weyl_dimension_by_killing_form,
 )
 
 A1 = build_root_system("A", 1)
@@ -42,6 +44,7 @@ G2 = build_root_system("G", 2)
 
 RANK_LE_4 = ([("A", k) for k in range(1, 5)] + [("B", k) for k in range(2, 5)]
              + [("C", k) for k in range(2, 5)] + [("D", 3), ("D", 4), ("G", 2)])
+RANK_LE_5 = RANK_LE_4 + [("A", 5), ("B", 5), ("C", 5), ("D", 5)]
 
 
 def _rank_id(pair):
@@ -75,6 +78,73 @@ def test_weyl_dimension_a2_adjoint():
 def test_weyl_dimension_rejects_non_dominant():
     with pytest.raises(ValueError, match="not dominant"):
         weyl_dimension(A2, (-1, 1))
+
+
+@pytest.mark.parametrize("pair", RANK_LE_5, ids=_rank_id)
+def test_weyl_dimension_matches_killing_form_formula(pair):
+    # coroots in integers against the Fraction form over the roots
+    rs = build_root_system(*pair)
+    for gamma in _gammas(rs.rank, 2, 3):
+        assert weyl_dimension(rs, gamma) == weyl_dimension_by_killing_form(rs, gamma), gamma
+
+
+def _parabolic_orbit(rs, x, generators):
+    """The orbit of x under <s_i : i in generators>, by simple reflections."""
+    orbit, frontier = {x}, [x]
+    while frontier:
+        frontier = {simple_reflection(rs, i + 1, w) for w in frontier for i in generators} - orbit
+        orbit |= frontier
+    return orbit
+
+
+@pytest.mark.parametrize("pair", RANK_LE_5, ids=_rank_id)
+def test_orbit_size_times_stabilizer_is_weyl_group_order(pair):
+    # |W mu| from the coroot heights against the explicit orbit, and
+    # |W mu| |W_mu| = |W|, with |W_mu| = |W_J| the regular orbit of W_J
+    rs = build_root_system(*pair)
+    order = len(weyl_orbit(rs, rho(rs)))
+    for mu in itertools.product((0, 1), repeat=rs.rank):
+        fixed = [i for i, x in enumerate(mu) if x == 0]
+        size = reps._orbit_size(rs, mu)
+        assert size == len(weyl_orbit(rs, mu)), mu
+        assert size * len(_parabolic_orbit(rs, rho(rs), fixed)) == order, mu
+
+
+@pytest.mark.parametrize("pair", RANK_LE_5, ids=_rank_id)
+def test_stabilizer_orbits_partition_positive_roots(pair):
+    # for every J: the W_J-orbits of the representatives, signs dropped,
+    # cover the positive roots once each, c_O is twice the positive part of
+    # the orbit, and sum c_O = 2 |Phi+|
+    rs = build_root_system(*pair)
+    positive = set(rs.positive_roots_fw)
+    for mu in itertools.product((0, 1), repeat=rs.rank):
+        fixed = [i for i, x in enumerate(mu) if x == 0]
+        covered = []
+        _, strings = reps._stabilizer(rs, mu)
+        for weight, alpha, _, _ in strings:
+            orbit = _parabolic_orbit(rs, alpha, fixed) & positive
+            assert weight == 2 * len(orbit), (mu, alpha)
+            covered += orbit
+        assert sorted(covered) == sorted(positive), mu
+        assert sum(row[0] for row in strings) == 2 * len(positive), mu
+
+
+GROUPED_CASES = [(pair, g) for pair in RANK_LE_5 for g in itertools.product((0, 1), repeat=pair[1])]
+GROUPED_CASES += [(pair, g) for pair in RANK_LE_5 if pair[1] > 1
+                  for g in [(2,) + (0,) * (pair[1] - 1), (0,) * (pair[1] - 1) + (2,)]]
+GROUPED_CASES += [(("C", 8), (1, 0, 1, 0, 0, 0, 0, 0))]
+
+
+@pytest.mark.parametrize("pair", RANK_LE_5 + [("C", 8)], ids=_rank_id)
+def test_grouped_tables_match_all_roots_recursion(pair, monkeypatch):
+    # one string per W_J-orbit in integers against every root in Fractions:
+    # {0,1}^r on every system of rank <= 5, 2 omega_1, 2 omega_r, and C8
+    monkeypatch.setattr(reps, "_DOMINANT_MEMO", {})
+    rs = build_root_system(*pair)
+    for p, gamma in GROUPED_CASES:
+        if p == pair:
+            assert (reps._dominant_multiplicities(rs, gamma)
+                    == dominant_multiplicities_by_all_roots(rs, gamma)), gamma
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +279,22 @@ def test_dominant_walk_work_counter_c8(monkeypatch):
     mults = reps._dominant_multiplicities(build_root_system("C", 8), (1, 0, 1, 0, 0, 0, 0, 0))
     assert len(mults) == 5
     assert 0 < calls < 1000
+
+
+def test_distinguish_work_counter(monkeypatch):
+    # deterministic work gate: one string per W_J-orbit of roots; summed
+    # over every positive root, distinguish(14) made 9,994 calls
+    calls = 0
+
+    def counting(rs, x):
+        nonlocal calls
+        calls += 1
+        return dominant_conjugate(rs, x)
+
+    monkeypatch.setattr(reps, "dominant_conjugate", counting)
+    monkeypatch.setattr(reps, "_DOMINANT_MEMO", {})
+    assert distinguish(14).verdict == "spectra differ"
+    assert 0 < calls <= 300
 
 
 def test_freudenthal_needs_no_simple_root_coordinates(monkeypatch):

@@ -67,6 +67,14 @@ def test_cp1_consistency_rejects_even_gamma_max_below_threshold():
         cp1_consistency(0, 2)
 
 
+def test_cp1_consistency_rejects_gamma_max_below_one():
+    # below the first block is an error, not an inconclusive report
+    with pytest.raises(ValueError, match="gamma_max = -1 is below the first block"):
+        cp1_consistency(0, -1)
+    with pytest.raises(TypeError):
+        cp1_consistency(0, 5.0)
+
+
 def test_cp1_consistency_stores_int_level():
     report = cp1_consistency(True, 5)
     assert type(report.level) is int and report.level == 1

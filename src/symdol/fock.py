@@ -27,7 +27,9 @@ Coefficients are exact Gaussian rationals; there is no floating-point code.
 The ladder itself runs on integers: each Z / Zbar coefficient enters as an
 integer row (x, y, d) for (x + y*i) / d, the products are summed as integer
 numerators per output term, and each output coefficient is normalized into a
-canonical Gaussian rational once.
+canonical Gaussian rational once.  ``add`` and ``scale`` work on the same
+integer fields: one normalization per summed key or scaled term, none for a
+unit scalar.
 """
 
 from __future__ import annotations
@@ -80,40 +82,72 @@ class FockVector(NamedTuple):
         return not self.terms
 
 
+def _check_n(n) -> int:
+    n = index(n)
+    _check_level(n, 0)
+    return n
+
+
 def zero_vector(n: int) -> FockVector:
-    return FockVector(n, {})
+    return FockVector(_check_n(n), {})
 
 
 def basis_vector(n: int, beta: Sequence[int]) -> FockVector:
-    beta = tuple(map(index, beta))
+    n, beta = _check_n(n), tuple(map(index, beta))
     if len(beta) != n or any(b < 0 for b in beta):
         raise ValueError(f"bad multi-index {beta} for n={n}")
     return FockVector(n, {beta: gq(1)})
 
 
 def add(v: FockVector, w: FockVector) -> FockVector:
-    """v + w, storing no zero."""
+    """v + w, storing no zero.
+
+    A key of w that v also holds is summed on the integer fields of the two
+    coefficients (the numerators over a shared denominator, cross-multiplied
+    when the denominators differ) and normalized once; a sum that cancels is
+    dropped without normalizing.  Every other coefficient is stored as it is.
+    """
     if v.n != w.n:
         raise ValueError("dimension mismatch")
+    fields, reduced = gaussian.fields, gaussian._reduced
     acc = dict(v.terms)
     for beta, coeff in w.terms.items():
-        if not coeff:
-            continue
+        u, s, e = fields(coeff)
         old = acc.get(beta)
         if old is None:
-            acc[beta] = coeff
-        elif new := old + coeff:
-            acc[beta] = new
+            if u or s:
+                acc[beta] = coeff
+            continue
+        x, y, d = fields(old)
+        if d == e:
+            x, y = x + u, y + s
+        else:
+            x, y, d = x * e + u * d, y * e + s * d, d * e
+        if x or y:
+            acc[beta] = reduced(x, y, d)
         else:
             del acc[beta]
     return FockVector(v.n, acc)
 
 
 def scale(c, v: FockVector) -> FockVector:
-    c = GaussianRational.coerce(c)
-    if not c:
-        return zero_vector(v.n)
-    return FockVector(v.n, {b: c * x for b, x in v.terms.items()})
+    """c * v for an int, Rational or Gaussian rational c (a float is a TypeError).
+
+    A unit c (1, -1, i or -i) permutes and negates the normalized fields of
+    each coefficient, which stay normalized, so no gcd is taken; any other c
+    multiplies the fields and normalizes once per term.  c = 0 gives the zero
+    vector.
+    """
+    fields = gaussian.fields
+    a, b, e = fields(GaussianRational.coerce(c))
+    if not (a or b):
+        return FockVector(v.n, {})
+    make = gaussian._raw if e == 1 and a * a + b * b == 1 else gaussian._reduced
+    out = {}
+    for beta, z in v.terms.items():
+        x, y, d = fields(z)
+        out[beta] = make(a * x - b * y, a * y + b * x, e * d)
+    return FockVector(v.n, out)
 
 
 def _check_direction(n: int, j: int):
@@ -143,7 +177,10 @@ def sigma_real(coeff_a: Sequence, coeff_b: Sequence, v: FockVector) -> FockVecto
         raise ValueError("coefficient vectors must have length n")
     up, down = [], []
     for k, (a, b) in enumerate(zip(coeff_a, coeff_b)):
-        (p, q), (r, s) = gaussian._rational(a), gaussian._rational(b)
+        if a.__class__ is Fraction and b.__class__ is Fraction:
+            p, q, r, s = a.numerator, a.denominator, b.numerator, b.denominator
+        else:
+            (p, q), (r, s) = gaussian._rational(a), gaussian._rational(b)
         if p or r:
             # a_j = Z_j + Zbar_j, b_j = i (Z_j - Zbar_j): Z_j gets a + ib, Zbar_j a - ib
             up.append((k, p * s, r * q, q * s))

@@ -2,20 +2,22 @@
 
 All operator, spectrum, and kernel computations in this package are done
 over Q[i]; floating point only ever appears in numerical cross-check
-oracles.  A value is stored as three integers ``(x, y, d)`` meaning
-(x + y*i) / d, normalized so that d > 0 and gcd(x, y, d) == 1 (zero is
-``(0, 0, 1)``), so equal values have equal fields.  Each operation does its
-integer arithmetic and then normalizes once with one three-way gcd; sums of
-values over the same denominator, products by an int and integer
-construction skip the cross products.  The real and imaginary parts read as
-``fractions.Fraction`` through ``.re`` and ``.im``.  Only ints and
-``numbers.Rational`` values are accepted as parts: a float is a
-``TypeError``, never its binary expansion.
+oracles.  A value holds its normal form in one slot: the tuple of three
+integers ``(x, y, d)`` meaning (x + y*i) / d, normalized so that d > 0 and
+gcd(x, y, d) == 1 (zero is ``(0, 0, 1)``), so equal values have equal
+fields.  Each operation does its integer arithmetic and then normalizes
+once with one three-way gcd; sums of values over the same denominator,
+products by an int and integer construction skip the cross products.  The
+real and imaginary parts read as ``fractions.Fraction`` through ``.re`` and
+``.im``.  Only ints and ``numbers.Rational`` values are accepted as parts:
+a float is a ``TypeError``, never its binary expansion.
 
 Package code that does its own integer arithmetic on values (the Fock
-ladder) reads their fields with ``fields(z)``, the parts of an input with
-``_rational``, and hands each result back through ``_reduced``, which
-restores the normal form; the form itself is defined here only.
+ladder, sums and scalings) reads their fields with ``fields(z)``, which
+returns that slot, the parts of an input with ``_rational``, and hands each
+result back through ``_reduced``, which restores the normal form, or through
+``_raw`` when the fields are normalized already (a unit multiple permutes
+and negates them); the form itself is defined here only.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ def _rational(value) -> tuple[int, int]:
 class GaussianRational:
     """An exact complex number with rational real and imaginary parts."""
 
-    __slots__ = ("_x", "_y", "_d")
+    __slots__ = ("_f",)
 
     def __init__(self, re=0, im=0):
         if type(re) is int and type(im) is int:
@@ -52,23 +54,23 @@ class GaussianRational:
             if d != 1:
                 g = gcd(x, y, d)
                 x, y, d = x // g, y // g, d // g
-        _set_x(self, x)
-        _set_y(self, y)
-        _set_d(self, d)
+        _set_f(self, (x, y, d))
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
 
     def __reduce__(self):
-        return _raw, (self._x, self._y, self._d)
+        return _raw, self._f
 
     @property
     def re(self) -> Fraction:
-        return Fraction(self._x, self._d)
+        x, _, d = self._f
+        return Fraction(x, d)
 
     @property
     def im(self) -> Fraction:
-        return Fraction(self._y, self._d)
+        _, y, d = self._f
+        return Fraction(y, d)
 
     # -- coercion -------------------------------------------------------
 
@@ -83,51 +85,54 @@ class GaussianRational:
     def __add__(self, other):
         if other.__class__ is not GaussianRational:
             other = GaussianRational.coerce(other)
-        d, e = self._d, other._d
+        (x, y, d), (u, v, e) = self._f, other._f
         if d == e:
-            return _reduced(self._x + other._x, self._y + other._y, d)
-        return _reduced(self._x * e + other._x * d, self._y * e + other._y * d, d * e)
+            return _reduced(x + u, y + v, d)
+        return _reduced(x * e + u * d, y * e + v * d, d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if other.__class__ is not GaussianRational:
             other = GaussianRational.coerce(other)
-        d, e = self._d, other._d
+        (x, y, d), (u, v, e) = self._f, other._f
         if d == e:
-            return _reduced(self._x - other._x, self._y - other._y, d)
-        return _reduced(self._x * e - other._x * d, self._y * e - other._y * d, d * e)
+            return _reduced(x - u, y - v, d)
+        return _reduced(x * e - u * d, y * e - v * d, d * e)
 
     def __rsub__(self, other):
         return GaussianRational.coerce(other).__sub__(self)
 
     def __mul__(self, other):
+        x, y, d = self._f
         if other.__class__ is int:
-            return _reduced(self._x * other, self._y * other, self._d)
+            return _reduced(x * other, y * other, d)
         if other.__class__ is not GaussianRational:
             other = GaussianRational.coerce(other)
-        x, y, u, v = self._x, self._y, other._x, other._y
-        return _reduced(x * u - y * v, x * v + y * u, self._d * other._d)
+        u, v, e = other._f
+        return _reduced(x * u - y * v, x * v + y * u, d * e)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if other.__class__ is not GaussianRational:
             other = GaussianRational.coerce(other)
-        x, y, u, v, e = self._x, self._y, other._x, other._y, other._d
+        (x, y, d), (u, v, e) = self._f, other._f
         norm = u * u + v * v
         if norm == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return _reduced((x * u + y * v) * e, (y * u - x * v) * e, self._d * norm)
+        return _reduced((x * u + y * v) * e, (y * u - x * v) * e, d * norm)
 
     def __rtruediv__(self, other):
         return GaussianRational.coerce(other).__truediv__(self)
 
     def __neg__(self):
-        return _raw(-self._x, -self._y, self._d)
+        x, y, d = self._f
+        return _raw(-x, -y, d)
 
     def conjugate(self) -> "GaussianRational":
-        return _raw(self._x, -self._y, self._d)
+        x, y, d = self._f
+        return _raw(x, -y, d)
 
     # -- comparisons / hashing ------------------------------------------
 
@@ -137,18 +142,19 @@ class GaussianRational:
                 other = GaussianRational.coerce(other)
             except TypeError:
                 return NotImplemented
-        return self._x == other._x and self._y == other._y and self._d == other._d
+        return self._f == other._f
 
     def __hash__(self):
-        if self._y == 0:
+        if self._f[1] == 0:
             return hash(self.re)
         return hash((self.re, self.im))
 
     def __bool__(self):
-        return self._x != 0 or self._y != 0
+        x, y, _ = self._f
+        return x != 0 or y != 0
 
     def is_real(self) -> bool:
-        return self._y == 0
+        return self._f[1] == 0
 
     # -- rendering ------------------------------------------------------
 
@@ -159,18 +165,14 @@ class GaussianRational:
         return gq_str(self)
 
 
-_set_x = GaussianRational._x.__set__
-_set_y = GaussianRational._y.__set__
-_set_d = GaussianRational._d.__set__
+_set_f = GaussianRational._f.__set__
 _new = object.__new__
 
 
 def _raw(x: int, y: int, d: int) -> GaussianRational:
     """(x + y*i) / d from fields that are already normalized."""
     z = _new(GaussianRational)
-    _set_x(z, x)
-    _set_y(z, y)
-    _set_d(z, d)
+    _set_f(z, (x, y, d))
     return z
 
 
@@ -186,7 +188,7 @@ def _reduced(x: int, y: int, d: int) -> GaussianRational:
 
 
 # fields(z) -> (x, y, d): the normalized integers of z = (x + y*i) / d
-fields = attrgetter("_x", "_y", "_d")
+fields = attrgetter("_f")
 
 
 def gq(re=0, im=0) -> GaussianRational:

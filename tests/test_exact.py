@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from oracles import FractionPairGaussian, kernel_dimension, mat_from_rows, rank
 import symdol
 from symdol.gaussian import GaussianRational, I, ONE, gq, gq_str
-from symdol import fock, linalg
+from symdol import fock, gaussian, linalg
 from symdol.linalg import Mat, mat_mul, scalar_identity_value
 
 
@@ -82,8 +82,17 @@ def test_constructor_rejects_floats(build):
     lambda: fock.symbol_raise_operator(2, 1, [1, 0, 0, 0.5]),
     lambda: fock.symbol_raise_operator(2, 1, [1, 0, 0.0, 0]),
     lambda: fock.metric_norm_sq(1, [0.5, 0]),
+    lambda: fock.sigma_real([Fraction(1, 2)], [0.0], fock.basis_vector(1, (1,))),
+    lambda: fock.sigma_real([Fraction(1, 2)], [0.5], fock.basis_vector(1, (1,))),
+    lambda: fock.sigma_real([0.0], [Fraction(1, 2)], fock.basis_vector(1, (1,))),
+    lambda: fock.sigma_real([0.5], [Fraction(1, 2)], fock.basis_vector(1, (1,))),
+    lambda: fock.scale(0.5, fock.basis_vector(1, (1,))),
+    lambda: fock.scale(0.0, fock.basis_vector(1, (1,))),
 ], ids=["sigma_real a", "sigma_real b", "sigma_real float zero", "symbol_product",
-        "symbol_raise_operator", "symbol_raise_operator float zero", "metric_norm_sq"])
+        "symbol_raise_operator", "symbol_raise_operator float zero", "metric_norm_sq",
+        "sigma_real Fraction a, b 0.0", "sigma_real Fraction a, b 0.5",
+        "sigma_real a 0.0, Fraction b", "sigma_real a 0.5, Fraction b",
+        "scale 0.5", "scale 0.0"])
 def test_fock_coordinates_reject_floats(call):
     with pytest.raises(TypeError, match="Gaussian rational"):
         call()
@@ -96,7 +105,7 @@ class _Count(int):
 @pytest.mark.parametrize("value", [True, False, _Count(3)], ids=["True", "False", "int subclass"])
 def test_int_subclasses_stored_as_plain_int(value):
     for z in (gq(value), gq(0, value), gq(value, Fraction(1, 2)), gq(1) * value, value + gq(0)):
-        assert {type(z._x), type(z._y), type(z._d)} == {int}
+        assert {type(f) for f in gaussian.fields(z)} == {int}
     assert gq(value) == int(value) and hash(gq(value)) == hash(int(value))
 
 
@@ -114,7 +123,8 @@ _parts = st.one_of(
 
 
 def _same(z: GaussianRational, ref: FractionPairGaussian):
-    assert z._d > 0 and math.gcd(z._x, z._y, z._d) == 1
+    x, y, d = gaussian.fields(z)
+    assert d > 0 and math.gcd(x, y, d) == 1
     assert type(z.re) is Fraction and type(z.im) is Fraction
     assert (z.re, z.im) == (ref.re, ref.im)
     assert hash(z) == hash(ref)

@@ -12,7 +12,7 @@ from numpy.polynomial import hermite as nph
 
 import oracles
 from symdol import fock, gaussian
-from symdol.gaussian import gq, gq_str
+from symdol.gaussian import GaussianRational, gq, gq_str
 from symdol.linalg import mat_scale
 
 
@@ -34,6 +34,28 @@ def test_dim_level(n, l, expected):
 def test_level_indices_validated(n, l):
     with pytest.raises(ValueError, match=r"need n >= 1 and l >= 0"):
         fock.level_indices(n, l)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: fock.basis_vector(0, ()),
+    lambda: fock.zero_vector(-2),
+    lambda: fock.zero_vector(0),
+], ids=["basis_vector n=0", "zero_vector n=-2", "zero_vector n=0"])
+def test_vectors_need_n_at_least_one(build):
+    with pytest.raises(ValueError, match=r"need n >= 1 and l >= 0"):
+        build()
+
+
+def test_vector_dimension_taken_as_an_index():
+    v = fock.basis_vector(True, (1,))
+    assert type(v.n) is int and v == fock.basis_vector(1, (1,))
+    assert type(fock.zero_vector(True).n) is int
+    # the harmonic oscillator of a valid vector never stores a zero
+    assert fock.h0_apply(v).terms == {(1,): gq(Fraction(-3, 2))}
+    with pytest.raises(TypeError):
+        fock.basis_vector(1.0, (1,))
+    with pytest.raises(TypeError):
+        fock.zero_vector(2.0)
 
 
 def test_level_indices_sorted_and_complete():
@@ -171,6 +193,46 @@ def test_add_and_scale_match_dict_oracle(case, c):
         fock.add(v, fock.zero_vector(v.n + 1))
 
 
+_denominators = st.sampled_from([1, 2, 3, 4, 6, 12])
+_mixed_parts = st.builds(Fraction, st.integers(-24, 24), _denominators)
+_mixed_gaussians = st.builds(gq, _mixed_parts, _mixed_parts)
+_units = st.sampled_from([1, -1, gq(1), gq(-1), gq(0, 1), gq(0, -1), Fraction(-2, 2)])
+
+
+@st.composite
+def _mixed_add_case(draw):
+    """v and w over n <= 3 whose shared keys carry coefficients over equal or
+    different denominators, some of them cancelling exactly."""
+    n = draw(st.integers(1, 3))
+    v = draw(st.dictionaries(_indices[n], _mixed_gaussians.filter(bool), max_size=8))
+    w = draw(st.dictionaries(_indices[n], _mixed_gaussians.filter(bool), max_size=8))
+    for beta in draw(st.sets(st.sampled_from(sorted(v)))) if v else ():
+        w[beta] = -v[beta]
+    return fock.FockVector(n, v), fock.FockVector(n, w)
+
+
+def _normalized(terms) -> bool:
+    return all(d > 0 and math.gcd(x, y, d) == 1 and (x or y)
+               for x, y, d in map(gaussian.fields, terms.values()))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_mixed_add_case(), st.one_of(_units, _mixed_parts, _mixed_gaussians))
+def test_add_and_scale_match_term_by_term_oracle_over_mixed_denominators(case, c):
+    v, w = case
+    expected = {}
+    for beta in v.terms.keys() | w.terms.keys():
+        total = v.terms.get(beta, gq(0)) + w.terms.get(beta, gq(0))
+        if total:
+            expected[beta] = total
+    total = fock.add(v, w)
+    assert total.terms == expected and _normalized(total.terms)
+    c = GaussianRational.coerce(c)
+    scaled = fock.scale(c, v)
+    assert scaled.terms == ({beta: c * z for beta, z in v.terms.items()} if c else {})
+    assert _normalized(scaled.terms)
+
+
 def test_ladder_work_does_not_grow_with_n(monkeypatch):
     """Deterministic work counter: sigma(a_1) on h_(1,0,...,0) normalizes one
     Gaussian rational per output coefficient, two for every n, since the
@@ -216,6 +278,65 @@ def test_compose_stores_each_first_product(monkeypatch):
     assert calls == 441
     assert len(product.matrix) == 261
     assert product == fock.symbol_product(3, 8, v)
+
+
+def _count_reduced(monkeypatch) -> list:
+    """Route gaussian._reduced through a counter; the returned list holds the
+    number of calls so far."""
+    calls = [0]
+    reduced = gaussian._reduced
+
+    def counting(x, y, d):
+        calls[0] += 1
+        return reduced(x, y, d)
+
+    monkeypatch.setattr(gaussian, "_reduced", counting)
+    return calls
+
+
+def test_commutator_sum_and_unit_scaling_work(monkeypatch):
+    """Deterministic work counter: [sigma(a_1), sigma(b_1)] built with add and
+    scale(-1, .) on every basis vector of levels 0..3 at n = 3 makes 168
+    normalizations: 148 in the ladder, one per basis vector for the key the
+    sum keeps, and none for scaling by -1 (a GaussianRational sum per
+    colliding key and product per scaled term would make it 236)."""
+    calls = _count_reduced(monkeypatch)
+    zero = [0, 0, 0]
+    for l in range(4):
+        for beta in fock.level_indices(3, l):
+            b = fock.basis_vector(3, beta)
+            ab = fock.sigma_real([1, 0, 0], zero, fock.sigma_real(zero, [1, 0, 0], b))
+            ba = fock.sigma_real(zero, [1, 0, 0], fock.sigma_real([1, 0, 0], zero, b))
+            assert fock.add(ab, fock.scale(-1, ba)).terms == {beta: gq(0, -1)}
+    assert calls[0] == 168
+
+
+def test_scale_and_add_normalize_only_what_needs_it(monkeypatch):
+    """Deterministic work counter: a unit scalar permutes and negates fields
+    (no normalization), any other scalar normalizes each term once, and add
+    normalizes once per colliding key whose sum does not cancel."""
+    v = fock.FockVector(2, {(0, 0): gq(Fraction(1, 2), 3), (1, 0): gq(0, Fraction(-2, 3)),
+                            (0, 1): gq(5), (2, 0): gq(Fraction(7, 4), Fraction(1, 6))})
+    units = (1, -1, gaussian.I, -gaussian.I, gq(-1), Fraction(1))
+    expected = [{beta: z * unit for beta, z in v.terms.items()} for unit in units]
+    calls = _count_reduced(monkeypatch)
+    assert [fock.scale(unit, v).terms for unit in units] == expected
+    assert calls[0] == 0
+    for c in (2, Fraction(1, 3), gq(1, 1), gq(0, Fraction(1, 2))):
+        calls[0] = 0
+        fock.scale(c, v)
+        assert calls[0] == len(v.terms)
+    calls[0] = 0
+    disjoint = fock.FockVector(2, {(0, 2): gq(1), (1, 1): gq(0, Fraction(1, 3))})
+    assert fock.add(v, disjoint).terms == {**v.terms, **disjoint.terms}
+    assert calls[0] == 0
+    # (0, 0) and (2, 0) collide and survive, (1, 0) cancels, (1, 1) is new
+    w = fock.FockVector(2, {(0, 0): gq(Fraction(1, 2)), (1, 0): gq(0, Fraction(2, 3)),
+                            (2, 0): gq(Fraction(1, 3)), (1, 1): gq(1)})
+    total = fock.add(v, w)
+    assert calls[0] == 2
+    assert total.terms == {(0, 0): gq(1, 3), (0, 1): gq(5), (1, 1): gq(1),
+                           (2, 0): gq(Fraction(25, 12), Fraction(1, 6))}
 
 
 @settings(max_examples=100, deadline=None, database=None)

@@ -41,9 +41,7 @@ from .rootsys import (
     RootSystem,
     build_root_system,
     is_dominant,
-    killing_dual_form,
     rho,
-    simple_reflection,
 )
 from .surface import IndexQuery, cp1_consistency, index
 
@@ -65,11 +63,9 @@ __all__ = [
     "ground_kernel",
     "index",
     "is_dominant",
-    "killing_dual_form",
     "p_spectrum",
     "rank_one_sanity",
     "rho",
-    "simple_reflection",
     "small_irrep_inventory",
     "spinor_weight",
     "weight_multiplicity",

@@ -25,12 +25,12 @@ are independent of this residual phase choice.
 0..lmax+2, Dbar, H and P on 0..lmax+1 (P from those D/Dbar neighbours) and
 Omega once, since Omega does not depend on the level.  D, Dbar, H and P are
 held as the exact scalar c of c * I (a map into a missing neighbour block is
-zero), so their ranks, the ladder and the four commutators are exact scalar
-identities; Omega is a genuine Casimir matrix, and the P-identity
-P = -Omega - (3/2) H^2 is checked as a matrix identity against it on every
-block.  The same pass sums the ranks into each level's kernel ledger; a
-failure names its level, gamma, check and values.  Any nonzero residual is
-a failure.
+zero), so ranks, ladder and commutators are scalar identities.  Omega, the
+one genuine matrix, is checked to be c * I once per gamma (Schur's lemma),
+so P = -Omega - (3/2) H^2 is the scalar P = -c - (3/2) H^2 on every block,
+and fails on all of them when Omega is not c * I.  The same pass sums the
+ranks into each level's kernel ledger; a failure names its level, gamma,
+check and values.  Any nonzero residual is a failure.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from typing import NamedTuple, Optional
 from . import fock
 from .errors import ContractViolation
 from .gaussian import GaussianRational, ONE, ZERO, gq
-from .linalg import Mat, mat_add, mat_mul, mat_scale, mat_sub, scalar_matrix
+from .linalg import Mat, mat_add, mat_mul, mat_scale, scalar_identity_value
 
 # right-action normalization of the root vectors (see module docstring)
 C_PLUS = gq(Fraction(1, 4), Fraction(1, 4))     # Z_alpha   -> C_PLUS  * X
@@ -72,6 +72,7 @@ class Sl2Irrep(NamedTuple):
 
 
 def sl2_irrep(k: int) -> Sl2Irrep:
+    k = operator.index(k)
     if k < 0:
         raise ValueError("k must be nonnegative")
     size = k + 1
@@ -93,6 +94,7 @@ def sl2_casimir_matrix(rep: Sl2Irrep) -> Mat:
 
 def lambda_lj(l: int, j: int) -> Fraction:
     """Closed-form eigenvalue (1/8)(4(l+j+1)^2 - 3(2l+1)^2 - 1)."""
+    l, j = operator.index(l), operator.index(j)
     if l < 0 or j < 0:
         raise ValueError("l and j must be nonnegative")
     return Fraction(4 * (l + j + 1) ** 2 - 3 * (2 * l + 1) ** 2 - 1, 8)
@@ -104,6 +106,7 @@ def lambda_lj(l: int, j: int) -> Fraction:
 
 def block_exists(level: int, gamma: int) -> bool:
     """V_gamma carries a -(2l+1) weight line iff gamma is odd and >= 2l+1."""
+    level, gamma = operator.index(level), operator.index(gamma)
     return level >= 0 and gamma % 2 == 1 and gamma >= 2 * level + 1
 
 
@@ -207,7 +210,7 @@ class BlockReport(NamedTuple):
     d: GaussianRational    # D, Dbar, H and P: the scalar c of c * I; Omega: a matrix
     dbar: GaussianRational
     h: GaussianRational
-    omega: Mat
+    omega: Mat             # checked to be c * I once per gamma; P-identity: P = -c - (3/2) H^2
     p: GaussianRational
     eigenvalue: Fraction
     rank_d: int
@@ -246,13 +249,12 @@ class LevelReport(NamedTuple):
         return all(b.passed("commutators") for b in self.blocks)
 
 
-def _differ(identity: str, lhs: Mat, rhs: Mat) -> Optional[str]:
-    """None when lhs == rhs, else the identity and its first differing entry."""
-    if lhs == rhs:
-        return None
-    key = min(k for k in lhs.keys() | rhs.keys() if lhs.get(k, ZERO) != rhs.get(k, ZERO))
-    return (f"{identity}: entry {key} is {lhs.get(key, ZERO)} on the left, "
-            f"{rhs.get(key, ZERO)} on the right")
+def _off_scalar(gamma: int, omega: Mat) -> str:
+    """Omega's first entry off c * I on V_gamma, c its (0, 0) entry."""
+    c = omega.get((0, 0), ZERO)
+    key = min(k for k in {*omega, *((i, i) for i in range(gamma + 1))}
+              if omega.get(k, ZERO) != (c if k[0] == k[1] else ZERO))
+    return f"Omega on V_{gamma} is not c * I: entry {key} is {omega.get(key, ZERO)}"
 
 
 def _unequal(identity: str, lhs: GaussianRational, rhs: GaussianRational) -> Optional[str]:
@@ -274,7 +276,8 @@ def _gamma_blocks(lmax: int, gamma: int) -> list[BlockReport]:
     dbar = [dbar_block(l, gamma) for l in range(reach)]
     h = [h_block(l, gamma) for l in range(reach)]
     omega = omega_block(0, gamma)
-    minus_omega = mat_scale(omega, -1)
+    c = scalar_identity_value(omega)
+    not_scalar = None if c is not None else f"P = -Omega - (3/2) H^2: {_off_scalar(gamma, omega)}"
     p = [
         p_block(l, gamma, d[l + 1] if l < top else ZERO, dbar[l], dbar[l - 1] if l else ZERO, d[l])
         for l in range(reach)
@@ -297,9 +300,8 @@ def _gamma_blocks(lmax: int, gamma: int) -> list[BlockReport]:
         checks = {
             "closed-form lambda":
                 None if lam == lambda_lj(l, j) else f"P = {lam}, lambda_lj = {lambda_lj(l, j)}",
-            "P-identity": _differ(
-                "P = -Omega - (3/2) H^2", scalar_matrix(dim, p[l]),
-                mat_sub(minus_omega, scalar_matrix(dim, h[l] * h[l] * Fraction(3, 2)))),
+            "P-identity": not_scalar or _unequal(
+                "P = -Omega - (3/2) H^2", p[l], -c - h[l] * h[l] * Fraction(3, 2)),
             "ladder": None if ranks == expected else
                 f"(rank D, rank Dbar, dim Gamma_{top}) = {ranks}, expected {expected}",
             "commutators": (

@@ -93,25 +93,14 @@ def scalar_matrix(n: int, value) -> Mat:
     return Mat(n, n, {(i, i): value for i in range(n)} if value else {})
 
 
-def _sum(a: Mat, b: Mat, subtract: bool, name: str) -> Mat:
-    """a - b when subtract, else a + b."""
+def mat_add(a: Mat, b: Mat) -> Mat:
     if (a.nrows, a.ncols) != (b.nrows, b.ncols):
-        raise ValueError(f"shape mismatch in {name}")
+        raise ValueError("shape mismatch in mat_add")
     out = dict(a.entries)
     for key, x in b.entries.items():
-        if subtract:
-            x = -x
         old = out.get(key)
         out[key] = x if old is None else old + x
     return Mat(a.nrows, a.ncols, {key: x for key, x in out.items() if x})
-
-
-def mat_add(a: Mat, b: Mat) -> Mat:
-    return _sum(a, b, False, "mat_add")
-
-
-def mat_sub(a: Mat, b: Mat) -> Mat:
-    return _sum(a, b, True, "mat_sub")
 
 
 def mat_scale(a: Mat, c) -> Mat:

@@ -4,8 +4,8 @@ Weights are plain integer tuples in the fundamental-weight basis
 (omega_1, ..., omega_k); that basis is the lingua franca of the whole
 package.  Each family is built from its integer Cartan matrix alone: the
 positive roots come from closing the simple roots under simple reflections,
-the root lengths from symmetrizing the matrix, and the bilinear form exposed
-to callers is the *dual Killing form*
+the root lengths from symmetrizing the matrix, and the stored bilinear
+form (``weight_gram_*``) is the *dual Killing form*
 
     K = (form normalized so long roots have squared length 2) / (2 h^v),
 
@@ -206,32 +206,6 @@ def rho(rs: RootSystem) -> Weight:
     return (1,) * rs.rank
 
 
-def killing_dual_form(rs: RootSystem, x: Sequence, y: Sequence) -> Fraction:
-    """K(x, y) on weights, for x, y in fundamental-weight coordinates.
-
-    Coordinates may be integers or exact rationals; the package itself only
-    passes integer weights, and rationals stay for library callers.  The sum
-    runs over the integer Gram numerators, so integer inputs build one
-    Fraction at the end.
-    """
-    if len(x) != rs.rank or len(y) != rs.rank:
-        raise ValueError(f"expected weight vectors of length {rs.rank}")
-    total = 0
-    for xi, row in zip(x, rs.weight_gram_num):
-        if xi:
-            total += xi * sum(g * yj for g, yj in zip(row, y))
-    return Fraction(total, rs.weight_gram_den)
-
-
-def simple_reflection(rs: RootSystem, i: int, x: Sequence[int]) -> Weight:
-    """Reflection in the i-th simple root (1-indexed), in fundamental coords."""
-    if not 1 <= i <= rs.rank:
-        raise ValueError(f"simple-root index {i} out of range 1..{rs.rank}")
-    w = as_weight(rs, x)
-    row = rs.cartan_matrix[i - 1]
-    return tuple(w[j] - w[i - 1] * row[j] for j in range(rs.rank))
-
-
 def is_dominant(rs: RootSystem, x: Sequence[int]) -> bool:
     return all(c >= 0 for c in as_weight(rs, x))
 
@@ -244,7 +218,7 @@ def dominant_conjugate(rs: RootSystem, x: Sequence[int]) -> Weight:
         i = next((j for j, c in enumerate(w) if c < 0), None)
         if i is None:
             return w
-        wi = w[i]  # reflect in alpha_{i+1}, as simple_reflection does
+        wi = w[i]  # reflect in alpha_{i+1}: subtract w_i times Cartan row i
         w = tuple(a - wi * c for a, c in zip(w, cartan[i]))
 
 
@@ -271,8 +245,7 @@ def weyl_orbit(rs: RootSystem, x: Sequence[int]) -> set[Weight]:
 
 def is_nonneg_root_combination(rs: RootSystem, x: Sequence[int]) -> bool:
     """True iff x is a nonnegative *integer* combination of simple roots."""
-    if len(x) != rs.rank:
-        raise ValueError(f"expected weight vectors of length {rs.rank}")
+    x = as_weight(rs, x)
     num, den = rs.inverse_cartan_num, rs.inverse_cartan_den
     coeffs = (sum(x[i] * num[i][j] for i in range(rs.rank)) for j in range(rs.rank))
     return all(c >= 0 and c % den == 0 for c in coeffs)

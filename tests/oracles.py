@@ -24,7 +24,11 @@ Cartan data; the program's own inverse Cartan numerators are read back as
 simple-root coefficients so they can be checked against that model.  The
 ground and first positive rows of the B_n and C_n vacuum spectra come in
 closed form from the trivial and vector representations and
-Lambda^2 C^{2n}, not from a spectrum computation.  The CP^1 ladder
+Lambda^2 C^{2n}, not from a spectrum computation.  The dual Killing form
+and the simple reflections, which no program path needs, live here and
+read the program's Gram numerators and Cartan rows; ``dot_dominant``
+reflects a rho-shifted weight into the dominant chamber with its sign, for
+the character decomposition and the Brauer-Klimyk rule.  The CP^1 ladder
 blocks, which the program holds as the scalar c of c * I, are rebuilt as explicit matrices of their true shapes (0 x n
 into a missing neighbour block), with the sl(2) entries read off the
 irrep matrices, ranks come from exact row reduction, and the
@@ -37,22 +41,54 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 from numbers import Rational
+from typing import Sequence
 
 import numpy as np
 from numpy.polynomial import hermite as nph
 
 from symdol import cp1, fock
 from symdol.gaussian import GaussianRational, ZERO, gq
-from symdol.linalg import Mat, mat_scale, mat_sub, scalar_matrix
+from symdol.linalg import Mat, mat_add, mat_scale, scalar_matrix
 from symdol.reps import _dominant_walk, dominant_weights_with_norm_bound, weight_multiplicity
 from symdol.rootsys import (
     RootSystem,
+    Weight,
+    as_weight,
     dominant_conjugate,
     is_nonneg_root_combination,
-    killing_dual_form,
     rho,
-    simple_reflection,
 )
+
+# ---------------------------------------------------------------------------
+# the dual Killing form and simple reflections, read off the program's
+# Gram numerators and Cartan rows
+# ---------------------------------------------------------------------------
+
+def killing_dual_form(rs: RootSystem, x: Sequence, y: Sequence) -> Fraction:
+    """K(x, y) on weights, for x, y in fundamental-weight coordinates.
+
+    Coordinates may be integers or exact rationals; the package itself only
+    passes integer weights, and rationals stay for library callers.  The sum
+    runs over the integer Gram numerators, so integer inputs build one
+    Fraction at the end.
+    """
+    if len(x) != rs.rank or len(y) != rs.rank:
+        raise ValueError(f"expected weight vectors of length {rs.rank}")
+    total = 0
+    for xi, row in zip(x, rs.weight_gram_num):
+        if xi:
+            total += xi * sum(g * yj for g, yj in zip(row, y))
+    return Fraction(total, rs.weight_gram_den)
+
+
+def simple_reflection(rs: RootSystem, i: int, x: Sequence[int]) -> Weight:
+    """Reflection in the i-th simple root (1-indexed), in fundamental coords."""
+    if not 1 <= i <= rs.rank:
+        raise ValueError(f"simple-root index {i} out of range 1..{rs.rank}")
+    w = as_weight(rs, x)
+    row = rs.cartan_matrix[i - 1]
+    return tuple(w[j] - w[i - 1] * row[j] for j in range(rs.rank))
+
 
 # ---------------------------------------------------------------------------
 # positive roots by reflection closure
@@ -199,6 +235,22 @@ def tensor_character(rs: RootSystem, gamma: tuple[int, ...]) -> Counter:
     return char
 
 
+def dot_dominant(rs: RootSystem, w) -> tuple[int, Weight]:
+    """(det(sigma), sigma(w + rho) - rho) for the Weyl element sigma making
+    w + rho dominant, reached one simple reflection at a time; the sign is 0
+    when w + rho lies on a chamber wall."""
+    x = tuple(a + b for a, b in zip(w, rho(rs)))
+    sign = 1
+    while True:
+        if any(c == 0 for c in x):
+            return 0, w
+        i = next((j for j, c in enumerate(x) if c < 0), None)
+        if i is None:
+            return sign, tuple(a - b for a, b in zip(x, rho(rs)))
+        x = simple_reflection(rs, i + 1, x)
+        sign = -sign
+
+
 def decompose_character(rs: RootSystem, char: Counter) -> Counter:
     """Constituent multiplicities of a character, by the signed rho-shift:
     each weight w contributes det(sigma) to the constituent at
@@ -206,19 +258,9 @@ def decompose_character(rs: RootSystem, char: Counter) -> Counter:
     cancel out."""
     out: Counter = Counter()
     for w, m in char.items():
-        x = tuple(a + b for a, b in zip(w, rho(rs)))
-        sign = 1
-        while True:
-            if any(c == 0 for c in x):
-                sign = 0
-                break
-            i = next((j for j, c in enumerate(x) if c < 0), None)
-            if i is None:
-                break
-            x = simple_reflection(rs, i + 1, x)
-            sign = -sign
+        sign, top = dot_dominant(rs, w)
         if sign:
-            out[tuple(a - b for a, b in zip(x, rho(rs)))] += sign * m
+            out[top] += sign * m
     out = Counter({w: m for w, m in out.items() if m})
     assert all(m > 0 for m in out.values()), "character failed to decompose"
     return out
@@ -709,6 +751,10 @@ def rank(a: Mat) -> int:
                 else:
                     del row[c]
     return len(pivots)
+
+
+def mat_sub(a: Mat, b: Mat) -> Mat:
+    return mat_add(a, mat_scale(b, -1))
 
 
 def kernel_dimension(a: Mat) -> int:

@@ -20,13 +20,13 @@ import numpy as np
 from symdol import cp1, flagspec, fock, surface
 from symdol.cli import main as cli_main
 from symdol.gaussian import ZERO, gq
-from symdol.linalg import mat_scale, mat_sub, scalar_matrix
+from symdol.linalg import mat_scale, scalar_matrix
 from symdol.reps import casimir_value, weight_system, weyl_dimension
 from symdol.rootsys import build_root_system, rho
 from symdol.linalg import scalar_identity_value
 
 import oracles
-from oracles import kernel_dimension, oracle_weight_system, rank
+from oracles import kernel_dimension, mat_sub, oracle_weight_system, rank
 
 ALL_SYSTEMS_RANK_LE_4 = (
     [("A", k) for k in range(1, 5)]

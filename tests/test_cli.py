@@ -9,7 +9,8 @@ import pytest
 
 from symdol import cp1, flagspec, reps
 from symdol.cli import main
-from symdol.linalg import mat_scale
+from symdol.gaussian import gq
+from symdol.linalg import Mat, mat_scale
 from symdol.reps import weight_system
 from symdol.rootsys import build_root_system
 
@@ -397,7 +398,27 @@ def test_contract_violation_exits_2(capsys, monkeypatch):
     assert '"p_identity_ok":false' in captured.out
     assert "contract violation" in captured.err
     assert ("level 0, gamma 1: P-identity failed: P = -Omega - (3/2) H^2: "
-            "entry (0, 0) is 0 on the left, 3/8 on the right") in captured.err
+            "0 on the left, 3/8 on the right") in captured.err
+
+
+def test_non_scalar_omega_exits_2(capsys, monkeypatch):
+    # one off-diagonal entry in Omega on V_3 fails the P-identity on both
+    # levels of that gamma; the first failure names the entry and its value
+    true_omega = cp1.omega_block
+
+    def broken(level, gamma):
+        omega = true_omega(level, gamma)
+        return Mat(omega.nrows, omega.ncols, {**omega, (1, 2): gq(1)}) if gamma == 3 else omega
+
+    monkeypatch.setattr(cp1, "omega_block", broken)
+    code = main(["cp1", "--lmax", "1", "--gamma-max", "5", "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert '"p_identity_ok":false' in captured.out
+    blocks = [b for lv in json.loads(captured.out)["levels"] for b in lv["blocks"]]
+    assert {(b["level"], b["gamma"]) for b in blocks if not b["p_identity_ok"]} == {(0, 3), (1, 3)}
+    assert ("level 0, gamma 3: P-identity failed: P = -Omega - (3/2) H^2: "
+            "Omega on V_3 is not c * I: entry (1, 2) is 1") in captured.err
 
 
 def test_broken_weight_system_invariant_exits_2(capsys, monkeypatch):

@@ -3,10 +3,10 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from oracles import invariant_weight_norms, kernel_dimension, mat_from_rows, rank
+from oracles import invariant_weight_norms, kernel_dimension, mat_from_rows, mat_sub, rank
 from symdol import cli, cp1, fock, linalg
 from symdol.gaussian import GaussianRational, ZERO, gq
-from symdol.linalg import Mat, mat_mul, mat_scale, mat_sub, scalar_identity_value, scalar_matrix
+from symdol.linalg import Mat, mat_mul, mat_scale, scalar_identity_value, scalar_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -20,6 +20,11 @@ def test_sl2_irrep_k0_and_k1():
     assert rep.h == mat_from_rows(((1, 0), (0, -1)))
     assert rep.x == mat_from_rows(((0, 1), (0, 0)))
     assert rep.y == mat_from_rows(((0, 0), (1, 0)))
+
+
+def test_sl2_irrep_takes_k_as_int():
+    rep = cp1.sl2_irrep(True)
+    assert type(rep.k) is int and rep == cp1.sl2_irrep(1)
 
 
 @pytest.mark.parametrize("k", list(range(0, 8)) + [15, 20])
@@ -88,6 +93,31 @@ def test_p_equals_minus_omega_minus_three_halves_h_squared(report, level):
         rhs = mat_sub(mat_scale(block.omega, -1), mat_scale(h2, Fraction(3, 2)))
         assert scalar_matrix(block.dim, block.p) == rhs
         assert block.passed("P-identity")
+
+
+@pytest.mark.parametrize("entry,message", [
+    ((0, 1), "Omega on V_5 is not c * I: entry (0, 1) is 1"),
+    ((3, 3), "Omega on V_5 is not c * I: entry (3, 3) is -27/8"),
+], ids=["off-diagonal", "diagonal"])
+def test_non_scalar_omega_fails_p_identity_on_every_level(monkeypatch, entry, message):
+    # Omega is read as c * I once per gamma; when it is not, every block of
+    # that gamma fails the P-identity with the offending entry, as a value
+    true_omega = cp1.omega_block
+
+    def broken(level, gamma):
+        omega = true_omega(level, gamma)
+        if gamma != 5:
+            return omega
+        return Mat(omega.nrows, omega.ncols, {**omega, entry: omega.get(entry, ZERO) + 1})
+
+    monkeypatch.setattr(cp1, "omega_block", broken)
+    report = cp1.verify(2, 7)
+    for lv in report:
+        for block in lv.blocks:
+            assert block.passed("P-identity") == (block.gamma != 5)
+        assert (f"level {lv.level}, gamma 5: P-identity failed: "
+                f"P = -Omega - (3/2) H^2: {message}") in lv.failures
+    assert [b.level for lv in report for b in lv.blocks if b.gamma == 5] == [0, 1, 2]
 
 
 @pytest.mark.parametrize("level", range(0, 5))
@@ -180,8 +210,10 @@ def test_ladder_bijectivity_explicit():
 def test_verify_multiplies_only_omega(monkeypatch):
     """Work gate: verify(4, 201) builds one sl(2) irrep and makes three matrix
     products (h h, X Y and Y X) per gamma, only to assemble the 101 Casimirs
-    Omega; D, Dbar, H and P are scalars read from closed forms, and their
-    block functions build neither a Mat nor an irrep."""
+    Omega: ten Mats per gamma (h, X, Y, three products, two scalings, two
+    sums), and none per block, since Omega is read as c * I once and the
+    P-identity is scalar.  D, Dbar, H and P are scalars read from closed
+    forms, and their block functions build neither a Mat nor an irrep."""
     work = {"products": 0, "mats": 0, "irreps": 0}
 
     def counted(key, fn):
@@ -205,6 +237,7 @@ def test_verify_multiplies_only_omega(monkeypatch):
         monkeypatch.setattr(cp1, name, builds_nothing(getattr(cp1, name)))
     report = cp1.verify(4, 201)
     assert work["products"] == 303 and work["irreps"] == 101
+    assert work["mats"] == 1010
     blocks = [b for lv in report for b in lv.blocks]
     assert len(blocks) == 495
     for b in blocks:

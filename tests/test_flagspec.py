@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from symdol import flagspec, fock, surface
+from symdol import cp1, flagspec, fock, surface
 from symdol.cp1 import lambda_lj
 from symdol.flagspec import (
     Constituent,
@@ -17,7 +17,7 @@ from symdol.flagspec import (
     spinor_weight,
 )
 from symdol.reps import weight_multiplicity, weyl_dimension
-from symdol.rootsys import build_root_system, rho
+from symdol.rootsys import build_root_system, is_nonneg_root_combination, rho
 
 from oracles import (
     b_first_positive_row,
@@ -78,11 +78,19 @@ def test_spinor_weight_validates_length():
     lambda: build_root_system("B", 3.0),
     lambda: distinguish(3.0),
     lambda: distinguish(1.5),
+    lambda: cp1.block_exists(0.5, 3),
+    lambda: cp1.block_dim(2.5, 9),
+    lambda: cp1.weight_line_index(0.5, 3),
+    lambda: lambda_lj(1.5, 0),
+    lambda: is_nonneg_root_combination(B3, (2.0, 0, 0)),
+    lambda: is_nonneg_root_combination(B3, (Fraction(1, 2), 0, 0)),
 ], ids=["weyl_dimension-float", "weyl_dimension-fraction", "weight_multiplicity-float",
         "weight_multiplicity-fraction", "p_spectrum-float", "basis_vector-float",
         "basis_vector-fraction", "spinor_weight-float", "small_irrep_inventory-float",
         "index_query-genus-float", "index_query-level-float", "cp1_consistency-float",
-        "build_root_system-float", "distinguish-float", "distinguish-float-below-range"])
+        "build_root_system-float", "distinguish-float", "distinguish-float-below-range",
+        "block_exists-float", "block_dim-float", "weight_line_index-float", "lambda_lj-float",
+        "is_nonneg_root_combination-float", "is_nonneg_root_combination-fraction"])
 def test_non_integer_coordinates_rejected(call):
     # a coordinate, rank, bound, genus or level that is not an int is an error,
     # never truncated to one

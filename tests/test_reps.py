@@ -21,16 +21,18 @@ from symdol.rootsys import (
     dominant_conjugate,
     is_nonneg_root_combination,
     rho,
-    simple_reflection,
     weyl_orbit,
 )
 
 from oracles import (
     FUNDAMENTAL_CHARS,
+    dot_dominant,
     dominant_heights_by_all_weights_walk,
     dominant_multiplicities_by_all_roots,
     fundamental_characters,
+    killing_dual_form,
     oracle_weight_system,
+    simple_reflection,
     weyl_dimension_by_killing_form,
 )
 
@@ -382,6 +384,46 @@ def test_d_diagram_automorphism(rank):
 
 
 # ---------------------------------------------------------------------------
+# tensor products: the Brauer-Klimyk rule
+# ---------------------------------------------------------------------------
+
+BRAUER_KLIMYK = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("B", 4),
+                 ("C", 3), ("C", 4), ("D", 4), ("G", 2)]
+
+
+@pytest.mark.parametrize("pair", BRAUER_KLIMYK, ids=_rank_id)
+def test_brauer_klimyk_tensor_products(pair):
+    """V_lam (x) V_mu is the sum, over the weights nu of V_mu, of
+    m_mu(nu) det(w) V_{w(lam + nu + rho) - rho}, for lam, mu in {0,1}^r with
+    coordinate sum <= 2.  The signed constituent dimensions sum to
+    dim V_lam * dim V_mu and every net constituent count is >= 0; on rank
+    <= 3 and G2 the constituents' characters also sum to the tensor
+    character."""
+    rs = build_root_system(*pair)
+    full = rs.rank <= 3 or rs.family == "G"
+    for lam in _gammas(rs.rank, 1, 2):
+        for mu in _gammas(rs.rank, 1, 2):
+            mults_mu = weight_system(rs, mu).mults
+            counts = Counter()
+            for nu, m in mults_mu.items():
+                sign, top = dot_dominant(rs, tuple(a + b for a, b in zip(lam, nu)))
+                if sign:
+                    counts[top] += sign * m
+            assert (sum(c * weyl_dimension(rs, top) for top, c in counts.items())
+                    == weyl_dimension(rs, lam) * weyl_dimension(rs, mu)), (lam, mu)
+            assert all(c >= 0 for c in counts.values()), (lam, mu)
+            if full:
+                tensor, constituents = Counter(), Counter()
+                for a, ma in weight_system(rs, lam).mults.items():
+                    for b, mb in mults_mu.items():
+                        tensor[tuple(x + y for x, y in zip(a, b))] += ma * mb
+                for top, c in counts.items():
+                    for w, m in weight_system(rs, top).mults.items():
+                        constituents[w] += c * m
+                assert tensor == constituents, (lam, mu)
+
+
+# ---------------------------------------------------------------------------
 # Casimir
 # ---------------------------------------------------------------------------
 
@@ -440,7 +482,6 @@ def test_enumeration_downward_closed_and_sorted(rs, bound):
     r = rho(rs)
 
     def norm(w):
-        from symdol.rootsys import killing_dual_form
         t = tuple(a + b for a, b in zip(w, r))
         return killing_dual_form(rs, t, t)
 
@@ -464,7 +505,6 @@ def test_enumeration_evaluates_each_candidate_once(family):
     # including the candidates over the bound
     rs = build_root_system(family, 6)
     r = rho(rs)
-    from symdol.rootsys import killing_dual_form
     seen = []
 
     def norm(w):
@@ -486,7 +526,6 @@ def test_enumeration_complete_against_box_scan():
     rs = B2
     bound = Fraction(3)
     out = set(dominant_weights_with_norm_bound(rs, bound))
-    from symdol.rootsys import killing_dual_form
     r = rho(rs)
     for a in range(0, 12):
         for b in range(0, 12):
@@ -498,7 +537,6 @@ def test_enumeration_complete_against_box_scan():
 @pytest.mark.parametrize("rs", [A2, B2, G2], ids=lambda r: r.name())
 def test_norm_strictly_increases_along_fundamental_steps(rs):
     # the monotonicity that makes the bounded enumeration complete
-    from symdol.rootsys import killing_dual_form
     rng = random.Random(31 + rs.rank)
     r = rho(rs)
     for _ in range(12):

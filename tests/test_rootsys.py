@@ -10,17 +10,17 @@ from symdol.rootsys import (
     build_root_system,
     is_dominant,
     is_nonneg_root_combination,
-    killing_dual_form,
     rho,
-    simple_reflection,
 )
 
 from oracles import (
     dual_coxeter_by_killing_trace,
+    killing_dual_form,
     killing_form_by_orthogonal,
     positive_roots_by_reflection,
     root_coefficients_by_orthogonal,
     root_lattice_coefficients,
+    simple_reflection,
 )
 
 CLASSICAL_COUNTS = {

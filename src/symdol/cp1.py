@@ -290,7 +290,8 @@ def _gamma_blocks(lmax: int, gamma: int) -> list[BlockReport]:
         h_down, p_down = (h[l - 1], p[l - 1]) if l else (ZERO, ZERO)
         h_up, p_up = (h[l + 1], p[l + 1]) if l < top else (ZERO, ZERO)
         if not p[l].is_real():
-            raise ContractViolation(f"P is not a real scalar on block (level={l}, gamma={gamma})")
+            raise ContractViolation(
+                f"P is not a real scalar on block (level={l}, gamma={gamma}): P = {p[l]}")
         lam = p[l].re
         rank_d, rank_dbar = dim if d[l] else 0, dim if dbar[l] else 0
 

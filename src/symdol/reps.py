@@ -36,8 +36,8 @@ Poincare polynomial at t = 1 gives as the product of (ht + 1) / ht over
 the positive coroots with <mu, alpha^v> > 0, those outside Phi_J^v
 (Macdonald, The Poincare series of a Coxeter group, Math. Ann. 199, 1972).
 A spectrum's dimensions are reconciled with sum_mu m_mu |W mu| over the
-dominant table, and ``weight_system`` with its expanded orbits; a mismatch
-is a ContractViolation.
+dominant table, and ``weight_system`` with its expanded orbits, each orbit
+also reconciled on its own with |W mu|; a mismatch is a ContractViolation.
 
 One best-first walk over dominant weights, ``_dominant_walk``, serves every
 enumeration: Freudenthal walks down from gamma in increasing denominator,
@@ -306,13 +306,18 @@ def reconciled_dimension(rs: RootSystem, gamma: Sequence[int]) -> int:
 
 
 def weight_system(rs: RootSystem, gamma: Sequence[int]) -> WeightSystem:
-    """Full weight system of V_gamma, reconciled against the Weyl dimension."""
+    """Full weight system of V_gamma: each orbit reconciled against its
+    Poincare count, the total against the Weyl dimension."""
     g = _require_dominant(rs, gamma)
-    dom_mults = _dominant_multiplicities(rs, g)
     mults: dict[Weight, int] = {}
-    for mu, m in dom_mults.items():
-        for w in weyl_orbit(rs, mu):
-            mults[w] = m
+    for mu, m in _dominant_multiplicities(rs, g).items():
+        orbit, size = weyl_orbit(rs, mu), _orbit_size(rs, mu)
+        if len(orbit) != size:
+            raise ContractViolation(
+                f"{rs.name()}: Weyl orbit of {mu} in V_{g}: the walk lists {len(orbit)} "
+                f"weights, the Poincare count over the coroots gives {size}"
+            )
+        mults.update(dict.fromkeys(orbit, m))
     dim = sum(mults.values())
     expected = weyl_dimension(rs, g)
     if dim != expected:

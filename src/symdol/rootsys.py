@@ -222,25 +222,30 @@ def dominant_conjugate(rs: RootSystem, x: Sequence[int]) -> Weight:
         w = tuple(a - wi * c for a, c in zip(w, cartan[i]))
 
 
-def weyl_orbit(rs: RootSystem, x: Sequence[int]) -> set[Weight]:
-    """Full Weyl orbit, generated by simple reflections; s_i fixes w when
-    w_i = 0, so it is skipped there."""
-    start = as_weight(rs, x)
-    rows = tuple(enumerate(rs.cartan_matrix))
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for i, row in rows:
-                wi = w[i]
-                if wi:
-                    r = tuple(a - wi * c for a, c in zip(w, row))
-                    if r not in seen:
-                        seen.add(r)
-                        nxt.append(r)
-        frontier = nxt
-    return seen
+def weyl_orbit(rs: RootSystem, x: Sequence[int]) -> list[Weight]:
+    """Full Weyl orbit of x, each weight listed once, the dominant one first.
+
+    Walked as a tree from the orbit's one dominant weight (Humphreys, section
+    13.2, Lemma A): a weight w that is not dominant has the parent
+    s_j(w) = w + |w_j| alpha_j, j its first negative coordinate, which is
+    strictly higher, so every chain of parents ends at the root.  Hence s_i(w)
+    is a child of w exactly when w_i > 0 and every coordinate of s_i(w) before
+    i is >= 0: each weight is reached once, from its parent, and none is
+    built and then discarded.
+    """
+    start = dominant_conjugate(rs, x)
+    rows = [(i, row, row[:i]) for i, row in enumerate(rs.cartan_matrix)]
+    orbit = [start]
+    for w in orbit:   # grows while it is walked
+        for i, row, head in rows:
+            wi = w[i]
+            if wi > 0:
+                for a, c in zip(w, head):
+                    if a < wi * c:   # coordinate of s_i(w) before i is negative
+                        break
+                else:
+                    orbit.append(tuple([a - wi * c for a, c in zip(w, row)]))
+    return orbit
 
 
 def is_nonneg_root_combination(rs: RootSystem, x: Sequence[int]) -> bool:

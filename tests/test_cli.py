@@ -432,6 +432,17 @@ def test_broken_weight_system_invariant_exits_2(capsys, monkeypatch):
     assert "A2: weight system of V_(1, 1) sums to 8" in err and "gives 9" in err
 
 
+def test_short_weyl_orbit_exits_2(capsys, monkeypatch):
+    # an orbit one weight short of its Poincare count fails weight_system
+    true_orbit = reps.weyl_orbit
+    monkeypatch.setattr(reps, "weyl_orbit", lambda rs, mu: true_orbit(rs, mu)[1:])
+    code, _, err = run_cli(capsys, "irrep", "--family", "A", "--rank", "2",
+                           "--weight", "1,1")
+    assert code == 2
+    assert ("contract violation: A2: Weyl orbit of (1, 1) in V_(1, 1): the walk lists 5 "
+            "weights, the Poincare count over the coroots gives 6") in err
+
+
 def test_broken_spectrum_ground_row_exits_2(capsys, monkeypatch):
     true_dimension = flagspec.weyl_dimension
     monkeypatch.setattr(flagspec, "weyl_dimension",

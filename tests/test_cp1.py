@@ -5,6 +5,7 @@ import pytest
 import oracles
 from oracles import invariant_weight_norms, kernel_dimension, mat_from_rows, mat_sub, rank
 from symdol import cli, cp1, fock, linalg
+from symdol.errors import ContractViolation
 from symdol.gaussian import GaussianRational, ZERO, gq
 from symdol.linalg import Mat, mat_mul, mat_scale, scalar_identity_value, scalar_matrix
 
@@ -118,6 +119,21 @@ def test_non_scalar_omega_fails_p_identity_on_every_level(monkeypatch, entry, me
         assert (f"level {lv.level}, gamma 5: P-identity failed: "
                 f"P = -Omega - (3/2) H^2: {message}") in lv.failures
     assert [b.level for lv in report for b in lv.blocks if b.gamma == 5] == [0, 1, 2]
+
+
+def test_non_real_p_names_its_value(monkeypatch):
+    # a P with an imaginary part is a violation that names the block and P
+    true_p = cp1.p_block
+
+    def broken(level, gamma, *maps):
+        p = true_p(level, gamma, *maps)
+        return p + gq(0, Fraction(1, 3)) if (level, gamma) == (1, 5) else p
+
+    monkeypatch.setattr(cp1, "p_block", broken)
+    with pytest.raises(ContractViolation) as info:
+        cp1.verify(2, 7)
+    assert str(info.value) == (
+        f"P is not a real scalar on block (level=1, gamma=5): P = {cp1.lambda_lj(1, 1)}+1/3i")
 
 
 @pytest.mark.parametrize("level", range(0, 5))

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from symdol import reps, rootsys
+from symdol.errors import ContractViolation
 from symdol.flagspec import distinguish, p_spectrum
 from symdol.reps import (
     casimir_value,
@@ -110,6 +111,38 @@ def test_orbit_size_times_stabilizer_is_weyl_group_order(pair):
         size = reps._orbit_size(rs, mu)
         assert size == len(weyl_orbit(rs, mu)), mu
         assert size * len(_parabolic_orbit(rs, rho(rs), fixed)) == order, mu
+
+
+@pytest.mark.parametrize("pair", RANK_LE_4, ids=_rank_id)
+def test_weyl_orbit_matches_reflection_closure(pair):
+    # the tree walk against the closure under every simple reflection, from
+    # every x in {-1, 0, 1}^r, dominant or not: the same weights, none twice,
+    # the dominant conjugate first, and |W mu| of them for dominant mu
+    rs = build_root_system(*pair)
+    everything = range(rs.rank)
+    for x in itertools.product((-1, 0, 1), repeat=rs.rank):
+        orbit = weyl_orbit(rs, x)
+        assert len(orbit) == len(set(orbit)), x
+        assert set(orbit) == _parabolic_orbit(rs, x, everything), x
+        assert orbit[0] == dominant_conjugate(rs, x), x
+        if min(x) >= 0:
+            assert len(orbit) == reps._orbit_size(rs, x), x
+
+
+def test_weight_system_reconciles_each_orbit(monkeypatch):
+    # an orbit one weight short is a violation that names the algebra, mu
+    # and both counts, before the total is compared
+    true_orbit = reps.weyl_orbit
+
+    def short(rs, mu):
+        orbit = true_orbit(rs, mu)
+        return orbit[:-1] if mu == (0, 1, 0) else orbit
+
+    monkeypatch.setattr(reps, "weyl_orbit", short)
+    with pytest.raises(ContractViolation) as info:
+        weight_system(B3, (1, 1, 0))
+    assert str(info.value) == ("B3: Weyl orbit of (0, 1, 0) in V_(1, 1, 0): the walk lists 11 "
+                               "weights, the Poincare count over the coroots gives 12")
 
 
 @pytest.mark.parametrize("pair", RANK_LE_5, ids=_rank_id)

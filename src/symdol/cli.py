@@ -319,41 +319,26 @@ def _index_table(p):
 # parser wiring
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="symdol", description=__doc__,
-                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text, csv_header, func, csv, table):
-        p = sub.add_parser(
-            name, help=help_text, epilog=f"csv header: {csv_header}",
-            formatter_class=argparse.RawDescriptionHelpFormatter,
-        )
-        p.set_defaults(func=func, csv_header=csv_header, csv=csv, table=table)
-        return p
-
-    p = add("roots", "Cartan data of a classical root system", "item,index,values",
-            _cmd_roots, _roots_csv, _roots_table)
+def _roots_args(p):
     p.add_argument("--family", required=True, help="one of A, B, C, D, G")
     p.add_argument("--rank", required=True, type=int)
 
-    p = add("irrep", "dimension and weight multiplicities of an irreducible",
-            "weight,multiplicity", _cmd_irrep, _irrep_csv, _irrep_table)
+
+def _irrep_args(p):
     p.add_argument("--family", required=True)
     p.add_argument("--rank", required=True, type=int)
     p.add_argument("--weight", required=True,
                    help="dominant highest weight, comma-separated fundamental coordinates")
 
-    p = add("spectrum", "vacuum-operator spectrum on G/T twisted by a dominant weight",
-            "lambda,total,gamma,weight_mult,dim", _cmd_spectrum, _spectrum_csv, _spectrum_table)
+
+def _spectrum_args(p):
     p.add_argument("--family", required=True)
     p.add_argument("--rank", required=True, type=int)
     p.add_argument("--mu", required=True, help="dominant twist weight, comma-separated")
     p.add_argument("--cutoff", required=True, help="inclusive eigenvalue cutoff, rational p/q")
 
-    p = add("distinguish", "compare the B_n and C_n vacuum spectra at mu = 0",
-            "row,lambda_b,total_b,lambda_c,total_c,equal",
-            _cmd_distinguish, _distinguish_csv, _distinguish_table)
+
+def _distinguish_args(p):
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--n", type=int, help="rank, n >= 2")
     group.add_argument("--rank1-sanity", action="store_true",
@@ -362,22 +347,59 @@ def build_parser() -> argparse.ArgumentParser:
                    help="rational eigenvalue cutoff (default: auto, twice the larger "
                         "first positive eigenvalue)")
 
-    p = add("cp1", "run the CP^1 block-matrix verification suite",
-            "level,gamma,j,dim,lambda,rank_d,rank_dbar,ker_d,ker_dbar,status",
-            _cmd_cp1, _cp1_csv, _cp1_table)
+
+def _cp1_args(p):
     p.add_argument("--lmax", required=True, type=int, help="largest spinor level")
     p.add_argument("--gamma-max", required=True, type=int, dest="gamma_max",
                    help="odd truncation bound on the block label gamma")
     p.add_argument("--matrices", action="store_true",
                    help="include sparse matrix triplets [row, col, 'a+bi'] in json output")
 
-    p = add("index", "closed-form index on a genus-g surface", "genus,level,kind,index",
-            _cmd_index, _index_csv, _index_table)
+
+def _index_args(p):
     p.add_argument("--genus", required=True, type=int)
     p.add_argument("--level", required=True, type=int)
     p.add_argument("--spinor", required=True, choices=surface.SPINOR_KINDS)
 
-    for name, p in sub.choices.items():     # after each command's own arguments
+
+# name -> (help, csv header, payload, csv rows, table lines, own arguments)
+_COMMANDS = {
+    "roots": ("Cartan data of a classical root system", "item,index,values",
+              _cmd_roots, _roots_csv, _roots_table, _roots_args),
+    "irrep": ("dimension and weight multiplicities of an irreducible", "weight,multiplicity",
+              _cmd_irrep, _irrep_csv, _irrep_table, _irrep_args),
+    "spectrum": ("vacuum-operator spectrum on G/T twisted by a dominant weight",
+                 "lambda,total,gamma,weight_mult,dim",
+                 _cmd_spectrum, _spectrum_csv, _spectrum_table, _spectrum_args),
+    "distinguish": ("compare the B_n and C_n vacuum spectra at mu = 0",
+                    "row,lambda_b,total_b,lambda_c,total_c,equal",
+                    _cmd_distinguish, _distinguish_csv, _distinguish_table, _distinguish_args),
+    "cp1": ("run the CP^1 block-matrix verification suite",
+            "level,gamma,j,dim,lambda,rank_d,rank_dbar,ker_d,ker_dbar,status",
+            _cmd_cp1, _cp1_csv, _cp1_table, _cp1_args),
+    "index": ("closed-form index on a genus-g surface", "genus,level,kind,index",
+              _cmd_index, _index_csv, _index_table, _index_args),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The symdol parser with only the subparser of ``command`` when it names
+    a subcommand, and with all six otherwise (--help, no arguments, a typo).
+
+    A query parses the same either way: no output of a subparser, nor an
+    error the top-level parser reports, reads the list of subcommands.
+    """
+    parser = _Parser(prog="symdol", description=__doc__,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in [command] if command in _COMMANDS else _COMMANDS:
+        help_text, csv_header, func, csv, table, arguments = _COMMANDS[name]
+        p = sub.add_parser(
+            name, help=help_text, epilog=f"csv header: {csv_header}",
+            formatter_class=argparse.RawDescriptionHelpFormatter,
+        )
+        p.set_defaults(func=func, csv_header=csv_header, csv=csv, table=table)
+        arguments(p)
         p.add_argument("--format", choices=("table", "json", "csv"), default="table",
                        help="output format (default: table)")
         if name in ("spectrum", "distinguish"):
@@ -388,8 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         _render(args, args.func(args))
     except ContractViolation as exc:

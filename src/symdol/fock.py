@@ -24,12 +24,14 @@ integral(h_m^2) = sqrt(pi) 2^m m!.
 Operators between two levels are sparse :class:`linalg.Mat` matrices over
 the lex-ordered level bases; an action leaving the target level is rejected.
 Coefficients are exact Gaussian rationals; there is no floating-point code.
-The ladder itself runs on integers: each Z / Zbar coefficient enters as an
-integer row (x, y, d) for (x + y*i) / d, the products are summed as integer
-numerators per output term, and each output coefficient is normalized into a
-canonical Gaussian rational once.  ``add`` and ``scale`` work on the same
-integer fields: one normalization per summed key or scaled term, none for a
-unit scalar.
+The ladder runs on integers in one kernel.  Each caller builds its integer
+rows (j - 1, x, y, d, step) once, one per Z_j (step 1) or Zbar_j (step -1)
+with a nonzero coefficient, with the ladder constant -i/2 or -i folded into
+(x + y*i) / d; the kernel sums the products as integer numerators per output
+term and normalizes each output coefficient into a canonical Gaussian
+rational once.  ``add`` and ``scale`` work on the same integer fields: one
+normalization per summed key or scaled term, none for a unit scalar, and no
+Gaussian rational built for an int or Rational scalar.
 """
 
 from __future__ import annotations
@@ -61,15 +63,9 @@ def dim_level(n: int, l: int) -> int:
 def level_indices(n: int, l: int) -> list[FockIndex]:
     """All multi-indices of length n and total l, lexicographically sorted."""
     _check_level(n, l)
-    out = []
-    for cuts in combinations(range(l + n - 1), n - 1):
-        beta, prev = [], 0
-        for c in cuts:
-            beta.append(c - prev)
-            prev = c + 1
-        beta.append(l + n - 1 - prev)
-        out.append(tuple(beta))
-    return sorted(out)
+    # stars and bars: the n - 1 bars sit at cuts among l + n - 1 places
+    edges = ((-1, *cuts, l + n - 1) for cuts in combinations(range(l + n - 1), n - 1))
+    return sorted(tuple(b - a - 1 for a, b in zip(e, e[1:])) for e in edges)
 
 
 class FockVector(NamedTuple):
@@ -139,7 +135,10 @@ def scale(c, v: FockVector) -> FockVector:
     vector.
     """
     fields = gaussian.fields
-    a, b, e = fields(GaussianRational.coerce(c))
+    if isinstance(c, GaussianRational):
+        a, b, e = fields(c)
+    else:
+        (a, e), b = gaussian._rational(c), 0
     if not (a or b):
         return FockVector(v.n, {})
     make = gaussian._raw if e == 1 and a * a + b * b == 1 else gaussian._reduced
@@ -150,21 +149,20 @@ def scale(c, v: FockVector) -> FockVector:
     return FockVector(v.n, out)
 
 
-def _check_direction(n: int, j: int):
+def _direction_index(n: int, j: int) -> int:
     if not 1 <= j <= n:
         raise ValueError(f"direction {j} out of range 1..{n}")
+    return j - 1
 
 
 def sigma_raise(j: int, v: FockVector) -> FockVector:
     """sigma(Z_j): raises level by one with coefficient -i/2."""
-    _check_direction(v.n, j)
-    return _sigma_complex([(j - 1, 1, 0, 1)], [], v)
+    return _ladder([(_direction_index(v.n, j), 0, -1, 2, 1)], v)
 
 
 def sigma_lower(j: int, v: FockVector) -> FockVector:
     """sigma(Zbar_j): lowers level by one with coefficient -i*beta_j."""
-    _check_direction(v.n, j)
-    return _sigma_complex([], [(j - 1, 1, 0, 1)], v)
+    return _ladder([(_direction_index(v.n, j), 0, -1, 1, -1)], v)
 
 
 def sigma_real(coeff_a: Sequence, coeff_b: Sequence, v: FockVector) -> FockVector:
@@ -175,33 +173,30 @@ def sigma_real(coeff_a: Sequence, coeff_b: Sequence, v: FockVector) -> FockVecto
     """
     if len(coeff_a) != v.n or len(coeff_b) != v.n:
         raise ValueError("coefficient vectors must have length n")
-    up, down = [], []
+    rows = []
     for k, (a, b) in enumerate(zip(coeff_a, coeff_b)):
         if a.__class__ is Fraction and b.__class__ is Fraction:
-            p, q, r, s = a.numerator, a.denominator, b.numerator, b.denominator
+            p, r = a.numerator, b.numerator
+            q, s = (a.denominator, b.denominator) if p or r else (1, 1)
         else:
             (p, q), (r, s) = gaussian._rational(a), gaussian._rational(b)
         if p or r:
-            # a_j = Z_j + Zbar_j, b_j = i (Z_j - Zbar_j): Z_j gets a + ib, Zbar_j a - ib
-            up.append((k, p * s, r * q, q * s))
-            down.append((k, p * s, -r * q, q * s))
-    return _sigma_complex(up, down, v)
+            # a_j = Z_j + Zbar_j, b_j = i (Z_j - Zbar_j): rows -(i/2)(a + ib), -i (a - ib)
+            x, y, d = p * s, r * q, q * s
+            rows += (k, y, -x, 2 * d, 1), (k, -y, -x, d, -1)
+    return _ladder(rows, v)
 
 
-def _sigma_complex(up: Sequence[tuple], down: Sequence[tuple], v: FockVector) -> FockVector:
-    """sigma of sum_j (z_j Z_j + zbar_j Zbar_j) in one pass over the terms of v.
+def _ladder(rows: Sequence[tuple], v: FockVector) -> FockVector:
+    """sigma of a sum of ladder steps, in one pass over the terms of v.
 
-    Each nonzero z_j (in up) and zbar_j (in down) is an integer row
-    (j - 1, x, y, d) meaning (x + y*i) / d with d > 0; directions without a
-    row are never visited.  The products are summed as integer numerators
-    per output term (over a shared denominator, cross-multiplied when the
-    denominators differ) and each output coefficient is normalized once;
-    exact zeros are dropped.  The ladder rules of the module docstring are
-    applied here and nowhere else.
+    A row (k, x, y, d, step) with d > 0 maps h_beta to (x + y*i) / d times
+    h_{beta+e_j} (step 1) or beta_j h_{beta-e_j} (step -1), j = k + 1: the
+    ladder constant is part of the row.  The products are summed as integer
+    numerators per output term (over a shared denominator, cross-multiplied
+    when the denominators differ) and each output coefficient is normalized
+    once; exact zeros are dropped.
     """
-    # Z_j: -(i/2) h_{beta+e_j};  Zbar_j: -i beta_j h_{beta-e_j};  -i (x + y*i) = y - x*i
-    rows = [(k, y, -x, 2 * d, 1) for k, x, y, d in up]
-    rows += [(k, y, -x, d, -1) for k, x, y, d in down]
     fields = gaussian.fields
     acc: dict[FockIndex, tuple[int, int, int]] = {}
     for beta, c in v.terms.items():
@@ -211,8 +206,8 @@ def _sigma_complex(up: Sequence[tuple], down: Sequence[tuple], v: FockVector) ->
             m = 1 if step > 0 else bk
             if not m:
                 continue
-            key = beta[:k] + (bk + step,) + beta[k + 1:]
             px, py, pd = (x * cx - y * cy) * m, (x * cy + y * cx) * m, d * cd
+            key = beta[:k] + (bk + step,) + beta[k + 1:]
             old = acc.get(key)
             if old is not None:
                 ox, oy, od = old
@@ -234,23 +229,16 @@ def h0_apply(v: FockVector) -> FockVector:
 
 def basis_norm_sq(beta: FockIndex) -> Fraction:
     """<h_beta, h_beta> = 2^{l-1} prod_j beta_j!."""
-    l = sum(beta)
-    value = Fraction(2) ** (l - 1)
-    for b in beta:
-        value *= math.factorial(b)
-    return value
+    return Fraction(2) ** (sum(beta) - 1) * math.prod(map(math.factorial, beta))
 
 
 def inner_product(v: FockVector, w: FockVector) -> GaussianRational:
     """Sesquilinear (conjugate-linear in the second slot), exact."""
     if v.n != w.n:
         raise ValueError("dimension mismatch")
-    total = ZERO
     small, big = (v.terms, w.terms) if len(v.terms) <= len(w.terms) else (w.terms, v.terms)
-    for beta in small:
-        if beta in big:
-            total = total + v.terms[beta] * w.terms[beta].conjugate() * basis_norm_sq(beta)
-    return total
+    return sum((v.terms[beta] * w.terms[beta].conjugate() * basis_norm_sq(beta)
+                for beta in small if beta in big), ZERO)
 
 
 # ---------------------------------------------------------------------------
@@ -318,18 +306,21 @@ def to_json_triplets(op: FockOperator) -> list[list]:
 # ---------------------------------------------------------------------------
 
 def _symbol_coefficients(n: int, v: Sequence) -> tuple[list, list]:
-    """Z / Zbar ladder rows of v -+ i J v for a real coordinate vector v.
+    """Raising and lowering ladder rows of v -+ i J v for a real coordinate vector v.
 
     v lists (a_j, b_j) components interleaved: (va_1, vb_1, ..., va_n, vb_n),
     in a unitary basis b_j = J a_j.  Then
 
         v - iJv = sum_j 2 (va_j + i vb_j) Z_j     (pure raising)
-        v + iJv = sum_j 2 (va_j - i vb_j) Zbar_j  (pure lowering).
+        v + iJv = sum_j 2 (va_j - i vb_j) Zbar_j  (pure lowering),
+
+    so with va_j + i vb_j = (x + y*i) / d the rows hold (y - x*i) / d and (-2y - 2x*i) / d.
     """
-    rows = [(k, *gaussian.fields(2 * w)) for k, w in enumerate(_coordinates(n, v)) if w]
-    if not rows:
+    parts = [(k, *gaussian.fields(w)) for k, w in enumerate(_coordinates(n, v)) if w]
+    if not parts:
         raise ValueError("symbol of the zero vector is degenerate")
-    return rows, [(k, x, -y, d) for k, x, y, d in rows]
+    return ([(k, y, -x, d, 1) for k, x, y, d in parts],
+            [(k, -2 * y, -2 * x, d, -1) for k, x, y, d in parts])
 
 
 def _coordinates(n: int, v: Sequence) -> list[GaussianRational]:
@@ -347,7 +338,7 @@ def metric_norm_sq(n: int, v: Sequence) -> Fraction:
 def symbol_raise_operator(n: int, l: int, v: Sequence) -> FockOperator:
     """sigma(v - iJv): E_l -> E_{l+1}."""
     raise_rows, _ = _symbol_coefficients(n, v)
-    return operator_from_action(n, l, l + 1, lambda vec: _sigma_complex(raise_rows, [], vec))
+    return operator_from_action(n, l, l + 1, lambda vec: _ladder(raise_rows, vec))
 
 
 def symbol_lower_operator(n: int, l: int, v: Sequence) -> FockOperator:
@@ -356,7 +347,7 @@ def symbol_lower_operator(n: int, l: int, v: Sequence) -> FockOperator:
     if l == 0:
         # sigma(Zbar) annihilates E_0; keep a level-0 endomorphism shape
         return FockOperator(n, 0, 0, Mat(1, 1, {}))
-    return operator_from_action(n, l, l - 1, lambda vec: _sigma_complex([], lower_rows, vec))
+    return operator_from_action(n, l, l - 1, lambda vec: _ladder(lower_rows, vec))
 
 
 def symbol_product(n: int, l: int, v: Sequence) -> FockOperator:

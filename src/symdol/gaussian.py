@@ -181,10 +181,10 @@ def _reduced(x: int, y: int, d: int) -> GaussianRational:
     if d != 1:
         g = gcd(x, y, d)
         if g != 1:
-            x //= g
-            y //= g
-            d //= g
-    return _raw(x, y, d)
+            x, y, d = x // g, y // g, d // g
+    z = _new(GaussianRational)
+    _set_f(z, (x, y, d))
+    return z
 
 
 # fields(z) -> (x, y, d): the normalized integers of z = (x + y*i) / d
@@ -203,10 +203,13 @@ ONE = GaussianRational(1, 0)
 
 def gq_str(z: GaussianRational) -> str:
     """Canonical text form: rationals as ``p/q``, e.g. ``-1/2+3i`` or ``2/3``."""
-    re, im = z.re, z.im
-    if im == 0:
-        return str(re)
-    if re == 0:
-        return f"{im}i"
-    sign = "+" if im > 0 else "-"
-    return f"{re}{sign}{abs(im)}i"
+    x, y, d = z._f
+    if not y:
+        return _part_str(x, d)
+    im = _part_str(y, d) + "i"
+    return f"{_part_str(x, d)}{'+' if y > 0 else ''}{im}" if x else im
+
+
+def _part_str(x: int, d: int) -> str:   # as str(Fraction(x, d)) renders it, d > 0
+    g = gcd(x, d)
+    return str(x // g) if g == d else f"{x // g}/{d // g}"

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from symdol import cp1, flagspec, reps
-from symdol.cli import main
+from symdol.cli import build_parser, main
 from symdol.gaussian import gq
 from symdol.linalg import Mat, mat_scale
 from symdol.reps import weight_system
@@ -504,3 +504,22 @@ def test_help_documents_csv_header(capsys, command):
     code, out, _ = run_cli(capsys, command, *CSV_ARGS[command], "--format", "csv")
     assert code == 0
     assert epilog == f"csv header: {out.splitlines()[0]}"
+
+
+@pytest.mark.parametrize("command", CSV_ARGS)
+def test_one_subparser_parses_like_all_six(capsys, monkeypatch, command):
+    """main builds only the named subcommand's parser; its --help and its usage
+    errors print the same bytes, with the same exit code, as the parser of all six."""
+    monkeypatch.setenv("COLUMNS", "80")
+
+    def outcome(parse, argv):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        return exc.value.code, capsys.readouterr()
+
+    for argv, code in (([command, "--help"], 0), ([command], 1), ([command, "--bogus"], 1)):
+        full = outcome(build_parser().parse_args, argv)
+        assert full[0] == code
+        assert outcome(main, argv) == full
+    assert outcome(build_parser(command).parse_args, ["frobnicate"])[1].err.endswith(
+        f"invalid choice: 'frobnicate' (choose from '{command}')\n")

@@ -57,6 +57,17 @@ def test_rendering():
     assert gq_str(gq(0)) == "0"
 
 
+_small_parts = st.one_of(st.just(0), st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12)))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_small_parts, _small_parts)
+def test_rendering_from_fields_matches_fraction_parts(re, im):
+    """gq_str renders the integer fields; the oracle renders str(Fraction) parts."""
+    z = gq(re, im)
+    assert gq_str(z) == str(z) == FractionPairGaussian(re, im).text()
+
+
 def test_coercion_rejects_floats():
     with pytest.raises(TypeError):
         GaussianRational.coerce(0.5)

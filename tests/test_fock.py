@@ -127,11 +127,12 @@ def _ladder_case(draw):
 def test_one_pass_ladder_matches_direction_by_direction(case):
     v, z, zbar = case
 
-    def rows(coeffs):
-        return [(k, *gaussian.fields(c)) for k, c in enumerate(coeffs) if c]
+    def rows(coeffs, constant, step):
+        """Kernel rows (k, x, y, d, step) of the nonzero coeffs times the ladder constant."""
+        return [(k, *gaussian.fields(constant * c), step) for k, c in enumerate(coeffs) if c]
 
-    assert fock._sigma_complex(rows(z), rows(zbar), v).terms == \
-        oracles.sigma_complex_by_composition(z, zbar, v).terms
+    ladder = rows(z, gq(0, Fraction(-1, 2)), 1) + rows(zbar, gq(0, -1), -1)
+    assert fock._ladder(ladder, v).terms == oracles.sigma_complex_by_composition(z, zbar, v).terms
     for j in range(1, v.n + 1):
         assert fock.sigma_raise(j, v).terms == oracles.sigma_raise_by_direction(j, v).terms
         assert fock.sigma_lower(j, v).terms == oracles.sigma_lower_by_direction(j, v).terms
@@ -309,6 +310,33 @@ def test_commutator_sum_and_unit_scaling_work(monkeypatch):
             ba = fock.sigma_real(zero, [1, 0, 0], fock.sigma_real([1, 0, 0], zero, b))
             assert fock.add(ab, fock.scale(-1, ba)).terms == {beta: gq(0, -1)}
     assert calls[0] == 168
+
+
+def test_scalars_and_coordinates_build_no_gaussian_rational(monkeypatch):
+    """Deterministic work counter: scale reads an int or Rational scalar as its
+    integer pair and sigma_real reads Fraction coordinates the same way, so
+    neither constructs a GaussianRational (a coerced scalar would be one per
+    scale call); only the results are built, from their normal form."""
+    v = fock.FockVector(6, {(1, 0, 2, 0, 0, 1): gq(Fraction(1, 2), 3), (0,) * 6: gq(0, -2)})
+    scalars = (-1, 2, Fraction(1, 3), gq(0, 1))
+    calls = [0]
+    init = GaussianRational.__init__
+
+    def counting(self, *args):
+        calls[0] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(GaussianRational, "__init__", counting)
+    for c in scalars:
+        assert fock.scale(c, v).terms == {beta: z * c for beta, z in v.terms.items()}
+    coords_a = [Fraction(0), Fraction(1, 2), Fraction(0), Fraction(-3), Fraction(0), Fraction(0)]
+    coords_b = [Fraction(0), Fraction(0), Fraction(2, 3), Fraction(1), Fraction(0), Fraction(0)]
+    image = fock.sigma_real(coords_a, coords_b, v)
+    calls[0] = 0
+    for c in scalars:
+        fock.scale(c, v)
+    assert fock.sigma_real(coords_a, coords_b, v) == image
+    assert calls[0] == 0
 
 
 def test_scale_and_add_normalize_only_what_needs_it(monkeypatch):

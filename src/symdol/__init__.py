@@ -3,7 +3,7 @@
 Submodules
 ----------
 gaussian  exact Gaussian-rational numbers
-linalg    the sparse exact matrix type (Fock operators, the CP^1 Casimir): products, sums
+linalg    the sparse exact matrix type (Fock operators, CLI matrix output): products
 errors    ContractViolation, raised when an internal invariant breaks
 rootsys   exact classical root systems and the dual Killing form
 reps      weight multiplicities, dimensions, Casimirs, one dominant-weight walk
@@ -15,61 +15,55 @@ cli       the command-line interface; owns every output format (table, json, csv
 
 rootsys, reps and flagspec import only each other and errors: the flag
 manifolds never touch the Gaussian, Fock or CP^1 layers.
+
+The names in ``__all__`` are loaded lazily (PEP 562): ``import symdol``
+imports no submodule, and the first access to a name imports its home
+module.  So ``from symdol import fock`` loads only fock and the layers it
+imports itself.
 """
 
-from .errors import ContractViolation
-from .flagspec import (
-    DistinguishReport,
-    GroundKernel,
-    SpectrumTable,
-    distinguish,
-    ground_kernel,
-    p_spectrum,
-    rank_one_sanity,
-    small_irrep_inventory,
-    spinor_weight,
-)
-from .reps import (
-    WeightSystem,
-    casimir_value,
-    dominant_weights_with_norm_bound,
-    weight_multiplicity,
-    weight_system,
-    weyl_dimension,
-)
-from .rootsys import (
-    RootSystem,
-    build_root_system,
-    is_dominant,
-    rho,
-)
-from .surface import IndexQuery, cp1_consistency, index
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ContractViolation",
-    "DistinguishReport",
-    "GroundKernel",
-    "IndexQuery",
-    "RootSystem",
-    "SpectrumTable",
-    "WeightSystem",
-    "build_root_system",
-    "casimir_value",
-    "cp1_consistency",
-    "distinguish",
-    "dominant_weights_with_norm_bound",
-    "ground_kernel",
-    "index",
-    "is_dominant",
-    "p_spectrum",
-    "rank_one_sanity",
-    "rho",
-    "small_irrep_inventory",
-    "spinor_weight",
-    "weight_multiplicity",
-    "weight_system",
-    "weyl_dimension",
-    "__version__",
-]
+# each public name and the submodule that defines it
+_HOME = {
+    "ContractViolation": "errors",
+    "DistinguishReport": "flagspec",
+    "GroundKernel": "flagspec",
+    "IndexQuery": "surface",
+    "RootSystem": "rootsys",
+    "SpectrumTable": "flagspec",
+    "WeightSystem": "reps",
+    "build_root_system": "rootsys",
+    "casimir_value": "reps",
+    "cp1_consistency": "surface",
+    "distinguish": "flagspec",
+    "dominant_weights_with_norm_bound": "reps",
+    "ground_kernel": "flagspec",
+    "index": "surface",
+    "is_dominant": "rootsys",
+    "p_spectrum": "flagspec",
+    "rank_one_sanity": "flagspec",
+    "rho": "rootsys",
+    "small_irrep_inventory": "flagspec",
+    "spinor_weight": "flagspec",
+    "weight_multiplicity": "reps",
+    "weight_system": "reps",
+    "weyl_dimension": "reps",
+}
+
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name):
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{home}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

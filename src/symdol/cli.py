@@ -240,10 +240,9 @@ def _cp1_block_jsonable(block, include_matrices: bool) -> dict:
         "ker_dbar": block.ker_dbar,
     }
     if include_matrices:
-        # D, Dbar, H and P are held as the scalar c of c * I; Omega is a matrix
-        mats = {op: scalar_matrix(block.dim, getattr(block, op)) for op in ("d", "dbar", "h", "p")}
-        mats["omega"] = block.omega
-        entry["matrices"] = {op: mats[op].triplets() for op in ("d", "dbar", "h", "omega", "p")}
+        # every operator is held as the scalar c of c * I
+        entry["matrices"] = {op: scalar_matrix(block.dim, getattr(block, op)).triplets()
+                             for op in ("d", "dbar", "h", "omega", "p")}
     return entry
 
 

@@ -25,12 +25,14 @@ are independent of this residual phase choice.
 0..lmax+2, Dbar, H and P on 0..lmax+1 (P from those D/Dbar neighbours) and
 Omega once, since Omega does not depend on the level.  D, Dbar, H and P are
 held as the exact scalar c of c * I (a map into a missing neighbour block is
-zero), so ranks, ladder and commutators are scalar identities.  Omega, the
-one genuine matrix, is checked to be c * I once per gamma (Schur's lemma),
-so P = -Omega - (3/2) H^2 is the scalar P = -c - (3/2) H^2 on every block,
-and fails on all of them when Omega is not c * I.  The same pass sums the
-ranks into each level's kernel ledger; a failure names its level, gamma,
-check and values.  Any nonzero residual is a failure.
+zero), so ranks, ladder and commutators are scalar identities.  Omega is a
+scalar too: h is diagonal and X, Y are single bands on the weight basis, so
+Omega is diagonal, and Schur's lemma is k+1 integer equalities on 8 Omega's
+diagonal, once per gamma.  P = -Omega - (3/2) H^2 is then the scalar
+P = -c - (3/2) H^2 on every block, and fails on all of them when Omega is
+not c * I.  The same pass sums the ranks into each level's kernel ledger; a
+failure names its level, gamma, check and values.  Any nonzero residual is
+a failure.
 """
 
 from __future__ import annotations
@@ -41,8 +43,7 @@ from typing import NamedTuple, Optional
 
 from . import fock
 from .errors import ContractViolation
-from .gaussian import GaussianRational, ONE, ZERO, gq
-from .linalg import Mat, mat_add, mat_mul, mat_scale, scalar_identity_value
+from .gaussian import GaussianRational, ZERO, gq
 
 # right-action normalization of the root vectors (see module docstring)
 C_PLUS = gq(Fraction(1, 4), Fraction(1, 4))     # Z_alpha   -> C_PLUS  * X
@@ -59,37 +60,34 @@ def _x_entry(k: int, r: int) -> int:
 
 
 class Sl2Irrep(NamedTuple):
-    """The (k+1)-dimensional irreducible on the weight basis v_0, ..., v_k.
-
-    v_r has h-eigenvalue k - 2r; X v_r = r(k-r+1) v_{r-1}; Y v_r = v_{r+1}.
-    All entries are integers; each matrix stores only its one band.
+    """The (k+1)-dimensional irreducible on the weight basis v_0, ..., v_k,
+    held as its integer bands: h v_r = h[r] v_r with h[r] = k - 2r, and
+    X v_r = x[r] v_{r-1} with x[r] = r(k-r+1), so x[0] = 0.  Y v_r = v_{r+1}
+    is a band of ones and is not stored.
     """
 
     k: int
-    h: Mat
-    x: Mat
-    y: Mat
+    h: tuple[int, ...]
+    x: tuple[int, ...]
 
 
 def sl2_irrep(k: int) -> Sl2Irrep:
     k = operator.index(k)
     if k < 0:
         raise ValueError("k must be nonnegative")
-    size = k + 1
-    h = Mat(size, size, {(r, r): gq(k - 2 * r) for r in range(size) if k != 2 * r})
-    x = Mat(size, size, {(r - 1, r): gq(_x_entry(k, r)) for r in range(1, size)})
-    y = Mat(size, size, {(r + 1, r): ONE for r in range(k)})
-    return Sl2Irrep(k, h, x, y)
+    return Sl2Irrep(k, tuple(range(k, -k - 1, -2)), tuple(_x_entry(k, r) for r in range(k + 1)))
 
 
-def sl2_casimir_matrix(rep: Sl2Irrep) -> Mat:
-    """-(1/8) h^2 - (1/4)(XY + YX), the Casimir for negative the Killing form.
+def sl2_casimir_diagonal(rep: Sl2Irrep) -> tuple[int, ...]:
+    """8 times the Casimir -(1/8) h^2 - (1/4)(XY + YX) for negative the Killing
+    form, by its diagonal: X raises and Y lowers by one band, so XY and YX are
+    diagonal with (XY)_rr = x[r+1] and (YX)_rr = x[r] (x[k+1] = 0), and
+    8 Omega_rr = -h[r]^2 - 2(x[r] + x[r+1]) (Humphreys, Lie algebras, 7.2).
 
-    Acts as -((k+1)^2 - 1)/8 times the identity.
+    Every entry is -((k+1)^2 - 1).
     """
-    hh = mat_scale(mat_mul(rep.h, rep.h), Fraction(-1, 8))
-    mixed = mat_scale(mat_add(mat_mul(rep.x, rep.y), mat_mul(rep.y, rep.x)), Fraction(-1, 4))
-    return mat_add(hh, mixed)
+    x = (*rep.x, 0)
+    return tuple(-h * h - 2 * (x[r] + x[r + 1]) for r, h in enumerate(rep.h))
 
 
 def lambda_lj(l: int, j: int) -> Fraction:
@@ -163,11 +161,12 @@ def h_block(level: int, gamma: int) -> GaussianRational:
     return gq(Fraction(-(2 * level + 1), 2))
 
 
-def omega_block(level: int, gamma: int) -> Mat:
-    """The Casimir, realized as a genuine matrix on the free V_gamma factor;
-    the same matrix at every level of the gamma ladder."""
+def omega_block(level: int, gamma: int) -> tuple[int, ...]:
+    """The Casimir on the free V_gamma factor, as 8 times its diagonal on the
+    weight basis (it has no other entry); the same at every level of the
+    gamma ladder."""
     _require_block(level, gamma)
-    return sl2_casimir_matrix(sl2_irrep(gamma))
+    return sl2_casimir_diagonal(sl2_irrep(gamma))
 
 
 def p_block(level: int, gamma: int, d_up: GaussianRational, dbar: GaussianRational,
@@ -207,10 +206,10 @@ class BlockReport(NamedTuple):
     gamma: int
     j: int
     dim: int
-    d: GaussianRational    # D, Dbar, H and P: the scalar c of c * I; Omega: a matrix
+    d: GaussianRational    # each operator: the scalar c of c * I
     dbar: GaussianRational
     h: GaussianRational
-    omega: Mat             # checked to be c * I once per gamma; P-identity: P = -c - (3/2) H^2
+    omega: GaussianRational    # checked to be c * I once per gamma; P-identity: P = -c - (3/2) H^2
     p: GaussianRational
     eigenvalue: Fraction
     rank_d: int
@@ -249,12 +248,12 @@ class LevelReport(NamedTuple):
         return all(b.passed("commutators") for b in self.blocks)
 
 
-def _off_scalar(gamma: int, omega: Mat) -> str:
-    """Omega's first entry off c * I on V_gamma, c its (0, 0) entry."""
-    c = omega.get((0, 0), ZERO)
-    key = min(k for k in {*omega, *((i, i) for i in range(gamma + 1))}
-              if omega.get(k, ZERO) != (c if k[0] == k[1] else ZERO))
-    return f"Omega on V_{gamma} is not c * I: entry {key} is {omega.get(key, ZERO)}"
+def _off_scalar(gamma: int, omega: tuple[int, ...]) -> Optional[str]:
+    """None when 8 Omega's diagonal on V_gamma is constant (Omega = c * I, c its
+    (0, 0) entry), else the first entry off c and its value."""
+    r = next((r for r, value in enumerate(omega) if value != omega[0]), None)
+    return None if r is None else (
+        f"Omega on V_{gamma} is not c * I: entry ({r}, {r}) is {Fraction(omega[r], 8)}")
 
 
 def _unequal(identity: str, lhs: GaussianRational, rhs: GaussianRational) -> Optional[str]:
@@ -276,8 +275,9 @@ def _gamma_blocks(lmax: int, gamma: int) -> list[BlockReport]:
     dbar = [dbar_block(l, gamma) for l in range(reach)]
     h = [h_block(l, gamma) for l in range(reach)]
     omega = omega_block(0, gamma)
-    c = scalar_identity_value(omega)
-    not_scalar = None if c is not None else f"P = -Omega - (3/2) H^2: {_off_scalar(gamma, omega)}"
+    off = _off_scalar(gamma, omega)
+    not_scalar = off and f"P = -Omega - (3/2) H^2: {off}"
+    c = gq(Fraction(omega[0], 8))
     p = [
         p_block(l, gamma, d[l + 1] if l < top else ZERO, dbar[l], dbar[l - 1] if l else ZERO, d[l])
         for l in range(reach)
@@ -315,7 +315,7 @@ def _gamma_blocks(lmax: int, gamma: int) -> list[BlockReport]:
             ),
         }
         reports.append(BlockReport(
-            level=l, gamma=gamma, j=j, dim=dim, d=d[l], dbar=dbar[l], h=h[l], omega=omega,
+            level=l, gamma=gamma, j=j, dim=dim, d=d[l], dbar=dbar[l], h=h[l], omega=c,
             p=p[l], eigenvalue=lam, rank_d=rank_d, rank_dbar=rank_dbar,
             failures={check: values for check, values in checks.items() if values},
         ))

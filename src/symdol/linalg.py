@@ -3,8 +3,8 @@
 A matrix stores only its nonzero entries, keyed (row, col), next to an
 explicit shape, so that zero-row / zero-column maps (which arise at
 truncation and vacuum boundaries) compose correctly.  The Fock operators
-and the CP^1 Casimir both use this one type; there is no floating point
-anywhere in this module.
+use this one type, and the CLI prints CP^1 blocks through it; there is no
+floating point anywhere in this module.
 """
 
 from __future__ import annotations
@@ -91,24 +91,6 @@ class Mat(Mapping):
 def scalar_matrix(n: int, value) -> Mat:
     value = GaussianRational.coerce(value)
     return Mat(n, n, {(i, i): value for i in range(n)} if value else {})
-
-
-def mat_add(a: Mat, b: Mat) -> Mat:
-    if (a.nrows, a.ncols) != (b.nrows, b.ncols):
-        raise ValueError("shape mismatch in mat_add")
-    out = dict(a.entries)
-    for key, x in b.entries.items():
-        old = out.get(key)
-        out[key] = x if old is None else old + x
-    return Mat(a.nrows, a.ncols, {key: x for key, x in out.items() if x})
-
-
-def mat_scale(a: Mat, c) -> Mat:
-    c = GaussianRational.coerce(c)
-    return Mat(a.nrows, a.ncols, {key: c * x for key, x in a.entries.items()} if c else {})
-
-
-mat_mul = Mat.__matmul__
 
 
 def scalar_identity_value(a: Mat) -> Optional[GaussianRational]:

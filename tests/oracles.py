@@ -30,13 +30,16 @@ read the program's Gram numerators and Cartan rows; ``dot_dominant``
 reflects a rho-shifted weight into the dominant chamber with its sign, for
 the character decomposition and the Brauer-Klimyk rule.  The CP^1 ladder
 blocks, which the program holds as the scalar c of c * I, are rebuilt as explicit matrices of their true shapes (0 x n
-into a missing neighbour block), with the sl(2) entries read off the
-irrep matrices, ranks come from exact row reduction, and the
-SU(2)-invariant norms on V_gamma come from their product formula.
+into a missing neighbour block), with the sl(2) entries read off explicit
+irrep matrices built from the action on binary forms instead of the
+program's integer bands, and the Casimir from their matrix products and
+sums; ranks come from exact row reduction, and the SU(2)-invariant norms on
+V_gamma come from their product formula.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
@@ -48,7 +51,7 @@ from numpy.polynomial import hermite as nph
 
 from symdol import cp1, fock
 from symdol.gaussian import GaussianRational, ZERO, gq
-from symdol.linalg import Mat, mat_add, mat_scale, scalar_matrix
+from symdol.linalg import Mat, scalar_matrix
 from symdol.reps import _dominant_walk, dominant_weights_with_norm_bound, weight_multiplicity
 from symdol.rootsys import (
     RootSystem,
@@ -753,8 +756,26 @@ def rank(a: Mat) -> int:
     return len(pivots)
 
 
+def mat_add(a: Mat, b: Mat) -> Mat:
+    if (a.nrows, a.ncols) != (b.nrows, b.ncols):
+        raise ValueError("shape mismatch in mat_add")
+    out = dict(a.entries)
+    for key, x in b.entries.items():
+        old = out.get(key)
+        out[key] = x if old is None else old + x
+    return Mat(a.nrows, a.ncols, {key: x for key, x in out.items() if x})
+
+
+def mat_scale(a: Mat, c) -> Mat:
+    c = GaussianRational.coerce(c)
+    return Mat(a.nrows, a.ncols, {key: c * x for key, x in a.entries.items()} if c else {})
+
+
 def mat_sub(a: Mat, b: Mat) -> Mat:
     return mat_add(a, mat_scale(b, -1))
+
+
+mat_mul = Mat.__matmul__
 
 
 def kernel_dimension(a: Mat) -> int:
@@ -770,13 +791,36 @@ def invariant_weight_norms(gamma: int) -> tuple[Fraction, ...]:
     return tuple(norms)
 
 
+def sl2_irrep_matrices(k: int) -> tuple[Mat, Mat, Mat]:
+    """h, X and Y on the (k+1)-dimensional irreducible as explicit matrices:
+    x d/dx - y d/dy, x d/dy and y d/dx on the binary forms e_r = x^(k-r) y^r,
+    rewritten on the program's weight basis v_r = Y^r x^k = (k!/(k-r)!) e_r."""
+    scale = [math.perm(k, r) for r in range(k + 1)]
+
+    def on_v(entries):    # a matrix on the e_r, as a matrix on the v_r
+        return Mat(k + 1, k + 1, {(i, j): gq(Fraction(a * scale[j], scale[i]))
+                                  for (i, j), a in entries.items() if a})
+
+    h = on_v({(r, r): k - 2 * r for r in range(k + 1)})
+    x = on_v({(r - 1, r): r for r in range(1, k + 1)})
+    y = on_v({(r + 1, r): k - r for r in range(k)})
+    return h, x, y
+
+
+def sl2_casimir_by_matrices(k: int) -> Mat:
+    """-(1/8) h^2 - (1/4)(XY + YX) from the explicit irrep matrices."""
+    h, x, y = sl2_irrep_matrices(k)
+    return mat_add(mat_scale(h @ h, Fraction(-1, 8)), mat_scale(mat_add(x @ y, y @ x), Fraction(-1, 4)))
+
+
 def cp1_block_matrices(level: int, gamma: int) -> dict[str, Mat]:
     """D, Dbar, H, Omega and P on block(level, gamma) as explicit matrices of
     their true shapes: D is dim(l-1) x dim(l), Dbar dim(l+1) x dim(l), and a
     missing block has dimension 0 (level -1 and the level above the top of
     the gamma ladder are allowed, and give empty maps).  The sl(2) entries
-    come from the explicit irrep matrices and P from matrix products."""
-    irrep = cp1.sl2_irrep(gamma)
+    come from the explicit irrep matrices, Omega from their products and P
+    from products of the block matrices."""
+    _, x, y = sl2_irrep_matrices(gamma)
 
     def dim(l):
         return cp1.block_dim(l, gamma)
@@ -786,20 +830,20 @@ def cp1_block_matrices(level: int, gamma: int) -> dict[str, Mat]:
             return Mat(dim(l - 1), dim(l), {})
         r = cp1.weight_line_index(l, gamma)
         fiber = fock.sigma_lower(1, fock.basis_vector(1, (l,))).terms[(l - 1,)]
-        return scalar_matrix(dim(l), gq(0, 4) * fiber * cp1.C_PLUS * irrep.x[r - 1, r])
+        return scalar_matrix(dim(l), gq(0, 4) * fiber * cp1.C_PLUS * x[r - 1, r])
 
     def dbar(l):  # -4i sigma(Z) (x) C_MINUS Y: v_r -> v_{r+1}
         if not (dim(l) and dim(l + 1)):
             return Mat(dim(l + 1), dim(l), {})
         r = cp1.weight_line_index(l, gamma)
         fiber = fock.sigma_raise(1, fock.basis_vector(1, (l,))).terms[(l + 1,)]
-        return scalar_matrix(dim(l), gq(0, -4) * fiber * cp1.C_MINUS * irrep.y[r + 1, r])
+        return scalar_matrix(dim(l), gq(0, -4) * fiber * cp1.C_MINUS * y[r + 1, r])
 
     p = mat_scale(mat_sub(d(level + 1) @ dbar(level), dbar(level - 1) @ d(level)), Fraction(1, 2))
     return {
         "d": d(level),
         "dbar": dbar(level),
         "h": scalar_matrix(dim(level), Fraction(-(2 * level + 1), 2)),
-        "omega": cp1.sl2_casimir_matrix(irrep) if dim(level) else Mat(0, 0, {}),
+        "omega": sl2_casimir_by_matrices(gamma) if dim(level) else Mat(0, 0, {}),
         "p": p,
     }

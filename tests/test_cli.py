@@ -9,8 +9,6 @@ import pytest
 
 from symdol import cp1, flagspec, reps
 from symdol.cli import build_parser, main
-from symdol.gaussian import gq
-from symdol.linalg import Mat, mat_scale
 from symdol.reps import weight_system
 from symdol.rootsys import build_root_system
 
@@ -391,7 +389,7 @@ def test_contract_violation_exits_2(capsys, monkeypatch):
     # on block (0, 1) P = 0 while the right side becomes 3/4 - 3/8 = 3/8
     true_omega = cp1.omega_block
     monkeypatch.setattr(cp1, "omega_block",
-                        lambda level, gamma: mat_scale(true_omega(level, gamma), 2))
+                        lambda level, gamma: tuple(2 * w for w in true_omega(level, gamma)))
     code = main(["cp1", "--lmax", "0", "--gamma-max", "3", "--format", "json"])
     captured = capsys.readouterr()
     assert code == 2
@@ -402,13 +400,13 @@ def test_contract_violation_exits_2(capsys, monkeypatch):
 
 
 def test_non_scalar_omega_exits_2(capsys, monkeypatch):
-    # one off-diagonal entry in Omega on V_3 fails the P-identity on both
+    # one diagonal entry of Omega on V_3 off c fails the P-identity on both
     # levels of that gamma; the first failure names the entry and its value
     true_omega = cp1.omega_block
 
     def broken(level, gamma):
-        omega = true_omega(level, gamma)
-        return Mat(omega.nrows, omega.ncols, {**omega, (1, 2): gq(1)}) if gamma == 3 else omega
+        omega = true_omega(level, gamma)    # 8 Omega, by its diagonal
+        return (*omega[:2], omega[2] + 8, *omega[3:]) if gamma == 3 else omega
 
     monkeypatch.setattr(cp1, "omega_block", broken)
     code = main(["cp1", "--lmax", "1", "--gamma-max", "5", "--format", "json"])
@@ -418,7 +416,7 @@ def test_non_scalar_omega_exits_2(capsys, monkeypatch):
     blocks = [b for lv in json.loads(captured.out)["levels"] for b in lv["blocks"]]
     assert {(b["level"], b["gamma"]) for b in blocks if not b["p_identity_ok"]} == {(0, 3), (1, 3)}
     assert ("level 0, gamma 3: P-identity failed: P = -Omega - (3/2) H^2: "
-            "Omega on V_3 is not c * I: entry (1, 2) is 1") in captured.err
+            "Omega on V_3 is not c * I: entry (2, 2) is -7/8") in captured.err
 
 
 def test_broken_weight_system_invariant_exits_2(capsys, monkeypatch):

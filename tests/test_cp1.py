@@ -3,11 +3,14 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from oracles import invariant_weight_norms, kernel_dimension, mat_from_rows, mat_sub, rank
+from oracles import (
+    invariant_weight_norms, kernel_dimension, mat_mul, mat_scale, mat_sub, rank,
+    sl2_casimir_by_matrices, sl2_irrep_matrices,
+)
 from symdol import cli, cp1, fock, linalg
 from symdol.errors import ContractViolation
-from symdol.gaussian import GaussianRational, ZERO, gq
-from symdol.linalg import Mat, mat_mul, mat_scale, scalar_identity_value, scalar_matrix
+from symdol.gaussian import GaussianRational, ONE, ZERO, gq
+from symdol.linalg import Mat, scalar_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -15,12 +18,9 @@ from symdol.linalg import Mat, mat_mul, mat_scale, scalar_identity_value, scalar
 # ---------------------------------------------------------------------------
 
 def test_sl2_irrep_k0_and_k1():
-    rep = cp1.sl2_irrep(0)
-    assert rep.h == rep.x == rep.y == Mat(1, 1, {})
-    rep = cp1.sl2_irrep(1)
-    assert rep.h == mat_from_rows(((1, 0), (0, -1)))
-    assert rep.x == mat_from_rows(((0, 1), (0, 0)))
-    assert rep.y == mat_from_rows(((0, 0), (1, 0)))
+    assert cp1.sl2_irrep(0) == (0, (0,), (0,))
+    assert cp1.sl2_irrep(1) == (1, (1, -1), (0, 1))
+    assert cp1.sl2_irrep(2) == (2, (2, 0, -2), (0, 2, 2))
 
 
 def test_sl2_irrep_takes_k_as_int():
@@ -28,20 +28,42 @@ def test_sl2_irrep_takes_k_as_int():
     assert type(rep.k) is int and rep == cp1.sl2_irrep(1)
 
 
+def _bands(m: Mat, offset: int) -> list:
+    """The entries m[r + offset, r] of one band, zero where the band leaves m."""
+    return [m.get((r + offset, r), ZERO) for r in range(m.ncols)]
+
+
 @pytest.mark.parametrize("k", list(range(0, 8)) + [15, 20])
 def test_sl2_bracket_relations(k):
-    rep = cp1.sl2_irrep(k)
-    h, x, y = rep.h, rep.x, rep.y
+    # the explicit matrices from binary forms are an sl(2) triple, and the
+    # program's bands are theirs: h on the diagonal, X above it, Y below (ones)
+    h, x, y = sl2_irrep_matrices(k)
     assert mat_sub(mat_mul(h, x), mat_mul(x, h)) == mat_scale(x, 2)
     assert mat_sub(mat_mul(h, y), mat_mul(y, h)) == mat_scale(y, -2)
     assert mat_sub(mat_mul(x, y), mat_mul(y, x)) == h
-    assert [h.get((r, r), 0) for r in range(k + 1)] == list(range(k, -k - 1, -2))
+    for m, offset in ((h, 0), (x, -1), (y, 1)):
+        assert all(i - j == offset for i, j in m)    # nothing off the band
+    rep = cp1.sl2_irrep(k)
+    assert _bands(h, 0) == list(rep.h) == list(range(k, -k - 1, -2))
+    assert _bands(x, -1) == list(rep.x)
+    assert _bands(y, 1) == [ONE] * k + [ZERO]
 
 
 @pytest.mark.parametrize("k", range(0, 21))
 def test_sl2_casimir_scalar(k):
-    cas = cp1.sl2_casimir_matrix(cp1.sl2_irrep(k))
-    assert scalar_identity_value(cas) == gq(Fraction(-((k + 1) ** 2 - 1), 8))
+    # Schur's lemma on 8 Omega's diagonal: k+1 integer equalities
+    assert cp1.sl2_casimir_diagonal(cp1.sl2_irrep(k)) == (-((k + 1) ** 2 - 1),) * (k + 1)
+
+
+@pytest.mark.parametrize("k", range(0, 41))
+def test_casimir_bands_match_explicit_matrices(k):
+    # the band diagonal is the diagonal of the Casimir built from explicit
+    # matrix products, which has no entry off the diagonal
+    omega = sl2_casimir_by_matrices(k)
+    diagonal = [gq(Fraction(w, 8)) for w in cp1.sl2_casimir_diagonal(cp1.sl2_irrep(k))]
+    assert _bands(omega, 0) == diagonal
+    assert all(i == j for i, j in omega)
+    assert diagonal == [gq(Fraction(-((k + 1) ** 2 - 1), 8))] * (k + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -88,28 +110,31 @@ def test_p_spectrum_blockwise(report, level):
 @pytest.mark.parametrize("level", range(0, 5))
 def test_p_equals_minus_omega_minus_three_halves_h_squared(report, level):
     for block in report[level].blocks:
-        # the Casimir assembled once per gamma is the one at this level
-        assert block.omega == cp1.omega_block(level, block.gamma)
+        # the Casimir read once per gamma is c * I with the c of this level
+        eight_omega = cp1.omega_block(level, block.gamma)
+        assert [gq(Fraction(w, 8)) for w in eight_omega] == [block.omega] * block.dim
         h2 = scalar_matrix(block.dim, block.h * block.h)
-        rhs = mat_sub(mat_scale(block.omega, -1), mat_scale(h2, Fraction(3, 2)))
+        omega = scalar_matrix(block.dim, block.omega)
+        rhs = mat_sub(mat_scale(omega, -1), mat_scale(h2, Fraction(3, 2)))
         assert scalar_matrix(block.dim, block.p) == rhs
         assert block.passed("P-identity")
 
 
-@pytest.mark.parametrize("entry,message", [
-    ((0, 1), "Omega on V_5 is not c * I: entry (0, 1) is 1"),
-    ((3, 3), "Omega on V_5 is not c * I: entry (3, 3) is -27/8"),
-], ids=["off-diagonal", "diagonal"])
-def test_non_scalar_omega_fails_p_identity_on_every_level(monkeypatch, entry, message):
-    # Omega is read as c * I once per gamma; when it is not, every block of
-    # that gamma fails the P-identity with the offending entry, as a value
+@pytest.mark.parametrize("r,message", [
+    (3, "Omega on V_5 is not c * I: entry (3, 3) is -27/8"),
+    (0, "Omega on V_5 is not c * I: entry (1, 1) is -35/8"),
+], ids=["diagonal", "first-entry"])
+def test_non_scalar_omega_fails_p_identity_on_every_level(monkeypatch, r, message):
+    # Omega is read as c * I once per gamma, c its (0, 0) entry; when its
+    # diagonal is not constant, every block of that gamma fails the
+    # P-identity with the first entry off c, as a value
     true_omega = cp1.omega_block
 
     def broken(level, gamma):
-        omega = true_omega(level, gamma)
-        if gamma != 5:
-            return omega
-        return Mat(omega.nrows, omega.ncols, {**omega, entry: omega.get(entry, ZERO) + 1})
+        omega = list(true_omega(level, gamma))    # 8 Omega, by its diagonal
+        if gamma == 5:
+            omega[r] += 8                         # Omega_rr + 1
+        return tuple(omega)
 
     monkeypatch.setattr(cp1, "omega_block", broken)
     report = cp1.verify(2, 7)
@@ -223,13 +248,12 @@ def test_ladder_bijectivity_explicit():
     assert rank(op) == 6
 
 
-def test_verify_multiplies_only_omega(monkeypatch):
-    """Work gate: verify(4, 201) builds one sl(2) irrep and makes three matrix
-    products (h h, X Y and Y X) per gamma, only to assemble the 101 Casimirs
-    Omega: ten Mats per gamma (h, X, Y, three products, two scalings, two
-    sums), and none per block, since Omega is read as c * I once and the
-    P-identity is scalar.  D, Dbar, H and P are scalars read from closed
-    forms, and their block functions build neither a Mat nor an irrep."""
+def test_verify_builds_no_matrix(monkeypatch):
+    """Work gate: verify(4, 201) builds no Mat and makes no matrix product.
+    Per gamma it builds one sl(2) irrep as integer bands and reads Omega's
+    scalar off 8 Omega's integer diagonal, once, not per block; D, Dbar, H
+    and P are scalars read from closed forms, and their block functions
+    build no irrep."""
     work = {"products": 0, "mats": 0, "irreps": 0}
 
     def counted(key, fn):
@@ -246,19 +270,18 @@ def test_verify_multiplies_only_omega(monkeypatch):
             return result
         return wrapper
 
-    monkeypatch.setattr(cp1, "mat_mul", counted("products", cp1.mat_mul))
-    monkeypatch.setattr(cp1, "sl2_irrep", counted("irreps", cp1.sl2_irrep))
+    monkeypatch.setattr(linalg.Mat, "__matmul__", counted("products", linalg.Mat.__matmul__))
     monkeypatch.setattr(linalg.Mat, "__init__", counted("mats", linalg.Mat.__init__))
+    monkeypatch.setattr(cp1, "sl2_irrep", counted("irreps", cp1.sl2_irrep))
     for name in ("d_block", "dbar_block", "h_block", "p_block"):
         monkeypatch.setattr(cp1, name, builds_nothing(getattr(cp1, name)))
     report = cp1.verify(4, 201)
-    assert work["products"] == 303 and work["irreps"] == 101
-    assert work["mats"] == 1010
+    assert work == {"products": 0, "mats": 0, "irreps": 101}
     blocks = [b for lv in report for b in lv.blocks]
     assert len(blocks) == 495
     for b in blocks:
-        assert all(type(op) is GaussianRational for op in (b.d, b.dbar, b.h, b.p))
-        assert (b.omega.nrows, b.omega.ncols) == (b.dim, b.dim)
+        assert all(type(op) is GaussianRational for op in (b.d, b.dbar, b.h, b.omega, b.p))
+        assert b.omega == gq(Fraction(-((b.gamma + 1) ** 2 - 1), 8))
     assert all(lv.ok for lv in report)
 
 
@@ -322,8 +345,8 @@ def test_invariant_norms_make_x_y_adjoint():
     rep = cp1.sl2_irrep(gamma)
     norms = invariant_weight_norms(gamma)
     for r in range(gamma):
-        # <X v_{r+1}, v_r> = <v_{r+1}, Y v_r>
-        assert rep.x[r, r + 1] * norms[r] == norms[r + 1] * rep.y[r + 1, r]
+        # <X v_{r+1}, v_r> = <v_{r+1}, Y v_r>, with Y v_r = v_{r+1}
+        assert rep.x[r + 1] * norms[r] == norms[r + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +386,7 @@ def test_scalar_blocks_match_explicit_matrices():
             up = oracles.cp1_block_matrices(level + 1, gamma)
             d, dbar, h, p = m["d"], m["dbar"], m["h"], m["p"]
             assert p == scalar_matrix(dim, block.p)
-            assert m["omega"] == block.omega
+            assert m["omega"] == scalar_matrix(dim, block.omega)
             assert p == mat_sub(mat_scale(m["omega"], -1), mat_scale(h @ h, Fraction(3, 2)))
             assert (rank(d), rank(dbar)) == (block.rank_d, block.rank_dbar)
             assert (kernel_dimension(d), kernel_dimension(dbar)) == (block.ker_d, block.ker_dbar)

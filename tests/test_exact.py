@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import FractionPairGaussian, kernel_dimension, mat_from_rows, rank
+from oracles import FractionPairGaussian, kernel_dimension, mat_from_rows, mat_mul, rank
 import symdol
 from symdol.gaussian import GaussianRational, I, ONE, gq, gq_str
 from symdol import fock, gaussian, linalg
-from symdol.linalg import Mat, mat_mul, scalar_identity_value
+from symdol.linalg import Mat, scalar_identity_value
 
 
 # ---------------------------------------------------------------------------
@@ -300,3 +300,9 @@ def test_flag_layers_import_no_numeric_layer():
     assert imports["flagspec"] >= {"errors", "reps", "rootsys"}  # the scan does see them
     assert {layer: found & numeric for layer, found in imports.items()} == {
         "rootsys": set(), "reps": set(), "flagspec": set()}
+
+
+def test_cp1_imports_no_matrix_layer():
+    # CP^1 holds D, Dbar, H and P as scalars and Omega as integer bands
+    imports = _symdol_imports(ast.parse((Path(symdol.__file__).parent / "cp1.py").read_text()))
+    assert "fock" in imports and "linalg" not in imports

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from numpy.polynomial import hermite as nph
 
 import oracles
+from oracles import mat_scale
 from symdol import fock, gaussian
 from symdol.gaussian import GaussianRational, gq, gq_str
-from symdol.linalg import mat_scale
 
 
 def close(a: float, b: float) -> bool:

@@ -7,6 +7,7 @@ validation of ``IndexQuery`` and the unhashable ``Mat``, and the repr of
 every root system.
 """
 
+import ast
 import copy
 import hashlib
 import os
@@ -149,13 +150,58 @@ def test_exact_values_pickle_and_deepcopy(value):
         assert again == value and type(again) is type(value)
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _fresh(code: str) -> str:
+    """The stripped stdout of code run in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=60).stdout.strip()
+
+
 def test_cli_import_loads_no_dataclasses_machinery():
     # deterministic start-up gate: dataclasses alone pulls in inspect, ast and dis
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    code = ("import sys, symdol.cli; "
-            "print(' '.join(m for m in ('dataclasses', 'inspect', 'ast', 'dis') "
-            "if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=60)
-    assert out.stdout.strip() == ""
+    assert _fresh("import sys, symdol.cli; "
+                  "print(' '.join(m for m in ('dataclasses', 'inspect', 'ast', 'dis') "
+                  "if m in sys.modules))") == ""
+
+
+def test_fock_import_loads_no_flag_or_cp1_layer():
+    # the package namespace is lazy: a fock-only caller pays for fock alone
+    assert _fresh("import sys; from symdol import fock; "
+                  "print(type(fock).__name__, fock.__name__, ' '.join(m for m in "
+                  "('flagspec', 'reps', 'rootsys', 'surface', 'cp1') "
+                  "if 'symdol.' + m in sys.modules))") == "module symdol.fock"
+
+
+def test_package_names_are_their_home_objects():
+    # each __all__ name, resolved on first access, is the object its defining
+    # module holds; dir() lists them and an unknown name is an AttributeError
+    code = """
+import sys, symdol
+assert not [m for m in sys.modules if m.startswith('symdol.')], sorted(sys.modules)
+names = [n for n in symdol.__all__ if n != '__version__']
+for name in names:
+    obj = getattr(symdol, name)
+    home = obj.__module__
+    assert home.startswith('symdol.') and getattr(sys.modules[home], name) is obj, name
+assert set(symdol.__all__) <= set(dir(symdol))
+try:
+    symdol.no_such_name
+except AttributeError as e:
+    print(len(names), e)
+"""
+    assert _fresh(code) == "23 module 'symdol' has no attribute 'no_such_name'"
+
+
+def test_cli_import_loads_every_traced_layer():
+    # the benchmark's tracer reads sys.modules["symdol.<layer>"] for each of its
+    # LAYERS right after `import symdol.cli`, so cli must import them all
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    layers = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and [getattr(t, "id", None) for t in node.targets] == ["LAYERS"])
+    assert {"cp1", "linalg", "fock", "cli"} <= set(layers)    # the scan does see them
+    assert _fresh(f"import sys, symdol.cli; print([m for m in {layers!r} "
+                  "if 'symdol.' + m not in sys.modules])") == "[]"

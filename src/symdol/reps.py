@@ -120,7 +120,7 @@ def _coroots(rs: RootSystem) -> tuple[tuple[Weight, ...], int]:
     key = (rs.family, rs.rank)
     table = _COROOT_MEMO.get(key)
     if table is None:
-        coeffs = tuple(_positive_root_coefficients(tuple(zip(*rs.cartan_matrix))))
+        coeffs = tuple(c for c, _ in _positive_root_coefficients(tuple(zip(*rs.cartan_matrix))))
         table = _COROOT_MEMO[key] = (coeffs, prod(map(sum, coeffs)))
     return table
 

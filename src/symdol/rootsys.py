@@ -3,9 +3,11 @@
 Weights are plain integer tuples in the fundamental-weight basis
 (omega_1, ..., omega_k); that basis is the lingua franca of the whole
 package.  Each family is built from its integer Cartan matrix alone: the
-positive roots come from closing the simple roots under simple reflections,
-the root lengths from symmetrizing the matrix, and the stored bilinear
-form (``weight_gram_*``) is the *dual Killing form*
+positive roots (and, on the transposed matrix, the coroots) come from one
+reflection closure that carries each root's simple-root coefficients and
+fundamental-weight coordinates, so every pairing with a simple coroot is a
+lookup; the root lengths come from symmetrizing the matrix; and the stored
+bilinear form (``weight_gram_*``) is the *dual Killing form*
 
     K = (form normalized so long roots have squared length 2) / (2 h^v),
 
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import index
+from operator import index, mul
 from typing import NamedTuple, Sequence
 
 Weight = tuple[int, ...]
@@ -103,26 +105,25 @@ def _half_lengths(cartan) -> list[Fraction]:
     return [d / longest for d in half]
 
 
-def _positive_root_coefficients(cartan) -> list[tuple[int, ...]]:
-    """Simple-root coefficients of every positive root, by reflection closure.
+def _positive_root_coefficients(cartan) -> list[tuple[tuple[int, ...], Weight]]:
+    """(simple-root coefficients, fundamental-weight coordinates) of every
+    positive root, by reflection closure.
 
     The simple reflection s_i permutes the positive roots other than alpha_i
     (Humphreys, section 10.2, Lemma B), and every positive root is reached
-    from a simple root that way.  In simple-root coordinates s_i(beta) is
-    beta - <beta, alpha_i^v> e_i, with <beta, alpha_i^v> = sum_j beta_j A_ji.
-    """
+    from a simple root that way.  Coordinate i of beta is <beta, alpha_i^v>;
+    s_i(beta) takes it off coefficient i and, times Cartan row i (alpha_i),
+    off the coordinates.  Only alpha_i has coefficient i below the pairing."""
     rank = len(cartan)
-    simple = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
-    found = list(simple)
-    roots = set(found)
-    for beta in found:   # grows while it is walked
-        for i in range(rank):
-            pairing = sum(c * row[i] for c, row in zip(beta, cartan))
-            if pairing and beta != simple[i]:
+    found = [(tuple(int(i == j) for j in range(rank)), row) for i, row in enumerate(cartan)]
+    roots = {beta for beta, _ in found}
+    for beta, fw in found:   # grows while it is walked
+        for i, pairing in enumerate(fw):
+            if pairing and beta[i] >= pairing:
                 image = beta[:i] + (beta[i] - pairing,) + beta[i + 1:]
                 if image not in roots:
                     roots.add(image)
-                    found.append(image)
+                    found.append((image, tuple([a - pairing * c for a, c in zip(fw, cartan[i])])))
     return found
 
 
@@ -153,11 +154,8 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     half = _half_lengths(cartan)
 
     # by height, the simple roots first in index order; alpha_k is row k of cartan
-    coeffs = sorted(_positive_root_coefficients(cartan),
-                    key=lambda c: (sum(c), tuple(-x for x in c)))
-    positives_fw = tuple(
-        tuple(sum(c * row[j] for c, row in zip(beta, cartan)) for j in range(rank))
-        for beta in coeffs)
+    coeffs, positives_fw = zip(*sorted(_positive_root_coefficients(cartan),
+                                       key=lambda root: (sum(root[0]), [-x for x in root[0]])))
 
     # the highest root theta is long, so theta^v = sum_i c_i d_i alpha_i^v and
     # h^v = 1 + <rho, theta^v> = 1 + sum_i c_i d_i
@@ -167,8 +165,9 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     # x = omega_i, y = omega_k, with (omega_i, alpha) = c_i(alpha) d_i and
     # (omega_i, omega_k) = (A^-1)_ik d_k, gives
     # (A^-1)_ik = (d_i / h^v) sum_{alpha>0} c_i(alpha) c_k(alpha)
-    inv_cartan = [[d * sum(c[i] * c[k] for c in coeffs) / dual_cox for k in range(rank)]
-                  for i, d in enumerate(half)]
+    cols = list(zip(*coeffs))
+    inv_cartan = [[d * sum(map(mul, ci, ck)) / dual_cox for ck in cols]
+                  for ci, d in zip(cols, half)]
     # (omega_i, omega_j) = (A^-1)_ij d_j, since (omega_i, alpha_k) = delta_ik d_k
     gram = [[x * d * killing_scale for x, d in zip(row, half)] for row in inv_cartan]
 

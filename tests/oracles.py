@@ -28,7 +28,9 @@ Lambda^2 C^{2n}, not from a spectrum computation.  The dual Killing form
 and the simple reflections, which no program path needs, live here and
 read the program's Gram numerators and Cartan rows; ``dot_dominant``
 reflects a rho-shifted weight into the dominant chamber with its sign, for
-the character decomposition and the Brauer-Klimyk rule.  The CP^1 ladder
+the character decomposition and the Brauer-Klimyk rule.  Coroots are read
+off their roots as alpha / d_alpha instead of closing the simple coroots
+under reflections.  The CP^1 ladder
 blocks, which the program holds as the scalar c of c * I, are rebuilt as explicit matrices of their true shapes (0 x n
 into a missing neighbour block), with the sl(2) entries read off explicit
 irrep matrices built from the action on binary forms instead of the
@@ -112,6 +114,34 @@ def positive_roots_by_reflection(rs: RootSystem) -> set[tuple[int, ...]]:
                     nxt.add(image)
         frontier = nxt
     return {r for r in roots if is_nonneg_root_combination(rs, r)}
+
+
+# ---------------------------------------------------------------------------
+# coroots read off the roots
+# ---------------------------------------------------------------------------
+
+def coroots_read_off_roots(rs: RootSystem) -> list[tuple[int, ...]]:
+    """Simple-coroot coefficients of every positive coroot, read off its root.
+
+    alpha^v = 2 alpha / (alpha, alpha) = alpha / d_alpha, so the coroot's
+    coefficients are c^v_i = c_i d_i / d_alpha, with
+    d_alpha = (1/2) sum_i c_i d_i <alpha, alpha_i^v> (Bourbaki, Lie groups and
+    Lie algebras, ch. VI section 1.1).  d_i = (alpha_i, alpha_i) / 2 comes
+    from the orthogonal simple roots (any common scale cancels), c_i from the
+    program's inverse Cartan numerators, and <alpha, alpha_i^v> is the root's
+    fundamental-weight coordinate i; there is no closure.  All in integers,
+    every division checked exact.
+    """
+    half = [_dot(a, a) for a in _orthogonal_simple_roots(rs.family, rs.rank)]
+    cols = list(zip(*rs.inverse_cartan_num))
+    coroots = []
+    for root in rs.positive_roots_fw:
+        c, rest = zip(*(divmod(_dot(root, col), rs.inverse_cartan_den) for col in cols))
+        weighted = [ci * di for ci, di in zip(c, half)]
+        coroot = [divmod(2 * w, _dot(weighted, root)) for w in weighted]
+        assert not any(rest) and not any(r for _, r in coroot), (rs.name(), root)
+        coroots.append(tuple(q for q, _ in coroot))
+    return coroots
 
 
 # ---------------------------------------------------------------------------

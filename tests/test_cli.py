@@ -274,6 +274,10 @@ CLI_GOLDEN = [
     # recorded while every dimension came from an expanded weight system
     ("distinguish --n 20 --format json", 0,
      "1f80541ecbacbe4f910ae5955de20e8999ba336351b70781299e891fc6b53711"),
+    # 2,656 bytes, recorded while the root closure summed each pairing over
+    # r terms and the coroots were closed in a second such pass
+    ("distinguish --n 40 --format json", 0,
+     "ac45b9a730058aa5e9f055606a9aa26c6454aeb45d078fd5fd64c8cc6915062d"),
     ("distinguish --rank1-sanity --format table", 0,
      "ba3eb00355f61a5283546f05d5cc7a53e4311627e70824882662951dd860104e"),
     ("distinguish --rank1-sanity --format json", 0,

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symdol import rootsys
+from symdol.reps import _coroots
 from symdol.rootsys import (
     build_root_system,
     is_dominant,
@@ -14,6 +16,7 @@ from symdol.rootsys import (
 )
 
 from oracles import (
+    coroots_read_off_roots,
     dual_coxeter_by_killing_trace,
     killing_dual_form,
     killing_form_by_orthogonal,
@@ -62,10 +65,10 @@ def test_positive_roots_match_reflection_closure(family, rank):
     assert set(rs.positive_roots_fw) == positive_roots_by_reflection(rs)
 
 
-@pytest.mark.parametrize("rank", [14, 20])
+@pytest.mark.parametrize("rank", [14, 20, 30, 40])
 @pytest.mark.parametrize("family", sorted(DUAL_COXETER))
 def test_ranks_distinguish_reaches(family, rank):
-    # distinguish --n 14 and 20 build B_n and C_n well beyond ALL_SYSTEMS
+    # distinguish --n 14 to 40 builds B_n and C_n well beyond ALL_SYSTEMS
     rs = build_root_system(family, rank)
     assert len(rs.positive_roots_fw) == CLASSICAL_COUNTS[family](rank)
     assert rs.dual_coxeter == DUAL_COXETER[family](rank)
@@ -74,6 +77,62 @@ def test_ranks_distinguish_reaches(family, rank):
                for row in rs.cartan_matrix]
     assert product == [[rs.inverse_cartan_den * (i == j) for j in range(rank)]
                        for i in range(rank)]
+
+
+class _CountingRow:
+    """A Cartan row that counts every entry it hands out, by index, by slice
+    or by iteration; it is no tuple, so no read can bypass the count."""
+
+    def __init__(self, entries, reads):
+        self._entries = tuple(entries)
+        self._reads = reads
+
+    def __len__(self):
+        return len(self._entries)
+
+    def __getitem__(self, key):
+        got = self._entries[key]
+        self._reads[0] += len(got) if isinstance(key, slice) else 1
+        return got
+
+    def __iter__(self):
+        for x in self._entries:
+            self._reads[0] += 1
+            yield x
+
+
+@pytest.mark.parametrize("family", ["B", "C", "D"])
+def test_closure_reads_cartan_rows_linearly(family):
+    # each root carries its pairings as coordinates, so the closure reads
+    # one Cartan row per new root; a closure that sums every pairing over r
+    # terms reads about |Phi+| r^2 entries (2,560,000 for B40, against a
+    # gate of 128,000)
+    rank = 40
+    cartan = rootsys._cartan_matrix(family, rank)
+    reads = [0]
+    roots = rootsys._positive_root_coefficients([_CountingRow(row, reads) for row in cartan])
+    assert len(roots) == CLASSICAL_COUNTS[family](rank)
+    assert 0 < reads[0] <= 2 * len(roots) * rank
+    assert [(beta, tuple(fw)) for beta, fw in roots] == rootsys._positive_root_coefficients(cartan)
+
+
+@pytest.mark.parametrize("family,rank",
+                         ALL_SYSTEMS + [(f, k) for f in "BCD" for k in (14, 20, 30, 40)])
+def test_coroots_match_roots_read_off(family, rank):
+    rs = build_root_system(family, rank)
+    coeffs, heights = _coroots(rs)
+    expected = coroots_read_off_roots(rs)
+    assert len(coeffs) == len(expected) == len(rs.positive_roots_fw)
+    assert set(coeffs) == set(expected)
+    assert heights == math.prod(map(sum, expected))
+
+
+@pytest.mark.parametrize("rank", [2, 3, 8, 14, 40])
+def test_b_coroots_are_c_roots(rank):
+    # B_n and C_n are dual: the coroots of one are the roots of the other
+    c = build_root_system("C", rank)
+    c_roots = {tuple(map(int, root_lattice_coefficients(c, root))) for root in c.positive_roots_fw}
+    assert set(_coroots(build_root_system("B", rank))[0]) == c_roots
 
 
 def test_rank_one_has_single_root():

@@ -283,7 +283,7 @@ def _gamma_blocks(lmax: int, gamma: int) -> list[BlockReport]:
         for l in range(reach)
     ]
 
-    gamma_n_dim = sum(block_dim(lp, gamma) for lp in range(top + 1))
+    gamma_n_dim = (top + 1) * block_dim(top, gamma)   # one block on each level 0..top
     reports = []
     for l in range(min(lmax, top) + 1):
         j = top - l

@@ -16,11 +16,15 @@ the positive roots other than alpha_i (Humphreys, section 10.2, Lemma B),
 and it permutes Phi_J.  The string term t(alpha) = sum_{j>=1} m(mu+j alpha)
 K(mu+j alpha, alpha) is therefore constant on W_J-orbits, and
 t(-alpha) = t(alpha) on Phi_J because s_alpha fixes mu.  So
-2 sum_{alpha>0} t(alpha) = sum_O c_O t(rep_O) over the W_J-orbits O of
-positive roots taken up to sign, with c_O = 2|O|: twice the orbit for an
-orbit outside Phi_J, and the whole signed orbit for one in Phi_J (Moody and
-Patera, Fast recursion formula for weight multiplicities, Bull. AMS 7,
-1982).  K(nu, alpha) is the integer nu . g_alpha over the Gram denominator,
+2 sum_{alpha>0} t(alpha) = sum_O c_O t(alpha_O) over the W_J-orbits O of
+roots taken up to sign (Moody and Patera, Fast recursion formula for weight
+multiplicities, Bull. AMS 7, 1982).  Each meets the closed J-chamber
+{x : x_i >= 0, i in J} once, and the stabilizer of that point is generated
+by the s_i that fix it (Humphreys, Reflection Groups and Coxeter Groups,
+section 1.12).  So alpha_O is read off as O's one J-dominant positive root,
+its highest, and c_O = |W_J alpha_O| by the Poincare count below, doubled
+when K(mu, alpha_O) != 0, off Phi_J; an orbit in Phi_J holds -alpha_O.
+K(nu, alpha) is the integer nu . g_alpha over the Gram denominator,
 with g_alpha = Gram_num alpha, and it grows by K(alpha, alpha) along a
 string, so the recursion runs on integer numerators with one division per
 weight.
@@ -35,6 +39,8 @@ and the Weyl orbit of a dominant mu has |W| / |W_J| elements, which the
 Poincare polynomial at t = 1 gives as the product of (ht + 1) / ht over
 the positive coroots with <mu, alpha^v> > 0, those outside Phi_J^v
 (Macdonald, The Poincare series of a Coxeter group, Math. Ann. 199, 1972).
+The same product over the positive coroots of Phi_J^v with
+<alpha, beta^v> > 0 gives |W_J alpha| for a J-dominant alpha.
 A spectrum's dimensions are reconciled with sum_mu m_mu |W mu| over the
 dominant table, and ``weight_system`` with its expanded orbits, each orbit
 also reconciled on its own with |W mu|; a mismatch is a ContractViolation.
@@ -83,7 +89,7 @@ class WeightSystem(NamedTuple):
 # - per (family, rank, J), J = {i : mu_i = 0}: the orbit size
 #   |W mu| = |W| / |W_J|, and one row (c_O, alpha, g_alpha,
 #   K(alpha, alpha) * den) per W_J-orbit of positive roots up to sign, alpha
-#   its first root in height order.
+#   its one J-dominant root, in height order.
 _DOMINANT_MEMO: dict[tuple[str, int, Weight], dict[Weight, int]] = {}
 _COROOT_MEMO: dict[tuple[str, int], tuple[tuple[Weight, ...], int]] = {}
 _STABILIZER_MEMO: dict[tuple[str, int, tuple[int, ...]], tuple[int, tuple]] = {}
@@ -148,35 +154,25 @@ def _stabilizer(rs: RootSystem, mu: Weight) -> tuple[int, tuple]:
     if table is not None:
         return table
 
-    # Poincare polynomial at t = 1 over the coroots outside Phi_J^v
-    moving = [i for i, x in enumerate(mu) if x]
-    outside = [sum(c) for c in _coroots(rs)[0] if any(c[i] for i in moving)]
-    orbit_size = prod(h + 1 for h in outside) // prod(outside)
+    def orbit(x: Weight, among: Sequence[Weight]) -> int:
+        # the Poincare count, (ht + 1) / ht over the coroots in among that
+        # pair nonzero with x: |W x| over every coroot for dominant x, and
+        # |W_J x| over Phi_J^v+ for J-dominant x; either way each pairing
+        # is a sum of nonnegative terms
+        heights = [sum(c) for c in among if any(map(mul, x, c))]
+        return prod(h + 1 for h in heights) // prod(heights)
 
-    roots = rs.positive_roots_fw
-    positive = set(roots)
-    cartan = rs.cartan_matrix
+    coroots = _coroots(rs)[0]
+    inside = [c for c in coroots if not any(map(mul, mu, c))]   # Phi_J^v+
     gram = rs.weight_gram_num
-    seen: set[Weight] = set()
     strings = []
-    for alpha in roots:
-        if alpha in seen:
-            continue
-        seen.add(alpha)
-        orbit = [alpha]
-        for beta in orbit:   # grows while it is walked
-            for i in fixed:
-                if beta[i]:
-                    image = tuple(b - beta[i] * a for b, a in zip(beta, cartan[i]))
-                    if image not in positive:
-                        image = tuple(-x for x in image)
-                    if image not in seen:
-                        seen.add(image)
-                        orbit.append(image)
-        g = tuple(sum(map(mul, row, alpha)) for row in gram)
-        strings.append((2 * len(orbit), alpha, g, sum(map(mul, alpha, g))))
+    for alpha in rs.positive_roots_fw:
+        if all(alpha[i] >= 0 for i in fixed):   # J-dominant: one per orbit
+            g = tuple(sum(map(mul, row, alpha)) for row in gram)
+            weight = orbit(alpha, inside) * (2 if sum(map(mul, mu, g)) else 1)
+            strings.append((weight, alpha, g, sum(map(mul, alpha, g))))
 
-    table = _STABILIZER_MEMO[key] = (orbit_size, tuple(strings))
+    table = _STABILIZER_MEMO[key] = (orbit(mu, coroots), tuple(strings))
     return table
 
 

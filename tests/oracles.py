@@ -36,7 +36,8 @@ into a missing neighbour block), with the sl(2) entries read off explicit
 irrep matrices built from the action on binary forms instead of the
 program's integer bands, and the Casimir from their matrix products and
 sums; ranks come from exact row reduction, and the SU(2)-invariant norms on
-V_gamma come from their product formula.
+V_gamma come from their product formula.  ``CountingRow`` stands in for a
+Cartan row in the work gates that count the entries a path reads.
 """
 
 from __future__ import annotations
@@ -63,6 +64,32 @@ from symdol.rootsys import (
     is_nonneg_root_combination,
     rho,
 )
+
+# ---------------------------------------------------------------------------
+# work counters
+# ---------------------------------------------------------------------------
+
+class CountingRow:
+    """A Cartan row that counts every entry it hands out, by index, by slice
+    or by iteration; it is no tuple, so no read can bypass the count."""
+
+    def __init__(self, entries, reads):
+        self._entries = tuple(entries)
+        self._reads = reads
+
+    def __len__(self):
+        return len(self._entries)
+
+    def __getitem__(self, key):
+        got = self._entries[key]
+        self._reads[0] += len(got) if isinstance(key, slice) else 1
+        return got
+
+    def __iter__(self):
+        for x in self._entries:
+            self._reads[0] += 1
+            yield x
+
 
 # ---------------------------------------------------------------------------
 # the dual Killing form and simple reflections, read off the program's

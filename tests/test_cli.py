@@ -259,6 +259,10 @@ CLI_GOLDEN = [
      "d16d7b3580039f5f4fd2fd39a23300484ee7a3af585f913d6ccb6b3b0445db11"),
     ("spectrum --family G --rank 2 --mu 1,1 --cutoff 4 --format csv", 0,
      "dee5b8c11a4fc72b4688289ab3257fc36f80c0131f8e3be262926c1aa3ebf9b1"),
+    # a twisted mu above rank 2: 2,965 bytes over 26 stabilizer types,
+    # recorded while each W_J-orbit of roots was walked by reflections
+    ("spectrum --family D --rank 6 --mu 1,0,0,1,0,1 --cutoff 2 --format json", 0,
+     "6eb0799c4d5c4b0cf37b61f1078ee07a32408a915c3a2880138c5bf3200c1cf6"),
     ("distinguish --n 3 --format table", 0,
      "654d72a9c00ebceb2f6b189787afa535292360ec9f5348771226b8345ee6a33e"),
     ("distinguish --n 3 --format json", 0,

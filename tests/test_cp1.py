@@ -240,6 +240,33 @@ def test_gamma_n_dimension(n_total):
     assert sum(b.dim for b in diagonal) == 2 * (n_total + 1) ** 2
 
 
+def test_ladder_check_reads_one_block_dimension_per_gamma(monkeypatch):
+    # work gate: dim Gamma_N is (N + 1) blocks of one dimension, read once
+    # per gamma; summed over the levels, verify(4, 1001) made 125,751 calls
+    calls = 0
+    true_dim = cp1.block_dim
+
+    def counting(level, gamma):
+        nonlocal calls
+        calls += 1
+        return true_dim(level, gamma)
+
+    monkeypatch.setattr(cp1, "block_dim", counting)
+    assert all(lv.ladders_ok for lv in cp1.verify(4, 1001))
+    assert calls == 501
+
+
+def test_wrong_gamma_n_dimension_fails_ladder(monkeypatch):
+    # dim Gamma_N is still compared with 2 (N + 1)^2 on every block of gamma
+    true_dim = cp1.block_dim
+    monkeypatch.setattr(cp1, "block_dim",
+                        lambda level, gamma: true_dim(level, gamma) + (gamma == 5))
+    report = cp1.verify(2, 7)
+    assert [b.passed("ladder") for b in report[1].blocks] == [True, False, True]
+    assert ("level 1, gamma 5: ladder failed: (rank D, rank Dbar, dim Gamma_2) = "
+            "(6, 6, 21), expected (6, 6, 18)") in report[1].failures
+
+
 def test_ladder_bijectivity_explicit():
     # D: G_{1,1} -> G_{0,2} has full rank 6 = dim of both blocks
     assert cp1.d_block(1, 5) != ZERO

@@ -27,6 +27,7 @@ from symdol.rootsys import (
 
 from oracles import (
     FUNDAMENTAL_CHARS,
+    CountingRow,
     dot_dominant,
     dominant_heights_by_all_weights_walk,
     dominant_multiplicities_by_all_roots,
@@ -145,23 +146,75 @@ def test_weight_system_reconciles_each_orbit(monkeypatch):
                                "weights, the Poincare count over the coroots gives 12")
 
 
-@pytest.mark.parametrize("pair", RANK_LE_5, ids=_rank_id)
+def _fixed_sets(rank):
+    """Every mu in {0, 1}^rank up to rank 6; above it a fixed sample of 24
+    with the all-zero and all-one mu."""
+    every = list(itertools.product((0, 1), repeat=rank))
+    return every if rank <= 6 else [every[0], every[-1]] + random.Random(rank).sample(every, 24)
+
+
+@pytest.mark.parametrize("pair", RANK_LE_5 + [("A", 6), ("B", 6), ("C", 6), ("D", 6),
+                                              ("B", 8), ("C", 8), ("D", 8)], ids=_rank_id)
 def test_stabilizer_orbits_partition_positive_roots(pair):
-    # for every J: the W_J-orbits of the representatives, signs dropped,
-    # cover the positive roots once each, c_O is twice the positive part of
-    # the orbit, and sum c_O = 2 |Phi+|
+    # for each J: every row's alpha is J-dominant, no two rows share a
+    # W_J-orbit, the orbits, signs dropped, cover the positive roots once
+    # each, c_O is twice the positive part of the orbit, and
+    # sum c_O = 2 |Phi+|; the orbits are walked here by simple reflections
     rs = build_root_system(*pair)
     positive = set(rs.positive_roots_fw)
-    for mu in itertools.product((0, 1), repeat=rs.rank):
+    for mu in _fixed_sets(rs.rank):
         fixed = [i for i, x in enumerate(mu) if x == 0]
-        covered = []
+        covered = set()
         _, strings = reps._stabilizer(rs, mu)
         for weight, alpha, _, _ in strings:
+            assert all(alpha[i] >= 0 for i in fixed), (mu, alpha)
             orbit = _parabolic_orbit(rs, alpha, fixed) & positive
+            assert not orbit & covered, (mu, alpha)
             assert weight == 2 * len(orbit), (mu, alpha)
-            covered += orbit
-        assert sorted(covered) == sorted(positive), mu
+            covered |= orbit
+        assert covered == positive, mu
         assert sum(row[0] for row in strings) == 2 * len(positive), mu
+
+
+def _counting_system(family, rank):
+    """The root system with Cartan rows that count their reads, and the count."""
+    rs = build_root_system(family, rank)
+    reads = [0]
+    rows = tuple(CountingRow(row, reads) for row in rs.cartan_matrix)
+    return rs._replace(cartan_matrix=rows), reads
+
+
+@pytest.mark.parametrize("pair,mus", [(("B", 6), None), (("C", 6), None), (("D", 6), None),
+                                      (("B", 40), [(0,) * 40])], ids=["B6", "C6", "D6", "B40"])
+def test_stabilizer_reads_no_cartan_row(pair, mus, monkeypatch):
+    # deterministic work gate: each orbit's row is its J-dominant root,
+    # sized by the Poincare count over the coroots, so no reflection is
+    # built; walking the orbits by reflections read 3,392 (B6), 3,392 (C6)
+    # and 3,264 (D6) Cartan rows over every J, and 6,124 for B40 at mu = 0
+    rs, reads = _counting_system(*pair)
+    reps._coroots(rs)
+    reads[0] = 0
+    monkeypatch.setattr(reps, "_STABILIZER_MEMO", {})
+    monkeypatch.setattr(reps, "_DOMINANT_MEMO", {})
+    for mu in mus or itertools.product((0, 1), repeat=rs.rank):
+        reps._stabilizer(rs, mu)
+    assert reads[0] == 0
+
+
+def test_freudenthal_lookups_reflect_little(monkeypatch):
+    # deterministic work gate: each root string starts at its orbit's
+    # J-dominant root, near the dominant chamber, so dominant_conjugate's
+    # lookups in p_spectrum(B4, 0, 4) make 2,127 reflections (each reads
+    # one Cartan row of 4 entries); from each orbit's first root in height
+    # order they made 7,228
+    rs, reads = _counting_system("B", 4)
+    monkeypatch.setattr(reps, "_STABILIZER_MEMO", {})
+    monkeypatch.setattr(reps, "_DOMINANT_MEMO", {})
+    for mu in itertools.product((0, 1), repeat=rs.rank):
+        reps._stabilizer(rs, mu)
+    reads[0] = 0
+    p_spectrum(rs, (0,) * rs.rank, 4)
+    assert 0 < reads[0] <= 2500 * rs.rank
 
 
 GROUPED_CASES = [(pair, g) for pair in RANK_LE_5 for g in itertools.product((0, 1), repeat=pair[1])]

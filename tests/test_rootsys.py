@@ -16,6 +16,7 @@ from symdol.rootsys import (
 )
 
 from oracles import (
+    CountingRow,
     coroots_read_off_roots,
     dual_coxeter_by_killing_trace,
     killing_dual_form,
@@ -79,28 +80,6 @@ def test_ranks_distinguish_reaches(family, rank):
                        for i in range(rank)]
 
 
-class _CountingRow:
-    """A Cartan row that counts every entry it hands out, by index, by slice
-    or by iteration; it is no tuple, so no read can bypass the count."""
-
-    def __init__(self, entries, reads):
-        self._entries = tuple(entries)
-        self._reads = reads
-
-    def __len__(self):
-        return len(self._entries)
-
-    def __getitem__(self, key):
-        got = self._entries[key]
-        self._reads[0] += len(got) if isinstance(key, slice) else 1
-        return got
-
-    def __iter__(self):
-        for x in self._entries:
-            self._reads[0] += 1
-            yield x
-
-
 @pytest.mark.parametrize("family", ["B", "C", "D"])
 def test_closure_reads_cartan_rows_linearly(family):
     # each root carries its pairings as coordinates, so the closure reads
@@ -110,7 +89,7 @@ def test_closure_reads_cartan_rows_linearly(family):
     rank = 40
     cartan = rootsys._cartan_matrix(family, rank)
     reads = [0]
-    roots = rootsys._positive_root_coefficients([_CountingRow(row, reads) for row in cartan])
+    roots = rootsys._positive_root_coefficients([CountingRow(row, reads) for row in cartan])
     assert len(roots) == CLASSICAL_COUNTS[family](rank)
     assert 0 < reads[0] <= 2 * len(roots) * rank
     assert [(beta, tuple(fw)) for beta, fw in roots] == rootsys._positive_root_coefficients(cartan)

@@ -3,7 +3,7 @@
 Submodules
 ----------
 gaussian  exact Gaussian-rational numbers
-linalg    the sparse exact matrix type (Fock operators, CLI matrix output): products
+linalg    the sparse exact matrix type of the Fock operators: products
 errors    ContractViolation, raised when an internal invariant breaks
 rootsys   exact classical root systems and the dual Killing form
 reps      weight multiplicities, dimensions, Casimirs, one dominant-weight walk

@@ -19,7 +19,6 @@ from itertools import zip_longest
 
 from . import cp1, flagspec, reps, rootsys, surface
 from .errors import ContractViolation
-from .linalg import scalar_matrix
 
 
 class _Parser(argparse.ArgumentParser):
@@ -240,9 +239,10 @@ def _cp1_block_jsonable(block, include_matrices: bool) -> dict:
         "ker_dbar": block.ker_dbar,
     }
     if include_matrices:
-        # every operator is held as the scalar c of c * I
-        entry["matrices"] = {op: scalar_matrix(block.dim, getattr(block, op)).triplets()
-                             for op in ("d", "dbar", "h", "omega", "p")}
+        # every operator is held as the scalar c of c * I: triplets [i, i, "c"], none for c = 0
+        scalars = {op: str(getattr(block, op)) for op in ("d", "dbar", "h", "omega", "p")}
+        entry["matrices"] = {op: [[i, i, c] for i in range(block.dim)] if c != "0" else []
+                             for op, c in scalars.items()}
     return entry
 
 

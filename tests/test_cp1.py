@@ -5,12 +5,12 @@ import pytest
 import oracles
 from oracles import (
     invariant_weight_norms, kernel_dimension, mat_mul, mat_scale, mat_sub, rank,
-    sl2_casimir_by_matrices, sl2_irrep_matrices,
+    scalar_matrix, sl2_casimir_by_matrices, sl2_irrep_matrices,
 )
 from symdol import cli, cp1, fock, linalg
 from symdol.errors import ContractViolation
-from symdol.gaussian import GaussianRational, ONE, ZERO, gq
-from symdol.linalg import Mat, scalar_matrix
+from symdol.gaussian import GaussianRational, ONE, ZERO, _reduced, gq
+from symdol.linalg import Mat
 
 
 # ---------------------------------------------------------------------------
@@ -147,18 +147,44 @@ def test_non_scalar_omega_fails_p_identity_on_every_level(monkeypatch, r, messag
 
 
 def test_non_real_p_names_its_value(monkeypatch):
-    # a P with an imaginary part is a violation that names the block and P
+    # a P with an imaginary part is a violation that names the block and P;
+    # p_block's pair is 128 P, so adding 32 i adds i/4
     true_p = cp1.p_block
 
     def broken(level, gamma, *maps):
-        p = true_p(level, gamma, *maps)
-        return p + gq(0, Fraction(1, 3)) if (level, gamma) == (1, 5) else p
+        x, y = true_p(level, gamma, *maps)
+        return (x, y + 32) if (level, gamma) == (1, 5) else (x, y)
 
     monkeypatch.setattr(cp1, "p_block", broken)
     with pytest.raises(ContractViolation) as info:
         cp1.verify(2, 7)
     assert str(info.value) == (
-        f"P is not a real scalar on block (level=1, gamma=5): P = {cp1.lambda_lj(1, 1)}+1/3i")
+        f"P is not a real scalar on block (level=1, gamma=5): P = {cp1.lambda_lj(1, 1)}+1/4i")
+
+
+@pytest.fixture
+def fiber_memo():
+    """The fiber coefficients are memoized by level: start and end empty."""
+    cp1._fiber.cache_clear()
+    yield
+    cp1._fiber.cache_clear()
+
+
+def test_fiber_coefficient_off_half_gaussian_integers_names_level_and_value(
+        monkeypatch, fiber_memo):
+    # the one exactness guard: a fock coefficient i sigma(Z) outside Z[i]/2
+    # on one level cannot be held at scale 8
+    true_raise = fock.sigma_raise
+
+    def broken(j, v):
+        image = true_raise(j, v)
+        return fock.scale(Fraction(2, 3), image) if (2,) in v.terms else image
+
+    monkeypatch.setattr(fock, "sigma_raise", broken)
+    with pytest.raises(ContractViolation) as info:
+        cp1.verify(3, 9)
+    assert str(info.value) == (
+        "CP^1 fiber coefficient i sigma(Z) on h_2 is 1/3, not in Z[i]/2")
 
 
 @pytest.mark.parametrize("level", range(0, 5))
@@ -269,23 +295,27 @@ def test_wrong_gamma_n_dimension_fails_ladder(monkeypatch):
 
 def test_ladder_bijectivity_explicit():
     # D: G_{1,1} -> G_{0,2} has full rank 6 = dim of both blocks
-    assert cp1.d_block(1, 5) != ZERO
+    assert cp1.d_block(1, 5) != (0, 0)
     op = oracles.cp1_block_matrices(1, 5)["d"]
     assert op.nrows == op.ncols == 6
     assert rank(op) == 6
 
 
-def test_verify_builds_no_matrix(monkeypatch):
+def test_verify_builds_no_matrix(monkeypatch, fiber_memo):
     """Work gate: verify(4, 201) builds no Mat and makes no matrix product.
     Per gamma it builds one sl(2) irrep as integer bands and reads Omega's
     scalar off 8 Omega's integer diagonal, once, not per block; D, Dbar, H
-    and P are scalars read from closed forms, and their block functions
-    build no irrep."""
-    work = {"products": 0, "mats": 0, "irreps": 0}
+    and P are integer pairs read from closed forms, and their block
+    functions build no irrep.  The fiber coefficients come from the fock
+    ladder once per level (1,170 ladder calls when they were read per
+    block), and the check pass does no Gaussian-rational arithmetic: each
+    report field is built once from its pair."""
+    work = {"products": 0, "mats": 0, "irreps": 0, "arithmetic": 0}
+    reads = {"ladders": 0}    # the block functions read the fiber memo
 
-    def counted(key, fn):
+    def counted(key, fn, tally=work):
         def wrapper(*args):
-            work[key] += 1
+            tally[key] += 1
             return fn(*args)
         return wrapper
 
@@ -300,10 +330,17 @@ def test_verify_builds_no_matrix(monkeypatch):
     monkeypatch.setattr(linalg.Mat, "__matmul__", counted("products", linalg.Mat.__matmul__))
     monkeypatch.setattr(linalg.Mat, "__init__", counted("mats", linalg.Mat.__init__))
     monkeypatch.setattr(cp1, "sl2_irrep", counted("irreps", cp1.sl2_irrep))
+    monkeypatch.setattr(fock, "_ladder", counted("ladders", fock._ladder, reads))
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__neg__"):
+        monkeypatch.setattr(GaussianRational, name,
+                            counted("arithmetic", getattr(GaussianRational, name)))
     for name in ("d_block", "dbar_block", "h_block", "p_block"):
         monkeypatch.setattr(cp1, name, builds_nothing(getattr(cp1, name)))
-    report = cp1.verify(4, 201)
-    assert work == {"products": 0, "mats": 0, "irreps": 101}
+    lmax = 4
+    report = cp1.verify(lmax, 201)
+    assert 1 <= reads["ladders"] <= 2 * (lmax + 3)
+    assert work == {"products": 0, "mats": 0, "irreps": 101, "arithmetic": 0}
     blocks = [b for lv in report for b in lv.blocks]
     assert len(blocks) == 495
     for b in blocks:
@@ -337,14 +374,15 @@ def test_p_d_commutator_consistent_with_ladder_shift(report):
 
 
 def test_p_block_from_ladder_maps():
-    # P = (1/2)(D Dbar - Dbar D) from the neighbouring blocks, on block (1, 5)
+    # 128 P = 64 (D Dbar - Dbar D) from the neighbouring blocks' pairs at
+    # scale 8, on block (1, 5)
     d_up, dbar = cp1.d_block(2, 5), cp1.dbar_block(1, 5)
     dbar_down, d = cp1.dbar_block(0, 5), cp1.d_block(1, 5)
     p = cp1.p_block(1, 5, d_up, dbar, dbar_down, d)
-    assert p == gq(cp1.lambda_lj(1, 1))
-    # on the vacuum block the missing lower neighbour enters as the zero scalar
-    p = cp1.p_block(0, 5, cp1.d_block(1, 5), cp1.dbar_block(0, 5), ZERO, cp1.d_block(0, 5))
-    assert p == gq(cp1.lambda_lj(0, 2))
+    assert p == (128 * cp1.lambda_lj(1, 1), 0)
+    # on the vacuum block the missing lower neighbour enters as the zero pair
+    p = cp1.p_block(0, 5, cp1.d_block(1, 5), cp1.dbar_block(0, 5), (0, 0), cp1.d_block(0, 5))
+    assert p == (128 * cp1.lambda_lj(0, 2), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +397,8 @@ def _block_norm(level: int, gamma: int) -> Fraction:
 @pytest.mark.parametrize("gamma", [3, 5, 9, 13])
 def test_dbar_is_adjoint_of_d(gamma):
     for level in range(0, (gamma - 1) // 2):   # blocks where dbar is nonzero
-        dbar = cp1.dbar_block(level, gamma)
-        d_next = cp1.d_block(level + 1, gamma)
+        dbar = _reduced(*cp1.dbar_block(level, gamma), 8)
+        d_next = _reduced(*cp1.d_block(level + 1, gamma), 8)
         assert dbar and d_next
         assert dbar * _block_norm(level + 1, gamma) == d_next.conjugate() * _block_norm(
             level, gamma
@@ -383,11 +421,11 @@ def test_invariant_norms_make_x_y_adjoint():
 def test_zero_row_blocks_at_boundaries():
     # the maps out of the vacuum (D) and the j = 0 block (Dbar) are zero; as
     # explicit matrices they are 0 x 6, with the whole block as kernel
-    assert cp1.d_block(0, 5) == ZERO
+    assert cp1.d_block(0, 5) == (0, 0)
     op = oracles.cp1_block_matrices(0, 5)["d"]
     assert op.nrows == 0 and op.ncols == 6
     assert kernel_dimension(op) == 6
-    assert cp1.dbar_block(2, 5) == ZERO   # j = 0 block
+    assert cp1.dbar_block(2, 5) == (0, 0)   # j = 0 block
     op = oracles.cp1_block_matrices(2, 5)["dbar"]
     assert op.nrows == 0 and op.ncols == 6
     for fn in (cp1.d_block, cp1.dbar_block, cp1.h_block, cp1.omega_block):
@@ -401,9 +439,10 @@ def test_zero_row_blocks_at_boundaries():
 
 def test_scalar_blocks_match_explicit_matrices():
     """Every block up to --lmax 3 --gamma-max 21, rebuilt as explicit matrices
-    of their true shapes: the same P, ranks and kernels by row reduction,
-    the four commutators as matrix identities, and the same --matrices
-    triplets."""
+    of their true shapes from the oracle's own root-vector normalization:
+    the scaled pairs of D, Dbar, H and P are their scalars, with the same
+    P, ranks and kernels by row reduction, the four commutators as matrix
+    identities, and the same --matrices triplets."""
     checked = 0
     for lv in cp1.verify(3, 21):
         for block in lv.blocks:
@@ -412,6 +451,15 @@ def test_scalar_blocks_match_explicit_matrices():
             down = oracles.cp1_block_matrices(level - 1, gamma)
             up = oracles.cp1_block_matrices(level + 1, gamma)
             d, dbar, h, p = m["d"], m["dbar"], m["h"], m["p"]
+            pairs = {"d": cp1.d_block(level, gamma), "dbar": cp1.dbar_block(level, gamma),
+                     "h": cp1.h_block(level, gamma)}
+            d_up = cp1.d_block(level + 1, gamma) if cp1.block_exists(level + 1, gamma) else (0, 0)
+            dbar_down = cp1.dbar_block(level - 1, gamma) if level else (0, 0)
+            pairs["p"] = cp1.p_block(level, gamma, d_up, pairs["dbar"], dbar_down, pairs["d"])
+            for op, scale in (("d", 8), ("dbar", 8), ("h", 8), ("p", 128)):
+                c = _reduced(*pairs[op], scale)
+                assert c == getattr(block, op)
+                assert m[op] == scalar_matrix(dim, c) if m[op].nrows == dim else not c
             assert p == scalar_matrix(dim, block.p)
             assert m["omega"] == scalar_matrix(dim, block.omega)
             assert p == mat_sub(mat_scale(m["omega"], -1), mat_scale(h @ h, Fraction(3, 2)))

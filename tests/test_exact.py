@@ -7,11 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import FractionPairGaussian, kernel_dimension, mat_from_rows, mat_mul, rank
+from oracles import (
+    FractionPairGaussian, kernel_dimension, mat_from_rows, mat_mul, rank, scalar_identity_value,
+    scalar_matrix,
+)
 import symdol
 from symdol.gaussian import GaussianRational, I, ONE, gq, gq_str
-from symdol import fock, gaussian, linalg
-from symdol.linalg import Mat, scalar_identity_value
+from symdol import fock, gaussian
+from symdol.linalg import Mat
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +213,8 @@ def test_shapes_are_explicit():
 
 
 def test_scalar_identity_detection():
-    assert scalar_identity_value(linalg.scalar_matrix(3, ONE)) == gq(1)
-    assert scalar_identity_value(linalg.scalar_matrix(2, gq(0, -5))) == gq(0, -5)
+    assert scalar_identity_value(scalar_matrix(3, ONE)) == gq(1)
+    assert scalar_identity_value(scalar_matrix(2, gq(0, -5))) == gq(0, -5)
     assert scalar_identity_value(mat_from_rows([[1, 1], [0, 1]])) is None
     assert scalar_identity_value(mat_from_rows([[1, 0], [0, 2]])) is None
     assert scalar_identity_value(Mat(0, 0, {})) == gq(0)
@@ -225,7 +228,7 @@ def test_shape_validation():
     with pytest.raises(ValueError, match="column count"):
         mat_from_rows([[1, 2], [3]])
     with pytest.raises(ValueError, match="mat_mul"):
-        mat_mul(linalg.scalar_matrix(2, ONE), linalg.scalar_matrix(3, ONE))
+        mat_mul(scalar_matrix(2, ONE), scalar_matrix(3, ONE))
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +305,9 @@ def test_flag_layers_import_no_numeric_layer():
         "rootsys": set(), "reps": set(), "flagspec": set()}
 
 
-def test_cp1_imports_no_matrix_layer():
-    # CP^1 holds D, Dbar, H and P as scalars and Omega as integer bands
-    imports = _symdol_imports(ast.parse((Path(symdol.__file__).parent / "cp1.py").read_text()))
-    assert "fock" in imports and "linalg" not in imports
+@pytest.mark.parametrize("layer,seen", [("cp1", "fock"), ("cli", "cp1")])
+def test_cp1_imports_no_matrix_layer(layer, seen):
+    # CP^1 holds D, Dbar, H and P as integer pairs and Omega as integer bands,
+    # and the CLI renders each c * I itself: only fock imports linalg
+    imports = _symdol_imports(ast.parse((Path(symdol.__file__).parent / f"{layer}.py").read_text()))
+    assert seen in imports and "linalg" not in imports

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from numpy.polynomial import hermite as nph
 
 import oracles
-from oracles import mat_scale
+from oracles import as_scalar_identity, mat_scale
 from symdol import fock, gaussian
 from symdol.gaussian import GaussianRational, gq, gq_str
 
@@ -599,7 +599,7 @@ def test_hermite_recurrences_weakly(m):
 @pytest.mark.parametrize("l", range(0, 9))
 def test_symbol_product_unit_vector(l):
     op = fock.symbol_product(1, l, [1, 0])
-    assert fock.as_scalar_identity(op) == gq(-(2 * l + 2))
+    assert as_scalar_identity(op) == gq(-(2 * l + 2))
 
 
 def test_symbol_product_scales_with_metric():
@@ -607,7 +607,7 @@ def test_symbol_product_scales_with_metric():
     g = fock.metric_norm_sq(1, v)
     for l in (0, 2, 5):
         op = fock.symbol_product(1, l, v)
-        assert fock.as_scalar_identity(op) == gq(-(2 * l + 2) * g)
+        assert as_scalar_identity(op) == gq(-(2 * l + 2) * g)
 
 
 @pytest.mark.parametrize("l", [0, 1, 4])
@@ -617,11 +617,11 @@ def test_symbol_product_reversed_order(l):
     g = fock.metric_norm_sq(1, v)
     down = fock.symbol_lower_operator(1, l, v)
     if l == 0:
-        assert fock.as_scalar_identity(down) == gq(0)
+        assert as_scalar_identity(down) == gq(0)
         return
     up = fock.symbol_raise_operator(1, l - 1, v)
     rev = fock.compose(up, down)
-    assert fock.as_scalar_identity(rev) == gq(-2 * l * g)
+    assert as_scalar_identity(rev) == gq(-2 * l * g)
 
 
 def test_symbol_product_rejects_zero_vector():
@@ -631,7 +631,7 @@ def test_symbol_product_rejects_zero_vector():
 
 def test_symbol_product_not_scalar_for_two_directions():
     op = fock.symbol_product(2, 1, [1, 0, 0, 1])
-    assert fock.as_scalar_identity(op) is None
+    assert as_scalar_identity(op) is None
 
 
 # ---------------------------------------------------------------------------
@@ -663,7 +663,7 @@ def test_compose_shape_checked():
 def test_h0_operator_level_preserving():
     for l in range(0, 4):
         op = fock.operator_from_action(2, l, l, fock.h0_apply)
-        assert fock.as_scalar_identity(op) == gq(Fraction(-(2 * l + 2), 2))
+        assert as_scalar_identity(op) == gq(Fraction(-(2 * l + 2), 2))
 
 
 def test_h0_shifts_raising_operator_by_matrix_composition():

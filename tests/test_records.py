@@ -18,7 +18,8 @@ from pathlib import Path
 
 import pytest
 
-from symdol import cp1, flagspec, fock, linalg, reps, surface
+from oracles import scalar_matrix
+from symdol import cp1, flagspec, fock, reps, surface
 from symdol.gaussian import ONE, gq
 from symdol.linalg import Mat
 from symdol.rootsys import RootSystem, build_root_system
@@ -46,7 +47,7 @@ def _records():
         "FockOperator": (fock.symbol_product(1, 0, (1, 0)), "n"),
         "ConsistencyReport": (surface.cp1_consistency(0, 3), "level"),
         "IndexQuery": (surface.IndexQuery(0, 0, "fock"), "genus"),
-        "Mat": (linalg.scalar_matrix(2, ONE), "nrows"),
+        "Mat": (scalar_matrix(2, ONE), "nrows"),
     }
 
 
@@ -84,14 +85,14 @@ def test_mat_equality_is_shape_and_entries():
     assert a != Mat(2, 3, {(0, 0): ONE, (1, 0): gq(1, 2)})
     assert a != Mat(3, 2, {(0, 0): ONE, (1, 0): gq(1, 2)})
     assert Mat(0, 3, {}) != Mat(3, 0, {})
-    assert Mat(0, 0, {}) == linalg.scalar_matrix(0, ONE)
+    assert Mat(0, 0, {}) == scalar_matrix(0, ONE)
     # a Mat equals no plain mapping, even one with its entries
     assert a != dict(a.entries) and dict(a.entries) != a
 
 
 def test_mat_is_unhashable():
     with pytest.raises(TypeError):
-        hash(linalg.scalar_matrix(2, ONE))
+        hash(scalar_matrix(2, ONE))
     with pytest.raises(TypeError):
         {Mat(0, 0, {})}
 

@@ -21,28 +21,30 @@ V_gamma.  Both forces together leave |c|^2 = 1/8 with c * (-conj(c)) as the
 raising/lowering pair; all spectra, kernels, ranks and commutators below
 are independent of this residual phase choice.
 
-`verify` builds each block once: per gamma it assembles D on levels
-0..lmax+2, Dbar, H and P on 0..lmax+1 (P from those D/Dbar neighbours) and
-Omega once, since Omega does not depend on the level.  D, Dbar, H and P are
-held as the scalar c of c * I (a map into a missing neighbour block is
-zero), each as a pair (x, y) of ints, c = (x + y*i) / s, at a power-of-2
-scale s that makes it a Gaussian integer: 8 for D, Dbar and H, 128 for P,
-since 2P is a difference of products of two scale-8 maps.  The fiber
-coefficients are read from fock once per level, and one off Z[i]/2 is the
-only exactness failure.  Omega is a scalar too: h is diagonal and X, Y are
-single bands on the weight basis, so Omega is diagonal, and Schur's lemma
-is k+1 integer equalities on 8 Omega's diagonal, once per gamma.  Each
-identity is multiplied through to integer pairs at its product scale (P =
--Omega - (3/2) H^2 at 128, [H, D] and [H, Dbar] at 64, [P, D] and [P, Dbar]
-at 1024), so no check divides or truncates; the P-identity fails on every
-block of a gamma whose Omega is not c * I.  The same pass sums the ranks
-into each level's kernel ledger; a failure names its level, gamma, check
-and values.  Any nonzero residual is a failure.
+`verify` is the one definition of the ladder maps.  It reads the fiber
+coefficients from fock once per call, one per level and direction, and
+keeps nothing between calls; a caller reads a block's operators from its
+BlockReport.  Per gamma it builds D on levels 0..lmax+2, Dbar, H and P on
+0..lmax+1 (P from those D/Dbar neighbours) and Omega once, since Omega
+does not depend on the level.  D, Dbar, H and P are held as the scalar c
+of c * I (a map into a missing neighbour block is zero), each as a pair
+(x, y) of ints, c = (x + y*i) / s, at a power-of-2 scale s that makes it
+a Gaussian integer: 8 for D, Dbar and H, 128 for P, since 2P is a
+difference of products of two scale-8 maps.  A fiber coefficient off
+Z[i]/2 is the only exactness failure.  Omega is a scalar too: h is
+diagonal and X, Y are single bands on the weight basis, so Omega is
+diagonal, and Schur's lemma is k+1 integer equalities on 8 Omega's
+diagonal, once per gamma.  Each identity is multiplied through to integer
+pairs at its product scale (P = -Omega - (3/2) H^2 at 128, [H, D] and
+[H, Dbar] at 64, [P, D] and [P, Dbar] at 1024), so no check divides or
+truncates; the P-identity fails on every block of a gamma whose Omega is
+not c * I.  The same pass sums the ranks into each level's kernel ledger;
+a failure names its level, gamma, check and values.  Any nonzero residual
+is a failure.
 """
 
 from __future__ import annotations
 
-import functools
 import operator
 from fractions import Fraction
 from typing import NamedTuple, Optional
@@ -133,7 +135,6 @@ def weight_line_index(level: int, gamma: int) -> int:
     return (gamma + 2 * level + 1) // 2
 
 
-@functools.cache
 def _fiber(level: int, step: int) -> Pair:
     """2i sigma(Z) = 1 (step 1) or 2i sigma(Zbar) = 2 level (step -1) on the fiber
     line h_level, read from fock; a value off Z[i]/2 would break the scales."""
@@ -152,32 +153,6 @@ def _dot(*terms: tuple[int, Pair, Pair]) -> Pair:
         x += k * (ax * bx - ay * by)
         y += k * (ax * by + ay * bx)
     return x, y
-
-
-def dbar_block(level: int, gamma: int) -> Pair:
-    """The raising Dolbeault operator block(l, gamma) -> block(l+1, gamma), as
-    8c for c * I: -4i sigma(Z) (x) right-action of Zbar_alpha (Y v_r = v_{r+1}),
-    so c = i sigma(Z) (1 - i).  The zero map when block(l+1, gamma) is missing."""
-    _require_block(level, gamma)
-    if not block_exists(level + 1, gamma):
-        return _ZERO
-    return _dot((4, _fiber(level, 1), (1, -1)))
-
-
-def d_block(level: int, gamma: int) -> Pair:
-    """The lowering Dolbeault operator block(l, gamma) -> block(l-1, gamma), as
-    8c for c * I: 4i sigma(Zbar) (x) right-action of Z_alpha, so c = i sigma(Zbar)
-    (1 + i) x_r; the zero map out of level 0."""
-    r = weight_line_index(level, gamma)     # raises when there is no block
-    if not block_exists(level - 1, gamma):
-        return _ZERO
-    return _dot((4 * _x_entry(gamma, r), _fiber(level, -1), (1, 1)))
-
-
-def h_block(level: int, gamma: int) -> Pair:
-    """The grading operator -(l + 1/2) * I, as 8 times its scalar."""
-    _require_block(level, gamma)
-    return -4 * (2 * level + 1), 0
 
 
 def omega_block(level: int, gamma: int) -> tuple[int, ...]:
@@ -280,32 +255,39 @@ def _unequal(identity: str, scale: int, lhs: Pair, rhs: Pair) -> Optional[str]:
                                     f"{_reduced(*rhs, scale)} on the right")
 
 
-def _gamma_blocks(lmax: int, gamma: int) -> list[BlockReport]:
+def _gamma_blocks(lmax: int, gamma: int, raising: list[Pair], lowering: list[Pair]
+                  ) -> list[BlockReport]:
     """Check the blocks (level, gamma), level <= lmax, of one gamma ladder.
 
-    D is built on levels 0..lmax+2 and Dbar, H, P on 0..lmax+1 (as far as
-    the ladder reaches), each once: P one level up enters the [P, Dbar]
-    check and needs D two levels up.
+    raising[l] is 8 Dbar on h_l and lowering[l] is 8 D on h_l over X's entry
+    on the weight line.  D is built on levels 0..lmax+2 and Dbar, H, P on
+    0..lmax+1 (as far as the ladder reaches), each once: P one level up
+    enters the [P, Dbar] check and needs D two levels up.  Each list is padded
+    with the zero map at both ends, so entry l + 1 is level l and a map
+    through a missing neighbour block is zero.
     """
     top = (gamma - 1) // 2        # highest level with a gamma block; j = top - level
     dim = gamma + 1
     reach = min(lmax + 1, top) + 1
-    d = [d_block(l, gamma) for l in range(min(lmax + 2, top) + 1)]
-    dbar = [dbar_block(l, gamma) for l in range(reach)]
-    h = [h_block(l, gamma) for l in range(reach)]
+    # v_{top+1+l} spans the weight line at level l; Y v_gamma = 0, so Dbar is zero
+    # on the top block, and D is zero on level 0 through its fiber coefficient
+    d = [_ZERO, *(_dot((_x_entry(gamma, top + 1 + l), lowering[l], _ONE))
+                  for l in range(min(reach, top) + 1)), _ZERO]
+    dbar = [_ZERO, *raising[:min(reach, top)], _ZERO]
+    h = [_ZERO, *((-4 * (2 * l + 1), 0) for l in range(reach)), _ZERO]
     omega = omega_block(0, gamma)
     off = _off_scalar(gamma, omega)
     not_scalar = off and f"P = -Omega - (3/2) H^2: {off}"
     c = _reduced(omega[0], 0, 8)
-    p = [p_block(l, gamma, d[l + 1] if l < top else _ZERO, dbar[l],
-                 dbar[l - 1] if l else _ZERO, d[l]) for l in range(reach)]
+    p = [_ZERO, *(p_block(l, gamma, d[l + 2], dbar[l + 1], dbar[l], d[l + 1])
+                  for l in range(reach)), _ZERO]
 
     gamma_n_dim = (top + 1) * block_dim(top, gamma)   # one block on each level 0..top
     reports = []
     for l in range(min(lmax, top) + 1):
-        j, dl, dbarl, hl, pl = top - l, d[l], dbar[l], h[l], p[l]
-        h_down, p_down = (h[l - 1], p[l - 1]) if l else (_ZERO, _ZERO)
-        h_up, p_up = (h[l + 1], p[l + 1]) if l < top else (_ZERO, _ZERO)
+        j, dl, dbarl = top - l, d[l + 1], dbar[l + 1]
+        h_down, hl, h_up = h[l:l + 3]
+        p_down, pl, p_up = p[l:l + 3]
         if pl[1]:
             raise ContractViolation(f"P is not a real scalar on block (level={l}, gamma={gamma}): "
                                     f"P = {_reduced(*pl, 128)}")
@@ -351,10 +333,15 @@ def verify(lmax: int, gamma_max: int) -> tuple[LevelReport, ...]:
     if lmax < 0:
         raise ValueError("lmax must be nonnegative")
     if gamma_max < 2 * lmax + 1:
-        raise ValueError(f"gamma_max = {gamma_max} < 2*level+1 = {2 * lmax + 1}")
+        raise ValueError(f"gamma_max = {gamma_max} < 2*lmax+1 = {2 * lmax + 1}")
+    # 8 Dbar's scalar on h_l, i sigma(Z) (1 - i), from -4i sigma(Z) (x) the right action
+    # of Zbar_alpha (Y v_r = v_{r+1}), and 8 D's scalar over x_r, i sigma(Zbar) (1 + i),
+    # from 4i sigma(Zbar) (x) the right action of Z_alpha (X v_r = x_r v_{r-1})
+    raising = [_dot((4, _fiber(l, 1), (1, -1))) for l in range(lmax + 2)]
+    lowering = [_dot((4, _fiber(l, -1), (1, 1))) for l in range(lmax + 3)]
     by_level = [[] for _ in range(lmax + 1)]
     for gamma in range(1, gamma_max + 1, 2):
-        for block in _gamma_blocks(lmax, gamma):
+        for block in _gamma_blocks(lmax, gamma, raising, lowering):
             by_level[block.level].append(block)
 
     levels = []

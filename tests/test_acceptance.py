@@ -226,7 +226,7 @@ def test_criterion_08_cp1_matrix_engine():
             assert lv.ker_d == 0
         # kernel of Dbar concentrated in gamma = 2 level + 1
         top = oracles.cp1_block_matrices(level, 2 * level + 1)["dbar"]
-        assert cp1.dbar_block(level, 2 * level + 1) == (0, 0)
+        assert lv.blocks[0].gamma == 2 * level + 1 and lv.blocks[0].dbar == ZERO
         assert (top.nrows, kernel_dimension(top)) == (0, 2 * level + 2)
     assert all(lv.ok for lv in report)
     for n_total in range(0, 5):

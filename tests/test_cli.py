@@ -440,12 +440,8 @@ def test_fiber_coefficient_off_half_gaussian_integers_exits_2(capsys, monkeypatc
         image = true_raise(j, v)
         return fock.scale(Fraction(2, 3), image) if (1,) in v.terms else image
 
-    cp1._fiber.cache_clear()
     monkeypatch.setattr(fock, "sigma_raise", broken)
-    try:
-        code = main(["cp1", "--lmax", "1", "--gamma-max", "5", "--format", "json"])
-    finally:
-        cp1._fiber.cache_clear()
+    code = main(["cp1", "--lmax", "1", "--gamma-max", "5", "--format", "json"])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert "contract violation" in captured.err
@@ -500,6 +496,13 @@ def test_cp1_bad_parity_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "cp1", "--lmax", "0", "--gamma-max", "8")
     assert code == 1
     assert "parity" in err
+
+
+def test_cp1_gamma_max_below_lmax_is_usage_error(capsys):
+    # the bound is on lmax: the top level's first block is gamma = 2 lmax + 1
+    code, out, err = run_cli(capsys, "cp1", "--lmax", "2", "--gamma-max", "3")
+    assert code == 1 and out == ""
+    assert err == "symdol: error: gamma_max = 3 < 2*lmax+1 = 5\n"
 
 
 def test_unknown_subcommand_exits_1():

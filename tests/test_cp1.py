@@ -7,7 +7,7 @@ from oracles import (
     invariant_weight_norms, kernel_dimension, mat_mul, mat_scale, mat_sub, rank,
     scalar_matrix, sl2_casimir_by_matrices, sl2_irrep_matrices,
 )
-from symdol import cli, cp1, fock, linalg
+from symdol import cli, cp1, fock, gaussian, linalg
 from symdol.errors import ContractViolation
 from symdol.gaussian import GaussianRational, ONE, ZERO, _reduced, gq
 from symdol.linalg import Mat
@@ -162,18 +162,8 @@ def test_non_real_p_names_its_value(monkeypatch):
         f"P is not a real scalar on block (level=1, gamma=5): P = {cp1.lambda_lj(1, 1)}+1/4i")
 
 
-@pytest.fixture
-def fiber_memo():
-    """The fiber coefficients are memoized by level: start and end empty."""
-    cp1._fiber.cache_clear()
-    yield
-    cp1._fiber.cache_clear()
-
-
-def test_fiber_coefficient_off_half_gaussian_integers_names_level_and_value(
-        monkeypatch, fiber_memo):
-    # the one exactness guard: a fock coefficient i sigma(Z) outside Z[i]/2
-    # on one level cannot be held at scale 8
+def _break_fiber_on_level_2(monkeypatch):
+    """i sigma(Z) = 1/3 on h_2, from a fock raising map scaled by 2/3 there."""
     true_raise = fock.sigma_raise
 
     def broken(j, v):
@@ -181,10 +171,25 @@ def test_fiber_coefficient_off_half_gaussian_integers_names_level_and_value(
         return fock.scale(Fraction(2, 3), image) if (2,) in v.terms else image
 
     monkeypatch.setattr(fock, "sigma_raise", broken)
+
+
+def test_fiber_coefficient_off_half_gaussian_integers_names_level_and_value(monkeypatch):
+    # the one exactness guard: a fock coefficient i sigma(Z) outside Z[i]/2
+    # on one level cannot be held at scale 8
+    _break_fiber_on_level_2(monkeypatch)
     with pytest.raises(ContractViolation) as info:
         cp1.verify(3, 9)
     assert str(info.value) == (
         "CP^1 fiber coefficient i sigma(Z) on h_2 is 1/3, not in Z[i]/2")
+
+
+def test_verify_keeps_no_state_between_calls(monkeypatch):
+    # each call reads the fiber from fock afresh: a clean run first does not
+    # hide a fock broken before the next one
+    assert all(lv.ok for lv in cp1.verify(3, 9))
+    _break_fiber_on_level_2(monkeypatch)
+    with pytest.raises(ContractViolation, match="on h_2 is 1/3, not in Z"):
+        cp1.verify(3, 9)
 
 
 @pytest.mark.parametrize("level", range(0, 5))
@@ -217,7 +222,7 @@ def test_kernels_concentrated_and_trivial(report):
 def test_verify_rejects_bad_truncation():
     with pytest.raises(ValueError, match="parity"):
         cp1.verify(0, 8)
-    with pytest.raises(ValueError, match="gamma_max"):
+    with pytest.raises(ValueError, match=r"^gamma_max = 5 < 2\*lmax\+1 = 7$"):
         cp1.verify(3, 5)
     with pytest.raises(ValueError, match="nonnegative"):
         cp1.verify(-1, 5)
@@ -234,13 +239,16 @@ def test_verify_takes_truncation_as_integers_from_one():
     assert cp1.verify(True, 3) == cp1.verify(1, 3)
 
 
-def test_block_requires_matching_parity():
+def test_block_requires_matching_parity(report):
     assert not cp1.block_exists(0, 2)
     assert not cp1.block_exists(2, 3)
-    with pytest.raises(ValueError, match="no block"):
-        cp1.d_block(0, 2)
-    with pytest.raises(ValueError, match="no block"):
-        cp1.dbar_block(2, 3)
+    assert (0, 2) not in _blocks(report) and (2, 3) not in _blocks(report)
+    for level, gamma in ((0, 2), (2, 3)):
+        for fn in (cp1.omega_block, cp1.weight_line_index):
+            with pytest.raises(ValueError, match="no block"):
+                fn(level, gamma)
+        with pytest.raises(ValueError, match="no block"):
+            cp1.p_block(level, gamma, (0, 0), (0, 0), (0, 0), (0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -293,25 +301,28 @@ def test_wrong_gamma_n_dimension_fails_ladder(monkeypatch):
             "(6, 6, 21), expected (6, 6, 18)") in report[1].failures
 
 
-def test_ladder_bijectivity_explicit():
+def test_ladder_bijectivity_explicit(report):
     # D: G_{1,1} -> G_{0,2} has full rank 6 = dim of both blocks
-    assert cp1.d_block(1, 5) != (0, 0)
+    assert _blocks(report)[(1, 5)].d != ZERO
     op = oracles.cp1_block_matrices(1, 5)["d"]
     assert op.nrows == op.ncols == 6
     assert rank(op) == 6
 
 
-def test_verify_builds_no_matrix(monkeypatch, fiber_memo):
+def test_verify_builds_no_matrix(monkeypatch):
     """Work gate: verify(4, 201) builds no Mat and makes no matrix product.
     Per gamma it builds one sl(2) irrep as integer bands and reads Omega's
     scalar off 8 Omega's integer diagonal, once, not per block; D, Dbar, H
-    and P are integer pairs read from closed forms, and their block
-    functions build no irrep.  The fiber coefficients come from the fock
-    ladder once per level (1,170 ladder calls when they were read per
+    and P are integer pairs read from closed forms, and p_block builds no
+    irrep.  The fiber coefficients come from the fock ladder once per level
+    and direction in each call (1,170 ladder calls when they were read per
     block), and the check pass does no Gaussian-rational arithmetic: each
-    report field is built once from its pair."""
+    report field is built once from its pair.  The pass asks only for blocks
+    that exist, so block_exists runs in the seams it calls (p_block per
+    assembled block, omega_block and block_dim per gamma), at most twice per
+    assembled block (3,938 calls while D, Dbar and H had block functions)."""
     work = {"products": 0, "mats": 0, "irreps": 0, "arithmetic": 0}
-    reads = {"ladders": 0}    # the block functions read the fiber memo
+    calls = {"ladders": 0, "validations": 0, "p_blocks": 0}
 
     def counted(key, fn, tally=work):
         def wrapper(*args):
@@ -330,16 +341,18 @@ def test_verify_builds_no_matrix(monkeypatch, fiber_memo):
     monkeypatch.setattr(linalg.Mat, "__matmul__", counted("products", linalg.Mat.__matmul__))
     monkeypatch.setattr(linalg.Mat, "__init__", counted("mats", linalg.Mat.__init__))
     monkeypatch.setattr(cp1, "sl2_irrep", counted("irreps", cp1.sl2_irrep))
-    monkeypatch.setattr(fock, "_ladder", counted("ladders", fock._ladder, reads))
+    monkeypatch.setattr(fock, "_ladder", counted("ladders", fock._ladder, calls))
     for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
                  "__truediv__", "__neg__"):
         monkeypatch.setattr(GaussianRational, name,
                             counted("arithmetic", getattr(GaussianRational, name)))
-    for name in ("d_block", "dbar_block", "h_block", "p_block"):
-        monkeypatch.setattr(cp1, name, builds_nothing(getattr(cp1, name)))
+    monkeypatch.setattr(cp1, "block_exists", counted("validations", cp1.block_exists, calls))
+    monkeypatch.setattr(cp1, "p_block", counted("p_blocks", builds_nothing(cp1.p_block), calls))
     lmax = 4
     report = cp1.verify(lmax, 201)
-    assert 1 <= reads["ladders"] <= 2 * (lmax + 3)
+    assert 1 <= calls["ladders"] <= 2 * (lmax + 3)
+    assert calls["p_blocks"] == 591    # levels 0..lmax+1 of every gamma ladder
+    assert calls["validations"] <= 2 * calls["p_blocks"]
     assert work == {"products": 0, "mats": 0, "irreps": 101, "arithmetic": 0}
     blocks = [b for lv in report for b in lv.blocks]
     assert len(blocks) == 495
@@ -373,16 +386,25 @@ def test_p_d_commutator_consistent_with_ladder_shift(report):
             assert p_down * d - d * p_here == d * (3 * level)
 
 
-def test_p_block_from_ladder_maps():
+def _pair(c: GaussianRational, scale: int) -> tuple[int, int]:
+    """The integer pair (x, y) of a report scalar c = (x + y*i) / scale."""
+    x, y, d = gaussian.fields(c)
+    assert scale % d == 0
+    return x * scale // d, y * scale // d
+
+
+def test_p_block_from_ladder_maps(report):
     # 128 P = 64 (D Dbar - Dbar D) from the neighbouring blocks' pairs at
     # scale 8, on block (1, 5)
-    d_up, dbar = cp1.d_block(2, 5), cp1.dbar_block(1, 5)
-    dbar_down, d = cp1.dbar_block(0, 5), cp1.d_block(1, 5)
+    blocks = _blocks(report)
+    d_up, dbar = _pair(blocks[(2, 5)].d, 8), _pair(blocks[(1, 5)].dbar, 8)
+    dbar_down, d = _pair(blocks[(0, 5)].dbar, 8), _pair(blocks[(1, 5)].d, 8)
     p = cp1.p_block(1, 5, d_up, dbar, dbar_down, d)
-    assert p == (128 * cp1.lambda_lj(1, 1), 0)
+    assert p == (128 * cp1.lambda_lj(1, 1), 0) == _pair(blocks[(1, 5)].p, 128)
     # on the vacuum block the missing lower neighbour enters as the zero pair
-    p = cp1.p_block(0, 5, cp1.d_block(1, 5), cp1.dbar_block(0, 5), (0, 0), cp1.d_block(0, 5))
-    assert p == (128 * cp1.lambda_lj(0, 2), 0)
+    p = cp1.p_block(0, 5, _pair(blocks[(1, 5)].d, 8), _pair(blocks[(0, 5)].dbar, 8), (0, 0),
+                    _pair(blocks[(0, 5)].d, 8))
+    assert p == (128 * cp1.lambda_lj(0, 2), 0) == _pair(blocks[(0, 5)].p, 128)
 
 
 # ---------------------------------------------------------------------------
@@ -396,9 +418,10 @@ def _block_norm(level: int, gamma: int) -> Fraction:
 
 @pytest.mark.parametrize("gamma", [3, 5, 9, 13])
 def test_dbar_is_adjoint_of_d(gamma):
-    for level in range(0, (gamma - 1) // 2):   # blocks where dbar is nonzero
-        dbar = _reduced(*cp1.dbar_block(level, gamma), 8)
-        d_next = _reduced(*cp1.d_block(level + 1, gamma), 8)
+    top = (gamma - 1) // 2
+    blocks = _blocks(cp1.verify(top, gamma))
+    for level in range(0, top):   # blocks where dbar is nonzero
+        dbar, d_next = blocks[(level, gamma)].dbar, blocks[(level + 1, gamma)].d
         assert dbar and d_next
         assert dbar * _block_norm(level + 1, gamma) == d_next.conjugate() * _block_norm(
             level, gamma
@@ -418,19 +441,23 @@ def test_invariant_norms_make_x_y_adjoint():
 # truncation honesty
 # ---------------------------------------------------------------------------
 
-def test_zero_row_blocks_at_boundaries():
+def test_zero_row_blocks_at_boundaries(report):
     # the maps out of the vacuum (D) and the j = 0 block (Dbar) are zero; as
     # explicit matrices they are 0 x 6, with the whole block as kernel
-    assert cp1.d_block(0, 5) == (0, 0)
+    blocks = _blocks(report)
+    assert blocks[(0, 5)].d == ZERO and blocks[(0, 5)].ker_d == 6
     op = oracles.cp1_block_matrices(0, 5)["d"]
     assert op.nrows == 0 and op.ncols == 6
     assert kernel_dimension(op) == 6
-    assert cp1.dbar_block(2, 5) == (0, 0)   # j = 0 block
+    assert blocks[(2, 5)].dbar == ZERO and blocks[(2, 5)].ker_dbar == 6   # j = 0 block
     op = oracles.cp1_block_matrices(2, 5)["dbar"]
     assert op.nrows == 0 and op.ncols == 6
-    for fn in (cp1.d_block, cp1.dbar_block, cp1.h_block, cp1.omega_block):
+    assert (3, 5) not in blocks
+    for fn in (cp1.omega_block, cp1.weight_line_index):
         with pytest.raises(ValueError, match="no block"):
             fn(3, 5)
+    with pytest.raises(ValueError, match="no block"):
+        cp1.p_block(3, 5, (0, 0), (0, 0), (0, 0), (0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -440,25 +467,27 @@ def test_zero_row_blocks_at_boundaries():
 def test_scalar_blocks_match_explicit_matrices():
     """Every block up to --lmax 3 --gamma-max 21, rebuilt as explicit matrices
     of their true shapes from the oracle's own root-vector normalization:
-    the scaled pairs of D, Dbar, H and P are their scalars, with the same
-    P, ranks and kernels by row reduction, the four commutators as matrix
+    the report's D, Dbar, H and P are their scalars, each on its scale's
+    integer pairs, P is p_block of its neighbours' pairs, with the same
+    ranks and kernels by row reduction, the four commutators as matrix
     identities, and the same --matrices triplets."""
     checked = 0
-    for lv in cp1.verify(3, 21):
+    report = cp1.verify(4, 21)    # level 4 holds the D maps into level 3
+    blocks = _blocks(report)
+    for lv in report[:4]:
         for block in lv.blocks:
             level, gamma, dim = block.level, block.gamma, block.dim
             m = oracles.cp1_block_matrices(level, gamma)
             down = oracles.cp1_block_matrices(level - 1, gamma)
             up = oracles.cp1_block_matrices(level + 1, gamma)
             d, dbar, h, p = m["d"], m["dbar"], m["h"], m["p"]
-            pairs = {"d": cp1.d_block(level, gamma), "dbar": cp1.dbar_block(level, gamma),
-                     "h": cp1.h_block(level, gamma)}
-            d_up = cp1.d_block(level + 1, gamma) if cp1.block_exists(level + 1, gamma) else (0, 0)
-            dbar_down = cp1.dbar_block(level - 1, gamma) if level else (0, 0)
-            pairs["p"] = cp1.p_block(level, gamma, d_up, pairs["dbar"], dbar_down, pairs["d"])
+            d_up = blocks[(level + 1, gamma)].d if (level + 1, gamma) in blocks else ZERO
+            dbar_down = blocks[(level - 1, gamma)].dbar if level else ZERO
+            maps = (_pair(c, 8) for c in (d_up, block.dbar, dbar_down, block.d))
+            assert cp1.p_block(level, gamma, *maps) == _pair(block.p, 128)
             for op, scale in (("d", 8), ("dbar", 8), ("h", 8), ("p", 128)):
-                c = _reduced(*pairs[op], scale)
-                assert c == getattr(block, op)
+                c = getattr(block, op)
+                _pair(c, scale)    # an integer pair at its scale
                 assert m[op] == scalar_matrix(dim, c) if m[op].nrows == dim else not c
             assert p == scalar_matrix(dim, block.p)
             assert m["omega"] == scalar_matrix(dim, block.omega)

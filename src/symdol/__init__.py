@@ -5,7 +5,7 @@ Submodules
 gaussian  exact Gaussian-rational numbers
 linalg    the sparse exact matrix type of the Fock operators: products
 errors    ContractViolation, raised when an internal invariant breaks
-rootsys   exact classical root systems and the dual Killing form
+rootsys   exact root systems A-D and G2, and the dual Killing form
 reps      weight multiplicities, dimensions, Casimirs, one dominant-weight walk
 fock      truncated canonical quantization on Hermite products
 flagspec  vacuum spectra on G/T and the B_n / C_n distinguisher

@@ -129,12 +129,6 @@ def block_dim(level: int, gamma: int) -> int:
     return gamma + 1 if block_exists(level, gamma) else 0
 
 
-def weight_line_index(level: int, gamma: int) -> int:
-    """Index r of the weight -(2l+1) line: gamma - 2r = -(2l+1)."""
-    _require_block(level, gamma)
-    return (gamma + 2 * level + 1) // 2
-
-
 def _fiber(level: int, step: int) -> Pair:
     """2i sigma(Z) = 1 (step 1) or 2i sigma(Zbar) = 2 level (step -1) on the fiber
     line h_level, read from fock; a value off Z[i]/2 would break the scales."""

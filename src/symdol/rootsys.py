@@ -1,13 +1,14 @@
-"""Exact models of the classical root systems A_k, B_k, C_k, D_k and G_2.
+"""Exact models of the root systems A_k, B_k, C_k, D_k and G_2.
 
 Weights are plain integer tuples in the fundamental-weight basis
 (omega_1, ..., omega_k); that basis is the lingua franca of the whole
-package.  Each family is built from its integer Cartan matrix alone: the
-positive roots (and, on the transposed matrix, the coroots) come from one
-reflection closure that carries each root's simple-root coefficients and
-fundamental-weight coordinates, so every pairing with a simple coroot is a
-lookup; the root lengths come from symmetrizing the matrix; and the stored
-bilinear form (``weight_gram_*``) is the *dual Killing form*
+package.  Each family is built from its integer Cartan matrix A alone, and
+``_cartan_matrix`` is the only code that knows how the nodes are numbered.
+The positive roots (and, on the transposed matrix, the coroots) come from
+one reflection closure that carries each root's simple-root coefficients
+and fundamental-weight coordinates, so every pairing with a simple coroot
+is a lookup.  The stored bilinear form (``weight_gram_*``) is the *dual
+Killing form*
 
     K = (form normalized so long roots have squared length 2) / (2 h^v),
 
@@ -17,13 +18,19 @@ convention are -K(x, x).  The normalization is pinned by K(alpha, alpha)
 = 1/2 for A_1, which makes the rank-one Casimir come out as
 -((k+1)^2 - 1)/8 on the (k+1)-dimensional irreducible.
 
-Both matrices the weight arithmetic needs, the inverse Cartan matrix (read
-off the positive roots through the Killing sum) and the Gram matrix
-K(omega_i, omega_j), are stored as integer numerators over one common
-denominator each.  On integer weights, K(x, y) is then an integer dot
-product with a single division at the end, and the membership test for
-nonnegative integer combinations of simple roots is integer dot products
-with the inverse Cartan matrix plus a sign and divisibility test.
+Every constant is read off one integer matrix, the Killing sum
+S_ik = sum_{alpha>0} c_i(alpha) c_k(alpha) over the simple-root coefficients
+of the positive roots.  S A is diagonal, with diagonal q_i = h^v / d_i
+(d_i the half squared length of alpha_i), so h^v = min q,
+(A^-1)_ik = S_ik / q_i and K(omega_i, omega_k) = S_ik / (2 q_i q_k).
+Numbering the nodes in another order only permutes these constants.
+
+Both matrices the weight arithmetic needs, the inverse Cartan matrix and
+the Gram matrix K(omega_i, omega_j), are stored as integer numerators over
+one common denominator each.  On integer weights, K(x, y) is then an
+integer dot product with a single division at the end, and the membership
+test for nonnegative integer combinations of simple roots is integer dot
+products with the inverse Cartan matrix plus a sign and divisibility test.
 
 Everything here is immutable and pure; no floating point.
 """
@@ -47,15 +54,17 @@ _RANK_RULES = {
 
 
 class RootSystem(NamedTuple):
-    """Cartan data for one classical family at a fixed rank, all of it
-    derived from the integer Cartan matrix.
+    """Cartan data for one family at a fixed rank, all of it derived from
+    the integer Cartan matrix.
 
     ``cartan_matrix[i][j]`` is <alpha_i, alpha_j^v>, so row i is alpha_i in
     fundamental-weight coordinates.  ``positive_roots_fw`` gives the positive
     roots in those coordinates (integer tuples), ordered by height and
     starting with the simple roots in index order.  The inverse Cartan matrix
     (row i holds the simple-root coefficients of omega_i) and the Gram matrix
-    K(omega_i, omega_j) are ``*_num`` divided entrywise by ``*_den``.
+    K(omega_i, omega_j) are ``*_num`` divided entrywise by ``*_den``; they and
+    ``dual_coxeter`` are read off the Killing sum S through the diagonal of
+    S A, whatever the order of the nodes.
     """
 
     family: str
@@ -90,19 +99,6 @@ def _cartan_matrix(family: str, rank: int) -> tuple[tuple[int, ...], ...]:
         a[n][n - 1] = a[n - 1][n] = 0
         a[n][n - 2] = a[n - 2][n] = -1
     return tuple(tuple(row) for row in a)
-
-
-def _half_lengths(cartan) -> list[Fraction]:
-    """(alpha_i, alpha_i) / 2 with long roots at squared length 2.
-
-    The form is symmetric, so A_ij d_j = A_ji d_i along every bond; each node
-    after the first is bonded to an earlier one."""
-    half = [Fraction(1)]
-    for i in range(1, len(cartan)):
-        j = next(j for j in range(i) if cartan[i][j])
-        half.append(half[j] * cartan[i][j] / cartan[j][i])
-    longest = max(half)
-    return [d / longest for d in half]
 
 
 def _positive_root_coefficients(cartan) -> list[tuple[tuple[int, ...], Weight]]:
@@ -151,25 +147,26 @@ def build_root_system(family: str, rank: int) -> RootSystem:
         raise ValueError(f"family {family} requires {bound}; got rank {rank}")
 
     cartan = _cartan_matrix(family, rank)
-    half = _half_lengths(cartan)
-
     # by height, the simple roots first in index order; alpha_k is row k of cartan
     coeffs, positives_fw = zip(*sorted(_positive_root_coefficients(cartan),
                                        key=lambda root: (sum(root[0]), [-x for x in root[0]])))
 
-    # the highest root theta is long, so theta^v = sum_i c_i d_i alpha_i^v and
-    # h^v = 1 + <rho, theta^v> = 1 + sum_i c_i d_i
-    dual_cox = 1 + int(sum(c * d for c, d in zip(coeffs[-1], half)))
-    killing_scale = Fraction(1, 2 * dual_cox)
+    # with long roots at squared length 2 and d_i = (alpha_i, alpha_i) / 2,
     # the Killing sum sum_{alpha>0} (x, alpha)(y, alpha) = h^v (x, y) at
-    # x = omega_i, y = omega_k, with (omega_i, alpha) = c_i(alpha) d_i and
-    # (omega_i, omega_k) = (A^-1)_ik d_k, gives
-    # (A^-1)_ik = (d_i / h^v) sum_{alpha>0} c_i(alpha) c_k(alpha)
+    # x = omega_i, y = omega_k, where (omega_i, alpha) = c_i(alpha) d_i and
+    # (omega_i, omega_k) = (A^-1)_ik d_k, gives A^-1 = diag(d) S / h^v for
+    # S_ik = sum_{alpha>0} c_i(alpha) c_k(alpha).  So S A = diag(h^v / d_i),
+    # and its integer diagonal q fixes every constant: h^v = min q (A is
+    # irreducible, so some simple root is long, with d = 1),
+    # (A^-1)_ik = S_ik / q_i and K(omega_i, omega_k) = S_ik / (2 q_i q_k).
     cols = list(zip(*coeffs))
-    inv_cartan = [[d * sum(map(mul, ci, ck)) / dual_cox for ck in cols]
-                  for ci, d in zip(cols, half)]
-    # (omega_i, omega_j) = (A^-1)_ij d_j, since (omega_i, alpha_k) = delta_ik d_k
-    gram = [[x * d * killing_scale for x, d in zip(row, half)] for row in inv_cartan]
+    killing_sum = [[sum(map(mul, ci, ck)) for ck in cols] for ci in cols]
+    q = [sum(map(mul, row, col)) for row, col in zip(killing_sum, zip(*cartan))]
+    dual_cox = min(q)
+    killing_scale = Fraction(1, 2 * dual_cox)
+    inv_cartan = [[Fraction(s, qi) for s in row] for row, qi in zip(killing_sum, q)]
+    gram = [[Fraction(s, 2 * qi * qk) for s, qk in zip(row, q)]
+            for row, qi in zip(killing_sum, q)]
 
     inv_cartan_num, inv_cartan_den = _over_common_denominator(inv_cartan)
     gram_num, gram_den = _over_common_denominator(gram)

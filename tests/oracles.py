@@ -910,14 +910,14 @@ def cp1_block_matrices(level: int, gamma: int) -> dict[str, Mat]:
     def d(l):     # 4i sigma(Zbar) (x) (1+i)/4 X: v_r -> v_{r-1}
         if not (dim(l) and dim(l - 1)):
             return Mat(dim(l - 1), dim(l), {})
-        r = cp1.weight_line_index(l, gamma)
+        r = (gamma + 2 * l + 1) // 2    # the weight line gamma - 2r = -(2l+1)
         fiber = fock.sigma_lower(1, fock.basis_vector(1, (l,))).terms[(l - 1,)]
         return scalar_matrix(dim(l), gq(0, 4) * fiber * z_alpha * x[r - 1, r])
 
     def dbar(l):  # -4i sigma(Z) (x) (-1+i)/4 Y: v_r -> v_{r+1}
         if not (dim(l) and dim(l + 1)):
             return Mat(dim(l + 1), dim(l), {})
-        r = cp1.weight_line_index(l, gamma)
+        r = (gamma + 2 * l + 1) // 2    # the weight line gamma - 2r = -(2l+1)
         fiber = fock.sigma_raise(1, fock.basis_vector(1, (l,))).terms[(l + 1,)]
         return scalar_matrix(dim(l), gq(0, -4) * fiber * zbar_alpha * y[r + 1, r])
 

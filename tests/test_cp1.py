@@ -244,9 +244,8 @@ def test_block_requires_matching_parity(report):
     assert not cp1.block_exists(2, 3)
     assert (0, 2) not in _blocks(report) and (2, 3) not in _blocks(report)
     for level, gamma in ((0, 2), (2, 3)):
-        for fn in (cp1.omega_block, cp1.weight_line_index):
-            with pytest.raises(ValueError, match="no block"):
-                fn(level, gamma)
+        with pytest.raises(ValueError, match="no block"):
+            cp1.omega_block(level, gamma)
         with pytest.raises(ValueError, match="no block"):
             cp1.p_block(level, gamma, (0, 0), (0, 0), (0, 0), (0, 0))
 
@@ -412,7 +411,7 @@ def test_p_block_from_ladder_maps(report):
 # ---------------------------------------------------------------------------
 
 def _block_norm(level: int, gamma: int) -> Fraction:
-    r = cp1.weight_line_index(level, gamma)
+    r = (gamma + 2 * level + 1) // 2    # the weight line gamma - 2r = -(2l+1)
     return fock.basis_norm_sq((level,)) * invariant_weight_norms(gamma)[r]
 
 
@@ -453,9 +452,8 @@ def test_zero_row_blocks_at_boundaries(report):
     op = oracles.cp1_block_matrices(2, 5)["dbar"]
     assert op.nrows == 0 and op.ncols == 6
     assert (3, 5) not in blocks
-    for fn in (cp1.omega_block, cp1.weight_line_index):
-        with pytest.raises(ValueError, match="no block"):
-            fn(3, 5)
+    with pytest.raises(ValueError, match="no block"):
+        cp1.omega_block(3, 5)
     with pytest.raises(ValueError, match="no block"):
         cp1.p_block(3, 5, (0, 0), (0, 0), (0, 0), (0, 0))
 

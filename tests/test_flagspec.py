@@ -80,7 +80,6 @@ def test_spinor_weight_validates_length():
     lambda: distinguish(1.5),
     lambda: cp1.block_exists(0.5, 3),
     lambda: cp1.block_dim(2.5, 9),
-    lambda: cp1.weight_line_index(0.5, 3),
     lambda: lambda_lj(1.5, 0),
     lambda: is_nonneg_root_combination(B3, (2.0, 0, 0)),
     lambda: is_nonneg_root_combination(B3, (Fraction(1, 2), 0, 0)),
@@ -89,7 +88,7 @@ def test_spinor_weight_validates_length():
         "basis_vector-fraction", "spinor_weight-float", "small_irrep_inventory-float",
         "index_query-genus-float", "index_query-level-float", "cp1_consistency-float",
         "build_root_system-float", "distinguish-float", "distinguish-float-below-range",
-        "block_exists-float", "block_dim-float", "weight_line_index-float", "lambda_lj-float",
+        "block_exists-float", "block_dim-float", "lambda_lj-float",
         "is_nonneg_root_combination-float", "is_nonneg_root_combination-fraction"])
 def test_non_integer_coordinates_rejected(call):
     # a coordinate, rank, bound, genus or level that is not an int is an error,

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -78,6 +79,42 @@ def test_ranks_distinguish_reaches(family, rank):
                for row in rs.cartan_matrix]
     assert product == [[rs.inverse_cartan_den * (i == j) for j in range(rank)]
                        for i in range(rank)]
+    # K(omega_i, alpha_j) = delta_ij d_j / (2 h^v), d_j = (alpha_j, alpha_j) / 2 with
+    # long roots at squared length 2, and alpha_j is row j of the Cartan matrix
+    gram = rs.weight_gram_num
+    assert gram == tuple(zip(*gram))
+    product = [[sum(map(mul, row, alpha)) for alpha in rs.cartan_matrix] for row in gram]
+    assert all(product[i][j] == 0 for i in range(rank) for j in range(rank) if i != j)
+    half = [Fraction(product[j][j]) / (rs.weight_gram_den * rs.killing_scale)
+            for j in range(rank)]
+    assert set(half) <= {Fraction(1, 2), 1} and max(half) == 1
+
+
+@pytest.mark.parametrize("family,rank", ALL_SYSTEMS)
+def test_relabeled_nodes_permute_the_constants(family, rank, monkeypatch):
+    # numbering the simple roots in any order, e.g. E6's node 2 bonded only to
+    # node 4, gives the same system with rows, columns and coordinates permuted;
+    # only rootsys builds here, since the reps memos are keyed by (family, rank)
+    rs = build_root_system(family, rank)
+    bourbaki = rootsys._cartan_matrix
+    for seed in range(4):
+        perm = random.Random(1000 * rank + seed).sample(range(rank), rank)
+
+        def permuted(matrix):
+            return tuple(tuple(matrix[i][j] for j in perm) for i in perm)
+
+        monkeypatch.setattr(rootsys, "_cartan_matrix", lambda f, r: permuted(bourbaki(f, r)))
+        relabeled = build_root_system(family, rank)
+        assert relabeled.cartan_matrix == permuted(rs.cartan_matrix)
+        assert len(relabeled.positive_roots_fw) == len(rs.positive_roots_fw)
+        assert relabeled.dual_coxeter == rs.dual_coxeter
+        assert relabeled.killing_scale == rs.killing_scale
+        assert relabeled.inverse_cartan_num == permuted(rs.inverse_cartan_num)
+        assert relabeled.inverse_cartan_den == rs.inverse_cartan_den
+        assert relabeled.weight_gram_num == permuted(rs.weight_gram_num)
+        assert relabeled.weight_gram_den == rs.weight_gram_den
+        assert set(relabeled.positive_roots_fw) == {
+            tuple(root[i] for i in perm) for root in rs.positive_roots_fw}
 
 
 @pytest.mark.parametrize("family", ["B", "C", "D"])

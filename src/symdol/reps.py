@@ -49,6 +49,10 @@ One best-first walk over dominant weights, ``_dominant_walk``, serves every
 enumeration: Freudenthal walks down from gamma in increasing denominator,
 and the bounded enumerations walk up from 0 along gamma -> gamma + omega_i
 in increasing norm or dimension, stopping at the first key over the bound.
+What reps derives (the coroots, each J's rows, each V_gamma's dominant table)
+is kept in process in one record per Cartan matrix, which alone fixes every
+field of a RootSystem: equal matrices share a record, and a system with its
+nodes numbered otherwise never reads another's tables.
 """
 
 from __future__ import annotations
@@ -82,17 +86,14 @@ class WeightSystem(NamedTuple):
     dim: int
 
 
-# in-process memos, each filled once per key:
-# - the dominant-weight multiplicity table of each V_gamma;
-# - per (family, rank): the simple-coroot coefficients c^v(alpha) of the
-#   positive coroots, and prod ht(alpha^v) = prod <rho, alpha^v>;
-# - per (family, rank, J), J = {i : mu_i = 0}: the orbit size
-#   |W mu| = |W| / |W_J|, and one row (c_O, alpha, g_alpha,
-#   K(alpha, alpha) * den) per W_J-orbit of positive roots up to sign, alpha
-#   its one J-dominant root, in height order.
-_DOMINANT_MEMO: dict[tuple[str, int, Weight], dict[Weight, int]] = {}
-_COROOT_MEMO: dict[tuple[str, int], tuple[tuple[Weight, ...], int]] = {}
-_STABILIZER_MEMO: dict[tuple[str, int, tuple[int, ...]], tuple[int, tuple]] = {}
+class _Tables(NamedTuple):   # what reps derives from one Cartan matrix
+    coroots: tuple[Weight, ...]   # c^v(alpha) of the positive coroots
+    heights: int                  # prod ht(alpha^v) = prod <rho, alpha^v>
+    stabilizers: dict             # J = {i : mu_i = 0} -> _stabilizer's pair
+    dominant: dict                # gamma -> the dominant table of V_gamma
+
+
+_TABLES: dict[tuple[tuple[int, ...], ...], _Tables] = {}
 
 
 def exact_rational(value, what: str) -> Fraction:
@@ -122,20 +123,20 @@ def _rho_norm(rs: RootSystem) -> Callable[[Weight], int]:
     return norm
 
 
-def _coroots(rs: RootSystem) -> tuple[tuple[Weight, ...], int]:
-    key = (rs.family, rs.rank)
-    table = _COROOT_MEMO.get(key)
-    if table is None:
+def _tables(rs: RootSystem) -> _Tables:
+    """The record of rs.cartan_matrix, made on first sight."""
+    tables = _TABLES.get(rs.cartan_matrix)
+    if tables is None:
         coeffs = tuple(c for c, _ in _positive_root_coefficients(tuple(zip(*rs.cartan_matrix))))
-        table = _COROOT_MEMO[key] = (coeffs, prod(map(sum, coeffs)))
-    return table
+        tables = _TABLES[rs.cartan_matrix] = _Tables(coeffs, prod(map(sum, coeffs)), {}, {})
+    return tables
 
 
 def weyl_dimension(rs: RootSystem, gamma: Sequence[int]) -> int:
     """dim V_gamma = prod_{alpha>0} <gamma+rho, alpha^v> / <rho, alpha^v>."""
     g = _require_dominant(rs, gamma)
     top = [x + 1 for x in g]
-    coeffs, heights = _coroots(rs)
+    coeffs, heights = _tables(rs)[:2]
     num = prod(sum(map(mul, top, c)) for c in coeffs)
     dim, rest = divmod(num, heights)
     if rest:
@@ -145,12 +146,11 @@ def weyl_dimension(rs: RootSystem, gamma: Sequence[int]) -> int:
     return dim
 
 
-def _stabilizer(rs: RootSystem, mu: Weight) -> tuple[int, tuple]:
-    """(|W mu|, one row per W_J-orbit of positive roots) for J = {i : mu_i = 0},
-    as _STABILIZER_MEMO holds them."""
+def _stabilizer(rs: RootSystem, mu: Weight, tables: _Tables) -> tuple[int, tuple]:
+    """(|W mu|, one row (c_O, alpha, g_alpha, K(alpha, alpha) den) per W_J-orbit of roots
+    up to sign) for J = {i : mu_i = 0}, kept under J in tables, rs.cartan_matrix's record."""
     fixed = tuple(i for i, x in enumerate(mu) if x == 0)
-    key = (rs.family, rs.rank, fixed)
-    table = _STABILIZER_MEMO.get(key)
+    table = tables.stabilizers.get(fixed)
     if table is not None:
         return table
 
@@ -162,8 +162,7 @@ def _stabilizer(rs: RootSystem, mu: Weight) -> tuple[int, tuple]:
         heights = [sum(c) for c in among if any(map(mul, x, c))]
         return prod(h + 1 for h in heights) // prod(heights)
 
-    coroots = _coroots(rs)[0]
-    inside = [c for c in coroots if not any(map(mul, mu, c))]   # Phi_J^v+
+    inside = [c for c in tables.coroots if not any(map(mul, mu, c))]   # Phi_J^v+
     gram = rs.weight_gram_num
     strings = []
     for alpha in rs.positive_roots_fw:
@@ -172,13 +171,13 @@ def _stabilizer(rs: RootSystem, mu: Weight) -> tuple[int, tuple]:
             weight = orbit(alpha, inside) * (2 if sum(map(mul, mu, g)) else 1)
             strings.append((weight, alpha, g, sum(map(mul, alpha, g))))
 
-    table = _STABILIZER_MEMO[key] = (orbit(mu, coroots), tuple(strings))
+    table = tables.stabilizers[fixed] = (orbit(mu, tables.coroots), tuple(strings))
     return table
 
 
-def _orbit_size(rs: RootSystem, mu: Weight) -> int:
+def _orbit_size(rs: RootSystem, mu: Weight, tables: _Tables) -> int:
     """|W mu| for dominant mu."""
-    return _stabilizer(rs, mu)[0]
+    return _stabilizer(rs, mu, tables)[0]
 
 
 def casimir_value(rs: RootSystem, gamma: Sequence[int]) -> Fraction:
@@ -242,8 +241,8 @@ def _dominant_multiplicities(rs: RootSystem, gamma: Weight) -> dict[Weight, int]
     module docstring), and the key, the denominator and the sums are
     integer numerators over weight_gram_den.
     """
-    key = (rs.family, rs.rank, gamma)
-    memo = _DOMINANT_MEMO.get(key)
+    tables = _tables(rs)
+    memo = tables.dominant.get(gamma)
     if memo is not None:
         return memo
 
@@ -256,7 +255,7 @@ def _dominant_multiplicities(rs: RootSystem, gamma: Weight) -> dict[Weight, int]
     mults: dict[Weight, int] = {gamma: 1}
     for denom, mu in walk:
         acc = 0
-        for weight, alpha, g, step in _stabilizer(rs, mu)[1]:
+        for weight, alpha, g, step in _stabilizer(rs, mu, tables)[1]:
             nu = tuple(x + y for x, y in zip(mu, alpha))
             k = sum(map(mul, nu, g))
             t = 0
@@ -273,7 +272,7 @@ def _dominant_multiplicities(rs: RootSystem, gamma: Weight) -> dict[Weight, int]
             )
         mults[mu] = value
 
-    _DOMINANT_MEMO[key] = mults
+    tables.dominant[gamma] = mults
     return mults
 
 
@@ -291,8 +290,9 @@ def reconciled_dimension(rs: RootSystem, gamma: Sequence[int]) -> int:
     """dim V_gamma by the Weyl dimension formula, reconciled with
     sum_mu m_mu |W mu| over the dominant weights of V_gamma."""
     g = _require_dominant(rs, gamma)
-    expected = weyl_dimension(rs, g)
-    total = sum(m * _orbit_size(rs, mu) for mu, m in _dominant_multiplicities(rs, g).items())
+    expected, tables = weyl_dimension(rs, g), _tables(rs)
+    total = sum(m * _orbit_size(rs, mu, tables)
+                for mu, m in _dominant_multiplicities(rs, g).items())
     if total != expected:
         raise ContractViolation(
             f"{rs.name()}: dimension of V_gamma, gamma={g}: the Weyl dimension formula "
@@ -305,9 +305,9 @@ def weight_system(rs: RootSystem, gamma: Sequence[int]) -> WeightSystem:
     """Full weight system of V_gamma: each orbit reconciled against its
     Poincare count, the total against the Weyl dimension."""
     g = _require_dominant(rs, gamma)
-    mults: dict[Weight, int] = {}
+    mults, tables = {}, _tables(rs)
     for mu, m in _dominant_multiplicities(rs, g).items():
-        orbit, size = weyl_orbit(rs, mu), _orbit_size(rs, mu)
+        orbit, size = weyl_orbit(rs, mu), _orbit_size(rs, mu, tables)
         if len(orbit) != size:
             raise ContractViolation(
                 f"{rs.name()}: Weyl orbit of {mu} in V_{g}: the walk lists {len(orbit)} "

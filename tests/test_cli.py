@@ -483,7 +483,7 @@ def test_broken_spectrum_ground_row_exits_2(capsys, monkeypatch):
 
 def test_broken_spectrum_dimension_reconciliation_exits_2(capsys, monkeypatch):
     true_size = reps._orbit_size
-    monkeypatch.setattr(reps, "_orbit_size", lambda rs, mu: true_size(rs, mu) + 1)
+    monkeypatch.setattr(reps, "_orbit_size", lambda rs, mu, tables: true_size(rs, mu, tables) + 1)
     code, _, err = run_cli(capsys, "spectrum", "--family", "B", "--rank", "3",
                            "--mu", "0,0,0", "--cutoff", "1")
     assert code == 2

@@ -109,7 +109,7 @@ def test_orbit_size_times_stabilizer_is_weyl_group_order(pair):
     order = len(weyl_orbit(rs, rho(rs)))
     for mu in itertools.product((0, 1), repeat=rs.rank):
         fixed = [i for i, x in enumerate(mu) if x == 0]
-        size = reps._orbit_size(rs, mu)
+        size = reps._orbit_size(rs, mu, reps._tables(rs))
         assert size == len(weyl_orbit(rs, mu)), mu
         assert size * len(_parabolic_orbit(rs, rho(rs), fixed)) == order, mu
 
@@ -127,7 +127,7 @@ def test_weyl_orbit_matches_reflection_closure(pair):
         assert set(orbit) == _parabolic_orbit(rs, x, everything), x
         assert orbit[0] == dominant_conjugate(rs, x), x
         if min(x) >= 0:
-            assert len(orbit) == reps._orbit_size(rs, x), x
+            assert len(orbit) == reps._orbit_size(rs, x, reps._tables(rs)), x
 
 
 def test_weight_system_reconciles_each_orbit(monkeypatch):
@@ -165,7 +165,7 @@ def test_stabilizer_orbits_partition_positive_roots(pair):
     for mu in _fixed_sets(rs.rank):
         fixed = [i for i, x in enumerate(mu) if x == 0]
         covered = set()
-        _, strings = reps._stabilizer(rs, mu)
+        _, strings = reps._stabilizer(rs, mu, reps._tables(rs))
         for weight, alpha, _, _ in strings:
             assert all(alpha[i] >= 0 for i in fixed), (mu, alpha)
             orbit = _parabolic_orbit(rs, alpha, fixed) & positive
@@ -186,32 +186,30 @@ def _counting_system(family, rank):
 
 @pytest.mark.parametrize("pair,mus", [(("B", 6), None), (("C", 6), None), (("D", 6), None),
                                       (("B", 40), [(0,) * 40])], ids=["B6", "C6", "D6", "B40"])
-def test_stabilizer_reads_no_cartan_row(pair, mus, monkeypatch):
+def test_stabilizer_reads_no_cartan_row(pair, mus):
     # deterministic work gate: each orbit's row is its J-dominant root,
     # sized by the Poincare count over the coroots, so no reflection is
     # built; walking the orbits by reflections read 3,392 (B6), 3,392 (C6)
     # and 3,264 (D6) Cartan rows over every J, and 6,124 for B40 at mu = 0
+    # (a counting system's rows hash by identity, so it has a record of its own)
     rs, reads = _counting_system(*pair)
-    reps._coroots(rs)
+    tables = reps._tables(rs)
     reads[0] = 0
-    monkeypatch.setattr(reps, "_STABILIZER_MEMO", {})
-    monkeypatch.setattr(reps, "_DOMINANT_MEMO", {})
     for mu in mus or itertools.product((0, 1), repeat=rs.rank):
-        reps._stabilizer(rs, mu)
+        reps._stabilizer(rs, mu, tables)
     assert reads[0] == 0
 
 
-def test_freudenthal_lookups_reflect_little(monkeypatch):
+def test_freudenthal_lookups_reflect_little():
     # deterministic work gate: each root string starts at its orbit's
     # J-dominant root, near the dominant chamber, so dominant_conjugate's
     # lookups in p_spectrum(B4, 0, 4) make 2,127 reflections (each reads
     # one Cartan row of 4 entries); from each orbit's first root in height
     # order they made 7,228
     rs, reads = _counting_system("B", 4)
-    monkeypatch.setattr(reps, "_STABILIZER_MEMO", {})
-    monkeypatch.setattr(reps, "_DOMINANT_MEMO", {})
+    tables = reps._tables(rs)
     for mu in itertools.product((0, 1), repeat=rs.rank):
-        reps._stabilizer(rs, mu)
+        reps._stabilizer(rs, mu, tables)
     reads[0] = 0
     p_spectrum(rs, (0,) * rs.rank, 4)
     assert 0 < reads[0] <= 2500 * rs.rank
@@ -227,7 +225,7 @@ GROUPED_CASES += [(("C", 8), (1, 0, 1, 0, 0, 0, 0, 0))]
 def test_grouped_tables_match_all_roots_recursion(pair, monkeypatch):
     # one string per W_J-orbit in integers against every root in Fractions:
     # {0,1}^r on every system of rank <= 5, 2 omega_1, 2 omega_r, and C8
-    monkeypatch.setattr(reps, "_DOMINANT_MEMO", {})
+    monkeypatch.setattr(reps, "_TABLES", {})
     rs = build_root_system(*pair)
     for p, gamma in GROUPED_CASES:
         if p == pair:
@@ -363,7 +361,7 @@ def test_dominant_walk_work_counter_c8(monkeypatch):
         return dominant_conjugate(rs, x)
 
     monkeypatch.setattr(reps, "dominant_conjugate", counting)
-    monkeypatch.setattr(reps, "_DOMINANT_MEMO", {})
+    monkeypatch.setattr(reps, "_TABLES", {})
     mults = reps._dominant_multiplicities(build_root_system("C", 8), (1, 0, 1, 0, 0, 0, 0, 0))
     assert len(mults) == 5
     assert 0 < calls < 1000
@@ -380,9 +378,32 @@ def test_distinguish_work_counter(monkeypatch):
         return dominant_conjugate(rs, x)
 
     monkeypatch.setattr(reps, "dominant_conjugate", counting)
-    monkeypatch.setattr(reps, "_DOMINANT_MEMO", {})
+    monkeypatch.setattr(reps, "_TABLES", {})
     assert distinguish(14).verdict == "spectra differ"
     assert 0 < calls <= 300
+
+
+def test_equal_cartan_matrices_share_one_record(monkeypatch):
+    # the record is keyed by the Cartan matrix's entries, not by the object:
+    # a second build of B4 gets the first one's record, and its weight
+    # system needs no Freudenthal lookup
+    calls = 0
+
+    def counting(rs, x):
+        nonlocal calls
+        calls += 1
+        return dominant_conjugate(rs, x)
+
+    monkeypatch.setattr(reps, "dominant_conjugate", counting)
+    monkeypatch.setattr(reps, "_TABLES", {})
+    first, second = build_root_system("B", 4), build_root_system("B", 4)
+    assert first.cartan_matrix is not second.cartan_matrix
+    assert reps._tables(first) is reps._tables(second)
+    weight_system(first, rho(first))
+    assert calls > 0
+    calls = 0
+    weight_system(second, rho(second))
+    assert calls == 0
 
 
 def test_freudenthal_needs_no_simple_root_coordinates(monkeypatch):
@@ -399,7 +420,7 @@ def test_freudenthal_needs_no_simple_root_coordinates(monkeypatch):
     # reps binds the membership test by name, so both bindings are patched
     monkeypatch.setattr(rootsys, "is_nonneg_root_combination", refuse)
     monkeypatch.setattr(reps, "is_nonneg_root_combination", refuse)
-    monkeypatch.setattr(reps, "_DOMINANT_MEMO", {})
+    monkeypatch.setattr(reps, "_TABLES", {})
     for rs, gamma in cases:
         mults = reps._dominant_multiplicities(rs, gamma)
         dim = sum(m * len(weyl_orbit(rs, mu)) for mu, m in mults.items())

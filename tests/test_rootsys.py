@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symdol import rootsys
-from symdol.reps import _coroots
+from symdol import reps, rootsys
+from symdol.flagspec import first_positive_eigenvalue, p_spectrum
+from symdol.reps import weyl_dimension
 from symdol.rootsys import (
     build_root_system,
     is_dominant,
@@ -93,9 +94,14 @@ def test_ranks_distinguish_reaches(family, rank):
 @pytest.mark.parametrize("family,rank", ALL_SYSTEMS)
 def test_relabeled_nodes_permute_the_constants(family, rank, monkeypatch):
     # numbering the simple roots in any order, e.g. E6's node 2 bonded only to
-    # node 4, gives the same system with rows, columns and coordinates permuted;
-    # only rootsys builds here, since the reps memos are keyed by (family, rank)
+    # node 4, gives the same system with rows, columns and coordinates
+    # permuted, and the same dimensions, orbit sizes and spectrum; the
+    # unpermuted system is computed first, so its tables are already kept
     rs = build_root_system(family, rank)
+    omegas = [tuple(int(i == k) for i in range(rank)) for k in range(rank)]
+    sizes = [(weyl_dimension(rs, w), reps._orbit_size(rs, w, reps._tables(rs))) for w in omegas]
+    cutoff = first_positive_eigenvalue(rs)
+    spectrum = p_spectrum(rs, (0,) * rank, cutoff).rows
     bourbaki = rootsys._cartan_matrix
     for seed in range(4):
         perm = random.Random(1000 * rank + seed).sample(range(rank), rank)
@@ -115,6 +121,17 @@ def test_relabeled_nodes_permute_the_constants(family, rank, monkeypatch):
         assert relabeled.weight_gram_den == rs.weight_gram_den
         assert set(relabeled.positive_roots_fw) == {
             tuple(root[i] for i in perm) for root in rs.positive_roots_fw}
+
+        tables = reps._tables(relabeled)
+        for omega, size in zip(omegas, sizes):
+            w = tuple(omega[i] for i in perm)
+            assert (weyl_dimension(relabeled, w), reps._orbit_size(relabeled, w, tables)) == size
+        rows = p_spectrum(relabeled, (0,) * rank, cutoff).rows
+        assert ([(row.eigenvalue, row.total_multiplicity) for row in rows]
+                == [(row.eigenvalue, row.total_multiplicity) for row in spectrum])
+        for row, original in zip(rows, spectrum):
+            assert sorted(row.constituents) == sorted(
+                c._replace(gamma=tuple(c.gamma[i] for i in perm)) for c in original.constituents)
 
 
 @pytest.mark.parametrize("family", ["B", "C", "D"])
@@ -136,7 +153,7 @@ def test_closure_reads_cartan_rows_linearly(family):
                          ALL_SYSTEMS + [(f, k) for f in "BCD" for k in (14, 20, 30, 40)])
 def test_coroots_match_roots_read_off(family, rank):
     rs = build_root_system(family, rank)
-    coeffs, heights = _coroots(rs)
+    coeffs, heights = reps._tables(rs)[:2]
     expected = coroots_read_off_roots(rs)
     assert len(coeffs) == len(expected) == len(rs.positive_roots_fw)
     assert set(coeffs) == set(expected)
@@ -148,7 +165,7 @@ def test_b_coroots_are_c_roots(rank):
     # B_n and C_n are dual: the coroots of one are the roots of the other
     c = build_root_system("C", rank)
     c_roots = {tuple(map(int, root_lattice_coefficients(c, root))) for root in c.positive_roots_fw}
-    assert set(_coroots(build_root_system("B", rank))[0]) == c_roots
+    assert set(reps._tables(build_root_system("B", rank)).coroots) == c_roots
 
 
 def test_rank_one_has_single_root():

@@ -28,14 +28,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _parse_weight(text: str, rank: int) -> tuple[int, ...]:
+def _parse_weight(text: str) -> tuple[int, ...]:
+    """The integers of a comma-separated weight; rootsys.as_weight checks its
+    length and reps its dominance."""
     try:
-        coords = tuple(int(c) for c in text.split(","))
+        return tuple(int(c) for c in text.split(","))
     except ValueError:
         raise ValueError(f"weight {text!r} is not a comma-separated integer vector")
-    if len(coords) != rank:
-        raise ValueError(f"weight {text!r} has {len(coords)} coordinates; expected {rank}")
-    return coords
 
 
 def _parse_cutoff(text: str) -> Fraction:
@@ -107,13 +106,10 @@ def _roots_table(p):
 
 def _cmd_irrep(args) -> dict:
     rs = rootsys.build_root_system(args.family, args.rank)
-    weight = _parse_weight(args.weight, rs.rank)
-    if not rootsys.is_dominant(rs, weight):
-        raise ValueError(f"weight {args.weight} is not dominant")
-    ws = reps.weight_system(rs, weight)
+    ws = reps.weight_system(rs, _parse_weight(args.weight))
     return {
         "algebra": rs.name(),
-        "highest": list(weight),
+        "highest": list(ws.highest),
         "dim": ws.dim,
         "weights": [{"weight": list(w), "mult": m} for w, m in sorted(ws.mults.items())],
     }
@@ -152,7 +148,7 @@ def _spectrum_jsonable(table) -> dict:
 
 def _cmd_spectrum(args) -> dict:
     rs = rootsys.build_root_system(args.family, args.rank)
-    mu = _parse_weight(args.mu, rs.rank)
+    mu = _parse_weight(args.mu)
     cutoff = _parse_cutoff(args.cutoff)
     return _spectrum_jsonable(flagspec.p_spectrum(rs, mu, cutoff))
 
@@ -318,21 +314,19 @@ def _index_table(p):
 # parser wiring
 # ---------------------------------------------------------------------------
 
-def _roots_args(p):
-    p.add_argument("--family", required=True, help="one of A, B, C, D, G")
+def _algebra_args(p):
+    p.add_argument("--family", required=True, help="one of " + ", ".join(rootsys._RANK_RULES))
     p.add_argument("--rank", required=True, type=int)
 
 
 def _irrep_args(p):
-    p.add_argument("--family", required=True)
-    p.add_argument("--rank", required=True, type=int)
+    _algebra_args(p)
     p.add_argument("--weight", required=True,
                    help="dominant highest weight, comma-separated fundamental coordinates")
 
 
 def _spectrum_args(p):
-    p.add_argument("--family", required=True)
-    p.add_argument("--rank", required=True, type=int)
+    _algebra_args(p)
     p.add_argument("--mu", required=True, help="dominant twist weight, comma-separated")
     p.add_argument("--cutoff", required=True, help="inclusive eigenvalue cutoff, rational p/q")
 
@@ -363,8 +357,8 @@ def _index_args(p):
 
 # name -> (help, csv header, payload, csv rows, table lines, own arguments)
 _COMMANDS = {
-    "roots": ("Cartan data of a classical root system", "item,index,values",
-              _cmd_roots, _roots_csv, _roots_table, _roots_args),
+    "roots": ("Cartan data of a root system", "item,index,values",
+              _cmd_roots, _roots_csv, _roots_table, _algebra_args),
     "irrep": ("dimension and weight multiplicities of an irreducible", "weight,multiplicity",
               _cmd_irrep, _irrep_csv, _irrep_table, _irrep_args),
     "spectrum": ("vacuum-operator spectrum on G/T twisted by a dominant weight",

@@ -32,6 +32,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .errors import ContractViolation
 from .reps import (
+    _require_dominant,
     _rho_norm,
     _walk_up,
     dominant_weights_with_norm_bound,
@@ -123,13 +124,6 @@ class SpectrumTable(NamedTuple):
         return f"{self.family}{self.rank}"
 
 
-def _dominant_mu(rs: RootSystem, mu: Sequence[int]) -> Weight:
-    m = as_weight(rs, mu)
-    if not is_dominant(rs, m):
-        raise ValueError(f"mu = {m} is not dominant for {rs.name()}")
-    return m
-
-
 def p_spectrum(rs: RootSystem, mu: Sequence[int], cutoff) -> SpectrumTable:
     """Complete spectrum of the vacuum operator twisted to L_mu, up to cutoff.
 
@@ -137,7 +131,7 @@ def p_spectrum(rs: RootSystem, mu: Sequence[int], cutoff) -> SpectrumTable:
     across distinct gamma are merged into a single row listing every
     constituent.
     """
-    m = _dominant_mu(rs, mu)
+    m = _require_dominant(rs, mu)
     cutoff = exact_rational(cutoff, "cutoff")
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
@@ -237,7 +231,7 @@ def first_positive_eigenvalue(rs: RootSystem, mu: Optional[Sequence[int]] = None
     mu + theta, theta the highest root, has mu as a weight.  A non-dominant
     mu is a ValueError, as in p_spectrum.
     """
-    m = (0,) * rs.rank if mu is None else _dominant_mu(rs, mu)
+    m = (0,) * rs.rank if mu is None else _require_dominant(rs, mu)
     norm = _rho_norm(rs)
     base = norm(m)
     for gamma_norm, gamma in _walk_up(rs, norm):

@@ -1,4 +1,6 @@
-"""Exact models of the root systems A_k, B_k, C_k, D_k and G_2.
+"""Exact models of the root systems of the families in ``_RANK_RULES``, the
+one list of families: the CLI's ``--family`` help and ``build_root_system``'s
+errors are read off it, so a family is added there and in ``_cartan_matrix``.
 
 Weights are plain integer tuples in the fundamental-weight basis
 (omega_1, ..., omega_k); that basis is the lingua franca of the whole
@@ -44,7 +46,7 @@ from typing import NamedTuple, Sequence
 
 Weight = tuple[int, ...]
 
-_RANK_RULES = {
+_RANK_RULES = {   # family -> (least rank, greatest rank or None)
     "A": (1, None),
     "B": (2, None),
     "C": (2, None),
@@ -129,22 +131,20 @@ def _over_common_denominator(matrix) -> tuple[tuple[tuple[int, ...], ...], int]:
     return tuple(tuple(int(x * den) for x in row) for row in matrix), den
 
 
-def build_root_system(family: str, rank: int) -> RootSystem:
-    """Construct the root system for a valid (family, rank) pair.
+def _rank_rule(family: str) -> str:
+    lo, hi = _RANK_RULES[family]
+    return f"rank = {lo}" if hi == lo else f"rank >= {lo}"
 
-    Admissible pairs: A_k (k >= 1), B_k (k >= 2), C_k (k >= 2),
-    D_k (k >= 3), G_2.
-    """
+
+def build_root_system(family: str, rank: int) -> RootSystem:
+    """Construct the root system for a (family, rank) pair that ``_RANK_RULES`` admits."""
     if family not in _RANK_RULES:
-        raise ValueError(
-            f"unknown family {family!r}; supported families are "
-            "A (rank >= 1), B (rank >= 2), C (rank >= 2), D (rank >= 3), G (rank = 2)"
-        )
+        raise ValueError(f"unknown family {family!r}; supported families are "
+                         + ", ".join(f"{f} ({_rank_rule(f)})" for f in _RANK_RULES))
     lo, hi = _RANK_RULES[family]
     rank = index(rank)
     if rank < lo or (hi is not None and rank > hi):
-        bound = f"rank = {lo}" if hi == lo else f"rank >= {lo}"
-        raise ValueError(f"family {family} requires {bound}; got rank {rank}")
+        raise ValueError(f"family {family} requires {_rank_rule(family)}; got rank {rank}")
 
     cartan = _cartan_matrix(family, rank)
     # by height, the simple roots first in index order; alpha_k is row k of cartan
@@ -193,7 +193,7 @@ def as_weight(rs: RootSystem, coords: Sequence[int]) -> Weight:
     TypeError rather than truncated."""
     w = tuple(map(index, coords))
     if len(w) != rs.rank:
-        raise ValueError(f"weight has {len(w)} coordinates; {rs.name()} has rank {rs.rank}")
+        raise ValueError(f"weight {w} has {len(w)} coordinates; {rs.name()} has rank {rs.rank}")
     return w
 
 

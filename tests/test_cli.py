@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from symdol import cp1, flagspec, fock, reps
+from symdol import cp1, flagspec, fock, reps, rootsys
 from symdol.cli import build_parser, main
 from symdol.reps import weight_system
 from symdol.rootsys import build_root_system
@@ -45,6 +45,26 @@ def test_roots_unknown_family_fails_with_diagnostic(capsys):
     code, out, err = run_cli(capsys, "roots", "--family", "E", "--rank", "6")
     assert code == 1
     assert "supported families" in err
+
+
+UNKNOWN_FAMILY = ("symdol: error: unknown family 'Z'; supported families are A (rank >= 1), "
+                  "B (rank >= 2), C (rank >= 2), D (rank >= 3), G (rank = 2)")
+
+
+def test_family_help_and_errors_follow_the_rank_rules(capsys, monkeypatch):
+    # rootsys._RANK_RULES is the one family list: a family added there shows
+    # in the --family help of roots, irrep and spectrum and in both errors
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_cli(capsys, "roots", "--family", "Z", "--rank", "1") == (1, "", UNKNOWN_FAMILY + "\n")
+    monkeypatch.setattr(rootsys, "_RANK_RULES", {**rootsys._RANK_RULES, "F": (4, 4)})
+    for command in ("roots", "irrep", "spectrum"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert "  --family FAMILY       one of A, B, C, D, G, F\n" in capsys.readouterr().out
+    assert run_cli(capsys, "roots", "--family", "Z", "--rank", "1") == (
+        1, "", UNKNOWN_FAMILY + ", F (rank = 4)\n")
+    assert run_cli(capsys, "roots", "--family", "F", "--rank", "5") == (
+        1, "", "symdol: error: family F requires rank = 4; got rank 5\n")
 
 
 def test_roots_csv_header(capsys):
@@ -132,7 +152,7 @@ def test_spectrum_bad_weight_length(capsys):
     code, _, err = run_cli(capsys, "spectrum", "--family", "B", "--rank", "3",
                            "--mu", "0,0", "--cutoff", "1", "--no-cache")
     assert code == 1
-    assert "expected 3" in err
+    assert err == "symdol: error: weight (0, 0) has 2 coordinates; B3 has rank 3\n"
 
 
 # ---------------------------------------------------------------------------
@@ -309,14 +329,17 @@ CLI_GOLDEN = [
     # 4,216 blocks, recorded while the block scalars were Gaussian rationals
     ("cp1 --lmax 30 --gamma-max 301 --format csv", 0,
      "e407b8874344a1031afcc031b75da0c6521db2975d8e3afc29c46454b286ce8e"),
+    # the --help rows of the parser, irrep and spectrum and the two error rows
+    # below were re-recorded when --family help came to be read off
+    # rootsys._RANK_RULES and the weight checks moved to rootsys and reps
     ("--help", 0,
-     "6df90292277b6ef175cd0c5e2592e25a9b681acd09fa058807b42129e7e9ab13"),
+     "daa9c383f660a864672b992f2f08803ae080c1bd887950928428117783d7fb62"),
     ("roots --help", 0,
      "19b63031a5ff0708bd83102350223056354019024b714177da55734fbc090d2e"),
     ("irrep --help", 0,
-     "db18605e6b0bf9bd44d642279940a5d6b35ce4e17427677116ffb8d800bd2a1c"),
+     "36478b2c30fa39600e2df231c26818e73aa4f381ac4bd777c185b41c75bfcbec"),
     ("spectrum --help", 0,
-     "abf4dd5323e3dd0b490ff255cd3a79639ddc5bfc2ea7cbf92aac9e423a1e42cd"),
+     "1a207f55c25256d283f476753b1e183d3cd6020a5bce0238b5d31e556d851c46"),
     ("distinguish --help", 0,
      "5611024146381d96c80119b7f3807c06029e6ee5f034b1ab7c201ac1e94b4076"),
     ("cp1 --help", 0,
@@ -324,9 +347,9 @@ CLI_GOLDEN = [
     ("index --help", 0,
      "7e9152180a1179ea3e269188a11fcfe2212d17c945449061c4598ebd6344614b"),
     ("irrep --family A --rank 2 --weight=-1,1", 1,
-     "559cc6c4d81e80773a8a4b3b8b4764d0703a8342b4df33604c17c192cac6d4d2"),
+     "48f5cf3ef501c9febe0b741aa10819e5a6518ae5122e0384ce18f936374b64d9"),
     ("spectrum --family B --rank 3 --mu 0,0 --cutoff 1", 1,
-     "eeb917713b47ca868bfc142ba5d753e44c8114b1e9a051744a6f463ffc1ea503"),
+     "211b7f995e893d0542b5dcd696c2fc4c65b0c66981285c982515cdc48694e206"),
 ]
 
 
@@ -490,6 +513,98 @@ def test_broken_spectrum_dimension_reconciliation_exits_2(capsys, monkeypatch):
     assert ("contract violation: B3: dimension of V_gamma, gamma=(0, 0, 0): the Weyl "
             "dimension formula gives 1, the dominant multiplicities times Weyl orbit "
             "sizes sum to 2") in err
+
+
+def test_spectrum_eigenvalue_below_the_ground_row_exits_2(capsys, monkeypatch):
+    # gamma = 0 reported as holding mu = 3: its eigenvalue 1/8 - 2 is negative
+    true_mult = flagspec.weight_multiplicity
+    monkeypatch.setattr(flagspec, "weight_multiplicity",
+                        lambda rs, gamma, mu: true_mult(rs, gamma, mu) or 1)
+    code, out, err = run_cli(capsys, "spectrum", "--family", "A", "--rank", "1",
+                             "--mu", "3", "--cutoff", "0")
+    assert code == 2 and out == ""
+    assert err == ("symdol: contract violation: A1, mu=(3,): eigenvalue -15/8 at gamma=(0,) "
+                   "violates positivity (lambda must be > 0 for gamma != mu)\n")
+
+
+def test_spectrum_without_rows_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(flagspec, "weight_multiplicity", lambda rs, gamma, mu: 0)
+    code, out, err = run_cli(capsys, "spectrum", "--family", "A", "--rank", "1",
+                             "--mu", "3", "--cutoff", "0")
+    assert code == 2 and out == ""
+    assert err == ("symdol: contract violation: A1, mu=(3,): spectrum table has no rows "
+                   "(gamma = mu is always present)\n")
+
+
+def test_spectrum_row_above_the_cutoff_exits_2(capsys, monkeypatch):
+    # a norm bound 1 too high lets gamma = 2, lambda = 1, past the cutoff 0
+    true_enum = flagspec.dominant_weights_with_norm_bound
+    monkeypatch.setattr(flagspec, "dominant_weights_with_norm_bound",
+                        lambda rs, bound: true_enum(rs, bound + 1))
+    code, out, err = run_cli(capsys, "spectrum", "--family", "A", "--rank", "1",
+                             "--mu", "0", "--cutoff", "0")
+    assert code == 2 and out == ""
+    assert err == "symdol: contract violation: A1, mu=(0,): row at lambda 1 is above the cutoff 0\n"
+
+
+def test_weyl_dimension_off_the_integers_exits_2(capsys, monkeypatch):
+    # prod ht(alpha^v) of A2 is 2; over 3, dim V_(1,1) reads 16/3
+    true_tables = reps._tables
+    monkeypatch.setattr(reps, "_tables", lambda rs: true_tables(rs)._replace(
+        heights=true_tables(rs).heights + 1))
+    code, out, err = run_cli(capsys, "irrep", "--family", "A", "--rank", "2", "--weight", "1,1")
+    assert code == 2 and out == ""
+    assert err == ("symdol: contract violation: A2: Weyl dimension of V_(1, 1) "
+                   "is not an integer: 16/3\n")
+
+
+def test_freudenthal_value_off_the_positive_integers_exits_2(capsys, monkeypatch):
+    # every W_J-orbit of roots weighted 0 sums the strings below gamma to 0;
+    # an empty table memo makes Freudenthal run rather than read a table back
+    true_stabilizer = reps._stabilizer
+
+    def broken(rs, mu, tables):
+        size, rows = true_stabilizer(rs, mu, tables)
+        return size, tuple((0, *row[1:]) for row in rows)
+
+    monkeypatch.setattr(reps, "_TABLES", {})
+    monkeypatch.setattr(reps, "_stabilizer", broken)
+    code, out, err = run_cli(capsys, "irrep", "--family", "A", "--rank", "2", "--weight", "1,1")
+    assert code == 2 and out == ""
+    assert err == ("symdol: contract violation: A2: Freudenthal multiplicity of (0, 0) "
+                   "in V_(1, 1) is not a positive integer: 0\n")
+
+
+@pytest.mark.parametrize("field,value,message", [
+    # the top block of gamma = 3 on level 1 is the one Dbar kills there
+    ("rank_dbar", 4, "level 1: ker Dbar != 2l+2: ker Dbar = 0 over gamma <= 5, 2l+2 = 4"),
+    ("rank_d", 0, "level 1: ker D != 0: ker D = 4 over gamma <= 5"),
+], ids=["ker-dbar", "ker-d"])
+def test_cp1_kernel_ledger_exits_2(capsys, monkeypatch, field, value, message):
+    # one rank changed after the block's own checks ran breaks only the level ledger
+    true_blocks = cp1._gamma_blocks
+
+    def broken(lmax, gamma, raising, lowering):
+        return [b._replace(**{field: value}) if (b.level, b.gamma) == (1, 3) else b
+                for b in true_blocks(lmax, gamma, raising, lowering)]
+
+    monkeypatch.setattr(cp1, "_gamma_blocks", broken)
+    code, out, err = run_cli(capsys, "cp1", "--lmax", "1", "--gamma-max", "5", "--format", "json")
+    assert code == 2
+    assert json.loads(out)["status"] == "FAIL"
+    assert err == f"symdol: contract violation: CP^1 verification failed at {message}\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("irrep", "--family", "A", "--rank", "2", "--weight", "1,x"),
+     "weight '1,x' is not a comma-separated integer vector"),
+    (("spectrum", "--family", "A", "--rank", "1", "--mu", "1", "--cutoff", "abc"),
+     "cutoff 'abc' is not a rational p/q"),
+    (("spectrum", "--family", "A", "--rank", "1", "--mu", "1", "--cutoff", "1/0"),
+     "cutoff '1/0' is not a rational p/q"),
+], ids=["weight-not-integers", "cutoff-not-rational", "cutoff-zero-denominator"])
+def test_unparsable_text_is_usage_error(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (1, "", f"symdol: error: {message}\n")
 
 
 def test_cp1_bad_parity_is_usage_error(capsys):

@@ -23,6 +23,17 @@ def test_sl2_irrep_k0_and_k1():
     assert cp1.sl2_irrep(2) == (2, (2, 0, -2), (0, 2, 2))
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: cp1.sl2_irrep(-1), "k must be nonnegative"),
+    (lambda: cp1.lambda_lj(-1, 0), "l and j must be nonnegative"),
+    (lambda: cp1.lambda_lj(0, -1), "l and j must be nonnegative"),
+], ids=["sl2_irrep-k", "lambda_lj-l", "lambda_lj-j"])
+def test_negative_labels_rejected(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def test_sl2_irrep_takes_k_as_int():
     rep = cp1.sl2_irrep(True)
     assert type(rep.k) is int and rep == cp1.sl2_irrep(1)

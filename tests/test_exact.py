@@ -123,6 +123,27 @@ def test_int_subclasses_stored_as_plain_int(value):
     assert gq(value) == int(value) and hash(gq(value)) == hash(int(value))
 
 
+class _Ratio(Fraction):
+    pass
+
+
+def test_rational_subclass_read_through_its_parts():
+    # a numbers.Rational that is not exactly a Fraction is read off its numerator and denominator
+    assert gaussian._rational(_Ratio(6, 8)) == (3, 4)
+    assert {type(f) for f in gaussian._rational(_Ratio(6, 8))} == {int}
+    assert gaussian.fields(gq(_Ratio(1, 2), _Ratio(-1, 3))) == (3, -2, 6)
+
+
+def test_subtraction_coerces_its_right_operand():
+    assert gq(1, 1) - Fraction(1, 2) == gq(Fraction(1, 2), 1)
+    assert gq(Fraction(1, 3)) - 1 == gq(Fraction(-2, 3))
+
+
+def test_equality_defers_to_the_other_operand_for_a_non_number():
+    assert gq(1).__eq__("1") is NotImplemented
+    assert gq(1) != "1" and not gq(0) == None   # noqa: E711
+
+
 def test_repr_unchanged():
     assert repr(gq(Fraction(1, 2), -3)) == "GaussianRational(Fraction(1, 2), Fraction(-3, 1))"
     assert repr(gq()) == "GaussianRational(Fraction(0, 1), Fraction(0, 1))"

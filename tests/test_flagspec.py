@@ -6,6 +6,7 @@ import pytest
 
 from symdol import cp1, flagspec, fock, surface
 from symdol.cp1 import lambda_lj
+from symdol.errors import ContractViolation
 from symdol.flagspec import (
     Constituent,
     distinguish,
@@ -95,6 +96,17 @@ def test_non_integer_coordinates_rejected(call):
     # never truncated to one
     with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
         call()
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: spinor_weight(A2, (1, -1, 0)), "multi-index entries must be nonnegative"),
+    (lambda: p_spectrum(A1, (0,), -1), "cutoff must be >= 0"),
+    (lambda: small_irrep_inventory(C3, 0), "dimension bound must be >= 1"),
+], ids=["spinor_weight-negative", "p_spectrum-negative-cutoff", "small_irrep_inventory-bound-0"])
+def test_out_of_range_inputs_rejected(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +201,21 @@ def test_spectrum_rejects_non_dominant_mu():
         p_spectrum(A2, (-1, 0), 1)
 
 
+@pytest.mark.parametrize("doctor,message", [
+    (lambda rows: (rows[0], rows[2], rows[1]),
+     "eigenvalues not strictly increasing: 3/5 after 1"),
+    (lambda rows: (rows[0], rows[1]._replace(total_multiplicity=8), rows[2]),
+     "row at lambda 3/5 has total 8, its constituents sum to 7"),
+], ids=["rows-out-of-order", "total-off-its-ledger"])
+def test_check_table_rejects_doctored_rows(doctor, message):
+    # p_spectrum sorts its rows and sums each total from its constituents, so
+    # no patch upstream of _check_table reaches these two checks
+    table = p_spectrum(B3, (0, 0, 0), 1)    # rows at 0, 3/5 (total 7) and 1 (total 63)
+    with pytest.raises(ContractViolation) as exc:
+        flagspec._check_table(B3, table._replace(rows=doctor(table.rows)))
+    assert str(exc.value) == f"B3, mu=(0, 0, 0): {message}"
+
+
 def test_spectrum_deterministic_and_cache_neutral():
     t1, t2, t3 = (p_spectrum(B3, (0, 0, 0), Fraction(6, 5)) for _ in range(3))
     assert t1 == t2 == t3
@@ -275,7 +302,7 @@ def test_first_positive_eigenvalues():
                          ids=["A1", "B3", "G2"])
 def test_first_positive_eigenvalue_rejects_non_dominant_mu(rs, mu):
     # the same error as p_spectrum, whose spectrum the eigenvalue belongs to
-    message = re.escape(f"mu = {mu} is not dominant for {rs.name()}")
+    message = re.escape(f"weight {mu} is not dominant for {rs.name()}")
     with pytest.raises(ValueError, match=message):
         p_spectrum(rs, mu, 1)
     with pytest.raises(ValueError, match=message):

@@ -46,6 +46,23 @@ def test_vectors_need_n_at_least_one(build):
         build()
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: fock.basis_vector(2, (1,)), "bad multi-index (1,) for n=2"),
+    (lambda: fock.basis_vector(2, (1, -1)), "bad multi-index (1, -1) for n=2"),
+    (lambda: fock.sigma_real([1], [0, 1], fock.basis_vector(2, (0, 0))),
+     "coefficient vectors must have length n"),
+    (lambda: fock.inner_product(fock.basis_vector(1, (0,)), fock.basis_vector(2, (0, 0))),
+     "dimension mismatch"),
+    (lambda: fock.metric_norm_sq(2, [1, 0, 0]), "coordinate vector must have length 4"),
+    (lambda: fock.symbol_raise_operator(1, 0, [1]), "coordinate vector must have length 2"),
+], ids=["basis_vector-length", "basis_vector-negative", "sigma_real-length",
+        "inner_product-dimensions", "metric_norm_sq-length", "symbol_raise_operator-length"])
+def test_shapes_checked(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def test_vector_dimension_taken_as_an_index():
     v = fock.basis_vector(True, (1,))
     assert type(v.n) is int and v == fock.basis_vector(1, (1,))

@@ -196,6 +196,12 @@ def test_invalid_pairs_rejected(family, rank, message):
         build_root_system(family, rank)
 
 
+def test_weight_of_the_wrong_length_rejected_by_name():
+    with pytest.raises(ValueError) as exc:
+        rootsys.as_weight(build_root_system("B", 3), [1, 0])
+    assert str(exc.value) == "weight (1, 0) has 2 coordinates; B3 has rank 3"
+
+
 @pytest.mark.parametrize("family,rank", SMALL_SYSTEMS)
 def test_rho_is_all_ones_and_half_root_sum(family, rank):
     rs = build_root_system(family, rank)

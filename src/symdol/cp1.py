@@ -33,14 +33,14 @@ a Gaussian integer: 8 for D, Dbar and H, 128 for P, since 2P is a
 difference of products of two scale-8 maps.  A fiber coefficient off
 Z[i]/2 is the only exactness failure.  Omega is a scalar too: h is
 diagonal and X, Y are single bands on the weight basis, so Omega is
-diagonal, and Schur's lemma is k+1 integer equalities on 8 Omega's
-diagonal, once per gamma.  Each identity is multiplied through to integer
-pairs at its product scale (P = -Omega - (3/2) H^2 at 128, [H, D] and
-[H, Dbar] at 64, [P, D] and [P, Dbar] at 1024), so no check divides or
-truncates; the P-identity fails on every block of a gamma whose Omega is
-not c * I.  The same pass sums the ranks into each level's kernel ledger;
-a failure names its level, gamma, check and values.  Any nonzero residual
-is a failure.
+diagonal, and Schur's lemma is gamma+1 integer equalities on 8 Omega's
+diagonal, one closed form in (gamma, r), checked once per gamma.  Each
+identity is multiplied through to integer pairs at its product scale
+(P = -Omega - (3/2) H^2 at 128, [H, D] and [H, Dbar] at 64, [P, D] and
+[P, Dbar] at 1024), so no check divides or truncates; the P-identity
+fails on every block of a gamma whose Omega is not c * I.  The same pass
+sums the ranks into each level's kernel ledger; a failure names its
+level, gamma, check and values.  Any nonzero residual is a failure.
 """
 
 from __future__ import annotations
@@ -64,37 +64,6 @@ _ZERO, _ONE = (0, 0), (1, 0)
 def _x_entry(k: int, r: int) -> int:
     """X v_r = r(k-r+1) v_{r-1} on the (k+1)-dimensional irreducible."""
     return r * (k - r + 1)
-
-
-class Sl2Irrep(NamedTuple):
-    """The (k+1)-dimensional irreducible on the weight basis v_0, ..., v_k,
-    held as its integer bands: h v_r = h[r] v_r with h[r] = k - 2r, and
-    X v_r = x[r] v_{r-1} with x[r] = r(k-r+1), so x[0] = 0.  Y v_r = v_{r+1}
-    is a band of ones and is not stored.
-    """
-
-    k: int
-    h: tuple[int, ...]
-    x: tuple[int, ...]
-
-
-def sl2_irrep(k: int) -> Sl2Irrep:
-    k = operator.index(k)
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    return Sl2Irrep(k, tuple(range(k, -k - 1, -2)), tuple(_x_entry(k, r) for r in range(k + 1)))
-
-
-def sl2_casimir_diagonal(rep: Sl2Irrep) -> tuple[int, ...]:
-    """8 times the Casimir -(1/8) h^2 - (1/4)(XY + YX) for negative the Killing
-    form, by its diagonal: X raises and Y lowers by one band, so XY and YX are
-    diagonal with (XY)_rr = x[r+1] and (YX)_rr = x[r] (x[k+1] = 0), and
-    8 Omega_rr = -h[r]^2 - 2(x[r] + x[r+1]) (Humphreys, Lie algebras, 7.2).
-
-    Every entry is -((k+1)^2 - 1).
-    """
-    x = (*rep.x, 0)
-    return tuple(-h * h - 2 * (x[r] + x[r + 1]) for r, h in enumerate(rep.h))
 
 
 def lambda_lj(l: int, j: int) -> Fraction:
@@ -150,11 +119,21 @@ def _dot(*terms: tuple[int, Pair, Pair]) -> Pair:
 
 
 def omega_block(level: int, gamma: int) -> tuple[int, ...]:
-    """The Casimir on the free V_gamma factor, as 8 times its diagonal on the
-    weight basis (it has no other entry); the same at every level of the
-    gamma ladder."""
+    """The Casimir -(1/8) h^2 - (1/4)(XY + YX) for negative the Killing form on
+    the free V_gamma factor, as 8 times its diagonal on the weight basis
+    v_0, ..., v_gamma (it has no other entry); the same at every level of the
+    gamma ladder.  h v_r = (gamma - 2r) v_r, X raises and Y lowers by one band
+    (X v_r = x_r v_{r-1}, x_r = _x_entry(gamma, r), Y v_r = v_{r+1}), so XY and
+    YX are diagonal with (XY)_rr = x_{r+1} and (YX)_rr = x_r, and
+    8 Omega_rr = -(gamma - 2r)^2 - 2(x_r + x_{r+1}) (Humphreys, Lie algebras,
+    7.2); x_0 = x_{gamma+1} = 0.
+
+    Every entry is -((gamma+1)^2 - 1).
+    """
     _require_block(level, gamma)
-    return sl2_casimir_diagonal(sl2_irrep(gamma))
+    x = [_x_entry(gamma, r) for r in range(gamma + 2)]     # each x_r once
+    return tuple(-(gamma - 2 * r) ** 2 - 2 * (x_r + x_next)
+                 for r, (x_r, x_next) in enumerate(zip(x, x[1:])))
 
 
 def p_block(level: int, gamma: int, d_up: Pair, dbar: Pair, dbar_down: Pair, d: Pair) -> Pair:

@@ -46,7 +46,6 @@ from .rootsys import (
     Weight,
     as_weight,
     build_root_system,
-    is_dominant,
     rho,
 )
 
@@ -91,7 +90,7 @@ class GroundKernel(NamedTuple):
 def ground_kernel(rs: RootSystem, mu: Sequence[int]) -> GroundKernel:
     """V_mu for dominant mu; reported as zero (Borel-Weil vanishing) otherwise."""
     m = as_weight(rs, mu)
-    if not is_dominant(rs, m):
+    if min(m) < 0:
         return GroundKernel(None, 0, "kernel 0 by Borel-Weil vanishing (mu not dominant)")
     return GroundKernel(m, weyl_dimension(rs, m), "holomorphic sections of L_mu = V_mu")
 

@@ -18,25 +18,23 @@ from symdol.linalg import Mat
 # ---------------------------------------------------------------------------
 
 def test_sl2_irrep_k0_and_k1():
-    assert cp1.sl2_irrep(0) == (0, (0,), (0,))
-    assert cp1.sl2_irrep(1) == (1, (1, -1), (0, 1))
-    assert cp1.sl2_irrep(2) == (2, (2, 0, -2), (0, 2, 2))
+    # X's band x_r = r(k-r+1), zero at both ends, and 8 Omega's diagonal on V_1 and V_3
+    assert [cp1._x_entry(0, r) for r in range(2)] == [0, 0]
+    assert [cp1._x_entry(1, r) for r in range(3)] == [0, 1, 0]
+    assert [cp1._x_entry(2, r) for r in range(4)] == [0, 2, 2, 0]
+    assert cp1.omega_block(0, 1) == (-3, -3)
+    assert cp1.omega_block(0, 3) == (-15,) * 4
 
 
 @pytest.mark.parametrize("call,message", [
-    (lambda: cp1.sl2_irrep(-1), "k must be nonnegative"),
+    (lambda: cp1.omega_block(0, -1), "no block at level 0, gamma -1"),
     (lambda: cp1.lambda_lj(-1, 0), "l and j must be nonnegative"),
     (lambda: cp1.lambda_lj(0, -1), "l and j must be nonnegative"),
-], ids=["sl2_irrep-k", "lambda_lj-l", "lambda_lj-j"])
+], ids=["omega_block-gamma", "lambda_lj-l", "lambda_lj-j"])
 def test_negative_labels_rejected(call, message):
     with pytest.raises(ValueError) as exc:
         call()
     assert str(exc.value) == message
-
-
-def test_sl2_irrep_takes_k_as_int():
-    rep = cp1.sl2_irrep(True)
-    assert type(rep.k) is int and rep == cp1.sl2_irrep(1)
 
 
 def _bands(m: Mat, offset: int) -> list:
@@ -54,27 +52,30 @@ def test_sl2_bracket_relations(k):
     assert mat_sub(mat_mul(x, y), mat_mul(y, x)) == h
     for m, offset in ((h, 0), (x, -1), (y, 1)):
         assert all(i - j == offset for i, j in m)    # nothing off the band
-    rep = cp1.sl2_irrep(k)
-    assert _bands(h, 0) == list(rep.h) == list(range(k, -k - 1, -2))
-    assert _bands(x, -1) == list(rep.x)
+    assert _bands(h, 0) == [gq(k - 2 * r) for r in range(k + 1)]
+    assert _bands(x, -1) == [gq(cp1._x_entry(k, r)) for r in range(k + 1)]
     assert _bands(y, 1) == [ONE] * k + [ZERO]
 
 
-@pytest.mark.parametrize("k", range(0, 21))
-def test_sl2_casimir_scalar(k):
-    # Schur's lemma on 8 Omega's diagonal: k+1 integer equalities
-    assert cp1.sl2_casimir_diagonal(cp1.sl2_irrep(k)) == (-((k + 1) ** 2 - 1),) * (k + 1)
+@pytest.mark.parametrize("j", range(0, 21))
+def test_sl2_casimir_scalar(j):
+    # Schur's lemma on 8 Omega's diagonal on V_gamma, gamma = 2j+1 (the
+    # level-0 block of j): gamma+1 integer equalities
+    gamma = 2 * j + 1
+    assert cp1.omega_block(0, gamma) == (-((gamma + 1) ** 2 - 1),) * (gamma + 1)
 
 
-@pytest.mark.parametrize("k", range(0, 41))
-def test_casimir_bands_match_explicit_matrices(k):
-    # the band diagonal is the diagonal of the Casimir built from explicit
-    # matrix products, which has no entry off the diagonal
-    omega = sl2_casimir_by_matrices(k)
-    diagonal = [gq(Fraction(w, 8)) for w in cp1.sl2_casimir_diagonal(cp1.sl2_irrep(k))]
+@pytest.mark.parametrize("j", range(0, 41))
+def test_casimir_bands_match_explicit_matrices(j):
+    # omega_block's closed form on V_gamma, gamma = 2j+1, is the diagonal of
+    # the Casimir built from explicit matrix products, which has no entry off
+    # the diagonal
+    gamma = 2 * j + 1
+    omega = sl2_casimir_by_matrices(gamma)
+    diagonal = [gq(Fraction(w, 8)) for w in cp1.omega_block(0, gamma)]
     assert _bands(omega, 0) == diagonal
-    assert all(i == j for i, j in omega)
-    assert diagonal == [gq(Fraction(-((k + 1) ** 2 - 1), 8))] * (k + 1)
+    assert all(row == col for row, col in omega)
+    assert diagonal == [gq(Fraction(-((gamma + 1) ** 2 - 1), 8))] * (gamma + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -321,17 +322,17 @@ def test_ladder_bijectivity_explicit(report):
 
 def test_verify_builds_no_matrix(monkeypatch):
     """Work gate: verify(4, 201) builds no Mat and makes no matrix product.
-    Per gamma it builds one sl(2) irrep as integer bands and reads Omega's
-    scalar off 8 Omega's integer diagonal, once, not per block; D, Dbar, H
-    and P are integer pairs read from closed forms, and p_block builds no
-    irrep.  The fiber coefficients come from the fock ladder once per level
-    and direction in each call (1,170 ladder calls when they were read per
-    block), and the check pass does no Gaussian-rational arithmetic: each
+    Per gamma it computes 8 Omega's integer diagonal from its closed form and
+    reads Omega's scalar off it, once, not per block (101 omega_block calls);
+    D, Dbar, H and P are integer pairs read from closed forms, and p_block
+    reads no Omega.  The fiber coefficients come from the fock ladder once
+    per level and direction in each call (1,170 ladder calls when they were
+    read per block), and the check pass does no Gaussian-rational arithmetic: each
     report field is built once from its pair.  The pass asks only for blocks
     that exist, so block_exists runs in the seams it calls (p_block per
     assembled block, omega_block and block_dim per gamma), at most twice per
     assembled block (3,938 calls while D, Dbar and H had block functions)."""
-    work = {"products": 0, "mats": 0, "irreps": 0, "arithmetic": 0}
+    work = {"products": 0, "mats": 0, "omegas": 0, "arithmetic": 0}
     calls = {"ladders": 0, "validations": 0, "p_blocks": 0}
 
     def counted(key, fn, tally=work):
@@ -350,7 +351,7 @@ def test_verify_builds_no_matrix(monkeypatch):
 
     monkeypatch.setattr(linalg.Mat, "__matmul__", counted("products", linalg.Mat.__matmul__))
     monkeypatch.setattr(linalg.Mat, "__init__", counted("mats", linalg.Mat.__init__))
-    monkeypatch.setattr(cp1, "sl2_irrep", counted("irreps", cp1.sl2_irrep))
+    monkeypatch.setattr(cp1, "omega_block", counted("omegas", cp1.omega_block))
     monkeypatch.setattr(fock, "_ladder", counted("ladders", fock._ladder, calls))
     for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
                  "__truediv__", "__neg__"):
@@ -363,7 +364,7 @@ def test_verify_builds_no_matrix(monkeypatch):
     assert 1 <= calls["ladders"] <= 2 * (lmax + 3)
     assert calls["p_blocks"] == 591    # levels 0..lmax+1 of every gamma ladder
     assert calls["validations"] <= 2 * calls["p_blocks"]
-    assert work == {"products": 0, "mats": 0, "irreps": 101, "arithmetic": 0}
+    assert work == {"products": 0, "mats": 0, "omegas": 101, "arithmetic": 0}
     blocks = [b for lv in report for b in lv.blocks]
     assert len(blocks) == 495
     for b in blocks:
@@ -439,12 +440,11 @@ def test_dbar_is_adjoint_of_d(gamma):
 
 
 def test_invariant_norms_make_x_y_adjoint():
-    gamma = 6
-    rep = cp1.sl2_irrep(gamma)
-    norms = invariant_weight_norms(gamma)
-    for r in range(gamma):
-        # <X v_{r+1}, v_r> = <v_{r+1}, Y v_r>, with Y v_r = v_{r+1}
-        assert rep.x[r + 1] * norms[r] == norms[r + 1]
+    for gamma in (1, 3, 7, 13):
+        norms = invariant_weight_norms(gamma)
+        for r in range(gamma):
+            # <X v_{r+1}, v_r> = <v_{r+1}, Y v_r>, with Y v_r = v_{r+1}
+            assert cp1._x_entry(gamma, r + 1) * norms[r] == norms[r + 1]
 
 
 # ---------------------------------------------------------------------------

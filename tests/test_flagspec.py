@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from symdol import cp1, flagspec, fock, surface
+from symdol import cp1, flagspec, fock, rootsys, surface
 from symdol.cp1 import lambda_lj
 from symdol.errors import ContractViolation
 from symdol.flagspec import (
@@ -137,6 +137,25 @@ def test_ground_kernel_non_dominant_vanishes():
     assert "vanishing" in gk.note
 
 
+def test_ground_kernel_checks_mu_once(monkeypatch):
+    # work gate: one as_weight per call, counted through the flag layer's
+    # binding and rootsys' own (2 while is_dominant re-checked the weight)
+    calls = 0
+    true_as_weight = rootsys.as_weight
+
+    def counting(rs, coords):
+        nonlocal calls
+        calls += 1
+        return true_as_weight(rs, coords)
+
+    monkeypatch.setattr(rootsys, "as_weight", counting)
+    monkeypatch.setattr(flagspec, "as_weight", counting)
+    for rs, mu, dim in ((B3, [1, 0, 2], 189), (A2, (-1, 1), 0)):
+        calls = 0
+        assert ground_kernel(rs, mu).dim == dim
+        assert calls == 1
+
+
 # ---------------------------------------------------------------------------
 # p_spectrum
 # ---------------------------------------------------------------------------
@@ -176,6 +195,29 @@ def test_spectrum_rank_one_closed_form_cross_check():
         for j, row in enumerate(table.rows):
             assert row.eigenvalue == lambda_lj(l, j) - lambda_lj(l, 0)
             assert row.total_multiplicity == 2 * (l + j + 1)
+
+
+def test_cp1_three_ways():
+    # CP^1 = SU(2)/T as the A1 flag manifold, as the CP^1 block engine and as
+    # the genus-0 surface: the level-l spinor weight is (2l+1,), the twisted A1
+    # spectrum lists exactly the gammas of verify's level-l blocks with the
+    # block dimensions as totals, each eigenvalue is the block's P minus the
+    # shift s_l = -l(2l+1)/2 (lambda_lj(l, 0), the kernel block's P), and the
+    # three kernels are 2l+2; every block passed its checks, lambda_lj among them
+    gamma_max = 101
+    for lv in cp1.verify(10, gamma_max):
+        l, mu = lv.level, (2 * lv.level + 1,)
+        assert lv.ok and spinor_weight(A1, (l,)) == mu
+        shift = Fraction(-l * (2 * l + 1), 2)
+        assert shift == lambda_lj(l, 0)
+        table = p_spectrum(A1, mu, lv.blocks[-1].eigenvalue - shift)
+        assert [(row.eigenvalue, row.constituents, row.total_multiplicity)
+                for row in table.rows] == [
+            (b.eigenvalue - shift, (Constituent((b.gamma,), 1, b.dim),), b.dim)
+            for b in lv.blocks]
+        assert lv.blocks[-1].gamma == gamma_max
+        index = surface.index(surface.IndexQuery(0, l, "metaplectic"))
+        assert ground_kernel(A1, mu).dim == lv.ker_dbar == index == 2 * l + 2
 
 
 def test_spectrum_b3_first_positive_row():

@@ -4,12 +4,13 @@ Every record is a NamedTuple, or (``linalg.Mat``) a slotted Mapping, so
 importing ``symdol.cli`` loads none of the ``dataclasses`` machinery.  These
 tests pin what the records promise: immutability, equality by value, the
 validation of ``IndexQuery`` and the unhashable ``Mat``, and the repr of
-every root system.
+every root system; and what the benchmark's tracer needs of the program.
 """
 
 import ast
 import copy
 import hashlib
+import json
 import os
 import pickle
 import subprocess
@@ -40,7 +41,6 @@ def _records():
         "SpectrumTable": (table, "family"),
         "RowComparison": (report.first_difference, "index"),
         "DistinguishReport": (report, "n"),
-        "Sl2Irrep": (cp1.sl2_irrep(2), "k"),
         "BlockReport": (level.blocks[0], "level"),
         "LevelReport": (level, "level"),
         "FockVector": (fock.basis_vector(2, (1, 0)), "n"),
@@ -206,3 +206,35 @@ def test_cli_import_loads_every_traced_layer():
     assert {"cp1", "linalg", "fock", "cli"} <= set(layers)    # the scan does see them
     assert _fresh(f"import sys, symdol.cli; print([m for m in {layers!r} "
                   "if 'symdol.' + m not in sys.modules])") == "[]"
+
+
+TRACED_QUERIES = {
+    "cp1": ("cli", "cp1", "--lmax", "1", "--gamma-max", "5", "--format", "json"),
+    "spectrum": ("cli", "spectrum", "--family", "B", "--rank", "3", "--mu", "0,0,0",
+                 "--cutoff", "1", "--format", "json"),
+    "fock": ("fock", "--v=1,2,-1,3,2,-1"),
+}
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, timeout=60)
+
+
+@pytest.mark.parametrize("query", sorted(TRACED_QUERIES))
+def test_benchmark_tracer_runs_each_query_kind(tmp_path, query):
+    # the benchmark's tracer wraps every public function of each layer, reads
+    # the leading (level, gamma) of each cp1 *_block call and runs fock queries
+    # through its fock_job script; on each kind it must exit 0 and leave stdout
+    # byte for byte as the untraced run prints it
+    kind, *argv = TRACED_QUERIES[query]
+    plain = (_python("-m", "symdol.cli", *argv) if kind == "cli"
+             else _python(str(ROOT / "perfbench" / "fock_job.py"), *argv))
+    trace_path = tmp_path / "trace.json"
+    traced = _python(str(ROOT / "perfbench" / "tracer.py"), str(trace_path), kind, *argv)
+    assert (plain.returncode, traced.returncode) == (0, 0), traced.stderr.decode()
+    assert plain.stdout and traced.stdout == plain.stdout
+    if query == "cp1":
+        trace = json.loads(trace_path.read_text())
+        assert trace["calls"]["cp1.omega_block"] == 3    # one per gamma in 1, 3, 5
+        assert trace["distinct"]["cp1.block.distinct"] > 0

@@ -37,7 +37,6 @@ _HOME = {
     "WeightSystem": "reps",
     "build_root_system": "rootsys",
     "casimir_value": "reps",
-    "cp1_consistency": "surface",
     "distinguish": "flagspec",
     "dominant_weights_with_norm_bound": "reps",
     "ground_kernel": "flagspec",

@@ -299,8 +299,11 @@ def verify(lmax: int, gamma_max: int) -> tuple[LevelReport, ...]:
     """Assemble and check every block of levels 0..lmax with gamma <= gamma_max,
     and each level's kernel ledger ker Dbar = 2l+2, ker D = 0 (l >= 1).
 
-    Blocks beyond gamma_max are not inspected, which is the caller's
-    truncation responsibility.
+    The ledger is the genus-0 index identity: ker Dbar on level l minus
+    ker D on level l+1 is ``surface.index`` of (0, l, "metaplectic"), as
+    criterion 09, ``test_index_matches_kernel_ledger_wherever_certified``
+    and ``test_cp1_three_ways`` assert.  Blocks beyond gamma_max are not
+    inspected, which is the caller's truncation responsibility.
     """
     lmax, gamma_max = operator.index(lmax), _require_gamma_max(gamma_max)
     if lmax < 0:

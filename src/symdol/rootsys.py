@@ -159,8 +159,10 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     # and its integer diagonal q fixes every constant: h^v = min q (A is
     # irreducible, so some simple root is long, with d = 1),
     # (A^-1)_ik = S_ik / q_i and K(omega_i, omega_k) = S_ik / (2 q_i q_k).
+    # S is symmetric: its lower triangle is summed and mirrored.
     cols = list(zip(*coeffs))
-    killing_sum = [[sum(map(mul, ci, ck)) for ck in cols] for ci in cols]
+    lower = [[sum(map(mul, ci, ck)) for ck in cols[:i + 1]] for i, ci in enumerate(cols)]
+    killing_sum = [row + [lower[k][i] for k in range(i + 1, rank)] for i, row in enumerate(lower)]
     q = [sum(map(mul, row, col)) for row, col in zip(killing_sum, zip(*cartan))]
     dual_cox = min(q)
     killing_scale = Fraction(1, 2 * dual_cox)

@@ -244,8 +244,11 @@ def test_criterion_09_index_formulas():
         assert surface.index(surface.IndexQuery(g, l, "metaplectic")) == (2 * l + 2) * (1 - g)
         assert surface.index(surface.IndexQuery(g, l, "fock")) == (2 * l + 1) * (1 - g)
     for level in range(0, 4):
-        report = surface.cp1_consistency(level, 2 * level + 5)
-        assert report.certified and report.consistent, level
+        levels = cp1.verify(level + 1, 2 * level + 5)
+        assert all(lv.ok for lv in levels), level
+        ker_dbar, ker_d_next = levels[level].ker_dbar, levels[level + 1].ker_d
+        assert ker_dbar - ker_d_next == surface.index(
+            surface.IndexQuery(0, level, "metaplectic")), level
     ok(9, "index formulas on the g, l grid; genus-0 ledger matches CP^1 kernels")
 
 

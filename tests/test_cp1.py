@@ -241,7 +241,7 @@ def test_verify_rejects_bad_truncation():
 
 
 def test_verify_takes_truncation_as_integers_from_one():
-    # the same rules as surface.cp1_consistency
+    # gamma_max and lmax are ints, bool as 1, and gamma_max >= 1
     with pytest.raises(ValueError, match="gamma_max = -1 is below the first block"):
         cp1.verify(0, -1)
     with pytest.raises(TypeError):

@@ -75,7 +75,6 @@ def test_spinor_weight_validates_length():
     lambda: small_irrep_inventory(C3, 3.5),
     lambda: surface.IndexQuery(1.5, 0, "fock"),
     lambda: surface.IndexQuery(0, 2.0, "metaplectic"),
-    lambda: surface.cp1_consistency(0, 2.5),
     lambda: build_root_system("B", 3.0),
     lambda: distinguish(3.0),
     lambda: distinguish(1.5),
@@ -87,7 +86,7 @@ def test_spinor_weight_validates_length():
 ], ids=["weyl_dimension-float", "weyl_dimension-fraction", "weight_multiplicity-float",
         "weight_multiplicity-fraction", "p_spectrum-float", "basis_vector-float",
         "basis_vector-fraction", "spinor_weight-float", "small_irrep_inventory-float",
-        "index_query-genus-float", "index_query-level-float", "cp1_consistency-float",
+        "index_query-genus-float", "index_query-level-float",
         "build_root_system-float", "distinguish-float", "distinguish-float-below-range",
         "block_exists-float", "block_dim-float", "lambda_lj-float",
         "is_nonneg_root_combination-float", "is_nonneg_root_combination-fraction"])

@@ -45,7 +45,6 @@ def _records():
         "LevelReport": (level, "level"),
         "FockVector": (fock.basis_vector(2, (1, 0)), "n"),
         "FockOperator": (fock.symbol_product(1, 0, (1, 0)), "n"),
-        "ConsistencyReport": (surface.cp1_consistency(0, 3), "level"),
         "IndexQuery": (surface.IndexQuery(0, 0, "fock"), "genus"),
         "Mat": (scalar_matrix(2, ONE), "nrows"),
     }
@@ -176,6 +175,12 @@ def test_fock_import_loads_no_flag_or_cp1_layer():
                   "if 'symdol.' + m in sys.modules))") == "module symdol.fock"
 
 
+def test_surface_import_loads_no_block_engine():
+    # surface is the closed-form index alone: neither cp1 nor fock rides along
+    assert _fresh("import sys, symdol.surface; print(sorted(m for m in sys.modules "
+                  "if m.split('.')[0] == 'symdol'))") == "['symdol', 'symdol.surface']"
+
+
 def test_package_names_are_their_home_objects():
     # each __all__ name, resolved on first access, is the object its defining
     # module holds; dir() lists them and an unknown name is an AttributeError
@@ -193,7 +198,7 @@ try:
 except AttributeError as e:
     print(len(names), e)
 """
-    assert _fresh(code) == "23 module 'symdol' has no attribute 'no_such_name'"
+    assert _fresh(code) == "22 module 'symdol' has no attribute 'no_such_name'"
 
 
 def test_cli_import_loads_every_traced_layer():

@@ -149,6 +149,24 @@ def test_closure_reads_cartan_rows_linearly(family):
     assert [(beta, tuple(fw)) for beta, fw in roots] == rootsys._positive_root_coefficients(cartan)
 
 
+@pytest.mark.parametrize("family,rank", [("G", 2), ("D", 5), ("B", 10)])
+def test_killing_sum_is_summed_once_per_symmetric_pair(family, rank, monkeypatch):
+    # S is symmetric, so a build sums its lower triangle, r(r+1)/2 dot products
+    # over the positive roots, plus the r^2 products of S A's diagonal; the full
+    # square makes r^2 |Phi+| + r^2 (10,100 for B10, against a gate of 5,600)
+    products = [0]
+
+    def counting_mul(a, b):
+        products[0] += 1
+        return mul(a, b)
+
+    expected = build_root_system(family, rank)
+    monkeypatch.setattr(rootsys, "mul", counting_mul)
+    assert build_root_system(family, rank) == expected
+    positives = len(expected.positive_roots_fw)
+    assert 0 < products[0] <= rank * (rank + 1) // 2 * positives + rank * rank
+
+
 @pytest.mark.parametrize("family,rank",
                          ALL_SYSTEMS + [(f, k) for f in "BCD" for k in (14, 20, 30, 40)])
 def test_coroots_match_roots_read_off(family, rank):

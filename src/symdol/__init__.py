@@ -31,7 +31,6 @@ _HOME = {
     "ContractViolation": "errors",
     "DistinguishReport": "flagspec",
     "GroundKernel": "flagspec",
-    "IndexQuery": "surface",
     "RootSystem": "rootsys",
     "SpectrumTable": "flagspec",
     "WeightSystem": "reps",

@@ -292,12 +292,11 @@ def _cp1_table(p):
 
 
 def _cmd_index(args) -> dict:
-    query = surface.IndexQuery(genus=args.genus, level=args.level, spinor_kind=args.spinor)
     return {
-        "genus": query.genus,
-        "level": query.level,
-        "kind": query.spinor_kind,
-        "index": surface.index(query),
+        "genus": args.genus,
+        "level": args.level,
+        "kind": args.spinor,
+        "index": surface.index(args.genus, args.level, args.spinor),
     }
 
 

@@ -9,8 +9,9 @@ factor; the scalars are assembled honestly from
 
   * fiber ladder coefficients taken from :mod:`symdol.fock`
     (sigma(Z): -i/2, sigma(Zbar): -i l on the h_l fiber line), and
-  * right-action matrices on V_gamma through the standard sl(2) triple,
-    with Z_alpha -> (1+i)/4 * X and Zbar_alpha -> (-1+i)/4 * Y.
+  * the sl(2) triple on V_gamma, Z_alpha -> (1+i)/4 * X, Zbar_alpha ->
+    (-1+i)/4 * Y: X's band entries X v_r = r(gamma-r+1) v_{r-1} on the
+    weight basis v_0..v_gamma, and Y v_r = v_{r+1}; no matrix is built.
 
 The (1+i)/4 normalization is pinned by two requirements: the products must
 satisfy [Z_alpha, Zbar_alpha] = (1/2) H_alpha with H_alpha acting as -h/4
@@ -300,7 +301,7 @@ def verify(lmax: int, gamma_max: int) -> tuple[LevelReport, ...]:
     and each level's kernel ledger ker Dbar = 2l+2, ker D = 0 (l >= 1).
 
     The ledger is the genus-0 index identity: ker Dbar on level l minus
-    ker D on level l+1 is ``surface.index`` of (0, l, "metaplectic"), as
+    ker D on level l+1 is ``surface.index(0, l, "metaplectic")``, as
     criterion 09, ``test_index_matches_kernel_ledger_wherever_certified``
     and ``test_cp1_three_ways`` assert.  Blocks beyond gamma_max are not
     inspected, which is the caller's truncation responsibility.

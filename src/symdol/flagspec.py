@@ -261,25 +261,22 @@ def distinguish(n: int, cutoff=None) -> DistinguishReport:
             "distinguish requires n >= 2 (B_1 and C_1 are not in the classical "
             "table; see rank_one_sanity for the rank-1 statement)"
         )
-    b = build_root_system("B", n)
-    c = build_root_system("C", n)
-    if cutoff is None:
-        cutoff = 2 * max(first_positive_eigenvalue(b), first_positive_eigenvalue(c))
-    cutoff = exact_rational(cutoff, "cutoff")
-    zero_b, zero_c = (0,) * n, (0,) * n
-    tb = p_spectrum(b, zero_b, cutoff)
-    tc = p_spectrum(c, zero_c, cutoff)
-    return DistinguishReport(n, cutoff, tb, tc, _compare_tables(tb, tc))
+    return _compare_spectra(n, build_root_system("B", n), build_root_system("C", n), cutoff)
 
 
 def rank_one_sanity(cutoff=None) -> DistinguishReport:
     """The rank-1 control: sp(1) = su(2), so the 'B_1 vs C_1' spectra coincide."""
     a1 = build_root_system("A", 1)
+    return _compare_spectra(1, a1, a1, cutoff)
+
+
+def _compare_spectra(n: int, b: RootSystem, c: RootSystem, cutoff) -> DistinguishReport:
     if cutoff is None:
-        cutoff = 2 * first_positive_eigenvalue(a1)
+        cutoff = 2 * max(first_positive_eigenvalue(b), first_positive_eigenvalue(c))
     cutoff = exact_rational(cutoff, "cutoff")
-    t = p_spectrum(a1, (0,), cutoff)
-    return DistinguishReport(1, cutoff, t, t, _compare_tables(t, t))
+    tb = p_spectrum(b, (0,) * n, cutoff)
+    tc = p_spectrum(c, (0,) * n, cutoff)
+    return DistinguishReport(n, cutoff, tb, tc, _compare_tables(tb, tc))
 
 
 # ---------------------------------------------------------------------------

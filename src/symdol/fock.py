@@ -272,12 +272,13 @@ def operator_from_action(
     for col, src in enumerate(sources):
         image = action(basis_vector(n, src))
         for beta, coeff in image.terms.items():
-            if sum(beta) != target_level:
+            row = rows.get(beta)
+            if row is None:
                 raise ValueError(
                     f"action maps level {source_level} outside level "
-                    f"{target_level} (hit {beta})"
+                    f"{target_level} of n={n} (hit {beta})"
                 )
-            entries[rows[beta], col] = coeff
+            entries[row, col] = coeff
     return FockOperator(n, source_level, target_level, Mat(len(rows), len(sources), entries))
 
 

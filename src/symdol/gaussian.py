@@ -191,11 +191,7 @@ def _reduced(x: int, y: int, d: int) -> GaussianRational:
 fields = attrgetter("_f")
 
 
-def gq(re=0, im=0) -> GaussianRational:
-    """Shorthand constructor."""
-    return GaussianRational(re, im)
-
-
+gq = GaussianRational    # shorthand constructor
 I = GaussianRational(0, 1)
 ZERO = GaussianRational(0, 0)
 ONE = GaussianRational(1, 0)

@@ -1,7 +1,7 @@
 """Closed-form indices of the level-raising Dolbeault operator on surfaces.
 
 For a genus-g surface the restriction to the level-l spinor summand is
-elliptic and its index is
+elliptic and its index, ``index(genus, level, spinor_kind)``, is
 
     metaplectic spinors: (2l+2)(1-g)
     Fock spinors:        (2l+1)(1-g).
@@ -16,36 +16,17 @@ checks per level (ker Dbar = 2l+2, ker D = 0), as criterion 09,
 from __future__ import annotations
 
 import operator
-from typing import NamedTuple
 
 SPINOR_KINDS = ("metaplectic", "fock")
 
 
-class _IndexQueryFields(NamedTuple):
-    genus: int
-    level: int
-    spinor_kind: str
-
-
-class IndexQuery(_IndexQueryFields):
-    __slots__ = ()
-
-    def __new__(cls, genus: int, level: int, spinor_kind: str):
-        genus, level = operator.index(genus), operator.index(level)
-        if genus < 0 or level < 0:
-            raise ValueError("genus and level must be nonnegative")
-        if spinor_kind not in SPINOR_KINDS:
-            raise ValueError(f"spinor_kind must be one of {SPINOR_KINDS}")
-        return super().__new__(cls, genus, level, spinor_kind)
-
-    @classmethod
-    def _make(cls, iterable):    # so that _replace validates too
-        return cls(*iterable)
-
-
-def index(query: IndexQuery) -> int:
+def index(genus: int, level: int, spinor_kind: str) -> int:
     """dim ker - dim coker of the raising operator out of level l."""
-    g, l = query.genus, query.level
-    if query.spinor_kind == "metaplectic":
+    g, l = operator.index(genus), operator.index(level)
+    if g < 0 or l < 0:
+        raise ValueError("genus and level must be nonnegative")
+    if spinor_kind not in SPINOR_KINDS:
+        raise ValueError(f"spinor_kind must be one of {SPINOR_KINDS}")
+    if spinor_kind == "metaplectic":
         return (2 * l + 2) * (1 - g)
     return (2 * l + 1) * (1 - g)

@@ -241,14 +241,13 @@ def test_criterion_09_index_formulas():
     """(2l+2)(1-g) and (2l+1)(1-g) on a grid; genus-0 metaplectic indices
     equal the CP^1 kernel ledger."""
     for g, l in product(range(0, 6), range(0, 6)):
-        assert surface.index(surface.IndexQuery(g, l, "metaplectic")) == (2 * l + 2) * (1 - g)
-        assert surface.index(surface.IndexQuery(g, l, "fock")) == (2 * l + 1) * (1 - g)
+        assert surface.index(g, l, "metaplectic") == (2 * l + 2) * (1 - g)
+        assert surface.index(g, l, "fock") == (2 * l + 1) * (1 - g)
     for level in range(0, 4):
         levels = cp1.verify(level + 1, 2 * level + 5)
         assert all(lv.ok for lv in levels), level
         ker_dbar, ker_d_next = levels[level].ker_dbar, levels[level + 1].ker_d
-        assert ker_dbar - ker_d_next == surface.index(
-            surface.IndexQuery(0, level, "metaplectic")), level
+        assert ker_dbar - ker_d_next == surface.index(0, level, "metaplectic"), level
     ok(9, "index formulas on the g, l grid; genus-0 ledger matches CP^1 kernels")
 
 

@@ -73,8 +73,8 @@ def test_spinor_weight_validates_length():
     lambda: fock.basis_vector(1, (Fraction(2),)),
     lambda: spinor_weight(A1, (1.5,)),
     lambda: small_irrep_inventory(C3, 3.5),
-    lambda: surface.IndexQuery(1.5, 0, "fock"),
-    lambda: surface.IndexQuery(0, 2.0, "metaplectic"),
+    lambda: surface.index(1.5, 0, "fock"),
+    lambda: surface.index(0, 2.0, "metaplectic"),
     lambda: build_root_system("B", 3.0),
     lambda: distinguish(3.0),
     lambda: distinguish(1.5),
@@ -86,7 +86,7 @@ def test_spinor_weight_validates_length():
 ], ids=["weyl_dimension-float", "weyl_dimension-fraction", "weight_multiplicity-float",
         "weight_multiplicity-fraction", "p_spectrum-float", "basis_vector-float",
         "basis_vector-fraction", "spinor_weight-float", "small_irrep_inventory-float",
-        "index_query-genus-float", "index_query-level-float",
+        "index-genus-float", "index-level-float",
         "build_root_system-float", "distinguish-float", "distinguish-float-below-range",
         "block_exists-float", "block_dim-float", "lambda_lj-float",
         "is_nonneg_root_combination-float", "is_nonneg_root_combination-fraction"])
@@ -215,7 +215,7 @@ def test_cp1_three_ways():
             (b.eigenvalue - shift, (Constituent((b.gamma,), 1, b.dim),), b.dim)
             for b in lv.blocks]
         assert lv.blocks[-1].gamma == gamma_max
-        index = surface.index(surface.IndexQuery(0, l, "metaplectic"))
+        index = surface.index(0, l, "metaplectic")
         assert ground_kernel(A1, mu).dim == lv.ker_dbar == index == 2 * l + 2
 
 

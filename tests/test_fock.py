@@ -660,6 +660,12 @@ def test_strict_mode_rejects_level_violation():
         fock.operator_from_action(1, 1, 1, lambda v: fock.sigma_raise(1, v))
 
 
+def test_strict_mode_rejects_image_of_another_n():
+    # a level-1 term of n=3 is no row of the n=2 level-1 basis
+    with pytest.raises(ValueError, match=r"outside level 1 of n=2 \(hit \(1, 0, 0\)\)"):
+        fock.operator_from_action(2, 0, 1, lambda v: fock.FockVector(3, {(1, 0, 0): gq(1)}))
+
+
 def test_json_triplets_golden():
     op = fock.symbol_product(2, 1, [1, 0, 0, 1])
     assert fock.to_json_triplets(op) == [

@@ -3,8 +3,8 @@
 Every record is a NamedTuple, or (``linalg.Mat``) a slotted Mapping, so
 importing ``symdol.cli`` loads none of the ``dataclasses`` machinery.  These
 tests pin what the records promise: immutability, equality by value, the
-validation of ``IndexQuery`` and the unhashable ``Mat``, and the repr of
-every root system; and what the benchmark's tracer needs of the program.
+unhashable ``Mat``, and the repr of every root system; and what the
+benchmark's tracer needs of the program.
 """
 
 import ast
@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from oracles import scalar_matrix
-from symdol import cp1, flagspec, fock, reps, surface
+from symdol import cp1, flagspec, fock, reps
 from symdol.gaussian import ONE, gq
 from symdol.linalg import Mat
 from symdol.rootsys import RootSystem, build_root_system
@@ -45,7 +45,6 @@ def _records():
         "LevelReport": (level, "level"),
         "FockVector": (fock.basis_vector(2, (1, 0)), "n"),
         "FockOperator": (fock.symbol_product(1, 0, (1, 0)), "n"),
-        "IndexQuery": (surface.IndexQuery(0, 0, "fock"), "genus"),
         "Mat": (scalar_matrix(2, ONE), "nrows"),
     }
 
@@ -103,22 +102,6 @@ def test_mat_validates_and_keeps_its_repr():
         Mat(1, 1, {(0, 0): gq(0)})
     assert repr(Mat(1, 2, {(0, 1): gq(1, 2)})) == (
         "Mat(nrows=1, ncols=2, entries={(0, 1): GaussianRational(Fraction(1, 1), Fraction(2, 1))})")
-
-
-@pytest.mark.parametrize("args", [(-1, 0, "fock"), (0, -1, "metaplectic"), (0, 0, "spin")])
-def test_index_query_validates(args):
-    with pytest.raises(ValueError):
-        surface.IndexQuery(*args)
-    with pytest.raises(ValueError):
-        surface.IndexQuery(genus=args[0], level=args[1], spinor_kind=args[2])
-
-
-def test_index_query_replace_validates():
-    query = surface.IndexQuery(1, 2, "fock")
-    assert query._replace(level=3) == surface.IndexQuery(1, 3, "fock")
-    with pytest.raises(ValueError):
-        query._replace(spinor_kind="spin")
-    assert repr(query) == "IndexQuery(genus=1, level=2, spinor_kind='fock')"
 
 
 # every classical system of rank <= 9 and G2, hashed from the reprs of the
@@ -198,26 +181,54 @@ try:
 except AttributeError as e:
     print(len(names), e)
 """
-    assert _fresh(code) == "22 module 'symdol' has no attribute 'no_such_name'"
+    assert _fresh(code) == "21 module 'symdol' has no attribute 'no_such_name'"
+
+
+def _perfbench_constant(script: str, name: str):
+    """The literal value a perfbench script assigns to name at module level."""
+    tree = ast.parse((ROOT / "perfbench" / script).read_text())
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == [name])
 
 
 def test_cli_import_loads_every_traced_layer():
     # the benchmark's tracer reads sys.modules["symdol.<layer>"] for each of its
     # LAYERS right after `import symdol.cli`, so cli must import them all
-    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
-    layers = next(ast.literal_eval(node.value) for node in tree.body
-                  if isinstance(node, ast.Assign)
-                  and [getattr(t, "id", None) for t in node.targets] == ["LAYERS"])
+    layers = _perfbench_constant("tracer.py", "LAYERS")
     assert {"cp1", "linalg", "fock", "cli"} <= set(layers)    # the scan does see them
     assert _fresh(f"import sys, symdol.cli; print([m for m in {layers!r} "
                   "if 'symdol.' + m not in sys.modules])") == "[]"
 
 
+# the trace keys (calls through a public binding, or work counts) behind each
+# rule of perfbench/selftest.py's BUSY_COUNTERS that the program passes: a
+# binding inlined, renamed or privatized reads 0 there
+FLAG_BUSY = ("rootsys.build_root_system", "rootsys.dominant_conjugate",
+             "reps.weight_multiplicity", "reps.weight_multiplicity.nonzero",
+             "reps.weight_multiplicity.distinct_gamma", "reps.weyl_dimension",
+             "reps.dominant_weights_with_norm_bound", "reps.norm_bound_enum.weights",
+             "flagspec.rows")
+FIRST_POSITIVE_BUSY = ("flagspec.first_positive_eigenvalue",
+                       "flagspec.first_positive_eigenvalue.candidates",
+                       "flagspec.first_positive_eigenvalue.nonzero")
+
+# query name -> (command, the selftest workload it stands for, its busy keys)
 TRACED_QUERIES = {
-    "cp1": ("cli", "cp1", "--lmax", "1", "--gamma-max", "5", "--format", "json"),
-    "spectrum": ("cli", "spectrum", "--family", "B", "--rank", "3", "--mu", "0,0,0",
-                 "--cutoff", "1", "--format", "json"),
-    "fock": ("fock", "--v=1,2,-1,3,2,-1"),
+    "cp1": (("cli", "cp1", "--lmax", "1", "--gamma-max", "5", "--format", "json"),
+            "cp1_blocks", ("cp1.omega_block", "cp1.block.distinct")),
+    "spectrum": (("cli", "spectrum", "--family", "B", "--rank", "3", "--mu", "0,0,0",
+                  "--cutoff", "1", "--format", "json"), "flag_spectra", FLAG_BUSY),
+    "distinguish": (("cli", "distinguish", "--n", "3", "--format", "json"),
+                    "flag_spectra", FLAG_BUSY + FIRST_POSITIVE_BUSY),
+    "irrep": (("cli", "irrep", "--family", "B", "--rank", "2", "--weight", "1,1",
+               "--format", "json"), "weight_systems",
+              ("rootsys.build_root_system", "rootsys.dominant_conjugate", "reps.weyl_dimension",
+               "reps.weight_system", "reps.weight_system.weights",
+               "rootsys.weyl_orbit", "rootsys.weyl_orbit.weights")),
+    "fock": (("fock", "--v=1,2,-1,3,2,-1"), "fock_algebra",
+             ("fock.sigma_real", "fock.operator_from_action", "fock.compose",
+              "fock.symbol_product", "fock.terms_in", "fock.compose.entries")),
 }
 
 
@@ -231,15 +242,20 @@ def test_benchmark_tracer_runs_each_query_kind(tmp_path, query):
     # the benchmark's tracer wraps every public function of each layer, reads
     # the leading (level, gamma) of each cp1 *_block call and runs fock queries
     # through its fock_job script; on each kind it must exit 0 and leave stdout
-    # byte for byte as the untraced run prints it
-    kind, *argv = TRACED_QUERIES[query]
+    # byte for byte as the untraced run prints it, count every busy key, and
+    # see no work in a layer the query's workload keeps idle
+    (kind, *argv), workload, busy = TRACED_QUERIES[query]
     plain = (_python("-m", "symdol.cli", *argv) if kind == "cli"
              else _python(str(ROOT / "perfbench" / "fock_job.py"), *argv))
     trace_path = tmp_path / "trace.json"
     traced = _python(str(ROOT / "perfbench" / "tracer.py"), str(trace_path), kind, *argv)
     assert (plain.returncode, traced.returncode) == (0, 0), traced.stderr.decode()
     assert plain.stdout and traced.stdout == plain.stdout
+    trace = json.loads(trace_path.read_text())
+    seen = {**trace["calls"], **trace["counts"], **trace["distinct"]}
+    assert [key for key in busy if not seen.get(key)] == []
+    idle = _perfbench_constant("selftest.py", "IDLE_LAYERS")[workload]
+    assert [key for part in trace.values() for key in part
+            if key.split(".")[0] in idle] == []
     if query == "cp1":
-        trace = json.loads(trace_path.read_text())
         assert trace["calls"]["cp1.omega_block"] == 3    # one per gamma in 1, 3, 5
-        assert trace["distinct"]["cp1.block.distinct"] > 0

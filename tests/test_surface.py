@@ -1,7 +1,7 @@
 import pytest
 
 from symdol import cp1
-from symdol.surface import IndexQuery, index
+from symdol.surface import index
 
 
 # ---------------------------------------------------------------------------
@@ -9,30 +9,39 @@ from symdol.surface import IndexQuery, index
 # ---------------------------------------------------------------------------
 
 def test_index_examples():
-    assert index(IndexQuery(genus=2, level=0, spinor_kind="metaplectic")) == -2
-    assert index(IndexQuery(genus=0, level=1, spinor_kind="fock")) == 3
+    assert index(2, 0, "metaplectic") == -2
+    assert index(0, 1, "fock") == 3
     for l in range(0, 6):
         for kind in ("metaplectic", "fock"):
-            assert index(IndexQuery(genus=1, level=l, spinor_kind=kind)) == 0
+            assert index(1, l, kind) == 0
 
 
 @pytest.mark.parametrize("g", range(0, 6))
 @pytest.mark.parametrize("l", range(0, 6))
 def test_index_grid(g, l):
-    assert index(IndexQuery(g, l, "metaplectic")) == (2 * l + 2) * (1 - g)
-    assert index(IndexQuery(g, l, "fock")) == (2 * l + 1) * (1 - g)
+    assert index(g, l, "metaplectic") == (2 * l + 2) * (1 - g)
+    assert index(g, l, "fock") == (2 * l + 1) * (1 - g)
     # formula identity: metaplectic minus fock indices differ by 1-g
-    assert (
-        index(IndexQuery(g, l, "metaplectic")) - index(IndexQuery(g, l, "fock"))
-        == 1 - g
-    )
+    assert index(g, l, "metaplectic") - index(g, l, "fock") == 1 - g
+
+
+@pytest.mark.parametrize("args", [(-1, 0, "fock"), (0, -1, "metaplectic"), (0, 0, "spin")])
+def test_index_validates(args):
+    message = "nonnegative" if min(args[:2]) < 0 else "spinor_kind"
+    with pytest.raises(ValueError, match=message):
+        index(*args)
+    with pytest.raises(ValueError, match=message):
+        index(genus=args[0], level=args[1], spinor_kind=args[2])
 
 
 def test_index_query_validation():
-    with pytest.raises(ValueError, match="spinor_kind"):
-        IndexQuery(0, 0, "spin")
+    # genus and level are ints first, then nonnegative, then the kind is known
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        index(1.5, -1, "spin")
     with pytest.raises(ValueError, match="nonnegative"):
-        IndexQuery(-1, 0, "fock")
+        index(-1, 0, "spin")
+    with pytest.raises(ValueError, match="spinor_kind"):
+        index(0, 0, "spin")
 
 
 # ---------------------------------------------------------------------------
@@ -48,5 +57,5 @@ def test_index_matches_kernel_ledger_wherever_certified():
         assert all(lv.ok for lv in levels), level
         ker_dbar, ker_d_next = levels[level].ker_dbar, levels[level + 1].ker_d
         assert (ker_dbar, ker_d_next) == (2 * level + 2, 0)
-        assert index(IndexQuery(0, level, "metaplectic")) == ker_dbar - ker_d_next
+        assert index(0, level, "metaplectic") == ker_dbar - ker_d_next
         assert cp1.verify(level, gamma_max)[level].ker_dbar == ker_dbar

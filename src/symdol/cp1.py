@@ -165,8 +165,8 @@ def _require_gamma_max(gamma_max: int) -> int:
 class BlockReport(NamedTuple):
     """The operators on one (level, gamma) block and the checks run on them.
 
-    failures maps each failed check ("closed-form lambda", "P-identity",
-    "ladder", "commutators") to the values that broke it.
+    failures maps each failed check ("P real", "closed-form lambda",
+    "P-identity", "ladder", "commutators") to the values that broke it.
     """
 
     level: int
@@ -262,14 +262,12 @@ def _gamma_blocks(lmax: int, gamma: int, raising: list[Pair], lowering: list[Pai
         j, dl, dbarl = top - l, d[l + 1], dbar[l + 1]
         h_down, hl, h_up = h[l:l + 3]
         p_down, pl, p_up = p[l:l + 3]
-        if pl[1]:
-            raise ContractViolation(f"P is not a real scalar on block (level={l}, gamma={gamma}): "
-                                    f"P = {_reduced(*pl, 128)}")
         rank_d, rank_dbar = dim if any(dl) else 0, dim if any(dbarl) else 0
 
         ranks = (rank_d, rank_dbar, gamma_n_dim)
         expected = (dim if l else 0, dim if j else 0, 2 * (top + 1) ** 2)
         checks = {     # D, Dbar, H at scale 8 and P at 128, each identity at its product scale
+            "P real": None if pl[1] == 0 else f"P = {_reduced(*pl, 128)}",
             "closed-form lambda": None if pl[0] == 16 * _lambda8(l, j) else
                 f"P = {Fraction(pl[0], 128)}, lambda_lj = {lambda_lj(l, j)}",
             "P-identity": not_scalar or _unequal("P = -Omega - (3/2) H^2", 128, pl,

@@ -128,7 +128,10 @@ def p_spectrum(rs: RootSystem, mu: Sequence[int], cutoff) -> SpectrumTable:
 
     Inclusive cutoff on the eigenvalue itself.  Eigenvalue coincidences
     across distinct gamma are merged into a single row listing every
-    constituent.
+    constituent.  Rows are checked as they are built: positivity and the
+    cutoff on each constituent, then the ground row (lambda 0, V_mu alone).
+    Order and totals need no check: the rows are the sorted distinct
+    eigenvalues, and each total is summed from the constituents it lists.
     """
     m = _require_dominant(rs, mu)
     cutoff = exact_rational(cutoff, "cutoff")
@@ -137,6 +140,7 @@ def p_spectrum(rs: RootSystem, mu: Sequence[int], cutoff) -> SpectrumTable:
 
     norm, den = _rho_norm(rs), rs.weight_gram_den
     base = norm(m)
+    where = f"{rs.name()}, mu={m}"
 
     rows: dict[Fraction, list[Constituent]] = {}
     for gamma in dominant_weights_with_norm_bound(rs, cutoff + Fraction(base, den)):
@@ -145,54 +149,23 @@ def p_spectrum(rs: RootSystem, mu: Sequence[int], cutoff) -> SpectrumTable:
             continue
         lam = Fraction(norm(gamma) - base, den)
         if lam < 0 or (lam == 0 and gamma != m):
-            raise ContractViolation(
-                f"{rs.name()}, mu={m}: eigenvalue {lam} at gamma={gamma} violates "
-                f"positivity (lambda must be > 0 for gamma != mu)"
-            )
-        dim = reconciled_dimension(rs, gamma)
-        rows.setdefault(lam, []).append(Constituent(gamma, mult, dim))
+            raise ContractViolation(f"{where}: eigenvalue {lam} at gamma={gamma} violates "
+                                    "positivity (lambda must be > 0 for gamma != mu)")
+        if lam > cutoff:
+            raise ContractViolation(f"{where}: row at lambda {lam} is above the cutoff {cutoff}")
+        rows.setdefault(lam, []).append(Constituent(gamma, mult, reconciled_dimension(rs, gamma)))
 
-    table_rows = []
-    for lam in sorted(rows):
-        constituents = tuple(rows[lam])  # enumeration order is (norm, lex)-sorted
-        total = sum(c.weight_mult * c.dim for c in constituents)
-        table_rows.append(SpectrumRow(lam, constituents, total))
-
-    table = SpectrumTable(rs.family, rs.rank, m, cutoff, tuple(table_rows))
-    _check_table(rs, table)
-    return table
-
-
-def _check_table(rs: RootSystem, table: SpectrumTable):
-    where = f"{table.algebra}, mu={table.mu}"
-    if not table.rows:
-        raise ContractViolation(
-            f"{where}: spectrum table has no rows (gamma = mu is always present)"
-        )
-    first = table.rows[0]
-    expected = Constituent(table.mu, 1, weyl_dimension(rs, table.mu))
-    if first.eigenvalue != 0 or first.constituents != (expected,):
-        raise ContractViolation(
-            f"{where}: ground row is lambda {first.eigenvalue} with constituents "
-            f"{list(first.constituents)}, expected lambda 0 with only {expected}"
-        )
-    last = Fraction(-1)
-    for row in table.rows:
-        if row.eigenvalue <= last:
-            raise ContractViolation(
-                f"{where}: eigenvalues not strictly increasing: {row.eigenvalue} after {last}"
-            )
-        if row.eigenvalue > table.cutoff:
-            raise ContractViolation(
-                f"{where}: row at lambda {row.eigenvalue} is above the cutoff {table.cutoff}"
-            )
-        ledger = sum(c.weight_mult * c.dim for c in row.constituents)
-        if row.total_multiplicity != ledger:
-            raise ContractViolation(
-                f"{where}: row at lambda {row.eigenvalue} has total "
-                f"{row.total_multiplicity}, its constituents sum to {ledger}"
-            )
-        last = row.eigenvalue
+    if not rows:
+        raise ContractViolation(f"{where}: spectrum table has no rows "
+                                "(gamma = mu is always present)")
+    ground, expected = min(rows), Constituent(m, 1, weyl_dimension(rs, m))
+    if ground != 0 or rows[ground] != [expected]:
+        raise ContractViolation(f"{where}: ground row is lambda {ground} with constituents "
+                                f"{rows[ground]}, expected lambda 0 with only {expected}")
+    # rows: sorted distinct keys, each total summed from its own (norm, lex)-sorted constituents
+    return SpectrumTable(rs.family, rs.rank, m, cutoff, tuple(
+        SpectrumRow(lam, tuple(cs), sum(c.weight_mult * c.dim for c in cs))
+        for lam, cs in sorted(rows.items())))
 
 
 # ---------------------------------------------------------------------------

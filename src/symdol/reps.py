@@ -62,7 +62,7 @@ from heapq import heappop, heappush
 from itertools import takewhile
 from math import floor, prod
 from numbers import Rational
-from operator import mul
+from operator import add, mul
 from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 from .errors import ContractViolation
@@ -207,7 +207,7 @@ def _dominant_walk(start: Weight, steps: Sequence[Weight],
         yield item
         w = item[1]
         for step in steps:
-            cand = tuple(a + b for a, b in zip(w, step))
+            cand = tuple(map(add, w, step))
             if min(cand) >= 0 and cand not in seen:
                 seen.add(cand)
                 heappush(heap, (key(cand), cand))
@@ -255,12 +255,12 @@ def _dominant_multiplicities(rs: RootSystem, gamma: Weight) -> dict[Weight, int]
     for denom, mu in walk:
         acc = 0
         for weight, alpha, g, step in _stabilizer(rs, mu, tables)[1]:
-            nu = tuple(x + y for x, y in zip(mu, alpha))
+            nu = tuple(map(add, mu, alpha))
             k = sum(map(mul, nu, g))
             t = 0
             while m := mults.get(dominant_conjugate(rs, nu), 0):
                 t += m * k
-                nu = tuple(x + y for x, y in zip(nu, alpha))
+                nu = tuple(map(add, nu, alpha))
                 k += step
             acc += weight * t
         value, rest = divmod(acc, denom)

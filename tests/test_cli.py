@@ -471,6 +471,26 @@ def test_fiber_coefficient_off_half_gaussian_integers_exits_2(capsys, monkeypatc
     assert "CP^1 fiber coefficient i sigma(Z) on h_1 is 1/3, not in Z[i]/2" in captured.err
 
 
+def test_non_real_p_exits_2(capsys, monkeypatch):
+    # P gains i/4 on block (1, 5): the failure is recorded on its block, the
+    # FAIL payload printed, and the first failure (P at level 1 enters level
+    # 0's [P, Dbar] check) named on stderr
+    true_p = cp1.p_block
+
+    def broken(level, gamma, *maps):
+        x, y = true_p(level, gamma, *maps)
+        return (x, y + 32) if (level, gamma) == (1, 5) else (x, y)
+
+    monkeypatch.setattr(cp1, "p_block", broken)
+    code, out, err = run_cli(capsys, "cp1", "--lmax", "2", "--gamma-max", "7", "--format", "json")
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["status"] == payload["levels"][1]["status"] == "FAIL"
+    assert err == ("symdol: contract violation: CP^1 verification failed at level 0, gamma 5: "
+                   "commutators failed: [P, Dbar] = 3 Dbar H - (3/2) Dbar: -11/8+13/8i on the "
+                   "left, -3/2+3/2i on the right\n")
+
+
 def test_broken_weight_system_invariant_exits_2(capsys, monkeypatch):
     true_dimension = reps.weyl_dimension
     monkeypatch.setattr(reps, "weyl_dimension",

@@ -159,8 +159,8 @@ def test_non_scalar_omega_fails_p_identity_on_every_level(monkeypatch, r, messag
 
 
 def test_non_real_p_names_its_value(monkeypatch):
-    # a P with an imaginary part is a violation that names the block and P;
-    # p_block's pair is 128 P, so adding 32 i adds i/4
+    # a P with an imaginary part fails "P real" on its block, naming P, and the
+    # pass goes on; p_block's pair is 128 P, so adding 32 i adds i/4
     true_p = cp1.p_block
 
     def broken(level, gamma, *maps):
@@ -168,10 +168,10 @@ def test_non_real_p_names_its_value(monkeypatch):
         return (x, y + 32) if (level, gamma) == (1, 5) else (x, y)
 
     monkeypatch.setattr(cp1, "p_block", broken)
-    with pytest.raises(ContractViolation) as info:
-        cp1.verify(2, 7)
-    assert str(info.value) == (
-        f"P is not a real scalar on block (level=1, gamma=5): P = {cp1.lambda_lj(1, 1)}+1/4i")
+    report = cp1.verify(2, 7)
+    assert "level 1, gamma 5: P real failed: P = 1+1/4i" in report[1].failures
+    assert [(b.level, b.gamma) for lv in report for b in lv.blocks
+            if not b.passed("P real")] == [(1, 5)]
 
 
 def _break_fiber_on_level_2(monkeypatch):

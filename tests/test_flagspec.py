@@ -1,3 +1,4 @@
+import itertools
 import re
 from decimal import Decimal
 from fractions import Fraction
@@ -6,7 +7,6 @@ import pytest
 
 from symdol import cp1, flagspec, fock, rootsys, surface
 from symdol.cp1 import lambda_lj
-from symdol.errors import ContractViolation
 from symdol.flagspec import (
     Constituent,
     distinguish,
@@ -242,19 +242,24 @@ def test_spectrum_rejects_non_dominant_mu():
         p_spectrum(A2, (-1, 0), 1)
 
 
-@pytest.mark.parametrize("doctor,message", [
-    (lambda rows: (rows[0], rows[2], rows[1]),
-     "eigenvalues not strictly increasing: 3/5 after 1"),
-    (lambda rows: (rows[0], rows[1]._replace(total_multiplicity=8), rows[2]),
-     "row at lambda 3/5 has total 8, its constituents sum to 7"),
-], ids=["rows-out-of-order", "total-off-its-ledger"])
-def test_check_table_rejects_doctored_rows(doctor, message):
-    # p_spectrum sorts its rows and sums each total from its constituents, so
-    # no patch upstream of _check_table reaches these two checks
-    table = p_spectrum(B3, (0, 0, 0), 1)    # rows at 0, 3/5 (total 7) and 1 (total 63)
-    with pytest.raises(ContractViolation) as exc:
-        flagspec._check_table(B3, table._replace(rows=doctor(table.rows)))
-    assert str(exc.value) == f"B3, mu=(0, 0, 0): {message}"
+def test_spectrum_rows_are_ordered_totalled_and_grounded():
+    # the invariants p_spectrum holds by construction: eigenvalues strictly
+    # increase from 0 to at most the cutoff, each total is its constituents'
+    # ledger, and the ground row is V_mu alone
+    for family, ranks in (("A", (1, 2, 3, 4)), ("B", (2, 3, 4)), ("C", (2, 3, 4)),
+                          ("D", (3, 4)), ("G", (2,))):
+        for rank in ranks:
+            rs = build_root_system(family, rank)
+            for mu in itertools.product((0, 1), repeat=rank):
+                for cutoff in (0, Fraction(1, 2), 1, 2):
+                    rows = p_spectrum(rs, mu, cutoff).rows
+                    eigenvalues = [row.eigenvalue for row in rows]
+                    assert eigenvalues[0] == 0 and eigenvalues[-1] <= cutoff
+                    assert all(a < b for a, b in zip(eigenvalues, eigenvalues[1:]))
+                    assert all(row.total_multiplicity == sum(c.weight_mult * c.dim
+                                                             for c in row.constituents)
+                               for row in rows)
+                    assert rows[0].constituents == ((mu, 1, weyl_dimension(rs, mu)),)
 
 
 def test_spectrum_deterministic_and_cache_neutral():

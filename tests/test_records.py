@@ -3,13 +3,15 @@
 Every record is a NamedTuple, or (``linalg.Mat``) a slotted Mapping, so
 importing ``symdol.cli`` loads none of the ``dataclasses`` machinery.  These
 tests pin what the records promise: immutability, equality by value, the
-unhashable ``Mat``, and the repr of every root system; and what the
-benchmark's tracer needs of the program.
+unhashable ``Mat``, and the repr of every root system; what the
+benchmark's tracer needs of the program; and the output digest of every
+benchmark query.
 """
 
 import ast
 import copy
 import hashlib
+import importlib
 import json
 import os
 import pickle
@@ -20,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from oracles import scalar_matrix
-from symdol import cp1, flagspec, fock, reps
+from symdol import cli, cp1, flagspec, fock, reps
 from symdol.gaussian import ONE, gq
 from symdol.linalg import Mat
 from symdol.rootsys import RootSystem, build_root_system
@@ -259,3 +261,21 @@ def test_benchmark_tracer_runs_each_query_kind(tmp_path, query):
             if key.split(".")[0] in idle] == []
     if query == "cp1":
         assert trace["calls"]["cp1.omega_block"] == 3    # one per gamma in 1, 3, 5
+
+
+def test_benchmark_queries_print_their_recorded_digests(tmp_path, monkeypatch, capsys):
+    # every query any benchmark seed can run, in process: exit 0, stdout byte
+    # for byte as perfbench/digests.json records it, and the query's own check
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    fock_job = importlib.import_module("fock_job")
+    digests = json.loads((ROOT / "perfbench" / "digests.json").read_text())
+    queries = workloads.all_queries()
+    assert sorted(digests) == sorted(q.key for q in queries)
+    for i, q in enumerate(queries):
+        args = [*q.args, *(("--cache-dir", str(tmp_path / str(i))) if q.uses_cache else ())]
+        code = (cli.main if q.kind == "cli" else fock_job.main)(args)
+        out = capsys.readouterr().out.encode()
+        assert code == 0, q.key
+        assert hashlib.sha256(out).hexdigest() == digests[q.key], q.key
+        assert q.check(out) is None, q.key

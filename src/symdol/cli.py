@@ -9,8 +9,6 @@ runs.
 Exit codes: 0 success, 1 usage error, 2 computation-contract violation.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import sys
@@ -265,7 +263,10 @@ def _cmd_cp1(args) -> dict:
     }
     if failures:
         _render(args, payload)
-        raise ContractViolation(f"CP^1 verification failed at {failures[0]}")
+        # a block's own check names the fault, which commutators and ledgers may echo
+        own = ("P real failed", "closed-form lambda failed", "P-identity failed", "ladder failed")
+        root = next((f for f in failures if f.partition(": ")[2].startswith(own)), failures[0])
+        raise ContractViolation(f"CP^1 verification failed at {root}")
     return payload
 
 

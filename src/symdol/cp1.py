@@ -44,8 +44,6 @@ sums the ranks into each level's kernel ledger; a failure names its
 level, gamma, check and values.  Any nonzero residual is a failure.
 """
 
-from __future__ import annotations
-
 import operator
 from fractions import Fraction
 from typing import NamedTuple, Optional

@@ -23,8 +23,6 @@ flag manifolds for n >= 3: the first positive eigenvalue of B_n carries a
 The tables are data here; :mod:`symdol.cli` owns every output format.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from itertools import takewhile
 from operator import index

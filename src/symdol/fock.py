@@ -34,8 +34,6 @@ normalization per summed key or scaled term, none for a unit scalar, and no
 Gaussian rational built for an int or Rational scalar.
 """
 
-from __future__ import annotations
-
 import math
 from fractions import Fraction
 from itertools import combinations

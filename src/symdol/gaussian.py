@@ -1,8 +1,9 @@
 """Exact Gaussian-rational numbers (x + y*i) / d with integers x, y, d.
 
 All operator, spectrum, and kernel computations in this package are done
-over Q[i]; floating point only ever appears in numerical cross-check
-oracles.  A value holds its normal form in one slot: the tuple of three
+over Q[i]; floating point appears only in numerical cross-check oracles
+and in the table format's approximate decimal column (``cli._approx``).
+A value holds its normal form in one slot: the tuple of three
 integers ``(x, y, d)`` meaning (x + y*i) / d, normalized so that d > 0 and
 gcd(x, y, d) == 1 (zero is ``(0, 0, 1)``), so equal values have equal
 fields.  Each operation does its integer arithmetic and then normalizes
@@ -19,8 +20,6 @@ result back through ``_reduced``, which restores the normal form, or through
 ``_raw`` when the fields are normalized already (a unit multiple permutes
 and negates them); the form itself is defined here only.
 """
-
-from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd

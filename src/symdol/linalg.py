@@ -6,8 +6,6 @@ truncation and vacuum boundaries) compose correctly.  It is the matrix type
 of the Fock operators; there is no floating point anywhere in this module.
 """
 
-from __future__ import annotations
-
 from collections.abc import Mapping
 
 from .gaussian import GaussianRational, gq_str
@@ -66,7 +64,7 @@ class Mat(Mapping):
     def __len__(self) -> int:
         return len(self.entries)
 
-    def __matmul__(self, other: Mat) -> Mat:
+    def __matmul__(self, other: "Mat") -> "Mat":
         """Matrix product self @ other; inner dimension 0 yields the zero map."""
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch in mat_mul: {self.nrows}x{self.ncols} "

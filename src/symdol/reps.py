@@ -55,8 +55,6 @@ field of a RootSystem: equal matrices share a record, and a system with its
 nodes numbered otherwise never reads another's tables.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import takewhile

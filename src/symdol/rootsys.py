@@ -37,8 +37,6 @@ products with the inverse Cartan matrix plus a sign and divisibility test.
 Everything here is immutable and pure; no floating point.
 """
 
-from __future__ import annotations
-
 import math
 from fractions import Fraction
 from operator import index, mul

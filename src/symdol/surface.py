@@ -13,8 +13,6 @@ checks per level (ker Dbar = 2l+2, ker D = 0), as criterion 09,
 ``test_cp1_three_ways`` assert.
 """
 
-from __future__ import annotations
-
 import operator
 
 SPINOR_KINDS = ("metaplectic", "fock")

@@ -40,7 +40,9 @@ their matrix products and sums; ranks come from exact row reduction, and
 the SU(2)-invariant norms on V_gamma come from their product formula.  The
 scalar-matrix helpers (c * I and reading c back) live here, since no
 program path builds a c * I.  ``CountingRow`` stands in for a
-Cartan row in the work gates that count the entries a path reads.
+Cartan row in the work gates that count the entries a path reads.  The
+surface index comes from Riemann-Roch on the summand's line bundle, its
+degree read off the A1 spinor weight, instead of the closed form.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ import numpy as np
 from numpy.polynomial import hermite as nph
 
 from symdol import cp1, fock
+from symdol.flagspec import spinor_weight
 from symdol.gaussian import GaussianRational, ZERO, gq
 from symdol.linalg import Mat
 from symdol.reps import _dominant_walk, dominant_weights_with_norm_bound, weight_multiplicity
@@ -63,6 +66,7 @@ from symdol.rootsys import (
     RootSystem,
     Weight,
     as_weight,
+    build_root_system,
     dominant_conjugate,
     is_nonneg_root_combination,
     rho,
@@ -929,3 +933,19 @@ def cp1_block_matrices(level: int, gamma: int) -> dict[str, Mat]:
         "omega": sl2_casimir_by_matrices(gamma) if dim(level) else Mat(0, 0, {}),
         "p": p,
     }
+
+
+# ---------------------------------------------------------------------------
+# the surface index by Riemann-Roch
+# ---------------------------------------------------------------------------
+
+def index_by_riemann_roch(genus: int, level: int, kind: str) -> int:
+    """The index of the level-l summand on a genus-g surface, deg + 1 - g.
+
+    h_l has the A1 spinor weight (2l+1,), rho + l alpha, so the metaplectic
+    summand is K^{-(2l+1)/2}, of degree (2l+1)(1-g); the Fock summand differs
+    from it by one K^{1/2}, of degree g-1.
+    """
+    (weight,) = spinor_weight(build_root_system("A", 1), (level,))
+    degree = weight * (1 - genus) + {"metaplectic": 0, "fock": genus - 1}[kind]
+    return degree + 1 - genus

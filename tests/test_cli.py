@@ -473,8 +473,9 @@ def test_fiber_coefficient_off_half_gaussian_integers_exits_2(capsys, monkeypatc
 
 def test_non_real_p_exits_2(capsys, monkeypatch):
     # P gains i/4 on block (1, 5): the failure is recorded on its block, the
-    # FAIL payload printed, and the first failure (P at level 1 enters level
-    # 0's [P, Dbar] check) named on stderr
+    # FAIL payload printed, and the block's own "P real" check named on stderr,
+    # not level 0's [P, Dbar] commutator, which P at level 1 enters and which
+    # fails first in level order
     true_p = cp1.p_block
 
     def broken(level, gamma, *maps):
@@ -486,9 +487,9 @@ def test_non_real_p_exits_2(capsys, monkeypatch):
     assert code == 2
     payload = json.loads(out)
     assert payload["status"] == payload["levels"][1]["status"] == "FAIL"
-    assert err == ("symdol: contract violation: CP^1 verification failed at level 0, gamma 5: "
-                   "commutators failed: [P, Dbar] = 3 Dbar H - (3/2) Dbar: -11/8+13/8i on the "
-                   "left, -3/2+3/2i on the right\n")
+    assert payload["levels"][0]["status"] == "FAIL"
+    assert err == ("symdol: contract violation: CP^1 verification failed at level 1, gamma 5: "
+                   "P real failed: P = 1+1/4i\n")
 
 
 def test_broken_weight_system_invariant_exits_2(capsys, monkeypatch):

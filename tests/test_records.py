@@ -146,10 +146,17 @@ def _fresh(code: str) -> str:
 
 
 def test_cli_import_loads_no_dataclasses_machinery():
-    # deterministic start-up gate: dataclasses alone pulls in inspect, ast and dis
+    # deterministic start-up gates: dataclasses alone pulls in inspect, ast and
+    # dis; and a record's field annotations are evaluated where they are
+    # written, so no import compiles one from a string into a typing.ForwardRef
     assert _fresh("import sys, symdol.cli; "
                   "print(' '.join(m for m in ('dataclasses', 'inspect', 'ast', 'dis') "
                   "if m in sys.modules))") == ""
+    count = ("import typing; made = []; init = typing.ForwardRef.__init__; "
+             "typing.ForwardRef.__init__ = lambda *a, **k: made.append(a) or init(*a, **k); "
+             "{}; print(len(made))")
+    assert [_fresh(count.format(statement)) for statement in
+            ("import symdol.cli", "from symdol import fock")] == ["0", "0"]
 
 
 def test_fock_import_loads_no_flag_or_cp1_layer():

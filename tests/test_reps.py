@@ -467,18 +467,39 @@ def _swap_last_two(w):
     return w[:-2] + (w[-1], w[-2])
 
 
-@pytest.mark.parametrize("gamma", _gammas(2, 3, 3))
-def test_b2_c2_swap(gamma):
-    # B2 and C2 are one algebra with the simple roots numbered the other way
-    # round, so swapping the coordinates carries one weight system, and one
-    # spectrum, onto the other
-    swapped = _swap_last_two(gamma)
-    ws_b, ws_c = weight_system(B2, gamma), weight_system(C2, swapped)
-    assert ws_c.highest == swapped
-    assert ws_c.mults == {_swap_last_two(w): m for w, m in ws_b.mults.items()}
-    rows_b, rows_c = p_spectrum(B2, gamma, 3).rows, p_spectrum(C2, swapped, 3).rows
-    assert ([(r.eigenvalue, r.total_multiplicity) for r in rows_b]
-            == [(r.eigenvalue, r.total_multiplicity) for r in rows_c])
+def _swap_first_two(w):
+    return (w[1], w[0], *w[2:])
+
+
+# one algebra under two numberings of its simple roots, with the map carrying
+# a weight of the first onto the same weight of the second: B2 and C2 number
+# the two nodes the other way round, and A3's middle node is D3's node 1
+ISOMORPHIC_PAIRS = {"B2-C2": (B2, C2, _swap_last_two),
+                    "A3-D3": (build_root_system("A", 3), build_root_system("D", 3),
+                              _swap_first_two)}
+RELABELLED = ([pytest.param("B2-C2", gamma, id=f"gamma{i}")
+               for i, gamma in enumerate(_gammas(2, 3, 3))]
+              + [pytest.param("A3-D3", gamma, id=f"A3-D3-gamma{i}")
+                 for i, gamma in enumerate(_gammas(3, 1, 3))])
+
+
+@pytest.mark.parametrize("pair, gamma", RELABELLED)
+def test_b2_c2_swap(pair, gamma):
+    # relabelling carries one weight system, and one spectrum row by row with
+    # its constituents, onto the other; constituents are sorted in each
+    # algebra's own numbering, so they compare as sorted lists
+    rs, other, relabel = ISOMORPHIC_PAIRS[pair]
+    image = relabel(gamma)
+    ws, ws_other = weight_system(rs, gamma), weight_system(other, image)
+    assert ws_other.highest == image
+    assert ws_other.mults == {relabel(w): m for w, m in ws.mults.items()}
+    rows, rows_other = p_spectrum(rs, gamma, 3).rows, p_spectrum(other, image, 3).rows
+    assert len(rows) == len(rows_other)
+    for row, row_other in zip(rows, rows_other):
+        assert (row.eigenvalue, row.total_multiplicity) == (row_other.eigenvalue,
+                                                            row_other.total_multiplicity)
+        assert sorted(c._replace(gamma=relabel(c.gamma)) for c in row.constituents) == sorted(
+            row_other.constituents)
 
 
 @pytest.mark.parametrize("rank", [4, 5])

@@ -1,5 +1,6 @@
 import pytest
 
+from oracles import index_by_riemann_roch
 from symdol import cp1
 from symdol.surface import index
 
@@ -16,11 +17,11 @@ def test_index_examples():
             assert index(1, l, kind) == 0
 
 
-@pytest.mark.parametrize("g", range(0, 6))
-@pytest.mark.parametrize("l", range(0, 6))
+@pytest.mark.parametrize("g", range(0, 21))
+@pytest.mark.parametrize("l", range(0, 21))
 def test_index_grid(g, l):
-    assert index(g, l, "metaplectic") == (2 * l + 2) * (1 - g)
-    assert index(g, l, "fock") == (2 * l + 1) * (1 - g)
+    for kind in ("metaplectic", "fock"):
+        assert index(g, l, kind) == index_by_riemann_roch(g, l, kind)
     # formula identity: metaplectic minus fock indices differ by 1-g
     assert index(g, l, "metaplectic") - index(g, l, "fock") == 1 - g
 

@@ -24,7 +24,7 @@ The tables are data here; :mod:`symdol.cli` owns every output format.
 """
 
 from fractions import Fraction
-from itertools import takewhile
+from itertools import takewhile, zip_longest
 from operator import index
 from typing import NamedTuple, Optional, Sequence
 
@@ -210,9 +210,7 @@ def first_positive_eigenvalue(rs: RootSystem, mu: Optional[Sequence[int]] = None
 
 
 def _compare_tables(b: SpectrumTable, c: SpectrumTable) -> Optional[RowComparison]:
-    for i in range(max(len(b.rows), len(c.rows))):
-        rb = b.rows[i] if i < len(b.rows) else None
-        rc = c.rows[i] if i < len(c.rows) else None
+    for i, (rb, rc) in enumerate(zip_longest(b.rows, c.rows)):
         eb, tb = (rb.eigenvalue, rb.total_multiplicity) if rb else (None, None)
         ec, tc = (rc.eigenvalue, rc.total_multiplicity) if rc else (None, None)
         if (eb, tb) != (ec, tc):

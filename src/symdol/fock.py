@@ -334,12 +334,10 @@ def symbol_raise_operator(n: int, l: int, v: Sequence) -> FockOperator:
 
 
 def symbol_lower_operator(n: int, l: int, v: Sequence) -> FockOperator:
-    """sigma(v + iJv): E_l -> E_{l-1} (the zero map out of the vacuum level)."""
+    """sigma(v + iJv): E_l -> E_{l-1}, and the zero map E_0 -> E_0 at l = 0,
+    where sigma(Zbar) kills the vacuum level."""
     _, lower_rows = _symbol_coefficients(n, v)
-    if l == 0:
-        # sigma(Zbar) annihilates E_0; keep a level-0 endomorphism shape
-        return FockOperator(n, 0, 0, Mat(1, 1, {}))
-    return operator_from_action(n, l, l - 1, lambda vec: _ladder(lower_rows, vec))
+    return operator_from_action(n, l, max(l - 1, 0), lambda vec: _ladder(lower_rows, vec))
 
 
 def symbol_product(n: int, l: int, v: Sequence) -> FockOperator:

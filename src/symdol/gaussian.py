@@ -7,11 +7,11 @@ A value holds its normal form in one slot: the tuple of three
 integers ``(x, y, d)`` meaning (x + y*i) / d, normalized so that d > 0 and
 gcd(x, y, d) == 1 (zero is ``(0, 0, 1)``), so equal values have equal
 fields.  Each operation does its integer arithmetic and then normalizes
-once with one three-way gcd; sums of values over the same denominator,
-products by an int and integer construction skip the cross products.  The
-real and imaginary parts read as ``fractions.Fraction`` through ``.re`` and
-``.im``.  Only ints and ``numbers.Rational`` values are accepted as parts:
-a float is a ``TypeError``, never its binary expansion.
+once with one three-way gcd; sums of values over the same denominator
+skip the cross products.  The real and imaginary parts read as
+``fractions.Fraction`` through ``.re`` and ``.im``.  Only ints and
+``numbers.Rational`` values are accepted as parts: a float is a
+``TypeError``, never its binary expansion.
 
 Package code that does its own integer arithmetic on values (the Fock
 ladder, sums and scalings) reads their fields with ``fields(z)``, which
@@ -45,14 +45,11 @@ class GaussianRational:
     __slots__ = ("_f",)
 
     def __init__(self, re=0, im=0):
-        if type(re) is int and type(im) is int:
-            x, y, d = re, im, 1
-        else:
-            (a, b), (c, e) = _rational(re), _rational(im)
-            x, y, d = a * e, c * b, b * e
-            if d != 1:
-                g = gcd(x, y, d)
-                x, y, d = x // g, y // g, d // g
+        (a, b), (c, e) = _rational(re), _rational(im)
+        x, y, d = a * e, c * b, b * e
+        if d != 1:
+            g = gcd(x, y, d)
+            x, y, d = x // g, y // g, d // g
         _set_f(self, (x, y, d))
 
     def __setattr__(self, name, value):
@@ -92,23 +89,15 @@ class GaussianRational:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if other.__class__ is not GaussianRational:
-            other = GaussianRational.coerce(other)
-        (x, y, d), (u, v, e) = self._f, other._f
-        if d == e:
-            return _reduced(x - u, y - v, d)
-        return _reduced(x * e - u * d, y * e - v * d, d * e)
+        return self + -GaussianRational.coerce(other)
 
     def __rsub__(self, other):
         return GaussianRational.coerce(other).__sub__(self)
 
     def __mul__(self, other):
-        x, y, d = self._f
-        if other.__class__ is int:
-            return _reduced(x * other, y * other, d)
         if other.__class__ is not GaussianRational:
             other = GaussianRational.coerce(other)
-        u, v, e = other._f
+        (x, y, d), (u, v, e) = self._f, other._f
         return _reduced(x * u - y * v, x * v + y * u, d * e)
 
     __rmul__ = __mul__

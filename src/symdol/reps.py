@@ -172,11 +172,6 @@ def _stabilizer(rs: RootSystem, mu: Weight, tables: _Tables) -> tuple[int, tuple
     return table
 
 
-def _orbit_size(rs: RootSystem, mu: Weight, tables: _Tables) -> int:
-    """|W mu| for dominant mu."""
-    return _stabilizer(rs, mu, tables)[0]
-
-
 def casimir_value(rs: RootSystem, gamma: Sequence[int]) -> Fraction:
     """Casimir scalar on V_gamma: -(K(gamma+rho, gamma+rho) - K(rho, rho)).
 
@@ -288,7 +283,7 @@ def reconciled_dimension(rs: RootSystem, gamma: Sequence[int]) -> int:
     sum_mu m_mu |W mu| over the dominant weights of V_gamma."""
     g = _require_dominant(rs, gamma)
     expected, tables = weyl_dimension(rs, g), _tables(rs)
-    total = sum(m * _orbit_size(rs, mu, tables)
+    total = sum(m * _stabilizer(rs, mu, tables)[0]
                 for mu, m in _dominant_multiplicities(rs, g).items())
     if total != expected:
         raise ContractViolation(
@@ -304,7 +299,7 @@ def weight_system(rs: RootSystem, gamma: Sequence[int]) -> WeightSystem:
     g = _require_dominant(rs, gamma)
     mults, tables = {}, _tables(rs)
     for mu, m in _dominant_multiplicities(rs, g).items():
-        orbit, size = weyl_orbit(rs, mu), _orbit_size(rs, mu, tables)
+        orbit, size = weyl_orbit(rs, mu), _stabilizer(rs, mu, tables)[0]
         if len(orbit) != size:
             raise ContractViolation(
                 f"{rs.name()}: Weyl orbit of {mu} in V_{g}: the walk lists {len(orbit)} "

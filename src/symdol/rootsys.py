@@ -123,10 +123,11 @@ def _positive_root_coefficients(cartan) -> list[tuple[tuple[int, ...], Weight]]:
     return found
 
 
-def _over_common_denominator(matrix) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """(N, d) with matrix[i][j] = N[i][j] / d and d the least common denominator."""
-    den = math.lcm(*(x.denominator for row in matrix for x in row))
-    return tuple(tuple(int(x * den) for x in row) for row in matrix), den
+def _over_common_denominator(num, den: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(N, d) with N[i][j] / d = num[i][j] / den and d the least common
+    denominator, which is den over its gcd with every entry."""
+    g = math.gcd(den, *(x for row in num for x in row))
+    return tuple(tuple(x // g for x in row) for row in num), den // g
 
 
 def _rank_rule(family: str) -> str:
@@ -157,25 +158,26 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     # and its integer diagonal q fixes every constant: h^v = min q (A is
     # irreducible, so some simple root is long, with d = 1),
     # (A^-1)_ik = S_ik / q_i and K(omega_i, omega_k) = S_ik / (2 q_i q_k).
+    # Over lcm_q = lcm(q), with m_i = lcm_q / q_i, they are the integer
+    # fractions S_ik m_i / lcm_q and S_ik m_i m_k / (2 lcm_q^2), each reduced once.
     # S is symmetric: its lower triangle is summed and mirrored.
     cols = list(zip(*coeffs))
     lower = [[sum(map(mul, ci, ck)) for ck in cols[:i + 1]] for i, ci in enumerate(cols)]
     killing_sum = [row + [lower[k][i] for k in range(i + 1, rank)] for i, row in enumerate(lower)]
     q = [sum(map(mul, row, col)) for row, col in zip(killing_sum, zip(*cartan))]
     dual_cox = min(q)
-    killing_scale = Fraction(1, 2 * dual_cox)
-    inv_cartan = [[Fraction(s, qi) for s in row] for row, qi in zip(killing_sum, q)]
-    gram = [[Fraction(s, 2 * qi * qk) for s, qk in zip(row, q)]
-            for row, qi in zip(killing_sum, q)]
-
-    inv_cartan_num, inv_cartan_den = _over_common_denominator(inv_cartan)
-    gram_num, gram_den = _over_common_denominator(gram)
+    lcm_q = math.lcm(*q)
+    m = [lcm_q // qi for qi in q]
+    inv_cartan = [[s * mi for s in row] for row, mi in zip(killing_sum, m)]   # over lcm_q
+    inv_cartan_num, inv_cartan_den = _over_common_denominator(inv_cartan, lcm_q)
+    gram_num, gram_den = _over_common_denominator(
+        [[x * mk for x, mk in zip(row, m)] for row in inv_cartan], 2 * lcm_q ** 2)
     return RootSystem(
         family=family,
         rank=rank,
         cartan_matrix=cartan,
         dual_coxeter=dual_cox,
-        killing_scale=killing_scale,
+        killing_scale=Fraction(1, 2 * dual_cox),
         positive_roots_fw=positives_fw,
         inverse_cartan_num=inv_cartan_num,
         inverse_cartan_den=inv_cartan_den,

@@ -492,6 +492,24 @@ def test_non_real_p_exits_2(capsys, monkeypatch):
                    "P real failed: P = 1+1/4i\n")
 
 
+def test_p_above_the_top_level_exits_2_naming_the_top_commutator(capsys, monkeypatch):
+    # P + 1 on level 3, which "cp1 --lmax 2" computes but reports on no block:
+    # no block's own check fails, so stderr falls back to the first failure,
+    # level 2's [P, Dbar], the one check that reads P at level 3
+    true_p = cp1.p_block
+
+    def broken(level, gamma, *maps):
+        x, y = true_p(level, gamma, *maps)
+        return (x + 128, y) if level == 3 else (x, y)
+
+    monkeypatch.setattr(cp1, "p_block", broken)
+    code, _, err = run_cli(capsys, "cp1", "--lmax", "2", "--gamma-max", "9")
+    assert code == 2
+    assert err == ("symdol: contract violation: CP^1 verification failed at level 2, gamma 7: "
+                   "commutators failed: [P, Dbar] = 3 Dbar H - (3/2) Dbar: -4+4i on the left, "
+                   "-9/2+9/2i on the right\n")
+
+
 def test_broken_weight_system_invariant_exits_2(capsys, monkeypatch):
     true_dimension = reps.weyl_dimension
     monkeypatch.setattr(reps, "weyl_dimension",
@@ -526,8 +544,13 @@ def test_broken_spectrum_ground_row_exits_2(capsys, monkeypatch):
 
 
 def test_broken_spectrum_dimension_reconciliation_exits_2(capsys, monkeypatch):
-    true_size = reps._orbit_size
-    monkeypatch.setattr(reps, "_orbit_size", lambda rs, mu, tables: true_size(rs, mu, tables) + 1)
+    true_stabilizer = reps._stabilizer
+
+    def broken(rs, mu, tables):
+        size, rows = true_stabilizer(rs, mu, tables)
+        return size + 1, rows
+
+    monkeypatch.setattr(reps, "_stabilizer", broken)
     code, _, err = run_cli(capsys, "spectrum", "--family", "B", "--rank", "3",
                            "--mu", "0,0,0", "--cutoff", "1")
     assert code == 2

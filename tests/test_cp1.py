@@ -174,6 +174,25 @@ def test_non_real_p_names_its_value(monkeypatch):
             if not b.passed("P real")] == [(1, 5)]
 
 
+def test_p_above_the_top_level_fails_only_the_top_commutators(monkeypatch):
+    # P + 1 on level 3, which verify(2, ...) computes but reports on no block.
+    # Below the top level [P, D] and [P, Dbar] follow from the P-identity on
+    # the block and its same-gamma neighbour; so only the top level's
+    # [P, Dbar] reads P at level 3, on the gammas whose ladder reaches it
+    true_p = cp1.p_block
+
+    def broken(level, gamma, *maps):
+        x, y = true_p(level, gamma, *maps)
+        return (x + 128, y) if level == 3 else (x, y)
+
+    monkeypatch.setattr(cp1, "p_block", broken)
+    report = cp1.verify(2, 9)
+    assert [lv.ok for lv in report] == [True, True, False]
+    assert [(b.gamma, list(b.failures)) for b in report[2].blocks if b.failures] == [
+        (7, ["commutators"]), (9, ["commutators"])]
+    assert report[2].failures[0].startswith("level 2, gamma 7: commutators failed: [P, Dbar] = ")
+
+
 def _break_fiber_on_level_2(monkeypatch):
     """i sigma(Z) = 1/3 on h_2, from a fock raising map scaled by 2/3 there."""
     true_raise = fock.sigma_raise

@@ -14,6 +14,7 @@ import oracles
 from oracles import as_scalar_identity, mat_scale
 from symdol import fock, gaussian
 from symdol.gaussian import GaussianRational, gq, gq_str
+from symdol.linalg import Mat
 
 
 def close(a: float, b: float) -> bool:
@@ -639,6 +640,14 @@ def test_symbol_product_reversed_order(l):
     up = fock.symbol_raise_operator(1, l - 1, v)
     rev = fock.compose(up, down)
     assert as_scalar_identity(rev) == gq(-2 * l * g)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_vacuum_lowering_is_the_zero_level_0_endomorphism(n):
+    # sigma(Zbar) kills E_0: the lowering symbol there is the 1x1 zero map
+    # E_0 -> E_0, whatever the direction
+    v = list(range(1, 2 * n + 1))
+    assert fock.symbol_lower_operator(n, 0, v) == fock.FockOperator(n, 0, 0, Mat(1, 1, {}))
 
 
 def test_symbol_product_rejects_zero_vector():

@@ -3,7 +3,8 @@
 Every record is a NamedTuple, or (``linalg.Mat``) a slotted Mapping, so
 importing ``symdol.cli`` loads none of the ``dataclasses`` machinery.  These
 tests pin what the records promise: immutability, equality by value, the
-unhashable ``Mat``, and the repr of every root system; what the
+unhashable ``Mat``, the repr of every root system, and that every module
+parses as Python 3.10, the least version the package declares; what the
 benchmark's tracer needs of the program; and the output digest of every
 benchmark query.
 """
@@ -123,6 +124,25 @@ def test_root_system_reprs_unchanged():
                                 for name in ROOT_SYSTEM_FIELDS))
                      for f, k in ROOT_SYSTEMS)
     assert hashlib.sha256(text.encode()).hexdigest() == ROOT_SYSTEMS_REPR_SHA256
+
+
+# A-D at ranks 10-20 and 40 (48 systems), where the common denominators of
+# the inverse Cartan and Gram matrices grow past those of rank <= 9
+LARGE_RANKS_REPR_SHA256 = "6d9fb78b677f407cc454418ccb542501dade8fd8cfd8f02be18a9e39210843ff"
+
+
+def test_large_rank_root_system_reprs_unchanged():
+    text = "".join(repr(build_root_system(f, r)) for f in "ABCD" for r in [*range(10, 21), 40])
+    assert hashlib.sha256(text.encode()).hexdigest() == LARGE_RANKS_REPR_SHA256
+
+
+def test_sources_parse_as_python_3_10():
+    # pyproject.toml declares requires-python >= 3.10: no module of the
+    # package may use syntax that 3.10 does not parse
+    sources = sorted((ROOT / "src" / "symdol").glob("*.py"))
+    assert sources
+    for path in sources:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
 
 
 @pytest.mark.parametrize("value", [

@@ -71,9 +71,9 @@ def _cmd_roots(args) -> dict:
     return {
         "family": rs.family,
         "rank": rs.rank,
-        "cartan_matrix": [list(row) for row in rs.cartan_matrix],
-        "positive_roots": [list(r) for r in rs.positive_roots_fw],
-        "rho": list(rootsys.rho(rs)),
+        "cartan_matrix": rs.cartan_matrix,
+        "positive_roots": rs.positive_roots_fw,
+        "rho": rootsys.rho(rs),
         "dual_coxeter": rs.dual_coxeter,
         "killing_scale": str(rs.killing_scale),
     }
@@ -107,9 +107,9 @@ def _cmd_irrep(args) -> dict:
     ws = reps.weight_system(rs, _parse_weight(args.weight))
     return {
         "algebra": rs.name(),
-        "highest": list(ws.highest),
+        "highest": ws.highest,
         "dim": ws.dim,
-        "weights": [{"weight": list(w), "mult": m} for w, m in sorted(ws.mults.items())],
+        "weights": [{"weight": w, "mult": m} for w, m in sorted(ws.mults.items())],
     }
 
 
@@ -128,14 +128,14 @@ def _irrep_table(p):
 def _spectrum_jsonable(table) -> dict:
     return {
         "algebra": table.algebra,
-        "mu": list(table.mu),
+        "mu": table.mu,
         "cutoff": str(table.cutoff),
         "rows": [
             {
                 "lambda": str(row.eigenvalue),
                 "total": row.total_multiplicity,
                 "constituents": [
-                    {"gamma": list(c.gamma), "weight_mult": c.weight_mult, "dim": c.dim}
+                    {"gamma": c.gamma, "weight_mult": c.weight_mult, "dim": c.dim}
                     for c in row.constituents
                 ],
             }

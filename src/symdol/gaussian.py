@@ -6,9 +6,10 @@ and in the table format's approximate decimal column (``cli._approx``).
 A value holds its normal form in one slot: the tuple of three
 integers ``(x, y, d)`` meaning (x + y*i) / d, normalized so that d > 0 and
 gcd(x, y, d) == 1 (zero is ``(0, 0, 1)``), so equal values have equal
-fields.  Each operation does its integer arithmetic and then normalizes
-once with one three-way gcd; sums of values over the same denominator
-skip the cross products.  The real and imaginary parts read as
+fields.  The constructor and each operation do their integer arithmetic
+and then make the normal form in one place, ``_reduced``, with one
+three-way gcd; sums of values over the same denominator skip the cross
+products.  The real and imaginary parts read as
 ``fractions.Fraction`` through ``.re`` and ``.im``.  Only ints and
 ``numbers.Rational`` values are accepted as parts: a float is a
 ``TypeError``, never its binary expansion.
@@ -30,8 +31,6 @@ from operator import attrgetter
 def _rational(value) -> tuple[int, int]:
     """(numerator, denominator) of an int or Rational, as plain ints; a
     Rational's denominator is positive."""
-    if value.__class__ is Fraction:
-        return value.numerator, value.denominator
     if isinstance(value, int):
         return int(value), 1
     if isinstance(value, Rational):
@@ -44,13 +43,9 @@ class GaussianRational:
 
     __slots__ = ("_f",)
 
-    def __init__(self, re=0, im=0):
+    def __new__(cls, re=0, im=0):
         (a, b), (c, e) = _rational(re), _rational(im)
-        x, y, d = a * e, c * b, b * e
-        if d != 1:
-            g = gcd(x, y, d)
-            x, y, d = x // g, y // g, d // g
-        _set_f(self, (x, y, d))
+        return _reduced(a * e, c * b, b * e)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")

@@ -50,8 +50,6 @@ class Mat(Mapping):
             return NotImplemented
         return (self.nrows, self.ncols, self.entries) == (other.nrows, other.ncols, other.entries)
 
-    __hash__ = None
-
     def __repr__(self) -> str:
         return f"Mat(nrows={self.nrows!r}, ncols={self.ncols!r}, entries={self.entries!r})"
 

@@ -205,19 +205,18 @@ def rho(rs: RootSystem) -> Weight:
 
 
 def is_dominant(rs: RootSystem, x: Sequence[int]) -> bool:
-    return all(c >= 0 for c in as_weight(rs, x))
+    return min(as_weight(rs, x)) >= 0
 
 
 def dominant_conjugate(rs: RootSystem, x: Sequence[int]) -> Weight:
     """The unique dominant weight in the Weyl orbit of x."""
     w = as_weight(rs, x)
     cartan = rs.cartan_matrix
-    while True:
-        i = next((j for j, c in enumerate(w) if c < 0), None)
-        if i is None:
-            return w
+    while min(w) < 0:
+        i = next(j for j, c in enumerate(w) if c < 0)
         wi = w[i]  # reflect in alpha_{i+1}: subtract w_i times Cartan row i
         w = tuple(a - wi * c for a, c in zip(w, cartan[i]))
+    return w
 
 
 def weyl_orbit(rs: RootSystem, x: Sequence[int]) -> list[Weight]:

@@ -3,13 +3,14 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from conftest import count_calls
 from oracles import (
     invariant_weight_norms, kernel_dimension, mat_mul, mat_scale, mat_sub, rank,
     scalar_matrix, sl2_casimir_by_matrices, sl2_irrep_matrices,
 )
 from symdol import cli, cp1, fock, gaussian, linalg
 from symdol.errors import ContractViolation
-from symdol.gaussian import GaussianRational, ONE, ZERO, _reduced, gq
+from symdol.gaussian import GaussianRational, ONE, ZERO, gq
 from symdol.linalg import Mat
 
 
@@ -307,17 +308,9 @@ def test_gamma_n_dimension(n_total):
 def test_ladder_check_reads_one_block_dimension_per_gamma(monkeypatch):
     # work gate: dim Gamma_N is (N + 1) blocks of one dimension, read once
     # per gamma; summed over the levels, verify(4, 1001) made 125,751 calls
-    calls = 0
-    true_dim = cp1.block_dim
-
-    def counting(level, gamma):
-        nonlocal calls
-        calls += 1
-        return true_dim(level, gamma)
-
-    monkeypatch.setattr(cp1, "block_dim", counting)
+    calls = count_calls(monkeypatch, cp1, "block_dim")
     assert all(lv.ladders_ok for lv in cp1.verify(4, 1001))
-    assert calls == 501
+    assert len(calls) == 501
 
 
 def test_wrong_gamma_n_dimension_fails_ladder(monkeypatch):

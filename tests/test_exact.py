@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import count_calls
 from oracles import (
     FractionPairGaussian, kernel_dimension, mat_from_rows, mat_mul, rank, scalar_identity_value,
     scalar_matrix,
@@ -128,10 +129,20 @@ class _Ratio(Fraction):
 
 
 def test_rational_subclass_read_through_its_parts():
-    # a numbers.Rational that is not exactly a Fraction is read off its numerator and denominator
+    # a numbers.Rational, a Fraction subclass included, is read off its numerator and denominator
     assert gaussian._rational(_Ratio(6, 8)) == (3, 4)
     assert {type(f) for f in gaussian._rational(_Ratio(6, 8))} == {int}
     assert gaussian.fields(gq(_Ratio(1, 2), _Ratio(-1, 3))) == (3, -2, 6)
+
+
+def test_constructor_normalizes_through_reduced(monkeypatch):
+    # one normal form: the constructor is __new__ alone, and it makes its
+    # value with the one _reduced call that every operation makes
+    assert GaussianRational.__init__ is object.__init__
+    calls = count_calls(monkeypatch, gaussian, "_reduced")
+    z = GaussianRational(Fraction(6, 8), Fraction(-1, 4))
+    assert len(calls) == 1
+    assert gaussian.fields(z) == (3, -1, 4)
 
 
 def test_subtraction_coerces_its_right_operand():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from numpy.polynomial import hermite as nph
 
 import oracles
+from conftest import count_calls
 from oracles import as_scalar_identity, mat_scale
 from symdol import fock, gaussian
 from symdol.gaussian import GaussianRational, gq, gq_str
@@ -257,22 +258,18 @@ def test_ladder_work_does_not_grow_with_n(monkeypatch):
     Gaussian rational per output coefficient, two for every n, since the
     ladder visits only the directions with a nonzero coefficient and sums
     integer numerators before normalizing."""
-    calls = 0
-    reduced = gaussian._reduced
-
-    def counting(x, y, d):
-        nonlocal calls
-        calls += 1
-        return reduced(x, y, d)
-
-    monkeypatch.setattr(gaussian, "_reduced", counting)
-    counts = []
+    cases = []
     for n in range(1, 7):
         rest = (0,) * (n - 1)
-        calls = 0
-        image = fock.sigma_real([1, *rest], [0, *rest], fock.basis_vector(n, (1, *rest)))
-        counts.append(calls)
-        assert image.terms == {(0, *rest): gq(0, -1), (2, *rest): gq(0, Fraction(-1, 2))}
+        cases.append(([1, *rest], [0, *rest], fock.basis_vector(n, (1, *rest)),
+                      {(0, *rest): gq(0, -1), (2, *rest): gq(0, Fraction(-1, 2))}))
+    calls = count_calls(monkeypatch, gaussian, "_reduced")
+    counts = []
+    for coeff_a, coeff_b, v, expected in cases:
+        calls.clear()
+        image = fock.sigma_real(coeff_a, coeff_b, v)
+        counts.append(len(calls))
+        assert image.terms == expected
     assert counts == [2] * 6
 
 
@@ -284,33 +281,11 @@ def test_compose_stores_each_first_product(monkeypatch):
     v = (1, 2, -1, 3, 2, -1)
     up = fock.symbol_raise_operator(3, 8, v)
     down = fock.symbol_lower_operator(3, 9, v)
-    calls = 0
-    reduced = gaussian._reduced
-
-    def counting(x, y, d):
-        nonlocal calls
-        calls += 1
-        return reduced(x, y, d)
-
-    monkeypatch.setattr(gaussian, "_reduced", counting)
+    calls = count_calls(monkeypatch, gaussian, "_reduced")
     product = fock.compose(down, up)
-    assert calls == 441
+    assert len(calls) == 441
     assert len(product.matrix) == 261
     assert product == fock.symbol_product(3, 8, v)
-
-
-def _count_reduced(monkeypatch) -> list:
-    """Route gaussian._reduced through a counter; the returned list holds the
-    number of calls so far."""
-    calls = [0]
-    reduced = gaussian._reduced
-
-    def counting(x, y, d):
-        calls[0] += 1
-        return reduced(x, y, d)
-
-    monkeypatch.setattr(gaussian, "_reduced", counting)
-    return calls
 
 
 def test_commutator_sum_and_unit_scaling_work(monkeypatch):
@@ -319,15 +294,15 @@ def test_commutator_sum_and_unit_scaling_work(monkeypatch):
     normalizations: 148 in the ladder, one per basis vector for the key the
     sum keeps, and none for scaling by -1 (a GaussianRational sum per
     colliding key and product per scaled term would make it 236)."""
-    calls = _count_reduced(monkeypatch)
-    zero = [0, 0, 0]
-    for l in range(4):
-        for beta in fock.level_indices(3, l):
-            b = fock.basis_vector(3, beta)
-            ab = fock.sigma_real([1, 0, 0], zero, fock.sigma_real(zero, [1, 0, 0], b))
-            ba = fock.sigma_real(zero, [1, 0, 0], fock.sigma_real([1, 0, 0], zero, b))
-            assert fock.add(ab, fock.scale(-1, ba)).terms == {beta: gq(0, -1)}
-    assert calls[0] == 168
+    zero, minus_i = [0, 0, 0], gq(0, -1)
+    basis = [(beta, fock.basis_vector(3, beta)) for l in range(4)
+             for beta in fock.level_indices(3, l)]
+    calls = count_calls(monkeypatch, gaussian, "_reduced")
+    for beta, b in basis:
+        ab = fock.sigma_real([1, 0, 0], zero, fock.sigma_real(zero, [1, 0, 0], b))
+        ba = fock.sigma_real(zero, [1, 0, 0], fock.sigma_real([1, 0, 0], zero, b))
+        assert fock.add(ab, fock.scale(-1, ba)).terms == {beta: minus_i}
+    assert len(calls) == 168
 
 
 def test_scalars_and_coordinates_build_no_gaussian_rational(monkeypatch):
@@ -337,24 +312,17 @@ def test_scalars_and_coordinates_build_no_gaussian_rational(monkeypatch):
     scale call); only the results are built, from their normal form."""
     v = fock.FockVector(6, {(1, 0, 2, 0, 0, 1): gq(Fraction(1, 2), 3), (0,) * 6: gq(0, -2)})
     scalars = (-1, 2, Fraction(1, 3), gq(0, 1))
-    calls = [0]
-    init = GaussianRational.__init__
-
-    def counting(self, *args):
-        calls[0] += 1
-        init(self, *args)
-
-    monkeypatch.setattr(GaussianRational, "__init__", counting)
+    calls = count_calls(monkeypatch, GaussianRational, "__new__")
     for c in scalars:
         assert fock.scale(c, v).terms == {beta: z * c for beta, z in v.terms.items()}
     coords_a = [Fraction(0), Fraction(1, 2), Fraction(0), Fraction(-3), Fraction(0), Fraction(0)]
     coords_b = [Fraction(0), Fraction(0), Fraction(2, 3), Fraction(1), Fraction(0), Fraction(0)]
     image = fock.sigma_real(coords_a, coords_b, v)
-    calls[0] = 0
+    calls.clear()
     for c in scalars:
         fock.scale(c, v)
     assert fock.sigma_real(coords_a, coords_b, v) == image
-    assert calls[0] == 0
+    assert len(calls) == 0
 
 
 def test_scale_and_add_normalize_only_what_needs_it(monkeypatch):
@@ -365,22 +333,23 @@ def test_scale_and_add_normalize_only_what_needs_it(monkeypatch):
                             (0, 1): gq(5), (2, 0): gq(Fraction(7, 4), Fraction(1, 6))})
     units = (1, -1, gaussian.I, -gaussian.I, gq(-1), Fraction(1))
     expected = [{beta: z * unit for beta, z in v.terms.items()} for unit in units]
-    calls = _count_reduced(monkeypatch)
-    assert [fock.scale(unit, v).terms for unit in units] == expected
-    assert calls[0] == 0
-    for c in (2, Fraction(1, 3), gq(1, 1), gq(0, Fraction(1, 2))):
-        calls[0] = 0
-        fock.scale(c, v)
-        assert calls[0] == len(v.terms)
-    calls[0] = 0
+    scalars = (2, Fraction(1, 3), gq(1, 1), gq(0, Fraction(1, 2)))
     disjoint = fock.FockVector(2, {(0, 2): gq(1), (1, 1): gq(0, Fraction(1, 3))})
-    assert fock.add(v, disjoint).terms == {**v.terms, **disjoint.terms}
-    assert calls[0] == 0
     # (0, 0) and (2, 0) collide and survive, (1, 0) cancels, (1, 1) is new
     w = fock.FockVector(2, {(0, 0): gq(Fraction(1, 2)), (1, 0): gq(0, Fraction(2, 3)),
                             (2, 0): gq(Fraction(1, 3)), (1, 1): gq(1)})
+    calls = count_calls(monkeypatch, gaussian, "_reduced")
+    assert [fock.scale(unit, v).terms for unit in units] == expected
+    assert len(calls) == 0
+    for c in scalars:
+        calls.clear()
+        fock.scale(c, v)
+        assert len(calls) == len(v.terms)
+    calls.clear()
+    assert fock.add(v, disjoint).terms == {**v.terms, **disjoint.terms}
+    assert len(calls) == 0
     total = fock.add(v, w)
-    assert calls[0] == 2
+    assert len(calls) == 2
     assert total.terms == {(0, 0): gq(1, 3), (0, 1): gq(5), (1, 1): gq(1),
                            (2, 0): gq(Fraction(25, 12), Fraction(1, 6))}
 

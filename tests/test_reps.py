@@ -25,6 +25,7 @@ from symdol.rootsys import (
     weyl_orbit,
 )
 
+from conftest import count_calls
 from oracles import (
     FUNDAMENTAL_CHARS,
     CountingRow,
@@ -353,57 +354,36 @@ def test_dominant_walk_matches_all_weights_walk(pair):
 
 def test_dominant_walk_work_counter_c8(monkeypatch):
     # deterministic work gate: walking every weight of V_gamma takes 15,688 calls
-    calls = 0
-
-    def counting(rs, x):
-        nonlocal calls
-        calls += 1
-        return dominant_conjugate(rs, x)
-
-    monkeypatch.setattr(reps, "dominant_conjugate", counting)
+    calls = count_calls(monkeypatch, reps, "dominant_conjugate")
     monkeypatch.setattr(reps, "_TABLES", {})
     mults = reps._dominant_multiplicities(build_root_system("C", 8), (1, 0, 1, 0, 0, 0, 0, 0))
     assert len(mults) == 5
-    assert 0 < calls < 1000
+    assert 0 < len(calls) < 1000
 
 
 def test_distinguish_work_counter(monkeypatch):
     # deterministic work gate: one string per W_J-orbit of roots; summed
     # over every positive root, distinguish(14) made 9,994 calls
-    calls = 0
-
-    def counting(rs, x):
-        nonlocal calls
-        calls += 1
-        return dominant_conjugate(rs, x)
-
-    monkeypatch.setattr(reps, "dominant_conjugate", counting)
+    calls = count_calls(monkeypatch, reps, "dominant_conjugate")
     monkeypatch.setattr(reps, "_TABLES", {})
     assert distinguish(14).verdict == "spectra differ"
-    assert 0 < calls <= 300
+    assert 0 < len(calls) <= 300
 
 
 def test_equal_cartan_matrices_share_one_record(monkeypatch):
     # the record is keyed by the Cartan matrix's entries, not by the object:
     # a second build of B4 gets the first one's record, and its weight
     # system needs no Freudenthal lookup
-    calls = 0
-
-    def counting(rs, x):
-        nonlocal calls
-        calls += 1
-        return dominant_conjugate(rs, x)
-
-    monkeypatch.setattr(reps, "dominant_conjugate", counting)
+    calls = count_calls(monkeypatch, reps, "dominant_conjugate")
     monkeypatch.setattr(reps, "_TABLES", {})
     first, second = build_root_system("B", 4), build_root_system("B", 4)
     assert first.cartan_matrix is not second.cartan_matrix
     assert reps._tables(first) is reps._tables(second)
     weight_system(first, rho(first))
-    assert calls > 0
-    calls = 0
+    assert len(calls) > 0
+    calls.clear()
     weight_system(second, rho(second))
-    assert calls == 0
+    assert len(calls) == 0
 
 
 def test_freudenthal_needs_no_simple_root_coordinates(monkeypatch):

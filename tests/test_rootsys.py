@@ -17,6 +17,7 @@ from symdol.rootsys import (
     rho,
 )
 
+from conftest import count_calls
 from oracles import (
     CountingRow,
     coroots_read_off_roots,
@@ -154,17 +155,11 @@ def test_killing_sum_is_summed_once_per_symmetric_pair(family, rank, monkeypatch
     # S is symmetric, so a build sums its lower triangle, r(r+1)/2 dot products
     # over the positive roots, plus the r^2 products of S A's diagonal; the full
     # square makes r^2 |Phi+| + r^2 (10,100 for B10, against a gate of 5,600)
-    products = [0]
-
-    def counting_mul(a, b):
-        products[0] += 1
-        return mul(a, b)
-
     expected = build_root_system(family, rank)
-    monkeypatch.setattr(rootsys, "mul", counting_mul)
+    products = count_calls(monkeypatch, rootsys, "mul")
     assert build_root_system(family, rank) == expected
     positives = len(expected.positive_roots_fw)
-    assert 0 < products[0] <= rank * (rank + 1) // 2 * positives + rank * rank
+    assert 0 < len(products) <= rank * (rank + 1) // 2 * positives + rank * rank
 
 
 @pytest.mark.parametrize("family,rank",

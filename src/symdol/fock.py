@@ -24,18 +24,19 @@ integral(h_m^2) = sqrt(pi) 2^m m!.
 Operators between two levels are sparse :class:`linalg.Mat` matrices over
 the lex-ordered level bases; an action leaving the target level is rejected.
 Coefficients are exact Gaussian rationals; there is no floating-point code.
-The ladder runs on integers in one kernel.  Each caller builds its integer
-rows (j - 1, x, y, d, step) once, one per Z_j (step 1) or Zbar_j (step -1)
-with a nonzero coefficient, with the ladder constant -i/2 or -i folded into
-(x + y*i) / d; the kernel sums the products as integer numerators per output
-term and normalizes each output coefficient into a canonical Gaussian
-rational once.  ``add`` and ``scale`` work on the same integer fields: one
+The ladder runs on integers in one kernel, the only code that applies the
+two rules above.  A caller passes rows (j - 1, x, y, d, step), one per
+nonzero coefficient (x + y*i) / d of Z_j (step 1) or Zbar_j (step -1) in
+sigma's argument; the kernel applies -i/2 or -i beta_j, sums the products as
+integer numerators per output term and normalizes each output coefficient
+once.  ``add`` and ``scale`` work on the same integer fields: one
 normalization per summed key or scaled term, none for a unit scalar, and no
 Gaussian rational built for an int or Rational scalar.
 """
 
 import math
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 from operator import index
 from typing import Callable, Mapping, NamedTuple, Sequence
@@ -155,12 +156,12 @@ def _direction_index(n: int, j: int) -> int:
 
 def sigma_raise(j: int, v: FockVector) -> FockVector:
     """sigma(Z_j): raises level by one with coefficient -i/2."""
-    return _ladder([(_direction_index(v.n, j), 0, -1, 2, 1)], v)
+    return _ladder([(_direction_index(v.n, j), 1, 0, 1, 1)], v)
 
 
 def sigma_lower(j: int, v: FockVector) -> FockVector:
     """sigma(Zbar_j): lowers level by one with coefficient -i*beta_j."""
-    return _ladder([(_direction_index(v.n, j), 0, -1, 1, -1)], v)
+    return _ladder([(_direction_index(v.n, j), 1, 0, 1, -1)], v)
 
 
 def sigma_real(coeff_a: Sequence, coeff_b: Sequence, v: FockVector) -> FockVector:
@@ -179,21 +180,20 @@ def sigma_real(coeff_a: Sequence, coeff_b: Sequence, v: FockVector) -> FockVecto
         else:
             (p, q), (r, s) = gaussian._rational(a), gaussian._rational(b)
         if p or r:
-            # a_j = Z_j + Zbar_j, b_j = i (Z_j - Zbar_j): rows -(i/2)(a + ib), -i (a - ib)
+            # a_j = Z_j + Zbar_j, b_j = i (Z_j - Zbar_j): a + ib on Z_j, a - ib on Zbar_j
             x, y, d = p * s, r * q, q * s
-            rows += (k, y, -x, 2 * d, 1), (k, -y, -x, d, -1)
+            rows += (k, x, y, d, 1), (k, x, -y, d, -1)
     return _ladder(rows, v)
 
 
 def _ladder(rows: Sequence[tuple], v: FockVector) -> FockVector:
     """sigma of a sum of ladder steps, in one pass over the terms of v.
 
-    A row (k, x, y, d, step) with d > 0 maps h_beta to (x + y*i) / d times
-    h_{beta+e_j} (step 1) or beta_j h_{beta-e_j} (step -1), j = k + 1: the
-    ladder constant is part of the row.  The products are summed as integer
-    numerators per output term (over a shared denominator, cross-multiplied
-    when the denominators differ) and each output coefficient is normalized
-    once; exact zeros are dropped.
+    A row (k, x, y, d, step) is sigma's argument (x + y*i) / d, d > 0, times
+    Z_j (step 1) or Zbar_j (step -1), j = k + 1; the kernel applies -i/2 or
+    -i beta_j.  The products are summed as integer numerators per output term
+    (over a shared denominator, cross-multiplied when the denominators differ)
+    and each output coefficient is normalized once; exact zeros are dropped.
     """
     fields = gaussian.fields
     acc: dict[FockIndex, tuple[int, int, int]] = {}
@@ -204,7 +204,8 @@ def _ladder(rows: Sequence[tuple], v: FockVector) -> FockVector:
             m = 1 if step > 0 else bk
             if not m:
                 continue
-            px, py, pd = (x * cx - y * cy) * m, (x * cy + y * cx) * m, d * cd
+            # -i (x + y*i)(cx + cy*i) m / (d cd), halved on a raise: parts swapped, new im negated
+            px, py, pd = (x * cy + y * cx) * m, (y * cy - x * cx) * m, d * cd << (step > 0)
             key = beta[:k] + (bk + step,) + beta[k + 1:]
             old = acc.get(key)
             if old is not None:
@@ -297,8 +298,8 @@ def to_json_triplets(op: FockOperator) -> list[list]:
 # symbol operators (section-level symbols of the Dolbeault pair)
 # ---------------------------------------------------------------------------
 
-def _symbol_coefficients(n: int, v: Sequence) -> tuple[list, list]:
-    """Raising and lowering ladder rows of v -+ i J v for a real coordinate vector v.
+def _symbol_rows(n: int, v: Sequence, step: int) -> list[tuple]:
+    """Ladder rows of v - iJv (step 1) or v + iJv (step -1) for a real coordinate vector v.
 
     v lists (a_j, b_j) components interleaved: (va_1, vb_1, ..., va_n, vb_n),
     in a unitary basis b_j = J a_j.  Then
@@ -306,13 +307,12 @@ def _symbol_coefficients(n: int, v: Sequence) -> tuple[list, list]:
         v - iJv = sum_j 2 (va_j + i vb_j) Z_j     (pure raising)
         v + iJv = sum_j 2 (va_j - i vb_j) Zbar_j  (pure lowering),
 
-    so with va_j + i vb_j = (x + y*i) / d the rows hold (y - x*i) / d and (-2y - 2x*i) / d.
+    so with va_j + i vb_j = (x + y*i) / d a row carries (2x + 2 step y*i) / d.
     """
     parts = [(k, *gaussian.fields(w)) for k, w in enumerate(_coordinates(n, v)) if w]
     if not parts:
         raise ValueError("symbol of the zero vector is degenerate")
-    return ([(k, y, -x, d, 1) for k, x, y, d in parts],
-            [(k, -2 * y, -2 * x, d, -1) for k, x, y, d in parts])
+    return [(k, 2 * x, 2 * step * y, d, step) for k, x, y, d in parts]
 
 
 def _coordinates(n: int, v: Sequence) -> list[GaussianRational]:
@@ -329,15 +329,13 @@ def metric_norm_sq(n: int, v: Sequence) -> Fraction:
 
 def symbol_raise_operator(n: int, l: int, v: Sequence) -> FockOperator:
     """sigma(v - iJv): E_l -> E_{l+1}."""
-    raise_rows, _ = _symbol_coefficients(n, v)
-    return operator_from_action(n, l, l + 1, lambda vec: _ladder(raise_rows, vec))
+    return operator_from_action(n, l, l + 1, partial(_ladder, _symbol_rows(n, v, 1)))
 
 
 def symbol_lower_operator(n: int, l: int, v: Sequence) -> FockOperator:
     """sigma(v + iJv): E_l -> E_{l-1}, and the zero map E_0 -> E_0 at l = 0,
     where sigma(Zbar) kills the vacuum level."""
-    _, lower_rows = _symbol_coefficients(n, v)
-    return operator_from_action(n, l, max(l - 1, 0), lambda vec: _ladder(lower_rows, vec))
+    return operator_from_action(n, l, max(l - 1, 0), partial(_ladder, _symbol_rows(n, v, -1)))
 
 
 def symbol_product(n: int, l: int, v: Sequence) -> FockOperator:

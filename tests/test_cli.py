@@ -303,6 +303,9 @@ CLI_GOLDEN = [
     # r terms and the coroots were closed in a second such pass
     ("distinguish --n 40 --format json", 0,
      "ac45b9a730058aa5e9f055606a9aa26c6454aeb45d078fd5fd64c8cc6915062d"),
+    # recorded while the inverse Cartan matrix came from the Killing sum
+    ("distinguish --n 60 --format json", 0,
+     "d4abcf1e2118e3adc09d06b2c6c9a89a614c97f83d62293dd1a914282ff596fb"),
     ("distinguish --rank1-sanity --format table", 0,
      "ba3eb00355f61a5283546f05d5cc7a53e4311627e70824882662951dd860104e"),
     ("distinguish --rank1-sanity --format json", 0,
@@ -329,6 +332,9 @@ CLI_GOLDEN = [
     # 4,216 blocks, recorded while the block scalars were Gaussian rationals
     ("cp1 --lmax 30 --gamma-max 301 --format csv", 0,
      "e407b8874344a1031afcc031b75da0c6521db2975d8e3afc29c46454b286ce8e"),
+    # recorded while verify checked every identity on every block up to gamma_max
+    ("cp1 --lmax 4 --gamma-max 1001 --format json", 0,
+     "53aceb461c7f4d3ec5e7e914809d6b5815325f1bdfcabafd0a893d78ae10b04f"),
     # the --help rows of the parser, irrep and spectrum and the two error rows
     # below were re-recorded when --family help came to be read off
     # rootsys._RANK_RULES and the weight checks moved to rootsys and reps

@@ -146,11 +146,11 @@ def _ladder_case(draw):
 def test_one_pass_ladder_matches_direction_by_direction(case):
     v, z, zbar = case
 
-    def rows(coeffs, constant, step):
-        """Kernel rows (k, x, y, d, step) of the nonzero coeffs times the ladder constant."""
-        return [(k, *gaussian.fields(constant * c), step) for k, c in enumerate(coeffs) if c]
+    def rows(coeffs, step):
+        """Kernel rows (k, x, y, d, step) of the nonzero Z (step 1) or Zbar (step -1) coeffs."""
+        return [(k, *gaussian.fields(c), step) for k, c in enumerate(coeffs) if c]
 
-    ladder = rows(z, gq(0, Fraction(-1, 2)), 1) + rows(zbar, gq(0, -1), -1)
+    ladder = rows(z, 1) + rows(zbar, -1)
     assert fock._ladder(ladder, v).terms == oracles.sigma_complex_by_composition(z, zbar, v).terms
     for j in range(1, v.n + 1):
         assert fock.sigma_raise(j, v).terms == oracles.sigma_raise_by_direction(j, v).terms

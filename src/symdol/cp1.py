@@ -101,7 +101,7 @@ def _fiber(level: int, step: int) -> Pair:
     """2i sigma(Z) = 1 (step 1) or 2i sigma(Zbar) = 2 level (step -1) on the fiber
     line h_level, read from fock; a value off Z[i]/2 would break the scales."""
     image = (fock.sigma_raise if step > 0 else fock.sigma_lower)(1, fock.basis_vector(1, (level,)))
-    x, y, d = gaussian.fields(image.terms.get((level + step,), gaussian.ZERO))
+    x, y, d = image.terms.get((level + step,), gaussian.ZERO)._f
     if d > 2:     # i (x + y*i) / d = (-y + x*i) / d
         raise ContractViolation(f"CP^1 fiber coefficient i sigma({'Z' if step > 0 else 'Zbar'}) "
                                 f"on h_{level} is {_reduced(-y, x, d)}, not in Z[i]/2")

@@ -29,9 +29,11 @@ two rules above.  A caller passes rows (j - 1, x, y, d, step), one per
 nonzero coefficient (x + y*i) / d of Z_j (step 1) or Zbar_j (step -1) in
 sigma's argument; the kernel applies -i/2 or -i beta_j, sums the products as
 integer numerators per output term and normalizes each output coefficient
-once.  ``add`` and ``scale`` work on the same integer fields: one
-normalization per summed key or scaled term, none for a unit scalar, and no
-Gaussian rational built for an int or Rational scalar.
+once.  ``add``, ``scale`` and ``h0_apply`` work on the same integer fields,
+read from each coefficient's slot: one normalization per summed key or
+changed term, none for a unit scalar, and no Gaussian rational built for a
+scalar or an eigenvalue.  Each result is ``tuple.__new__(FockVector, (n, t))``,
+the record that ``FockVector(n, t)`` builds, without its Python-level frame.
 """
 
 import math
@@ -84,14 +86,14 @@ def _check_n(n) -> int:
 
 
 def zero_vector(n: int) -> FockVector:
-    return FockVector(_check_n(n), {})
+    return tuple.__new__(FockVector, (_check_n(n), {}))
 
 
 def basis_vector(n: int, beta: Sequence[int]) -> FockVector:
     n, beta = _check_n(n), tuple(map(index, beta))
     if len(beta) != n or any(b < 0 for b in beta):
         raise ValueError(f"bad multi-index {beta} for n={n}")
-    return FockVector(n, {beta: gq(1)})
+    return tuple.__new__(FockVector, (n, {beta: gaussian.ONE}))
 
 
 def add(v: FockVector, w: FockVector) -> FockVector:
@@ -104,16 +106,16 @@ def add(v: FockVector, w: FockVector) -> FockVector:
     """
     if v.n != w.n:
         raise ValueError("dimension mismatch")
-    fields, reduced = gaussian.fields, gaussian._reduced
+    reduced = gaussian._reduced
     acc = dict(v.terms)
     for beta, coeff in w.terms.items():
-        u, s, e = fields(coeff)
+        u, s, e = coeff._f
         old = acc.get(beta)
         if old is None:
             if u or s:
                 acc[beta] = coeff
             continue
-        x, y, d = fields(old)
+        x, y, d = old._f
         if d == e:
             x, y = x + u, y + s
         else:
@@ -122,7 +124,7 @@ def add(v: FockVector, w: FockVector) -> FockVector:
             acc[beta] = reduced(x, y, d)
         else:
             del acc[beta]
-    return FockVector(v.n, acc)
+    return tuple.__new__(FockVector, (v.n, acc))
 
 
 def scale(c, v: FockVector) -> FockVector:
@@ -133,19 +135,18 @@ def scale(c, v: FockVector) -> FockVector:
     multiplies the fields and normalizes once per term.  c = 0 gives the zero
     vector.
     """
-    fields = gaussian.fields
     if isinstance(c, GaussianRational):
-        a, b, e = fields(c)
+        a, b, e = c._f
     else:
         (a, e), b = gaussian._rational(c), 0
     if not (a or b):
-        return FockVector(v.n, {})
+        return tuple.__new__(FockVector, (v.n, {}))
     make = gaussian._raw if e == 1 and a * a + b * b == 1 else gaussian._reduced
     out = {}
     for beta, z in v.terms.items():
-        x, y, d = fields(z)
+        x, y, d = z._f
         out[beta] = make(a * x - b * y, a * y + b * x, e * d)
-    return FockVector(v.n, out)
+    return tuple.__new__(FockVector, (v.n, out))
 
 
 def _direction_index(n: int, j: int) -> int:
@@ -175,8 +176,7 @@ def sigma_real(coeff_a: Sequence, coeff_b: Sequence, v: FockVector) -> FockVecto
     rows = []
     for k, (a, b) in enumerate(zip(coeff_a, coeff_b)):
         if a.__class__ is Fraction and b.__class__ is Fraction:
-            p, r = a.numerator, b.numerator
-            q, s = (a.denominator, b.denominator) if p or r else (1, 1)
+            p, q, r, s = a._numerator, a._denominator, b._numerator, b._denominator
         else:
             (p, q), (r, s) = gaussian._rational(a), gaussian._rational(b)
         if p or r:
@@ -195,19 +195,21 @@ def _ladder(rows: Sequence[tuple], v: FockVector) -> FockVector:
     (over a shared denominator, cross-multiplied when the denominators differ)
     and each output coefficient is normalized once; exact zeros are dropped.
     """
-    fields = gaussian.fields
     acc: dict[FockIndex, tuple[int, int, int]] = {}
+    get = acc.get
     for beta, c in v.terms.items():
-        cx, cy, cd = fields(c)
+        cx, cy, cd = c._f
         for k, x, y, d, step in rows:
-            bk = beta[k]
-            m = 1 if step > 0 else bk
-            if not m:
-                continue
-            # -i (x + y*i)(cx + cy*i) m / (d cd), halved on a raise: parts swapped, new im negated
-            px, py, pd = (x * cy + y * cx) * m, (y * cy - x * cx) * m, d * cd << (step > 0)
-            key = beta[:k] + (bk + step,) + beta[k + 1:]
-            old = acc.get(key)
+            # -i (x + y*i)(cx + cy*i) / 2 on a raise, * beta_j on a lower: parts swapped, im negated
+            if step > 0:
+                pd, key = d * cd << 1, beta[:k] + (beta[k] + 1,) + beta[k + 1:]
+            else:
+                m = beta[k]
+                if not m:
+                    continue
+                x, y, pd, key = x * m, y * m, d * cd, beta[:k] + (m - 1,) + beta[k + 1:]
+            px, py = x * cy + y * cx, y * cy - x * cx
+            old = get(key)
             if old is not None:
                 ox, oy, od = old
                 if od == pd:
@@ -216,14 +218,19 @@ def _ladder(rows: Sequence[tuple], v: FockVector) -> FockVector:
                     px, py, pd = ox * pd + px * od, oy * pd + py * od, od * pd
             acc[key] = (px, py, pd)
     reduced = gaussian._reduced
-    return FockVector(v.n, {key: reduced(x, y, d) for key, (x, y, d) in acc.items() if x or y})
+    return tuple.__new__(FockVector, (v.n, {key: reduced(x, y, d)
+                                            for key, (x, y, d) in acc.items() if x or y}))
 
 
 def h0_apply(v: FockVector) -> FockVector:
     """Harmonic oscillator: h_beta -> -(|beta| + n/2) h_beta.  The eigenvalue is
     never 0 and the keys are distinct, so only a zero input term is dropped."""
-    return FockVector(v.n, {beta: gq(Fraction(-(2 * sum(beta) + v.n), 2)) * c
-                            for beta, c in v.terms.items() if c})
+    n, reduced, out = v.n, gaussian._reduced, {}
+    for beta, c in v.terms.items():
+        (x, y, d), e = c._f, -(2 * sum(beta) + n)
+        if x or y:
+            out[beta] = reduced(e * x, e * y, 2 * d)
+    return tuple.__new__(FockVector, (n, out))
 
 
 def basis_norm_sq(beta: FockIndex) -> Fraction:
@@ -309,7 +316,7 @@ def _symbol_rows(n: int, v: Sequence, step: int) -> list[tuple]:
 
     so with va_j + i vb_j = (x + y*i) / d a row carries (2x + 2 step y*i) / d.
     """
-    parts = [(k, *gaussian.fields(w)) for k, w in enumerate(_coordinates(n, v)) if w]
+    parts = [(k, *w._f) for k, w in enumerate(_coordinates(n, v)) if w]
     if not parts:
         raise ValueError("symbol of the zero vector is degenerate")
     return [(k, 2 * x, 2 * step * y, d, step) for k, x, y, d in parts]

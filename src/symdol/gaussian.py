@@ -14,23 +14,28 @@ products.  The real and imaginary parts read as
 ``numbers.Rational`` values are accepted as parts: a float is a
 ``TypeError``, never its binary expansion.
 
-Package code that does its own integer arithmetic on values (the Fock
-ladder, sums and scalings) reads their fields with ``fields(z)``, which
-returns that slot, the parts of an input with ``_rational``, and hands each
-result back through ``_reduced``, which restores the normal form, or through
-``_raw`` when the fields are normalized already (a unit multiple permutes
-and negates them); the form itself is defined here only.
+Package code that does its own integer arithmetic on values reads their
+fields from that slot, ``z._f``, and an input's parts with ``_rational``,
+which takes an exact ``int`` as ``(value, 1)`` by class identity before
+``isinstance`` takes any other int (bool, subclasses) or
+``numbers.Rational`` (``fock.sigma_real`` reads a pair of exact
+``Fraction`` coordinates off their integer slots itself, before it would
+call this).  It hands each result back through
+``_reduced``, which restores the normal form, or through ``_raw`` when the
+fields are normalized already (a unit multiple permutes and negates them);
+the form itself is defined here only.
 """
 
 from fractions import Fraction
 from math import gcd
 from numbers import Rational
-from operator import attrgetter
 
 
 def _rational(value) -> tuple[int, int]:
     """(numerator, denominator) of an int or Rational, as plain ints; a
     Rational's denominator is positive."""
+    if value.__class__ is int:
+        return value, 1
     if isinstance(value, int):
         return int(value), 1
     if isinstance(value, Rational):
@@ -168,10 +173,6 @@ def _reduced(x: int, y: int, d: int) -> GaussianRational:
     z = _new(GaussianRational)
     _set_f(z, (x, y, d))
     return z
-
-
-# fields(z) -> (x, y, d): the normalized integers of z = (x + y*i) / d
-fields = attrgetter("_f")
 
 
 gq = GaussianRational    # shorthand constructor

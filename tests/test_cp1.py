@@ -411,7 +411,7 @@ def test_p_d_commutator_consistent_with_ladder_shift(report):
 
 def _pair(c: GaussianRational, scale: int) -> tuple[int, int]:
     """The integer pair (x, y) of a report scalar c = (x + y*i) / scale."""
-    x, y, d = gaussian.fields(c)
+    x, y, d = c._f
     assert scale % d == 0
     return x * scale // d, y * scale // d
 

@@ -1,5 +1,7 @@
 import ast
 import math
+from decimal import Decimal
+from enum import IntEnum
 from fractions import Fraction
 from pathlib import Path
 
@@ -117,22 +119,48 @@ class _Count(int):
     pass
 
 
-@pytest.mark.parametrize("value", [True, False, _Count(3)], ids=["True", "False", "int subclass"])
-def test_int_subclasses_stored_as_plain_int(value):
-    for z in (gq(value), gq(0, value), gq(value, Fraction(1, 2)), gq(1) * value, value + gq(0)):
-        assert {type(f) for f in gaussian.fields(z)} == {int}
-    assert gq(value) == int(value) and hash(gq(value)) == hash(int(value))
+class _Level(IntEnum):
+    THREE = 3
 
 
 class _Ratio(Fraction):
     pass
 
 
+@pytest.mark.parametrize(
+    "value", [True, False, _Count(3), _Level.THREE, Fraction(-6, 8), _Ratio(6, -8)],
+    ids=["True", "False", "int subclass", "IntEnum", "Fraction", "Fraction subclass"])
+def test_exact_parts_stored_as_plain_int(value):
+    # every exact kind reads as the plain-int pair (numerator, denominator): _rational takes
+    # an exact int by class identity, the rest through isinstance, and sigma_real reads an
+    # exact Fraction pair off its slots
+    p, q = gaussian._rational(value)
+    assert (type(p), type(q)) == (int, int) and (p, q) == (value.numerator, value.denominator)
+    v = fock.basis_vector(2, (1, 0))
+    scaled, real = fock.scale(value, v), fock.sigma_real([value, 0], [0, value], v)
+    for z in (gq(value), gq(0, value), gq(value, Fraction(1, 2)), gq(1) * value, value + gq(0),
+              *scaled.terms.values(), *real.terms.values()):
+        assert {type(f) for f in z._f} == {int}
+    assert gq(value) == Fraction(p, q) and hash(gq(value)) == hash(value)
+    assert scaled.terms == ({(1, 0): gq(Fraction(p, q))} if p else {})
+    assert real == fock.sigma_real([Fraction(p, q), 0], [0, Fraction(p, q)], v)
+
+
+@pytest.mark.parametrize("value", [0.5, Decimal("0.5"), 1j], ids=["float", "Decimal", "complex"])
+def test_inexact_parts_rejected(value):
+    v = fock.basis_vector(1, (1,))
+    for call in (lambda: gaussian._rational(value), lambda: gq(value),
+                 lambda: fock.scale(value, v), lambda: fock.sigma_real([value], [0], v),
+                 lambda: fock.sigma_real([0], [value], v)):
+        with pytest.raises(TypeError, match="Gaussian rational"):
+            call()
+
+
 def test_rational_subclass_read_through_its_parts():
     # a numbers.Rational, a Fraction subclass included, is read off its numerator and denominator
     assert gaussian._rational(_Ratio(6, 8)) == (3, 4)
     assert {type(f) for f in gaussian._rational(_Ratio(6, 8))} == {int}
-    assert gaussian.fields(gq(_Ratio(1, 2), _Ratio(-1, 3))) == (3, -2, 6)
+    assert gq(_Ratio(1, 2), _Ratio(-1, 3))._f == (3, -2, 6)
 
 
 def test_constructor_normalizes_through_reduced(monkeypatch):
@@ -142,7 +170,7 @@ def test_constructor_normalizes_through_reduced(monkeypatch):
     calls = count_calls(monkeypatch, gaussian, "_reduced")
     z = GaussianRational(Fraction(6, 8), Fraction(-1, 4))
     assert len(calls) == 1
-    assert gaussian.fields(z) == (3, -1, 4)
+    assert z._f == (3, -1, 4)
 
 
 def test_subtraction_coerces_its_right_operand():
@@ -169,7 +197,7 @@ _parts = st.one_of(
 
 
 def _same(z: GaussianRational, ref: FractionPairGaussian):
-    x, y, d = gaussian.fields(z)
+    x, y, d = z._f
     assert d > 0 and math.gcd(x, y, d) == 1
     assert type(z.re) is Fraction and type(z.im) is Fraction
     assert (z.re, z.im) == (ref.re, ref.im)

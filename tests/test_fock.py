@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import pickle
 from fractions import Fraction
 from itertools import product
 
@@ -148,7 +149,7 @@ def test_one_pass_ladder_matches_direction_by_direction(case):
 
     def rows(coeffs, step):
         """Kernel rows (k, x, y, d, step) of the nonzero Z (step 1) or Zbar (step -1) coeffs."""
-        return [(k, *gaussian.fields(c), step) for k, c in enumerate(coeffs) if c]
+        return [(k, *c._f, step) for k, c in enumerate(coeffs) if c]
 
     ladder = rows(z, 1) + rows(zbar, -1)
     assert fock._ladder(ladder, v).terms == oracles.sigma_complex_by_composition(z, zbar, v).terms
@@ -178,6 +179,10 @@ def test_sigma_real_sums_contributions_over_different_denominators():
     assert image.terms == {(1,): gq(0, Fraction(-5, 6)), (3,): gq(0, Fraction(-1, 6))}
     third = [gq(Fraction(1, 3))]
     assert image.terms == oracles.sigma_complex_by_composition(third, third, v).terms
+    # a Fraction pair over unequal denominators: 1/3 + i/2 on Z_1 and its conjugate on Zbar_1
+    z = gq(Fraction(1, 3), Fraction(1, 2))
+    assert fock.sigma_real([Fraction(1, 3)], [Fraction(1, 2)], v).terms == \
+        oracles.sigma_complex_by_composition([z], [z.conjugate()], v).terms
 
 
 def test_sigma_real_drops_a_coefficient_that_cancels():
@@ -233,7 +238,7 @@ def _mixed_add_case(draw):
 
 def _normalized(terms) -> bool:
     return all(d > 0 and math.gcd(x, y, d) == 1 and (x or y)
-               for x, y, d in map(gaussian.fields, terms.values()))
+               for x, y, d in (c._f for c in terms.values()))
 
 
 @settings(max_examples=300, deadline=None, database=None)
@@ -293,8 +298,11 @@ def test_commutator_sum_and_unit_scaling_work(monkeypatch):
     scale(-1, .) on every basis vector of levels 0..3 at n = 3 makes 168
     normalizations: 148 in the ladder, one per basis vector for the key the
     sum keeps, and none for scaling by -1 (a GaussianRational sum per
-    colliding key and product per scaled term would make it 236)."""
+    colliding key and product per scaled term would make it 236).  No vector
+    goes through the record's Python-level constructor: every fock result is
+    built as tuple.__new__(FockVector, (n, terms))."""
     zero, minus_i = [0, 0, 0], gq(0, -1)
+    built = count_calls(monkeypatch, fock.FockVector, "__new__")
     basis = [(beta, fock.basis_vector(3, beta)) for l in range(4)
              for beta in fock.level_indices(3, l)]
     calls = count_calls(monkeypatch, gaussian, "_reduced")
@@ -303,6 +311,24 @@ def test_commutator_sum_and_unit_scaling_work(monkeypatch):
         ba = fock.sigma_real(zero, [1, 0, 0], fock.sigma_real([1, 0, 0], zero, b))
         assert fock.add(ab, fock.scale(-1, ba)).terms == {beta: minus_i}
     assert len(calls) == 168
+    assert len(built) == 0
+
+
+def test_fock_results_are_full_records():
+    """A result built without the record's constructor is the same namedtuple:
+    equal to FockVector(n, terms), with its repr, _replace, _asdict and pickle."""
+    v = fock.FockVector(2, {(1, 2): gq(Fraction(1, 2), 3), (0, 1): gq(0, -2)})
+    results = [fock.basis_vector(2, (1, 2)), fock.zero_vector(3),
+               fock.add(v, fock.basis_vector(2, (0, 1))), fock.scale(Fraction(2, 3), v),
+               fock.sigma_raise(1, v), fock.sigma_lower(2, v),
+               fock.sigma_real([1, Fraction(1, 2)], [0, 3], v), fock.h0_apply(v)]
+    for r in results:
+        assert type(r) is fock.FockVector and r == fock.FockVector(r.n, r.terms)
+        assert repr(r) == f"FockVector(n={r.n!r}, terms={r.terms!r})"
+        assert r._replace(n=5) == fock.FockVector(5, r.terms)
+        assert r._asdict() == {"n": r.n, "terms": r.terms}
+        again = pickle.loads(pickle.dumps(r))
+        assert type(again) is fock.FockVector and again == r
 
 
 def test_scalars_and_coordinates_build_no_gaussian_rational(monkeypatch):
@@ -375,6 +401,20 @@ def test_h0_eigenvalues():
     assert v.terms == {(0,): gq(Fraction(-1, 2))}
     v = fock.h0_apply(fock.basis_vector(3, (1, 0, 1)))
     assert v.terms == {(1, 0, 1): gq(Fraction(-7, 2))}
+
+
+def test_h0_normalizes_each_term_once(monkeypatch):
+    """Deterministic work counter: H_0 multiplies each nonzero term's integer
+    fields by its eigenvalue's numerator and doubles the denominator, with one
+    normalization per term and no GaussianRational built for the eigenvalue."""
+    v = fock.FockVector(3, {(1, 0, 2): gq(Fraction(1, 2), 3), (0, 0, 0): gq(0, -2),
+                            (2, 1, 0): gq(Fraction(5, 3)), (0, 1, 0): gq(0)})
+    expected = {beta: gq(Fraction(-(2 * sum(beta) + 3), 2)) * z for beta, z in v.terms.items() if z}
+    calls = count_calls(monkeypatch, gaussian, "_reduced")
+    built = count_calls(monkeypatch, GaussianRational, "__new__")
+    image = fock.h0_apply(v)
+    assert len(calls) == 3 and len(built) == 0
+    assert image.terms == expected
 
 
 def test_h0_commutes_down_by_one_with_raising():

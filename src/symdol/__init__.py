@@ -3,7 +3,7 @@
 Submodules
 ----------
 gaussian  exact Gaussian-rational numbers
-linalg    the sparse exact matrix type of the Fock operators: products
+linalg    the sparse exact matrix product of the Fock operators
 errors    ContractViolation, raised when an internal invariant breaks
 rootsys   exact root systems A-D and G2, and the dual Killing form
 reps      weight multiplicities, dimensions, Casimirs, one dominant-weight walk

@@ -242,7 +242,7 @@ def _cp1_block_jsonable(block, include_matrices: bool) -> dict:
 
 def _cmd_cp1(args) -> dict:
     report = cp1.verify(args.lmax, args.gamma_max)
-    failures = [f for lv in report for f in lv.failures]
+    root = cp1.root_failure(report)
     levels = [
         {
             "level": lv.level,
@@ -259,13 +259,10 @@ def _cmd_cp1(args) -> dict:
         "lmax": args.lmax,
         "gamma_max": args.gamma_max,
         "levels": levels,
-        "status": "FAIL" if failures else "PASS",
+        "status": "FAIL" if root else "PASS",
     }
-    if failures:
+    if root:
         _render(args, payload)
-        # a block's own check names the fault, which commutators and ledgers may echo
-        own = ("P real failed", "closed-form lambda failed", "P-identity failed", "ladder failed")
-        root = next((f for f in failures if f.partition(": ")[2].startswith(own)), failures[0])
         raise ContractViolation(f"CP^1 verification failed at {root}")
     return payload
 

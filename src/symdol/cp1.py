@@ -41,7 +41,8 @@ identity is multiplied through to integer pairs at its product scale
 [P, Dbar] at 1024), so no check divides or truncates; the P-identity
 fails on every block of a gamma whose Omega is not c * I.  The same pass
 sums the ranks into each level's kernel ledger; a failure names its
-level, gamma, check and values.  Any nonzero residual is a failure.
+level, gamma, check and values.  Any nonzero residual is a failure, and
+`root_failure` picks the one that names the fault.
 """
 
 import operator
@@ -292,6 +293,10 @@ def _gamma_blocks(lmax: int, gamma: int, raising: list[Pair], lowering: list[Pai
     return reports
 
 
+def _failure_text(block: BlockReport, check: str) -> str:
+    return f"level {block.level}, gamma {block.gamma}: {check} failed: {block.failures[check]}"
+
+
 def verify(lmax: int, gamma_max: int) -> tuple[LevelReport, ...]:
     """Assemble and check every block of levels 0..lmax with gamma <= gamma_max,
     and each level's kernel ledger ker Dbar = 2l+2, ker D = 0 (l >= 1).
@@ -321,10 +326,7 @@ def verify(lmax: int, gamma_max: int) -> tuple[LevelReport, ...]:
     for level, blocks in enumerate(by_level):
         ker_dbar = sum(b.ker_dbar for b in blocks)
         ker_d = sum(b.ker_d for b in blocks)
-        failures = [
-            f"level {level}, gamma {b.gamma}: {check} failed: {values}"
-            for b in blocks for check, values in b.failures.items()
-        ]
+        failures = [_failure_text(b, check) for b in blocks for check in b.failures]
         if ker_dbar != 2 * level + 2:
             failures.append(f"level {level}: ker Dbar != 2l+2: ker Dbar = {ker_dbar} "
                             f"over gamma <= {gamma_max}, 2l+2 = {2 * level + 2}")
@@ -332,3 +334,12 @@ def verify(lmax: int, gamma_max: int) -> tuple[LevelReport, ...]:
             failures.append(f"level {level}: ker D != 0: ker D = {ker_d} over gamma <= {gamma_max}")
         levels.append(LevelReport(level, tuple(blocks), ker_dbar, ker_d, tuple(failures)))
     return tuple(levels)
+
+
+def root_failure(levels: tuple[LevelReport, ...]) -> Optional[str]:
+    """The failure that names the fault of a verify report, None if every level passed:
+    the first failed check of a block's own (any but "commutators", which reads
+    the neighbour blocks and so may echo their fault), else the first failure."""
+    own = next(((b, check) for lv in levels if lv.failures for b in lv.blocks
+                for check in b.failures if check != "commutators"), None)
+    return _failure_text(*own) if own else next((f for lv in levels for f in lv.failures), None)

@@ -21,8 +21,9 @@ normalizations omitting the factorial fail that relation, as the
 Gauss-Hermite quadrature oracle in the test suite confirms via
 integral(h_m^2) = sqrt(pi) 2^m m!.
 
-Operators between two levels are sparse :class:`linalg.Mat` matrices over
-the lex-ordered level bases; an action leaving the target level is rejected.
+Operators between two levels hold their nonzero entries in a dict keyed
+(row, col), as vectors hold their terms, over the lex-ordered level bases;
+an action leaving the target level is rejected.
 Coefficients are exact Gaussian rationals; there is no floating-point code.
 The ladder runs on integers in one kernel, the only code that applies the
 two rules above.  A caller passes rows (j - 1, x, y, d, step), one per
@@ -43,9 +44,8 @@ from itertools import combinations
 from operator import index
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from . import gaussian
-from .gaussian import GaussianRational, ZERO, gq
-from .linalg import Mat
+from . import gaussian, linalg
+from .gaussian import GaussianRational, ZERO, gq, gq_str
 
 FockIndex = tuple[int, ...]
 
@@ -252,13 +252,13 @@ def inner_product(v: FockVector, w: FockVector) -> GaussianRational:
 # ---------------------------------------------------------------------------
 
 class FockOperator(NamedTuple):
-    """Exact map E_source_level -> E_target_level; the matrix rows and columns
-    follow the level_indices order of the target and source levels."""
+    """Exact map E_source_level -> E_target_level; its nonzero matrix entries are
+    keyed (row, col), following the level_indices order of the target and source levels."""
 
     n: int
     source_level: int
     target_level: int
-    matrix: Mat
+    matrix: dict[tuple[int, int], GaussianRational]
 
 
 def operator_from_action(
@@ -269,23 +269,23 @@ def operator_from_action(
 ) -> FockOperator:
     """Materialize the action on the level basis.
 
-    Any output term outside the declared target level is rejected, so the
-    matrix is the whole action, never a truncation of it.
+    Any output term outside the declared target level, and any stored zero,
+    is rejected, so the matrix is the whole action, never a truncation of it.
     """
     rows = {beta: i for i, beta in enumerate(level_indices(n, target_level))}
-    sources = level_indices(n, source_level)
     entries: dict[tuple[int, int], GaussianRational] = {}
-    for col, src in enumerate(sources):
-        image = action(basis_vector(n, src))
-        for beta, coeff in image.terms.items():
+    for col, src in enumerate(level_indices(n, source_level)):
+        for beta, coeff in action(basis_vector(n, src)).terms.items():
             row = rows.get(beta)
             if row is None:
                 raise ValueError(
                     f"action maps level {source_level} outside level "
                     f"{target_level} of n={n} (hit {beta})"
                 )
+            if not coeff:
+                raise ValueError(f"action stores a zero at {beta} (image of {src})")
             entries[row, col] = coeff
-    return FockOperator(n, source_level, target_level, Mat(len(rows), len(sources), entries))
+    return FockOperator(n, source_level, target_level, entries)
 
 
 def compose(second: FockOperator, first: FockOperator) -> FockOperator:
@@ -293,12 +293,12 @@ def compose(second: FockOperator, first: FockOperator) -> FockOperator:
     if second.n != first.n or second.source_level != first.target_level:
         raise ValueError("operators are not composable")
     return FockOperator(first.n, first.source_level, second.target_level,
-                        second.matrix @ first.matrix)
+                        linalg._product(second.matrix, first.matrix))
 
 
 def to_json_triplets(op: FockOperator) -> list[list]:
-    """Sparse triplets [row, col, "a+bi"] over lex-ordered level bases."""
-    return op.matrix.triplets()
+    """Sparse triplets [row, col, "a+bi"] over lex-ordered level bases, sorted by (row, col)."""
+    return [[i, j, gq_str(x)] for (i, j), x in sorted(op.matrix.items())]
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,10 @@ binary forms instead of the program's integer bands, and the Casimir from
 their matrix products and sums; ranks come from exact row reduction, and
 the SU(2)-invariant norms on V_gamma come from their product formula.  The
 scalar-matrix helpers (c * I and reading c back) live here, since no
-program path builds a c * I.  ``CountingRow`` stands in for a
+program path builds a c * I, and so does ``Mat``, the shaped sparse matrix
+they and the ranks work on: the Fock operators hold plain entry dicts,
+which ``as_scalar_identity`` wraps with the shape of their level.
+``CountingRow`` stands in for a
 Cartan row in the work gates that count the entries a path reads.  The
 surface index comes from Riemann-Roch on the summand's line bundle, its
 degree read off the A1 spinor weight, instead of the closed form.
@@ -49,6 +52,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import combinations, product
 from numbers import Rational
@@ -59,8 +63,7 @@ from numpy.polynomial import hermite as nph
 
 from symdol import cp1, fock
 from symdol.flagspec import spinor_weight
-from symdol.gaussian import GaussianRational, ZERO, gq
-from symdol.linalg import Mat
+from symdol.gaussian import GaussianRational, ZERO, gq, gq_str
 from symdol.reps import _dominant_walk, dominant_weights_with_norm_bound, weight_multiplicity
 from symdol.rootsys import (
     RootSystem,
@@ -777,8 +780,79 @@ def sigma_complex_by_composition(z_coeffs, zbar_coeffs, v: fock.FockVector) -> f
 
 
 # ---------------------------------------------------------------------------
-# matrices from dense rows, and scalar multiples of the identity
+# explicit matrices: from dense rows, and scalar multiples of the identity
 # ---------------------------------------------------------------------------
+
+class Mat(Mapping):
+    """An nrows x ncols matrix given by its nonzero entries, keyed (row, col).
+
+    No zero is stored, so two matrices are equal exactly when their shapes
+    and entries are.  Read-only and unhashable; the entries are read through
+    the Mapping interface (``m.get((i, j), ZERO)``, ``m.items()``, ``len(m)``).
+    """
+
+    __slots__ = ("nrows", "ncols", "entries")
+    nrows: int
+    ncols: int
+    entries: Mapping[tuple[int, int], GaussianRational]
+
+    def __init__(self, nrows: int, ncols: int,
+                 entries: Mapping[tuple[int, int], GaussianRational]):
+        for (i, j), value in entries.items():
+            if not (0 <= i < nrows and 0 <= j < ncols):
+                raise ValueError(f"entry ({i}, {j}) outside a {nrows}x{ncols} matrix")
+            if not value:
+                raise ValueError(f"zero stored at ({i}, {j})")
+        setattr_ = object.__setattr__
+        setattr_(self, "nrows", nrows)
+        setattr_(self, "ncols", ncols)
+        setattr_(self, "entries", entries)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a Mat")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a Mat")
+
+    def __reduce__(self):
+        return Mat, (self.nrows, self.ncols, self.entries)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.nrows, self.ncols, self.entries) == (other.nrows, other.ncols, other.entries)
+
+    def __repr__(self) -> str:
+        return f"Mat(nrows={self.nrows!r}, ncols={self.ncols!r}, entries={self.entries!r})"
+
+    def __getitem__(self, key: tuple[int, int]) -> GaussianRational:
+        return self.entries[key]
+
+    def __iter__(self):
+        return iter(self.entries)
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def __matmul__(self, other: "Mat") -> "Mat":
+        """Matrix product self @ other; inner dimension 0 yields the zero map."""
+        if self.ncols != other.nrows:
+            raise ValueError(f"shape mismatch in mat_mul: {self.nrows}x{self.ncols} "
+                             f"@ {other.nrows}x{other.ncols}")
+        by_row: dict[int, list[tuple[int, GaussianRational]]] = {}
+        for (k, j), b in other.entries.items():
+            by_row.setdefault(k, []).append((j, b))
+        out: dict[tuple[int, int], GaussianRational] = {}
+        for (i, k), a in self.entries.items():
+            for j, b in by_row.get(k, ()):
+                old = out.get((i, j))
+                out[i, j] = a * b if old is None else old + a * b
+        return Mat(self.nrows, other.ncols, {key: x for key, x in out.items() if x})
+
+    def triplets(self) -> list[list]:
+        """The entries as [row, col, "a+bi"], sorted by (row, col)."""
+        return [[i, j, gq_str(x)] for (i, j), x in sorted(self.entries.items())]
+
 
 def mat_from_rows(rows) -> Mat:
     """A Mat from a list of equal-length rows; zeros are skipped before
@@ -809,7 +883,8 @@ def as_scalar_identity(op: fock.FockOperator) -> Optional[GaussianRational]:
     """Return c when op == c * identity on its (square) level, else None."""
     if op.source_level != op.target_level:
         return None
-    return scalar_identity_value(op.matrix)
+    dim = fock.dim_level(op.n, op.source_level)
+    return scalar_identity_value(Mat(dim, dim, op.matrix))
 
 
 # ---------------------------------------------------------------------------

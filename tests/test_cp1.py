@@ -5,13 +5,12 @@ import pytest
 import oracles
 from conftest import count_calls
 from oracles import (
-    invariant_weight_norms, kernel_dimension, mat_mul, mat_scale, mat_sub, rank,
+    Mat, invariant_weight_norms, kernel_dimension, mat_mul, mat_scale, mat_sub, rank,
     scalar_matrix, sl2_casimir_by_matrices, sl2_irrep_matrices,
 )
 from symdol import cli, cp1, fock, gaussian, linalg
 from symdol.errors import ContractViolation
 from symdol.gaussian import GaussianRational, ONE, ZERO, gq
-from symdol.linalg import Mat
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +160,10 @@ def test_non_scalar_omega_fails_p_identity_on_every_level(monkeypatch, r, messag
 
 def test_non_real_p_names_its_value(monkeypatch):
     # a P with an imaginary part fails "P real" on its block, naming P, and the
-    # pass goes on; p_block's pair is 128 P, so adding 32 i adds i/4
+    # pass goes on; p_block's pair is 128 P, so adding 32 i adds i/4.  The root
+    # failure is that block's own check, not level 0's [P, Dbar], which reads
+    # P at level 1 and fails first in level order
+    assert cp1.root_failure(cp1.verify(2, 7)) is None
     true_p = cp1.p_block
 
     def broken(level, gamma, *maps):
@@ -173,6 +175,8 @@ def test_non_real_p_names_its_value(monkeypatch):
     assert "level 1, gamma 5: P real failed: P = 1+1/4i" in report[1].failures
     assert [(b.level, b.gamma) for lv in report for b in lv.blocks
             if not b.passed("P real")] == [(1, 5)]
+    assert report[0].failures[0].startswith("level 0, gamma 5: commutators failed: [P, Dbar]")
+    assert cp1.root_failure(report) == "level 1, gamma 5: P real failed: P = 1+1/4i"
 
 
 def test_p_above_the_top_level_fails_only_the_top_commutators(monkeypatch):
@@ -192,6 +196,8 @@ def test_p_above_the_top_level_fails_only_the_top_commutators(monkeypatch):
     assert [(b.gamma, list(b.failures)) for b in report[2].blocks if b.failures] == [
         (7, ["commutators"]), (9, ["commutators"])]
     assert report[2].failures[0].startswith("level 2, gamma 7: commutators failed: [P, Dbar] = ")
+    # no block's own check fails, so the root failure is the first of all
+    assert cp1.root_failure(report) == report[2].failures[0]
 
 
 def _break_fiber_on_level_2(monkeypatch):
@@ -333,7 +339,7 @@ def test_ladder_bijectivity_explicit(report):
 
 
 def test_verify_builds_no_matrix(monkeypatch):
-    """Work gate: verify(4, 201) builds no Mat and makes no matrix product.
+    """Work gate: verify(4, 201) builds no Fock operator and makes no matrix product.
     Per gamma it computes 8 Omega's integer diagonal from its closed form and
     reads Omega's scalar off it, once, not per block (101 omega_block calls);
     D, Dbar, H and P are integer pairs read from closed forms, and p_block
@@ -344,7 +350,7 @@ def test_verify_builds_no_matrix(monkeypatch):
     that exist, so block_exists runs in the seams it calls (p_block per
     assembled block, omega_block and block_dim per gamma), at most twice per
     assembled block (3,938 calls while D, Dbar and H had block functions)."""
-    work = {"products": 0, "mats": 0, "omegas": 0, "arithmetic": 0}
+    work = {"products": 0, "operators": 0, "omegas": 0, "arithmetic": 0}
     calls = {"ladders": 0, "validations": 0, "p_blocks": 0}
 
     def counted(key, fn, tally=work):
@@ -361,8 +367,9 @@ def test_verify_builds_no_matrix(monkeypatch):
             return result
         return wrapper
 
-    monkeypatch.setattr(linalg.Mat, "__matmul__", counted("products", linalg.Mat.__matmul__))
-    monkeypatch.setattr(linalg.Mat, "__init__", counted("mats", linalg.Mat.__init__))
+    monkeypatch.setattr(linalg, "_product", counted("products", linalg._product))
+    for name in ("operator_from_action", "compose"):
+        monkeypatch.setattr(fock, name, counted("operators", getattr(fock, name)))
     monkeypatch.setattr(cp1, "omega_block", counted("omegas", cp1.omega_block))
     monkeypatch.setattr(fock, "_ladder", counted("ladders", fock._ladder, calls))
     for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
@@ -376,7 +383,7 @@ def test_verify_builds_no_matrix(monkeypatch):
     assert 1 <= calls["ladders"] <= 2 * (lmax + 3)
     assert calls["p_blocks"] == 591    # levels 0..lmax+1 of every gamma ladder
     assert calls["validations"] <= 2 * calls["p_blocks"]
-    assert work == {"products": 0, "mats": 0, "omegas": 101, "arithmetic": 0}
+    assert work == {"products": 0, "operators": 0, "omegas": 101, "arithmetic": 0}
     blocks = [b for lv in report for b in lv.blocks]
     assert len(blocks) == 495
     for b in blocks:

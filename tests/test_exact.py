@@ -11,13 +11,12 @@ from hypothesis import strategies as st
 
 from conftest import count_calls
 from oracles import (
-    FractionPairGaussian, kernel_dimension, mat_from_rows, mat_mul, rank, scalar_identity_value,
-    scalar_matrix,
+    FractionPairGaussian, Mat, kernel_dimension, mat_from_rows, mat_mul, rank,
+    scalar_identity_value, scalar_matrix,
 )
 import symdol
 from symdol.gaussian import GaussianRational, I, ONE, gq, gq_str
 from symdol import fock, gaussian
-from symdol.linalg import Mat
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,9 @@ from numpy.polynomial import hermite as nph
 
 import oracles
 from conftest import count_calls
-from oracles import as_scalar_identity, mat_scale
+from oracles import as_scalar_identity
 from symdol import fock, gaussian
-from symdol.gaussian import GaussianRational, gq, gq_str
-from symdol.linalg import Mat
+from symdol.gaussian import GaussianRational, ZERO, gq, gq_str
 
 
 def close(a: float, b: float) -> bool:
@@ -656,7 +655,7 @@ def test_vacuum_lowering_is_the_zero_level_0_endomorphism(n):
     # sigma(Zbar) kills E_0: the lowering symbol there is the 1x1 zero map
     # E_0 -> E_0, whatever the direction
     v = list(range(1, 2 * n + 1))
-    assert fock.symbol_lower_operator(n, 0, v) == fock.FockOperator(n, 0, 0, Mat(1, 1, {}))
+    assert fock.symbol_lower_operator(n, 0, v) == fock.FockOperator(n, 0, 0, {})
 
 
 def test_symbol_product_rejects_zero_vector():
@@ -684,6 +683,12 @@ def test_strict_mode_rejects_image_of_another_n():
         fock.operator_from_action(2, 0, 1, lambda v: fock.FockVector(3, {(1, 0, 0): gq(1)}))
 
 
+def test_strict_mode_rejects_a_stored_zero():
+    # an action may hand back an exact zero; the operator keeps no zero entry
+    with pytest.raises(ValueError, match=r"stores a zero at \(1, 0\) \(image of \(0, 0\)\)"):
+        fock.operator_from_action(2, 0, 1, lambda v: fock.FockVector(2, {(1, 0): ZERO}))
+
+
 def test_json_triplets_golden():
     op = fock.symbol_product(2, 1, [1, 0, 0, 1])
     assert fock.to_json_triplets(op) == [
@@ -695,10 +700,38 @@ def test_json_triplets_golden():
 
 
 def test_compose_shape_checked():
+    # the levels and n of the two maps are the whole shape check: E_0 -> E_1
+    # cannot follow E_1 -> E_2, nor an n = 2 map an n = 1 one
     up0 = fock.symbol_raise_operator(1, 0, [1, 0])
     up1 = fock.symbol_raise_operator(1, 1, [1, 0])
     with pytest.raises(ValueError, match="not composable"):
         fock.compose(up0, up1)
+    with pytest.raises(ValueError, match="not composable"):
+        fock.compose(fock.symbol_raise_operator(2, 1, [1, 0, 0, 0]), up0)
+    assert fock.compose(up1, up0).target_level == 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_zero_maps_compose_to_the_empty_map(n):
+    # through the zero map E_0 -> E_0 at the vacuum, a product has no entry,
+    # whatever the dimensions of its source and target levels
+    v = list(range(1, 2 * n + 1))
+    vacuum_down = fock.symbol_lower_operator(n, 0, v)
+    assert fock.compose(fock.symbol_raise_operator(n, 0, v), vacuum_down) == (
+        fock.FockOperator(n, 0, 1, {}))
+    assert fock.compose(vacuum_down, fock.symbol_lower_operator(n, 1, v)) == (
+        fock.FockOperator(n, 1, 0, {}))
+
+
+def test_compose_drops_cancelled_entries():
+    # on the vacuum, sigma(w + iJw) sigma(v - iJv) sums 4 conj(w_j) v_j (-i/2)(-i)
+    # = -2 conj(w_j) v_j over the directions: v = a_1 + a_2 and w = a_1 - a_2
+    # give -2 and +2, and w = v gives -2 twice
+    up = fock.symbol_raise_operator(2, 0, (1, 0, 1, 0))
+    assert fock.compose(fock.symbol_lower_operator(2, 1, (1, 0, -1, 0)), up) == (
+        fock.FockOperator(2, 0, 0, {}))
+    assert fock.compose(fock.symbol_lower_operator(2, 1, (1, 0, 1, 0)), up) == (
+        fock.FockOperator(2, 0, 0, {(0, 0): gq(-4)}))
 
 
 def test_h0_operator_level_preserving():
@@ -715,12 +748,12 @@ def test_h0_shifts_raising_operator_by_matrix_composition():
     lhs = fock.compose(h0, up)
     eig = Fraction(-(2 * l + n), 2)
     assert len(up.matrix) == fock.dim_level(n, l)
-    assert lhs.matrix == mat_scale(up.matrix, eig - 1)
+    assert lhs.matrix == {key: gq(eig - 1) * x for key, x in up.matrix.items()}
 
 
 # SHA-256 of the per-level JSON lines {"level", "trace", "triplets"} of the
 # n = 3 symbol products below, recorded before the Fock operators became
-# linalg.Mat matrices
+# linalg.Mat matrices and unchanged since they hold plain entry dicts
 SYMBOL_PRODUCT_GOLDEN = "b8209f3b24bbe9bb06b38c854b2558c6991a9aecbb95105e4f6cd241894ff2a6"
 
 

@@ -1,11 +1,12 @@
 """The immutable records and the cost of importing the package.
 
-Every record is a NamedTuple, or (``linalg.Mat``) a slotted Mapping, so
-importing ``symdol.cli`` loads none of the ``dataclasses`` machinery.  These
-tests pin what the records promise: immutability, equality by value, the
-unhashable ``Mat``, the repr of every root system, and that every module
-parses as Python 3.10, the least version the package declares; what the
-benchmark's tracer needs of the program; and the output digest of every
+Every record is a NamedTuple, so importing ``symdol.cli`` loads none of
+the ``dataclasses`` machinery; a Fock operator holds its entries in a plain
+dict.  These tests pin what the records promise: immutability, equality by
+value, the repr of every root system, and that every module parses as
+Python 3.10, the least version the package declares; the same promises of
+the test oracles' ``Mat``, a slotted Mapping that is also unhashable; what
+the benchmark's tracer needs of the program; and the output digest of every
 benchmark query.
 """
 
@@ -22,10 +23,9 @@ from pathlib import Path
 
 import pytest
 
-from oracles import scalar_matrix
+from oracles import Mat, scalar_matrix
 from symdol import cli, cp1, flagspec, fock, reps
 from symdol.gaussian import ONE, gq
-from symdol.linalg import Mat
 from symdol.rootsys import RootSystem, build_root_system
 
 A1 = build_root_system("A", 1)
@@ -149,7 +149,8 @@ def test_sources_parse_as_python_3_10():
     gq(1, 2),
     Mat(2, 2, {(0, 1): gq(-3, 4), (1, 0): ONE}),
     fock.add(fock.basis_vector(2, (1, 0)), fock.scale(gq(0, 1), fock.basis_vector(2, (0, 2)))),
-], ids=["gq", "Mat", "FockVector"])
+    fock.symbol_product(2, 1, (1, 0, 0, 1)),
+], ids=["gq", "Mat", "FockVector", "FockOperator"])
 def test_exact_values_pickle_and_deepcopy(value):
     for again in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
         assert again == value and type(again) is type(value)
@@ -228,6 +229,17 @@ def test_cli_import_loads_every_traced_layer():
     assert {"cp1", "linalg", "fock", "cli"} <= set(layers)    # the scan does see them
     assert _fresh(f"import sys, symdol.cli; print([m for m in {layers!r} "
                   "if 'symdol.' + m not in sys.modules])") == "[]"
+
+
+def test_linalg_imports_nothing_and_defines_no_public_name():
+    # the tracer wraps every public function of its LAYERS, and the fock_algebra
+    # workload must leave linalg idle: the Fock operators' product stays private
+    from symdol import linalg
+    assert [name for name in vars(linalg) if not name.startswith("_")] == []
+    tree = ast.parse(Path(linalg.__file__).read_text())
+    assert not [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert "linalg" in _perfbench_constant("tracer.py", "LAYERS")
+    assert "linalg" in _perfbench_constant("selftest.py", "IDLE_LAYERS")["fock_algebra"]
 
 
 # the trace keys (calls through a public binding, or work counts) behind each
